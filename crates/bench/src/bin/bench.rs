@@ -6,14 +6,14 @@
 //!
 //! Run with `cargo run --release -p mhla-bench --bin bench`.
 //!
-//! Tuning knobs (the many-core chunking experiment — results are
-//! identical for every setting, only wall time moves):
+//! The fast path is [`mhla_core::explore::try_sweep_with`], the 1-D entry
+//! of the exploration engine; the cold path is the frozen reference
+//! [`mhla_core::explore::sweep_cold`].
 //!
-//! * `MHLA_SWEEP_CHUNK=<n>` — points per warm-started chunk (default 4).
-//! * `MHLA_SWEEP_PARALLEL=0` — disable the thread fan-out.
-//!
-//! Malformed values are rejected with a typed [`MhlaError`] on stderr
-//! (exit code 2) — a typo'd tuning run must not silently measure the
+//! Tuning knob (results are identical for every setting, only wall time
+//! moves): `MHLA_SWEEP_PARALLEL=0` disables the thread fan-out. A
+//! malformed value is rejected with a typed [`MhlaError`] on stderr (exit
+//! code 2) — a typo'd tuning run must not silently measure the
 //! defaults.
 
 use std::process::ExitCode;
@@ -47,8 +47,8 @@ fn run() -> Result<(), MhlaError> {
 
     println!("tradeoff sweep: cold (oracle, sequential) vs fast (incremental, warm, parallel)");
     println!(
-        "options: chunk {} parallel {} (MHLA_SWEEP_CHUNK / MHLA_SWEEP_PARALLEL to tune)",
-        opts.chunk, opts.parallel
+        "options: parallel {} (MHLA_SWEEP_PARALLEL to tune)",
+        opts.parallel
     );
     println!(
         "{:<18} {:>7} {:>12} {:>12} {:>9} {:>12} {:>8} {:>8}",

@@ -1,5 +1,5 @@
 //! Multi-layer grid-sweep tracker: measures the shared-context L1×L2 grid
-//! sweep (`mhla_core::explore::sweep_grid`) against the per-point-rebuild
+//! sweep (`mhla_core::explore::try_sweep_grid_run`) against the per-point-rebuild
 //! path (a standalone `Mhla::new().run()` per grid point) over the
 //! eight-application suite on `Platform::three_level_default`, prints the
 //! Pareto frontier of one app, and writes `BENCH_grid.json` at the
@@ -8,13 +8,13 @@
 //! Run with `cargo run --release -p mhla-bench --bin grid`.
 //!
 //! The frontier demo goes through the fallible entry point
-//! ([`try_sweep_grid`]); a rejected ingress prints the typed error on
+//! ([`try_sweep_grid_run`]); a rejected ingress prints the typed error on
 //! stderr and exits with code 2.
 
 use std::process::ExitCode;
 
-use mhla_bench::{default_grid_axes, grid_perf_json, measure_grid_perf, write_results};
-use mhla_core::explore::try_sweep_grid;
+use mhla_bench::{grid_perf_json, measure_grid_perf, write_results};
+use mhla_core::explore::{default_axes, try_sweep_grid_run, SweepOptions};
 use mhla_core::{report, MhlaConfig, MhlaError};
 use mhla_hierarchy::Platform;
 
@@ -59,12 +59,15 @@ fn run() -> Result<(), MhlaError> {
     // The joint-sizing frontier of one representative app (Figure-2/3
     // style artifact, dropped under results/).
     let app = mhla_apps::hierarchical_me::app();
-    let grid = try_sweep_grid(
+    let platform = Platform::three_level_default();
+    let grid = try_sweep_grid_run(
         &app.program,
-        &Platform::three_level_default(),
-        &default_grid_axes(),
+        &platform,
+        &default_axes(&platform),
         &MhlaConfig::default(),
-    )?;
+        &SweepOptions::default(),
+    )?
+    .sweep;
     println!();
     println!(
         "{}: L1xL2 Pareto frontier (C = cycles front, E = energy front)",

@@ -1,5 +1,5 @@
 //! Pruned four-level grid-sweep tracker: measures the pruned L1×L2×L3
-//! grid sweep (`mhla_core::explore::sweep_grid_pruned_with`) against the
+//! grid sweep (`mhla_core::explore::try_sweep_grid_pruned_with`) against the
 //! exhaustive Cartesian product over the eight-application suite on
 //! `Platform::four_level_default` — under both the cycles and the energy
 //! objective, in both the sequential and the frontier-wave parallel mode
@@ -23,12 +23,12 @@
 use std::process::ExitCode;
 
 use mhla_bench::{
-    default_grid4_axes, grid4_perf_json, measure_grid4_improving, measure_grid4_perf,
-    measure_grid4_perf_with, measure_grid4_refine, prev_suite_value, sweep_options_from_env,
-    write_results, Grid4Perf, Grid4Refine, ImprovingGrid4Perf,
+    grid4_perf_json, measure_grid4_improving, measure_grid4_perf, measure_grid4_perf_with,
+    measure_grid4_refine, prev_suite_value, sweep_options_from_env, write_results, Grid4Perf,
+    Grid4Refine, ImprovingGrid4Perf,
 };
 use mhla_core::explore::{
-    sweep_grid_pruned_with, try_sweep_grid_pruned_resume, try_sweep_grid_pruned_with, PruneOptions,
+    default_axes, try_sweep_grid_pruned_resume, try_sweep_grid_pruned_with, PruneOptions,
     SweepOptions, SweepStatus,
 };
 use mhla_core::{report, MhlaConfig, MhlaError, Objective};
@@ -201,7 +201,7 @@ fn print_refine_table(title: &str, perfs: &[Grid4Refine]) -> bool {
 fn budget_smoke(opts: &SweepOptions) -> Result<(), MhlaError> {
     let app = mhla_apps::hierarchical_me::app();
     let platform = Platform::four_level_default();
-    let axes = default_grid4_axes();
+    let axes = default_axes(&platform);
     let config = MhlaConfig::default();
 
     let budgeted = PruneOptions::with_parallel(opts.parallel).budget(opts.budget.clone());
@@ -324,13 +324,14 @@ fn run() -> Result<(), MhlaError> {
 
     // The joint three-axis frontier of one representative app.
     let app = mhla_apps::hierarchical_me::app();
-    let grid = sweep_grid_pruned_with(
+    let platform = Platform::four_level_default();
+    let grid = try_sweep_grid_pruned_with(
         &app.program,
-        &Platform::four_level_default(),
-        &default_grid4_axes(),
+        &platform,
+        &default_axes(&platform),
         &MhlaConfig::default(),
-        PruneOptions::with_parallel(parallel),
-    );
+        &PruneOptions::with_parallel(parallel),
+    )?;
     println!(
         "{}: L1xL2xL3 Pareto frontier (C = cycles front, E = energy front)",
         app.name()

@@ -14,8 +14,8 @@
 //!
 //! The binaries (`fig2_performance`, `fig3_energy`, `tradeoff_curves`,
 //! `te_ablation`) print the tables and drop CSVs under `results/`; the
-//! Criterion benches wrap the same pipelines so `cargo bench` regenerates
-//! everything.
+//! `bench`, `grid` and `grid4` binaries track the exploration engines'
+//! wall time in the `BENCH_*.json` documents at the workspace root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -241,9 +241,9 @@ pub fn sweep_suite() -> Vec<Application> {
 /// *Cold* is the frozen pre-optimization path
 /// ([`mhla_core::explore::sweep_cold`]): sequential, re-analyzed per point,
 /// every candidate move priced by the full `evaluate` oracle. *Fast* is the
-/// production path ([`mhla_core::explore::sweep`]): shared analysis and
-/// move space, incremental move pricing, warm-started portfolio search,
-/// parallel chunks.
+/// production path ([`mhla_core::explore::try_sweep_with`]): shared
+/// analysis and move space, incremental move pricing, warm-started
+/// portfolio search, parallel chunks.
 #[derive(Clone, PartialEq, Debug)]
 pub struct SweepPerf {
     /// Application name.
@@ -278,19 +278,18 @@ pub fn measure_sweep_perf(repeats: usize) -> Vec<SweepPerf> {
 }
 
 /// [`measure_sweep_perf`] with explicit [`SweepOptions`] for the fast
-/// path — the chunk-size / fan-out tuning experiment. The `bench` binary
-/// exposes the knobs through the `MHLA_SWEEP_CHUNK` and
-/// `MHLA_SWEEP_PARALLEL` environment variables, so the experiment runs
-/// without recompiling; results are identical for every setting (see
-/// [`SweepOptions::chunk`]'s determinism guarantee), only wall time moves.
+/// path — the fan-out experiment. The `bench` binary exposes the knob
+/// through the `MHLA_SWEEP_PARALLEL` environment variable, so the
+/// experiment runs without recompiling; results are identical for every
+/// setting (see [`SweepOptions`]'s determinism guarantee), only wall time
+/// moves.
 ///
 /// [`SweepOptions`]: mhla_core::explore::SweepOptions
-/// [`SweepOptions::chunk`]: mhla_core::explore::SweepOptions::chunk
 pub fn measure_sweep_perf_with(
     repeats: usize,
     opts: mhla_core::explore::SweepOptions,
 ) -> Vec<SweepPerf> {
-    use mhla_core::explore::{default_capacities, sweep_cold, sweep_with};
+    use mhla_core::explore::{default_capacities, sweep_cold, try_sweep_with};
     use mhla_core::MhlaConfig;
     use mhla_hierarchy::LayerId;
 
@@ -315,28 +314,18 @@ pub fn measure_sweep_perf_with(
                 ));
                 cold_s = cold_s.min(t.elapsed().as_secs_f64());
                 let t = std::time::Instant::now();
-                fast = Some(sweep_with(
-                    &app.program,
-                    &platform,
-                    LayerId(1),
-                    &caps,
-                    &config,
-                    opts.clone(),
-                ));
+                fast = Some(
+                    try_sweep_with(&app.program, &platform, LayerId(1), &caps, &config, &opts)
+                        .expect("the built-in suite sweeps cleanly")
+                        .sweep,
+                );
                 fast_s = fast_s.min(t.elapsed().as_secs_f64());
             }
             let (cold, fast) = (cold.expect("ran"), fast.expect("ran"));
             // One extra (untimed) fast run under the counting allocator;
             // a no-op reporting `None` outside `alloc-counter` builds.
             let (_, allocs_per_eval) = count_allocs_per_eval(fast.points.len(), || {
-                sweep_with(
-                    &app.program,
-                    &platform,
-                    LayerId(1),
-                    &caps,
-                    &config,
-                    opts.clone(),
-                )
+                try_sweep_with(&app.program, &platform, LayerId(1), &caps, &config, &opts)
             });
             let fronts_identical = cold.pareto_cycles() == fast.pareto_cycles()
                 && cold.pareto_energy() == fast.pareto_energy();
@@ -420,21 +409,20 @@ pub fn sweep_perf_json(perfs: &[SweepPerf], prev_fast: Option<f64>) -> String {
 }
 
 /// Strict parsing of the sweep tuning environment variables
-/// (`MHLA_SWEEP_CHUNK`, `MHLA_SWEEP_PARALLEL`, `MHLA_SWEEP_MAX_EVALS`).
+/// (`MHLA_SWEEP_PARALLEL`, `MHLA_SWEEP_MAX_EVALS`).
 ///
 /// # Errors
 ///
 /// Malformed values are *rejected* with a typed
 /// [`MhlaError::InvalidOptions`](mhla_core::MhlaError) instead of
 /// silently falling back to defaults — a typo'd tuning run must not
-/// masquerade as a default-configuration measurement. `MHLA_SWEEP_CHUNK`
-/// must parse as a positive integer; `MHLA_SWEEP_PARALLEL` must be `0`
-/// (sequential) or `1` (parallel, the default); `MHLA_SWEEP_MAX_EVALS`
-/// must parse as a positive integer and caps the sweep's evaluation
-/// budget ([`ExploreBudget`](mhla_core::explore::ExploreBudget)).
+/// masquerade as a default-configuration measurement.
+/// `MHLA_SWEEP_PARALLEL` must be `0` (sequential) or `1` (parallel, the
+/// default); `MHLA_SWEEP_MAX_EVALS` must parse as a positive integer and
+/// caps the sweep's evaluation budget
+/// ([`ExploreBudget`](mhla_core::explore::ExploreBudget)).
 pub fn sweep_options_from_env() -> Result<mhla_core::explore::SweepOptions, mhla_core::MhlaError> {
     parse_sweep_options(
-        env_value("MHLA_SWEEP_CHUNK")?.as_deref(),
         env_value("MHLA_SWEEP_PARALLEL")?.as_deref(),
         env_value("MHLA_SWEEP_MAX_EVALS")?.as_deref(),
     )
@@ -477,22 +465,13 @@ fn env_value(name: &str) -> Result<Option<String>, mhla_core::MhlaError> {
 /// The pure parsing behind [`sweep_options_from_env`] — unit-testable
 /// without mutating process-global environment state.
 fn parse_sweep_options(
-    chunk: Option<&str>,
     parallel: Option<&str>,
     max_evals: Option<&str>,
 ) -> Result<mhla_core::explore::SweepOptions, mhla_core::MhlaError> {
-    let mut opts = mhla_core::explore::SweepOptions::default();
-    if let Some(v) = chunk {
-        match v.parse::<usize>() {
-            Ok(n) if n >= 1 => opts.chunk = n,
-            _ => {
-                return Err(mhla_core::MhlaError::InvalidOptions {
-                    what: format!("MHLA_SWEEP_CHUNK must be a positive integer, got {v:?}"),
-                })
-            }
-        }
-    }
-    opts.parallel = parse_sweep_parallel(parallel)?;
+    let mut opts = mhla_core::explore::SweepOptions {
+        parallel: parse_sweep_parallel(parallel)?,
+        ..mhla_core::explore::SweepOptions::default()
+    };
     opts.budget.max_evals = parse_sweep_max_evals(max_evals)?;
     Ok(opts)
 }
@@ -522,54 +501,14 @@ fn parse_sweep_max_evals(value: Option<&str>) -> Result<Option<usize>, mhla_core
     }
 }
 
-/// The default L1×L2 grid of the multi-layer benchmark: L2 from 1 KiB to
-/// 16 KiB, L1 from 128 B to 512 B (powers of two) on
-/// [`Platform::three_level_default`] — 15 joint sizing points per app.
-pub fn default_grid_axes() -> Vec<mhla_core::explore::GridAxis> {
-    use mhla_core::explore::GridAxis;
-    use mhla_hierarchy::LayerId;
-    vec![
-        GridAxis::new(LayerId(1), (10..=14).map(|e| 1u64 << e).collect::<Vec<_>>()),
-        GridAxis::new(LayerId(2), (7..=9).map(|e| 1u64 << e).collect::<Vec<_>>()),
-    ]
-}
-
-/// The default L1×L2×L3 grid of the pruned four-level benchmark on
-/// [`Platform::four_level_default`]: L3 (`M1`) from 16 KiB to 256 KiB
-/// (with a 192 KiB step), L2 (`M2`) from 2 KiB to 32 KiB, L1 (`M3`) from
-/// 256 B to 1 KiB — 90 joint sizing points per app. The upper parts of
-/// the L3/L2 axes extend past the suite's working sets, which is exactly
-/// where the saturation rule of
-/// [`mhla_core::explore::sweep_grid_pruned`] collapses the grid: beyond
-/// the size at which a layer stops rejecting anything, larger sizes
-/// provably repeat the same search.
-///
-/// The axes overlap, so the grid deliberately visits non-pyramidal stacks
-/// (e.g. a 32 KiB L2 above a 16 KiB L3) — [`Platform::four_level`]
-/// asserts a pyramid for the *preset*, but grid exploration goes through
-/// `Platform::with_layer_capacities`, whose documented contract is to not
-/// re-validate: joint sizing is exactly where the interesting inversions
-/// live (the frontier routinely lands on them).
-pub fn default_grid4_axes() -> Vec<mhla_core::explore::GridAxis> {
-    use mhla_core::explore::GridAxis;
-    use mhla_hierarchy::LayerId;
-    let mut l3: Vec<u64> = (14..=18).map(|e| 1u64 << e).collect();
-    l3.push(192 * 1024);
-    vec![
-        GridAxis::new(LayerId(1), l3),
-        GridAxis::new(LayerId(2), (11..=15).map(|e| 1u64 << e).collect::<Vec<_>>()),
-        GridAxis::new(LayerId(3), (8..=10).map(|e| 1u64 << e).collect::<Vec<_>>()),
-    ]
-}
-
 /// Exhaustive vs pruned timings and counts for one application's
 /// four-level (L1×L2×L3) grid sweep.
 ///
 /// *Exhaustive* evaluates the full Cartesian product with
-/// [`mhla_core::explore::sweep_grid_with`] (sequential, cold — the same
+/// [`mhla_core::explore::try_sweep_grid_run`] (sequential, cold — the same
 /// per-point machinery and semantics as the pruned path, so the delta is
 /// the pruning itself). *Pruned* is
-/// [`mhla_core::explore::sweep_grid_pruned_with`], measured both
+/// [`mhla_core::explore::try_sweep_grid_pruned_with`], measured both
 /// sequentially (`wave = 1`) and in the frontier-wave parallel mode
 /// (default [`PruneOptions`](mhla_core::explore::PruneOptions)) — skip
 /// decisions, evaluated points and frontiers are identical between the
@@ -646,10 +585,12 @@ pub fn measure_grid4_perf(repeats: usize) -> Vec<Grid4Perf> {
 ///
 /// [`MhlaConfig`]: mhla_core::MhlaConfig
 pub fn measure_grid4_perf_with(repeats: usize, config: &mhla_core::MhlaConfig) -> Vec<Grid4Perf> {
-    use mhla_core::explore::{sweep_grid_pruned_with, sweep_grid_with, PruneOptions, SweepOptions};
+    use mhla_core::explore::{
+        default_axes, try_sweep_grid_pruned_with, try_sweep_grid_run, PruneOptions, SweepOptions,
+    };
 
-    let axes = default_grid4_axes();
     let platform = Platform::four_level_default();
+    let axes = default_axes(&platform);
     // Sequential *cold* exhaustive reference: the pruned sweep evaluates
     // every point cold (its canonical, standalone-identical semantics), so
     // the reference must too — the timing delta then isolates pruning.
@@ -674,31 +615,35 @@ pub fn measure_grid4_perf_with(repeats: usize, config: &mhla_core::MhlaConfig) -
             let mut parallel = None;
             for _ in 0..repeats.max(1) {
                 let t = std::time::Instant::now();
-                exhaustive = Some(sweep_grid_with(
-                    &app.program,
-                    &platform,
-                    &axes,
-                    config,
-                    opts.clone(),
-                ));
+                exhaustive = Some(
+                    try_sweep_grid_run(&app.program, &platform, &axes, config, &opts)
+                        .expect("the built-in grid sweeps cleanly")
+                        .sweep,
+                );
                 exhaustive_s = exhaustive_s.min(t.elapsed().as_secs_f64());
                 let t = std::time::Instant::now();
-                pruned = Some(sweep_grid_pruned_with(
-                    &app.program,
-                    &platform,
-                    &axes,
-                    config,
-                    sequential_opts.clone(),
-                ));
+                pruned = Some(
+                    try_sweep_grid_pruned_with(
+                        &app.program,
+                        &platform,
+                        &axes,
+                        config,
+                        &sequential_opts,
+                    )
+                    .expect("the built-in grid sweeps cleanly"),
+                );
                 pruned_s = pruned_s.min(t.elapsed().as_secs_f64());
                 let t = std::time::Instant::now();
-                parallel = Some(sweep_grid_pruned_with(
-                    &app.program,
-                    &platform,
-                    &axes,
-                    config,
-                    PruneOptions::default(),
-                ));
+                parallel = Some(
+                    try_sweep_grid_pruned_with(
+                        &app.program,
+                        &platform,
+                        &axes,
+                        config,
+                        &PruneOptions::default(),
+                    )
+                    .expect("the built-in grid sweeps cleanly"),
+                );
                 parallel_s = parallel_s.min(t.elapsed().as_secs_f64());
             }
             let (exhaustive, pruned, parallel) = (
@@ -709,13 +654,7 @@ pub fn measure_grid4_perf_with(repeats: usize, config: &mhla_core::MhlaConfig) -
             // One extra (untimed) sequential pruned run under the
             // counting allocator; `None` outside `alloc-counter` builds.
             let (_, allocs_per_eval) = count_allocs_per_eval(pruned.stats.evaluated, || {
-                sweep_grid_pruned_with(
-                    &app.program,
-                    &platform,
-                    &axes,
-                    config,
-                    sequential_opts.clone(),
-                )
+                try_sweep_grid_pruned_with(&app.program, &platform, &axes, config, &sequential_opts)
             });
             let frontier_identical = grid_frontier_points(&exhaustive, &exhaustive.pareto_cycles())
                 == grid_frontier_points(&pruned.sweep, &pruned.sweep.pareto_cycles())
@@ -748,8 +687,9 @@ pub fn measure_grid4_perf_with(repeats: usize, config: &mhla_core::MhlaConfig) -
 
 /// Adaptive-refinement bookkeeping for one application's four-level
 /// grid: the virtual fine lattice certified by
-/// [`mhla_core::explore::sweep_grid_refined_with`] over
-/// [`default_grid4_axes`], the fraction of it actually searched, and the
+/// [`mhla_core::explore::try_sweep_grid_refined_with`] over the
+/// four-level [`default_axes`](mhla_core::explore::default_axes), the
+/// fraction of it actually searched, and the
 /// frontier-equivalence verdict against the coarse sweep (the refined
 /// frontier must dominate-or-equal the coarse one — it covers a superset
 /// of the coarse lattice).
@@ -777,31 +717,34 @@ pub struct Grid4Refine {
 /// sweep.
 pub fn measure_grid4_refine(config: &mhla_core::MhlaConfig) -> Vec<Grid4Refine> {
     use mhla_core::explore::{
-        sweep_grid_pruned_with, sweep_grid_refined_with, PruneOptions, RefineOptions,
+        default_axes, try_sweep_grid_pruned_with, try_sweep_grid_refined_with, PruneOptions,
+        RefineOptions,
     };
     use mhla_core::pareto;
 
-    let axes = default_grid4_axes();
     let platform = Platform::four_level_default();
+    let axes = default_axes(&platform);
     sweep_suite()
         .iter()
         .map(|app| {
             let t = std::time::Instant::now();
-            let refined = sweep_grid_refined_with(
+            let refined = try_sweep_grid_refined_with(
                 &app.program,
                 &platform,
                 &axes,
                 config,
-                RefineOptions::default(),
-            );
+                &RefineOptions::default(),
+            )
+            .expect("the built-in grid refines cleanly");
             let refined_seconds = t.elapsed().as_secs_f64();
-            let coarse = sweep_grid_pruned_with(
+            let coarse = try_sweep_grid_pruned_with(
                 &app.program,
                 &platform,
                 &axes,
                 config,
-                PruneOptions::default(),
-            );
+                &PruneOptions::default(),
+            )
+            .expect("the built-in grid sweeps cleanly");
             // Every committed coarse point must reappear bit-identically
             // in the refined sweep (same cold semantics, superset
             // lattice), and the refined frontiers must dominate-or-equal
@@ -895,11 +838,11 @@ pub fn measure_grid4_improving(
     repeats: usize,
     config: &mhla_core::MhlaConfig,
 ) -> Vec<ImprovingGrid4Perf> {
-    use mhla_core::explore::{sweep_grid_run, SearchMode, SweepOptions};
+    use mhla_core::explore::{default_axes, try_sweep_grid_run, SearchMode, SweepOptions};
     use mhla_core::{pareto, report};
 
-    let axes = default_grid4_axes();
     let platform = Platform::four_level_default();
+    let axes = default_axes(&platform);
     // Sequential cold reference: the improving scheduler is sequential by
     // construction, so the timing delta isolates the extra portfolio legs.
     let cold_opts = SweepOptions {
@@ -920,22 +863,16 @@ pub fn measure_grid4_improving(
             let mut improving = None;
             for _ in 0..repeats.max(1) {
                 let t = std::time::Instant::now();
-                cold = Some(sweep_grid_run(
-                    &app.program,
-                    &platform,
-                    &axes,
-                    config,
-                    cold_opts.clone(),
-                ));
+                cold = Some(
+                    try_sweep_grid_run(&app.program, &platform, &axes, config, &cold_opts)
+                        .expect("the built-in grid sweeps cleanly"),
+                );
                 cold_s = cold_s.min(t.elapsed().as_secs_f64());
                 let t = std::time::Instant::now();
-                improving = Some(sweep_grid_run(
-                    &app.program,
-                    &platform,
-                    &axes,
-                    config,
-                    improving_opts.clone(),
-                ));
+                improving = Some(
+                    try_sweep_grid_run(&app.program, &platform, &axes, config, &improving_opts)
+                        .expect("the built-in grid sweeps cleanly"),
+                );
                 improving_s = improving_s.min(t.elapsed().as_secs_f64());
             }
             let (cold, improving) = (cold.expect("ran"), improving.expect("ran"));
@@ -1197,8 +1134,8 @@ pub fn grid4_perf_json(
 /// [`Mhla::new`]`.run()` — the reuse analysis, program facts, TE caches
 /// and move space re-derived per point (what a naive N-D generalization
 /// of the seed sweep would do). *Shared* is
-/// [`mhla_core::explore::sweep_grid`]: one `ExplorationContext`, cheap
-/// per-platform views, warm-started parallel chunks.
+/// [`mhla_core::explore::try_sweep_grid_run`]: one `ExplorationContext`,
+/// cheap per-platform views, warm-started parallel chunks.
 #[derive(Clone, PartialEq, Debug)]
 pub struct GridPerf {
     /// Application name.
@@ -1223,12 +1160,12 @@ impl GridPerf {
 /// Measures shared-context vs per-point-rebuild L1×L2 grid sweeps over
 /// [`sweep_suite`], best of `repeats` runs per path.
 pub fn measure_grid_perf(repeats: usize) -> Vec<GridPerf> {
-    use mhla_core::explore::sweep_grid;
+    use mhla_core::explore::{default_axes, try_sweep_grid_run, SweepOptions};
     use mhla_core::MhlaConfig;
     use mhla_hierarchy::LayerId;
 
-    let axes = default_grid_axes();
     let platform = Platform::three_level_default();
+    let axes = default_axes(&platform);
     let config = MhlaConfig::default();
     sweep_suite()
         .iter()
@@ -1252,7 +1189,17 @@ pub fn measure_grid_perf(repeats: usize) -> Vec<GridPerf> {
                 };
                 rebuild_s = rebuild_s.min(t.elapsed().as_secs_f64());
                 let t = std::time::Instant::now();
-                shared = Some(sweep_grid(&app.program, &platform, &axes, &config));
+                shared = Some(
+                    try_sweep_grid_run(
+                        &app.program,
+                        &platform,
+                        &axes,
+                        &config,
+                        &SweepOptions::default(),
+                    )
+                    .expect("the built-in grid sweeps cleanly")
+                    .sweep,
+                );
                 shared_s = shared_s.min(t.elapsed().as_secs_f64());
             }
             let shared = shared.expect("ran");
@@ -1357,36 +1304,28 @@ mod tests {
         // Pure parsers — no process-global env mutation (set_var racing a
         // concurrent getenv in a sibling test would be UB on glibc).
         assert_eq!(
-            parse_sweep_options(None, None, None).unwrap(),
+            parse_sweep_options(None, None).unwrap(),
             SweepOptions::default()
         );
         assert!(parse_sweep_parallel(None).unwrap());
 
-        let opts = parse_sweep_options(Some("8"), Some("0"), None).unwrap();
-        assert_eq!(opts.chunk, 8);
-        assert!(!opts.parallel);
-        assert!(
-            parse_sweep_options(Some("8"), Some("1"), None)
-                .unwrap()
-                .parallel
-        );
-        let budgeted = parse_sweep_options(None, None, Some("5")).unwrap();
+        assert!(!parse_sweep_options(Some("0"), None).unwrap().parallel);
+        assert!(parse_sweep_options(Some("1"), None).unwrap().parallel);
+        let budgeted = parse_sweep_options(None, Some("5")).unwrap();
         assert_eq!(budgeted.budget.max_evals, Some(5));
 
         for bad in ["zero", "-1", "0", "", "4x"] {
-            let err = parse_sweep_options(Some(bad), None, None).unwrap_err();
+            let err = parse_sweep_options(None, Some(bad)).unwrap_err();
             assert!(
                 matches!(err, mhla_core::MhlaError::InvalidOptions { .. }),
                 "{err}"
             );
-            assert!(err.to_string().contains("MHLA_SWEEP_CHUNK"), "{err}");
-            let err = parse_sweep_max_evals(Some(bad)).unwrap_err();
             assert!(err.to_string().contains("MHLA_SWEEP_MAX_EVALS"), "{err}");
         }
         for bad in ["2", "yes", "", "true"] {
             let err = parse_sweep_parallel(Some(bad)).unwrap_err();
             assert!(err.to_string().contains("MHLA_SWEEP_PARALLEL"), "{err}");
-            assert!(parse_sweep_options(None, Some(bad), None).is_err());
+            assert!(parse_sweep_options(Some(bad), None).is_err());
         }
     }
 

@@ -23,8 +23,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use mhla_core::explore::{
-    default_capacities, try_sweep_grid_resume, try_sweep_grid_run, try_sweep_with, ExploreBudget,
-    GridAxis, GridSweepRun, SearchMode, StopCause, SweepOptions, SweepStatus,
+    default_axes, default_capacities, try_sweep_grid_resume, try_sweep_grid_run, try_sweep_with,
+    ExploreBudget, GridAxis, GridSweepRun, SearchMode, StopCause, SweepOptions, SweepStatus,
 };
 use mhla_core::{report, Mhla, MhlaConfig, MhlaError};
 use mhla_hierarchy::serdes::{platform_from_json, platform_to_json, platform_value};
@@ -346,18 +346,12 @@ fn sweep_options(f: &Flags) -> Result<SweepOptions, CliError> {
 }
 
 /// The grid axes: an explicit `--axes` spec, or the standard grid for the
-/// platform's depth (matching the in-process sweep suites).
+/// platform's depth ([`default_axes`], matching the in-process sweep
+/// suites).
 fn grid_axes(f: &Flags, platform: &Platform) -> Result<Vec<GridAxis>, CliError> {
-    if let Some(spec) = &f.axes {
-        return parse_axes(spec);
-    }
-    match platform.layer_count() {
-        3 => Ok(mhla_bench::default_grid_axes()),
-        4 => Ok(mhla_bench::default_grid4_axes()),
-        _ => Ok(vec![GridAxis::new(
-            platform.closest(),
-            default_capacities(),
-        )]),
+    match &f.axes {
+        Some(spec) => parse_axes(spec),
+        None => Ok(default_axes(platform)),
     }
 }
 

@@ -7,7 +7,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use mhla_core::explore::{sweep, sweep_grid, GridAxis};
+use mhla_core::explore::{try_sweep_grid_run, try_sweep_with, GridAxis, SweepOptions};
 use mhla_core::{report, MhlaConfig};
 use mhla_hierarchy::{LayerId, Platform};
 use mhla_ir::serdes::program_from_json;
@@ -89,12 +89,15 @@ fn grid_over_serialized_app_is_bit_identical_to_in_process_sweep() {
         GridAxis::new(LayerId(1), vec![1024, 4096]),
         GridAxis::new(LayerId(2), vec![128, 256]),
     ];
-    let expected = sweep_grid(
+    let expected = try_sweep_grid_run(
         &app.program,
         &Platform::three_level_default(),
         &axes,
         &MhlaConfig::default(),
-    );
+        &SweepOptions::default(),
+    )
+    .expect("valid grid")
+    .sweep;
 
     let cli_csv = fs::read_to_string(&csv_path).expect("grid csv");
     assert_eq!(
@@ -130,13 +133,16 @@ fn sweep_over_serialized_app_is_bit_identical_to_in_process_sweep() {
 
     let app = mhla_apps::fir_bank::app();
     let platform = Platform::embedded_default(16 * 1024);
-    let expected = sweep(
+    let expected = try_sweep_with(
         &app.program,
         &platform,
         platform.closest(),
         &[512, 1024, 2048],
         &MhlaConfig::default(),
-    );
+        &SweepOptions::default(),
+    )
+    .expect("valid sweep")
+    .sweep;
     assert_eq!(stdout(&out), report::sweep_csv(&expected));
 }
 

@@ -178,7 +178,8 @@ pub struct SearchOutcome {
 /// size increase rank highest). Stops when no feasible option improves the
 /// objective.
 pub fn greedy(model: &CostModel<'_>, config: &MhlaConfig) -> SearchOutcome {
-    greedy_portfolio(model, config, None)
+    let moves = enumerate_moves(model, config);
+    greedy_portfolio_seeded_in(model, config, &[], &moves, &mut EvalWorkspace::default()).0
 }
 
 /// [`greedy`] from an arbitrary feasible starting assignment.
@@ -325,25 +326,6 @@ impl SearchStats {
     }
 }
 
-/// Greedy search portfolio: always runs the cold (baseline-started)
-/// search; when `warm` is given, additionally continues from that
-/// assignment and returns whichever result scores better (ties prefer the
-/// cold result, so a warm-started sweep point is bit-for-bit identical to
-/// a cold one unless the warm start strictly improves on it).
-///
-/// The capacity sweep passes the previous point's assignment as `warm`:
-/// at a larger capacity every previously selected move stays feasible, so
-/// the warm search starts near a fixed point and converges in a step or
-/// two, while the per-move caches below make both searches cheap.
-pub fn greedy_portfolio(
-    model: &CostModel<'_>,
-    config: &MhlaConfig,
-    warm: Option<&Assignment>,
-) -> SearchOutcome {
-    let moves = enumerate_moves(model, config);
-    greedy_portfolio_with(model, config, warm, &moves)
-}
-
 /// The enumerated candidate-move space of one (program, reuse, config).
 ///
 /// Depends on the program structure, the reuse analysis and the *shape* of
@@ -375,64 +357,30 @@ pub fn enumerate_moves(model: &CostModel<'_>, config: &MhlaConfig) -> MoveSet {
     }
 }
 
-/// [`greedy_portfolio`] over a pre-enumerated move space.
-pub fn greedy_portfolio_with(
-    model: &CostModel<'_>,
-    config: &MhlaConfig,
-    warm: Option<&Assignment>,
-    moves: &MoveSet,
-) -> SearchOutcome {
-    greedy_portfolio_stats(model, config, warm, moves).0
-}
-
-/// [`greedy_portfolio_with`], additionally reporting how the capacity
-/// constraints bound the run (see [`SearchStats`]). The outcome is
-/// byte-for-byte the one `greedy_portfolio_with` returns.
-pub fn greedy_portfolio_stats(
-    model: &CostModel<'_>,
-    config: &MhlaConfig,
-    warm: Option<&Assignment>,
-    moves: &MoveSet,
-) -> (SearchOutcome, SearchStats) {
-    match warm {
-        Some(w) => greedy_portfolio_seeded(model, config, &[w], moves),
-        None => greedy_portfolio_seeded(model, config, &[], moves),
-    }
-}
-
-/// The greedy portfolio over an arbitrary list of external warm seeds —
-/// the search primitive of the improving sweep mode
-/// ([`SearchMode::Improving`](crate::explore::SearchMode)).
+/// The greedy search portfolio over a list of external warm seeds — the
+/// per-point search primitive of every sweep engine, drawing every
+/// scratch buffer from `ws`.
 ///
 /// The cold (baseline-started) leg always runs first; each *distinct*
 /// seed then gets its own leg continuing from that assignment (seeds must
 /// be feasible — the sweeps pass committed results of componentwise
-/// smaller capacity points, which stay feasible as layers grow). The
-/// returned outcome is the best-scoring leg, with ties resolved toward
-/// the cold leg first and then toward the earliest seed, so the result is
-/// deterministic and *provably scores no worse than the cold search* —
-/// the dominance guarantee the improving sweeps build on.
-/// [`SearchStats::winning_seed`] reports which seed (if any) won.
+/// smaller capacity points, which stay feasible as layers grow, and at a
+/// larger capacity every previously selected move stays feasible, so a
+/// warm leg starts near a fixed point and converges in a step or two).
+/// The returned outcome is the best-scoring leg, with ties resolved
+/// toward the cold leg first and then toward the earliest seed, so the
+/// result is deterministic and *provably scores no worse than the cold
+/// search* — the dominance guarantee the warm-started and improving
+/// sweeps build on ([`SearchMode::Improving`](crate::explore::SearchMode)).
+/// [`SearchStats`] reports how the capacity constraints bound the cold
+/// leg and which seed (if any) won. With an empty or all-duplicate seed
+/// list this is exactly the cold search ([`greedy`], one leg).
 ///
-/// With an empty or all-duplicate seed list this is exactly the cold
-/// search (one leg), and with one seed it is exactly the classic warm
-/// portfolio of [`greedy_portfolio_stats`].
-pub fn greedy_portfolio_seeded(
-    model: &CostModel<'_>,
-    config: &MhlaConfig,
-    seeds: &[&Assignment],
-    moves: &MoveSet,
-) -> (SearchOutcome, SearchStats) {
-    greedy_portfolio_seeded_in(model, config, seeds, moves, &mut EvalWorkspace::default())
-}
-
-/// [`greedy_portfolio_seeded`] drawing every scratch buffer from `ws` —
-/// the allocation-free per-point search of the sweep engines. A fresh
-/// workspace reproduces the allocating path exactly; a warm (reused)
-/// workspace is bit-identical because every buffer is fully reset or
-/// invalidated before use (the trial cache by `home = None`, since the
-/// platform's capacities — and with them every cached price — may have
-/// changed since the previous point).
+/// A fresh workspace reproduces the allocating path exactly; a warm
+/// (reused) workspace is bit-identical because every buffer is fully
+/// reset or invalidated before use (the trial cache by `home = None`,
+/// since the platform's capacities — and with them every cached price —
+/// may have changed since the previous point).
 pub fn greedy_portfolio_seeded_in(
     model: &CostModel<'_>,
     config: &MhlaConfig,
@@ -699,7 +647,7 @@ fn greedy_search(
 /// [`CostModel::evaluate`] + capacity check for every candidate move.
 ///
 /// Kept as the *oracle* implementation: [`greedy`] must produce the same
-/// outcome (see the equivalence tests), and the `tradeoff` bench uses this
+/// outcome (see the equivalence tests), and the `bench` binary uses this
 /// path to measure how much the incremental evaluator buys.
 pub fn greedy_oracle(model: &CostModel<'_>, config: &MhlaConfig) -> SearchOutcome {
     let no_buffers = HashMap::new();

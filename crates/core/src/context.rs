@@ -184,7 +184,7 @@ fn occupancy_times(program: &Program, reuse: &ReuseAnalysis, timeline: &Timeline
 /// serves every capacity variant of the platform it was built against.
 ///
 /// ```
-/// use mhla_core::{ExplorationContext, Mhla, MhlaConfig};
+/// use mhla_core::{EvalWorkspace, ExplorationContext, Mhla, MhlaConfig};
 /// use mhla_hierarchy::{LayerId, Platform};
 /// use mhla_ir::{ElemType, ProgramBuilder};
 ///
@@ -200,9 +200,11 @@ fn occupancy_times(program: &Program, reuse: &ReuseAnalysis, timeline: &Timeline
 ///
 /// let base = Platform::embedded_default(1024);
 /// let ctx = ExplorationContext::new(&program, &base, MhlaConfig::default());
+/// let mut ws = EvalWorkspace::new();
 /// for capacity in [256u64, 512, 1024] {
 ///     let pf = base.with_layer_capacity(LayerId(1), capacity);
-///     let result = Mhla::with_context(&ctx, &pf).run_with(None, Some(ctx.moves()));
+///     let (result, _) =
+///         Mhla::with_context(&ctx, &pf).run_with_stats_in(None, Some(ctx.moves()), &mut ws);
 ///     assert!(result.mhla_cycles() <= result.baseline_cycles());
 /// }
 /// ```
@@ -335,7 +337,7 @@ impl FloorCache {
 /// here; a later point looks up its *grid neighbors* — the points with
 /// exactly one axis moved back to its previous capacity — and hands them
 /// to the seeded search portfolio
-/// ([`Mhla::run_with_seeds`](crate::Mhla::run_with_seeds)). Neighbors sit
+/// ([`Mhla::run_with_seeds_in`](crate::Mhla::run_with_seeds_in)). Neighbors sit
 /// at componentwise-smaller capacities, so their assignments stay
 /// feasible as layers grow, and they are lexicographically earlier, so a
 /// lexicographic commit order guarantees they are present (or were
@@ -444,7 +446,11 @@ mod tests {
         for cap in [128u64, 512, 2048] {
             let pf = base.with_layer_capacity(LayerId(1), cap);
             let fresh = Mhla::new(&p, &pf, MhlaConfig::default()).run();
-            let shared = Mhla::with_context(&ctx, &pf).run_with(None, Some(ctx.moves()));
+            let (shared, _) = Mhla::with_context(&ctx, &pf).run_with_stats_in(
+                None,
+                Some(ctx.moves()),
+                &mut crate::EvalWorkspace::default(),
+            );
             assert_eq!(fresh, shared, "cap {cap}");
         }
     }

@@ -110,7 +110,7 @@ pub struct RunStats {
     /// Trivially true for cold runs (`warm = None`).
     pub cold_result_kept: bool,
     /// Which external warm seed's leg won the portfolio (index into the
-    /// seed list handed to [`Mhla::run_with_seeds`]); `None` when the
+    /// seed list handed to [`Mhla::run_with_seeds_in`]); `None` when the
     /// cold leg was kept (always `None` for untracked runs). The improving
     /// sweep mode uses this to report which grid neighbor seeded each
     /// point's winning search.
@@ -285,8 +285,13 @@ pub struct Mhla<'a> {
 impl<'a> Mhla<'a> {
     /// Prepares a run (performs the reuse analysis).
     pub fn new(program: &'a Program, platform: &'a Platform, config: MhlaConfig) -> Self {
-        let reuse = ReuseAnalysis::analyze(program);
-        Mhla::with_reuse(program, platform, config, reuse)
+        Mhla {
+            program,
+            platform,
+            config,
+            reuse: Cow::Owned(ReuseAnalysis::analyze(program)),
+            facts: None,
+        }
     }
 
     /// Fallible [`new`](Mhla::new): validates the program
@@ -325,44 +330,6 @@ impl<'a> Mhla<'a> {
         }
     }
 
-    /// Prepares a run from an already-computed reuse analysis.
-    ///
-    /// The analysis depends only on the program, so callers evaluating one
-    /// program against many platforms (the capacity sweep) compute it once
-    /// and clone it per point instead of re-deriving it.
-    pub fn with_reuse(
-        program: &'a Program,
-        platform: &'a Platform,
-        config: MhlaConfig,
-        reuse: ReuseAnalysis,
-    ) -> Self {
-        Mhla {
-            program,
-            platform,
-            config,
-            reuse: Cow::Owned(reuse),
-            facts: None,
-        }
-    }
-
-    /// [`with_reuse`](Mhla::with_reuse) borrowing the analysis instead of
-    /// owning it — the capacity sweep shares one analysis across all its
-    /// points without cloning.
-    pub fn with_reuse_ref(
-        program: &'a Program,
-        platform: &'a Platform,
-        config: MhlaConfig,
-        reuse: &'a ReuseAnalysis,
-    ) -> Self {
-        Mhla {
-            program,
-            platform,
-            config,
-            reuse: Cow::Borrowed(reuse),
-            facts: None,
-        }
-    }
-
     /// The reuse analysis (shared with callers that need candidate data).
     pub fn reuse(&self) -> &ReuseAnalysis {
         &self.reuse
@@ -392,7 +359,8 @@ impl<'a> Mhla<'a> {
     /// prefetching, but data sections linked on-chip where they fit — what
     /// a 2005 toolchain produced without the MHLA tool.
     pub fn run(&self) -> MhlaResult {
-        self.run_from(None)
+        self.run_with_seeds_in(&[], None, &mut EvalWorkspace::default())
+            .0
     }
 
     /// Fallible [`run`](Mhla::run): re-validates the run's ingress (the
@@ -406,32 +374,17 @@ impl<'a> Mhla<'a> {
         self.try_run_with_seeds(&[], None).map(|(r, _)| r)
     }
 
-    /// Fallible [`run_with_stats`](Mhla::run_with_stats): validated
-    /// ingress plus a capacity/shape check of the warm-start assignment.
+    /// Fallible [`run_with_seeds_in`](Mhla::run_with_seeds_in) for
+    /// caller-supplied seeds: validated ingress plus a shape check of
+    /// every seed assignment (layer ids in range, copies consistent with
+    /// the reuse analysis), then the seeded portfolio over a fresh
+    /// workspace.
     ///
     /// # Errors
     ///
     /// As [`try_new`](Mhla::try_new), plus
-    /// [`MhlaError::InvalidOptions`] for a warm assignment that does not
+    /// [`MhlaError::InvalidOptions`] for a seed assignment that does not
     /// fit this program/platform.
-    pub fn try_run_with_stats(
-        &self,
-        warm: Option<&Assignment>,
-        moves: Option<&assign::MoveSet>,
-    ) -> Result<(MhlaResult, RunStats), MhlaError> {
-        match warm {
-            Some(w) => self.try_run_with_seeds(&[w], moves),
-            None => self.try_run_with_seeds(&[], moves),
-        }
-    }
-
-    /// Fallible [`run_with_seeds`](Mhla::run_with_seeds): validated
-    /// ingress plus a shape check of every seed assignment (layer ids in
-    /// range, copies consistent with the reuse analysis).
-    ///
-    /// # Errors
-    ///
-    /// As [`try_run_with_stats`](Mhla::try_run_with_stats).
     pub fn try_run_with_seeds(
         &self,
         seeds: &[&Assignment],
@@ -444,12 +397,18 @@ impl<'a> Mhla<'a> {
                     what: format!("seed assignment {i}: {e}"),
                 })?;
         }
-        Ok(self.run_with_seeds(seeds, moves))
+        Ok(self.run_with_seeds_in(seeds, moves, &mut EvalWorkspace::default()))
     }
 
     /// [`run`](Mhla::run), optionally warm-starting the greedy search from
     /// a known-feasible assignment (the capacity sweep passes the previous
-    /// point's solution).
+    /// point's solution), over an optional pre-enumerated move space, with
+    /// every evaluation scratch buffer drawn from `ws` — the per-thread
+    /// workspace the sweep engines and the serve worker pool reuse across
+    /// points/requests. Additionally reports how the layer capacities
+    /// bound the run ([`RunStats`]; a pure side channel — only the greedy
+    /// strategy tracks constraints, other strategies report the
+    /// conservative "unknown", never-saturated stats).
     ///
     /// The warm start is a *portfolio* entry, not a replacement: the
     /// cold (baseline-started) search always runs too, and the
@@ -460,42 +419,10 @@ impl<'a> Mhla<'a> {
     /// points) — and this guarantee makes the warm-started sweep never
     /// worse than, and in practice identical to, a cold sweep. Warm starts
     /// apply only to the greedy strategy; exhaustive search ignores them.
-    pub fn run_from(&self, warm: Option<&Assignment>) -> MhlaResult {
-        self.run_with(warm, None)
-    }
-
-    /// [`run_from`](Mhla::run_from) over an optional pre-enumerated move
-    /// space. The move space is capacity-independent, so a capacity sweep
+    ///
+    /// The move space is capacity-independent, so a capacity sweep
     /// enumerates it once ([`assign::enumerate_moves`]) and shares it
-    /// across every point.
-    pub fn run_with(
-        &self,
-        warm: Option<&Assignment>,
-        moves: Option<&assign::MoveSet>,
-    ) -> MhlaResult {
-        self.run_with_stats(warm, moves).0
-    }
-
-    /// [`run_with`](Mhla::run_with), additionally reporting how the layer
-    /// capacities bound the run ([`RunStats`]). The result is byte-for-byte
-    /// the one `run_with` returns; the stats are a pure side channel. Only
-    /// the greedy strategy tracks constraints — other strategies report the
-    /// conservative "unknown" (never saturated) stats.
-    pub fn run_with_stats(
-        &self,
-        warm: Option<&Assignment>,
-        moves: Option<&assign::MoveSet>,
-    ) -> (MhlaResult, RunStats) {
-        match warm {
-            Some(w) => self.run_with_seeds(&[w], moves),
-            None => self.run_with_seeds(&[], moves),
-        }
-    }
-
-    /// [`run_with_stats`](Mhla::run_with_stats) drawing every evaluation
-    /// scratch buffer from `ws` — the per-thread workspace the sweep
-    /// engines and the serve worker pool reuse across points/requests.
-    /// The result is byte-for-byte the one `run_with_stats` returns.
+    /// across every point; `None` enumerates it per call.
     pub fn run_with_stats_in(
         &self,
         warm: Option<&Assignment>,
@@ -508,8 +435,8 @@ impl<'a> Mhla<'a> {
         }
     }
 
-    /// [`run_with_stats`](Mhla::run_with_stats) over an arbitrary list of
-    /// external warm seeds — the per-point search of
+    /// [`run_with_stats_in`](Mhla::run_with_stats_in) over an arbitrary
+    /// list of external warm seeds — the per-point search of
     /// [`SearchMode::Improving`](crate::explore::SearchMode). The cold leg
     /// always runs, every distinct seed gets a warm leg, and the best leg
     /// wins (ties prefer cold, then the earliest seed), so the result
@@ -517,20 +444,12 @@ impl<'a> Mhla<'a> {
     /// configured objective. [`RunStats::winning_seed`] names the winner.
     /// Non-greedy strategies ignore the seeds (the portfolio is a greedy
     /// construct) and behave exactly like [`run`](Mhla::run).
-    pub fn run_with_seeds(
-        &self,
-        seeds: &[&Assignment],
-        moves: Option<&assign::MoveSet>,
-    ) -> (MhlaResult, RunStats) {
-        self.run_with_seeds_in(seeds, moves, &mut EvalWorkspace::default())
-    }
-
-    /// [`run_with_seeds`](Mhla::run_with_seeds) drawing every evaluation
-    /// scratch buffer from `ws`. A fresh workspace reproduces the
-    /// allocating path exactly; a warm (reused) one is bit-identical
-    /// because every buffer is reset before use — so sweep engines keep
-    /// one workspace per worker thread and evaluate every grid point
-    /// through it. Non-greedy strategies ignore the workspace.
+    ///
+    /// A fresh workspace reproduces the allocating path exactly; a warm
+    /// (reused) one is bit-identical because every buffer is reset before
+    /// use — so sweep engines keep one workspace per worker thread and
+    /// evaluate every grid point through it. Non-greedy strategies ignore
+    /// the workspace.
     pub fn run_with_seeds_in(
         &self,
         seeds: &[&Assignment],
@@ -559,7 +478,7 @@ impl<'a> Mhla<'a> {
     /// ([`assign::greedy_oracle`]) instead of the incremental evaluator.
     ///
     /// Produces the same result as [`run`](Mhla::run) (asserted by the
-    /// equivalence tests); kept so the `tradeoff` bench can measure what
+    /// equivalence tests); kept so the `bench` binary can measure what
     /// the incremental evaluator buys.
     pub fn run_reference(&self) -> MhlaResult {
         let model = self.cost_model();

@@ -242,10 +242,15 @@ pub(crate) fn validate_run_ingress(
 }
 
 /// Validates sweep axes against the platform: every axis must name an
-/// on-chip layer of the platform and visit nonzero capacities. (Empty
-/// axis lists are legal and yield an empty sweep, as before.)
+/// on-chip layer of the platform and visit nonzero capacities
+/// ([`MhlaError::InfeasiblePoint`] otherwise), and no two axes may name
+/// the same layer ([`MhlaError::InvalidOptions`]: the later axis would
+/// overwrite the earlier one's capacity at every point, and the box cost
+/// floor — [`FloorProbe`](crate::cost::FloorProbe) — folds per-layer
+/// minima and cannot attribute one layer to two axes). (Empty axis lists
+/// are legal and yield an empty sweep, as before.)
 pub(crate) fn validate_axes(platform: &Platform, axes: &[GridAxis]) -> Result<(), MhlaError> {
-    for axis in axes {
+    for (i, axis) in axes.iter().enumerate() {
         if axis.layer.index() == 0 {
             return Err(MhlaError::InfeasiblePoint {
                 what: "an axis resizes the off-chip layer".into(),
@@ -265,6 +270,11 @@ pub(crate) fn validate_axes(platform: &Platform, axes: &[GridAxis]) -> Result<()
                 what: format!("axis for layer {} visits a zero capacity", axis.layer),
             });
         }
+        if axes[..i].iter().any(|a| a.layer == axis.layer) {
+            return Err(MhlaError::InvalidOptions {
+                what: format!("axes must name distinct layers ({} repeats)", axis.layer),
+            });
+        }
     }
     Ok(())
 }
@@ -273,27 +283,14 @@ pub(crate) fn validate_axes(platform: &Platform, axes: &[GridAxis]) -> Result<()
 /// [`try_sweep_grid_refined_with`](crate::explore::try_sweep_grid_refined_with):
 /// the subdivision depth must be in `1..=16` (depth 0 is the plain grid
 /// sweep; past 16 the virtual lattice bookkeeping overflows long before
-/// any capacity range benefits), and the axes must name distinct layers
-/// (the box cost floor — [`FloorProbe`](crate::cost::FloorProbe) — folds
-/// per-layer minima and cannot attribute one layer to two axes).
+/// any capacity range benefits).
 pub(crate) fn validate_refine_options(
-    axes: &[GridAxis],
     opts: &crate::explore::RefineOptions,
 ) -> Result<(), MhlaError> {
     if opts.depth == 0 || opts.depth > 16 {
         return Err(MhlaError::InvalidOptions {
             what: format!("refinement depth {} out of range (1..=16)", opts.depth),
         });
-    }
-    for (i, axis) in axes.iter().enumerate() {
-        if axes[..i].iter().any(|a| a.layer == axis.layer) {
-            return Err(MhlaError::InvalidOptions {
-                what: format!(
-                    "refinement axes must name distinct layers ({} repeats)",
-                    axis.layer
-                ),
-            });
-        }
     }
     Ok(())
 }
@@ -385,22 +382,26 @@ mod tests {
     }
 
     #[test]
-    fn refine_options_bound_depth_and_require_distinct_layers() {
-        use crate::explore::RefineOptions;
-        let axes = [GridAxis::new(LayerId(1), vec![64u64, 128])];
-        for depth in [0usize, 17] {
-            let err =
-                validate_refine_options(&axes, &RefineOptions::default().depth(depth)).unwrap_err();
-            assert!(matches!(err, MhlaError::InvalidOptions { .. }));
-            assert!(err.to_string().contains("depth"), "{err}");
-        }
-        assert!(validate_refine_options(&axes, &RefineOptions::default()).is_ok());
+    fn duplicate_axis_layers_are_invalid_options() {
+        let three = Platform::three_level_default();
         let dup = [
             GridAxis::new(LayerId(1), vec![64u64]),
             GridAxis::new(LayerId(1), vec![128u64]),
         ];
-        let err = validate_refine_options(&dup, &RefineOptions::default()).unwrap_err();
+        let err = validate_axes(&three, &dup).unwrap_err();
+        assert!(matches!(err, MhlaError::InvalidOptions { .. }), "{err}");
         assert!(err.to_string().contains("distinct"), "{err}");
+    }
+
+    #[test]
+    fn refine_options_bound_depth() {
+        use crate::explore::RefineOptions;
+        for depth in [0usize, 17] {
+            let err = validate_refine_options(&RefineOptions::default().depth(depth)).unwrap_err();
+            assert!(matches!(err, MhlaError::InvalidOptions { .. }));
+            assert!(err.to_string().contains("depth"), "{err}");
+        }
+        assert!(validate_refine_options(&RefineOptions::default()).is_ok());
     }
 
     #[test]

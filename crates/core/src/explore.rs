@@ -2,54 +2,66 @@
 //!
 //! The paper's §1 claim — "performs a thorough trade-off exploration for
 //! different memory layer sizes … able to find all the optimal trade-off
-//! points" — maps to sweeps over the on-chip layer sizes:
+//! points" — maps to sweeps over the on-chip layer sizes. There is one
+//! fallible entry per job; each validates its ingress and returns a typed
+//! [`MhlaError`] instead of panicking:
 //!
-//! * [`sweep`] — the 1-D capacity sweep: one scratchpad layer resized over
-//!   a range, both MHLA steps run at every size, Pareto-optimal
-//!   (capacity, cycles) and (capacity, energy) points kept.
-//! * [`sweep_grid`] — the N-dimensional generalization: every on-chip
-//!   layer gets its own capacity axis ([`GridAxis`]) and the full
+//! * [`try_sweep_with`] — the 1-D capacity sweep: one scratchpad layer
+//!   resized over a range, both MHLA steps run at every size,
+//!   Pareto-optimal (capacity, cycles) and (capacity, energy) points kept.
+//! * [`try_sweep_grid_run`] — the exhaustive N-dimensional grid: every
+//!   on-chip layer gets its own capacity axis ([`GridAxis`]) and the full
 //!   Cartesian product is evaluated — the *joint* sizing of a multi-layer
 //!   hierarchy (e.g. L1×L2 on [`Platform::three_level`]), whose
 //!   interesting trade-offs single-axis sweeps cannot see. Pareto
 //!   filtering generalizes to dominance over the capacity vector.
+//!   [`try_sweep_grid_run_in`] is the same engine over a caller-owned
+//!   [`ExplorationContext`] (the batch server's miss path).
+//! * [`try_sweep_grid_pruned_with`] — the sub-exhaustive production path
+//!   for large grids: points that provably cannot contribute a Pareto
+//!   point are skipped *without evaluation* (see its documentation for the
+//!   two prune rules and the losslessness argument). The rules arm under
+//!   all three [`Objective`]s — the energy/weighted side rides on
+//!   instrumented per-run *gain bounds* ([`RunStats`]) — and the loop
+//!   executes in *frontier waves* whose cold evaluations run in parallel
+//!   while skip decisions commit in lexicographic order, so frontiers and
+//!   [`PruneStats`] are identical to the sequential point-by-point path;
+//!   `tests/prune_equivalence.rs` verifies the pruned frontier bit-for-bit
+//!   against the exhaustive one under every objective and both modes.
+//! * [`try_sweep_grid_refined_with`] — certified adaptive refinement of a
+//!   coarse grid towards a virtual fine lattice ([`refine_axis`]).
+//! * [`try_sweep_grid_resume`], [`try_sweep_grid_pruned_resume`] and
+//!   [`try_sweep_grid_refined_resume`] continue a budget-stopped run
+//!   ([`ExploreBudget`]) of the matching engine.
 //!
-//! Both run on a shared [`ExplorationContext`]: the reuse analysis,
-//! program facts, TE caches and candidate-move space are computed once per
-//! program; each point only pays for its search. Points are processed in
-//! fixed-size chunks scheduled across threads with `rayon`, and within a
-//! chunk each point warm-starts the greedy search from its predecessor
-//! along the innermost axis.
+//! [`default_axes`] is the standard grid for a platform's depth and
+//! [`default_capacities`] the standard 1-D capacity range.
 //!
-//! [`sweep_grid_pruned`] is the sub-exhaustive production path for large
-//! grids: points that provably cannot contribute a Pareto point are
-//! skipped *without evaluation* (see its documentation for the two prune
-//! rules and the losslessness argument). The rules arm under all three
-//! [`Objective`]s — the energy/weighted side rides on instrumented
-//! per-run *gain bounds* ([`RunStats`]) — and the loop
-//! executes in *frontier waves* whose cold evaluations run in parallel
-//! while skip decisions commit in lexicographic order, so frontiers and
-//! [`PruneStats`] are identical to the sequential point-by-point path;
-//! `tests/prune_equivalence.rs` verifies the pruned frontier bit-for-bit
-//! against the exhaustive one under every objective and both modes.
+//! Every engine runs on a shared [`ExplorationContext`]: the reuse
+//! analysis, program facts, TE caches and candidate-move space are
+//! computed once per program; each point only pays for its search. The
+//! exhaustive engine processes points in fixed-size chunks scheduled
+//! across threads with `rayon`, and within a chunk each point
+//! warm-starts the greedy search from its predecessor along the
+//! innermost axis.
 //!
 //! [`sweep_cold`] keeps the frozen pre-optimization reference path:
 //! strictly sequential, every point re-analyzed and searched from scratch.
-//! The `tradeoff` bench and the equivalence tests compare the paths; their
+//! The `bench` binary and the equivalence tests compare the paths; their
 //! Pareto fronts must be identical.
 //!
 //! # One engine, two search modes
 //!
-//! All three sweep families run through one shared engine (internal
+//! All the grid engines run through one shared engine (internal
 //! `SweepEngine`): axis cleaning, the lexicographic
 //! Cartesian point order, per-point platform construction and evaluation,
 //! and the result assembly are written once; the families differ only in
 //! their *scheduler* (warm-started chunks, wavefront levels, or prune
 //! waves). The engine is parameterized by a [`SearchMode`]:
 //!
-//! * [`SearchMode::Cold`] — the frozen semantics every existing entry
-//!   point defaults to: results are bit-identical to the pre-engine
-//!   sweeps (and, for the pruned path, to standalone [`Mhla::run`]s).
+//! * [`SearchMode::Cold`] — the frozen semantics every entry point
+//!   defaults to: results are bit-identical to the pre-engine sweeps
+//!   (and, for the pruned path, to standalone [`Mhla::run`]s).
 //! * [`SearchMode::Improving`] — each point's search is a *portfolio*
 //!   seeded from the committed results of its grid neighbors along every
 //!   axis ([`SeedCache`]), with the cold leg always included: every
@@ -296,7 +308,8 @@ impl SweepPoint {
     }
 }
 
-/// Result of [`sweep`]: all evaluated points in ascending capacity order.
+/// Result of a 1-D sweep ([`try_sweep_with`]): all evaluated points in
+/// ascending capacity order.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Sweep {
     /// Evaluated points, ascending capacity.
@@ -368,16 +381,57 @@ pub fn default_capacities() -> Vec<u64> {
     (7..=17).map(|e| 1u64 << e).collect()
 }
 
-/// Default number of consecutive capacity points one parallel task
-/// processes (the default of [`SweepOptions::chunk`]).
+/// The standard exploration grid for a platform's depth — what `mhla
+/// grid` and an axis-less `mhla serve` request explore, and the grid the
+/// benchmark harnesses and equivalence suites sweep:
+///
+/// * three layers ([`Platform::three_level_default`]): L2 from 1 KiB to
+///   16 KiB × L1 from 128 B to 512 B (powers of two) — 15 joint sizing
+///   points;
+/// * four layers ([`Platform::four_level_default`]): L3 (`M1`) from
+///   16 KiB to 256 KiB (with a 192 KiB step) × L2 (`M2`) from 2 KiB to
+///   32 KiB × L1 (`M3`) from 256 B to 1 KiB — 90 joint sizing points.
+///   The upper parts of the L3/L2 axes extend past the nine applications'
+///   working sets, which is exactly where the saturation rule of
+///   [`try_sweep_grid_pruned_with`] collapses the grid: beyond the size at
+///   which a layer stops rejecting anything, larger sizes provably repeat
+///   the same search. The axes overlap, so the grid deliberately visits
+///   non-pyramidal stacks (e.g. a 32 KiB L2 above a 16 KiB L3) —
+///   [`Platform::four_level`] asserts a pyramid for the *preset*, but
+///   grid exploration goes through `Platform::with_layer_capacities`,
+///   whose documented contract is to not re-validate: joint sizing is
+///   exactly where the interesting inversions live;
+/// * any other depth: one axis on the closest layer over
+///   [`default_capacities`].
+pub fn default_axes(platform: &Platform) -> Vec<GridAxis> {
+    let pow2 =
+        |exps: std::ops::RangeInclusive<u32>| -> Vec<u64> { exps.map(|e| 1u64 << e).collect() };
+    match platform.layer_count() {
+        3 => vec![
+            GridAxis::new(LayerId(1), pow2(10..=14)),
+            GridAxis::new(LayerId(2), pow2(7..=9)),
+        ],
+        4 => {
+            let mut l3 = pow2(14..=18);
+            l3.push(192 * 1024);
+            vec![
+                GridAxis::new(LayerId(1), l3),
+                GridAxis::new(LayerId(2), pow2(11..=15)),
+                GridAxis::new(LayerId(3), pow2(8..=10)),
+            ]
+        }
+        _ => vec![GridAxis::new(platform.closest(), default_capacities())],
+    }
+}
+
+/// Number of consecutive capacity points one parallel task of the
+/// exhaustive engine processes.
 ///
 /// Within a chunk, points after the first warm-start from their
 /// predecessor; chunks are independent, so this is also the granularity of
 /// the `rayon` fan-out. Fixed (instead of `capacities / threads`) so sweep
-/// results never depend on the machine's core count. Tunable at runtime
-/// through [`SweepOptions::chunk`] (the `bench` binary reads
-/// `MHLA_SWEEP_CHUNK` for the many-core tuning experiment).
-pub const SWEEP_CHUNK: usize = 4;
+/// results never depend on the machine's core count.
+const SWEEP_CHUNK: usize = 4;
 
 /// How each point of a sweep seeds its search — the engine parameter the
 /// unified sweep engine dispatches on.
@@ -405,8 +459,8 @@ pub enum SearchMode {
     /// enforce it). Points run strictly sequentially in lexicographic
     /// order (a point's seeds are its committed predecessors), so
     /// results are deterministic and independent of every
-    /// `parallel`/`chunk`/`wave` setting — those knobs only tune the
-    /// cold schedulers. Warm seeds are a greedy-search construct;
+    /// `parallel`/`wave` setting — those knobs only tune the cold
+    /// schedulers. Warm seeds are a greedy-search construct;
     /// non-greedy strategies ignore them and this mode equals
     /// [`Cold`](SearchMode::Cold).
     Improving,
@@ -426,7 +480,16 @@ pub enum SeedOrigin {
     LexPredecessor,
 }
 
-/// Tuning knobs for [`sweep_with`] and [`sweep_grid_with`].
+/// Tuning knobs for [`try_sweep_with`] and the exhaustive grid engine
+/// ([`try_sweep_grid_run`]).
+///
+/// **Determinism guarantee:** the exhaustive engine's warm-start chunks
+/// have a fixed length — never derived from the machine's core count —
+/// and each point's result is the warm/cold search *portfolio* (the cold
+/// search always runs; the warm result is kept only when strictly
+/// better). Sweep results are therefore identical for every
+/// `parallel`/`warm_start` combination and on any thread fan-out; only
+/// wall time changes.
 #[derive(Clone, PartialEq, Debug)]
 pub struct SweepOptions {
     /// Warm-start each point (within a chunk) from its predecessor's
@@ -434,24 +497,10 @@ pub struct SweepOptions {
     /// only, in [`SearchMode::Cold`] (the improving mode has its own
     /// neighbor seeding and ignores this).
     pub warm_start: bool,
-    /// Process chunks of capacities on a thread pool.
+    /// Process chunks of capacities on a thread pool. (In
+    /// [`SearchMode::Improving`] points run strictly sequentially and
+    /// this is ignored.)
     pub parallel: bool,
-    /// Points per sequential chunk along the innermost sweep axis
-    /// (clamped to ≥ 1; default [`SWEEP_CHUNK`]).
-    ///
-    /// **Determinism guarantee:** the chunking is fixed by this value
-    /// alone — never derived from the machine's core count — and each
-    /// point's result is the warm/cold search *portfolio* (the cold
-    /// search always runs; the warm result is kept only when strictly
-    /// better). Sweep results are therefore identical for every
-    /// `chunk`/`parallel`/`warm_start` combination and on any thread
-    /// fan-out; only wall time changes. Larger chunks lengthen warm-start
-    /// chains but reduce scheduling slack — tune per machine via the
-    /// `bench` binary (`MHLA_SWEEP_CHUNK`), tracked in `BENCH_sweep.json`.
-    /// (In [`SearchMode::Improving`] the scheduler is the wavefront, not
-    /// the chunked chain; `chunk` is then irrelevant to results *and*
-    /// scheduling, and `parallel` only fans out within a level.)
-    pub chunk: usize,
     /// The search mode (default [`SearchMode::Cold`] — the frozen,
     /// bit-identical semantics).
     pub mode: SearchMode,
@@ -466,54 +515,17 @@ impl Default for SweepOptions {
         SweepOptions {
             warm_start: true,
             parallel: true,
-            chunk: SWEEP_CHUNK,
             mode: SearchMode::Cold,
             budget: ExploreBudget::default(),
         }
     }
 }
 
-impl SweepOptions {
-    /// The default options under the given budget — the one-liner call
-    /// sites reach for instead of hand-cloning a default struct (the PR 6
-    /// budget made these options non-`Copy`).
-    pub fn with_budget(budget: ExploreBudget) -> Self {
-        SweepOptions {
-            budget,
-            ..SweepOptions::default()
-        }
-    }
-}
-
-/// Sweeps scratchpad capacities, resizing `layer` of `platform` to each of
-/// `capacities` and running the full MHLA flow. Production path: shared
-/// reuse analysis, warm starts, parallel chunks (see [`SweepOptions`]).
-///
-/// # Panics
-///
-/// Panics if `layer` is the off-chip layer (it cannot be resized).
-pub fn sweep(
-    program: &Program,
-    platform: &Platform,
-    layer: LayerId,
-    capacities: &[u64],
-    config: &MhlaConfig,
-) -> Sweep {
-    sweep_with(
-        program,
-        platform,
-        layer,
-        capacities,
-        config,
-        SweepOptions::default(),
-    )
-}
-
 /// The pre-optimization reference sweep: strictly sequential, the reuse
 /// analysis re-derived at every point, every candidate move re-priced with
 /// the full `evaluate` oracle, no warm starts — the seed implementation,
-/// frozen. Kept for validation and benchmarking; [`sweep`] must yield
-/// identical Pareto fronts (see the equivalence tests).
+/// frozen. Kept for validation and benchmarking; [`try_sweep_with`] must
+/// yield identical Pareto fronts (see the equivalence tests).
 pub fn sweep_cold(
     program: &Program,
     platform: &Platform,
@@ -533,51 +545,6 @@ pub fn sweep_cold(
     Sweep { points }
 }
 
-/// [`sweep`] with explicit [`SweepOptions`].
-///
-/// Implemented as the 1-axis degenerate case of [`sweep_grid_with`], so
-/// the 1-D and N-D sweeps share one execution path: identical context
-/// sharing, chunking and warm-start behavior by construction.
-pub fn sweep_with(
-    program: &Program,
-    platform: &Platform,
-    layer: LayerId,
-    capacities: &[u64],
-    config: &MhlaConfig,
-    opts: SweepOptions,
-) -> Sweep {
-    match try_sweep_with(program, platform, layer, capacities, config, &opts) {
-        Ok(run) => run.sweep,
-        Err(e) => panic!("sweep_with: {e}"),
-    }
-}
-
-/// Fallible [`sweep`]: validates the program, platform and configuration
-/// up front and returns a typed [`MhlaError`] instead of panicking.
-///
-/// # Errors
-///
-/// [`MhlaError::InvalidProgram`] / [`InvalidOptions`](MhlaError::InvalidOptions) /
-/// [`InvalidObjective`](MhlaError::InvalidObjective) on bad ingress,
-/// [`MhlaError::InfeasiblePoint`] on an impossible sweep axis.
-pub fn try_sweep(
-    program: &Program,
-    platform: &Platform,
-    layer: LayerId,
-    capacities: &[u64],
-    config: &MhlaConfig,
-) -> Result<Sweep, MhlaError> {
-    try_sweep_with(
-        program,
-        platform,
-        layer,
-        capacities,
-        config,
-        &SweepOptions::default(),
-    )
-    .map(|run| run.sweep)
-}
-
 /// Result of [`try_sweep_with`]: the 1-D sweep plus how far it got (a
 /// budgeted sweep can stop early — see [`SweepStatus`]).
 #[derive(Clone, PartialEq, Debug)]
@@ -590,12 +557,23 @@ pub struct SweepRun {
     pub status: SweepStatus,
 }
 
-/// Fallible [`sweep_with`]: validated ingress, budget-aware result.
+/// Sweeps scratchpad capacities, resizing `layer` of `platform` to each of
+/// `capacities` (sorted and deduped) and running the full MHLA flow.
+/// Production path: shared reuse analysis, warm starts, parallel chunks
+/// (see [`SweepOptions`]).
+///
+/// Implemented as the 1-axis degenerate case of [`try_sweep_grid_run`],
+/// so the 1-D and N-D sweeps share one execution path: identical context
+/// sharing, chunking and warm-start behavior by construction.
 ///
 /// # Errors
 ///
-/// As [`try_sweep`]. Budget exhaustion is *not* an error — it is
-/// reported through [`SweepRun::status`].
+/// [`MhlaError::InvalidProgram`] / [`InvalidOptions`](MhlaError::InvalidOptions) /
+/// [`InvalidObjective`](MhlaError::InvalidObjective) on bad ingress,
+/// [`MhlaError::InfeasiblePoint`] on an impossible sweep axis (the
+/// off-chip layer, a layer out of range, a zero capacity). Budget
+/// exhaustion is *not* an error — it is reported through
+/// [`SweepRun::status`].
 pub fn try_sweep_with(
     program: &Program,
     platform: &Platform,
@@ -687,7 +665,7 @@ impl GridPoint {
     }
 }
 
-/// Result of [`sweep_grid`]: every point of the capacity grid, in
+/// A grid sweep's points: every evaluated point of the capacity grid, in
 /// lexicographic order of the capacity vector (the last axis varies
 /// fastest).
 #[derive(Clone, PartialEq, Debug)]
@@ -776,65 +754,12 @@ fn cartesian(axes: &[Vec<u64>]) -> Vec<Vec<u64>> {
     out
 }
 
-/// Sweeps an N-dimensional layer-size grid: for every point of the
-/// Cartesian product of the axes' capacities, resizes the named layers of
-/// `platform` and runs the full MHLA flow — the *joint* trade-off
-/// exploration of a multi-layer hierarchy (e.g. L1×L2 on
-/// [`Platform::three_level`]).
-///
-/// Production path: one shared [`ExplorationContext`] (reuse analysis,
-/// program facts, TE caches, move space computed once), the innermost
-/// axis processed in warm-started chunks, chunks scheduled across threads
-/// (see [`SweepOptions`]). Each point's result is bit-identical to a cold
-/// standalone [`Mhla::run`] on the same platform (the portfolio search
-/// prefers the cold result on ties), and a 1-axis grid is exactly
-/// [`sweep`] — both asserted by the equivalence tests.
-///
-/// # Panics
-///
-/// Panics if any axis names the off-chip layer or a layer out of range,
-/// or if any capacity is zero.
-pub fn sweep_grid(
-    program: &Program,
-    platform: &Platform,
-    axes: &[GridAxis],
-    config: &MhlaConfig,
-) -> GridSweep {
-    sweep_grid_with(program, platform, axes, config, SweepOptions::default())
-}
-
-/// [`sweep_grid`] with explicit [`SweepOptions`].
-pub fn sweep_grid_with(
-    program: &Program,
-    platform: &Platform,
-    axes: &[GridAxis],
-    config: &MhlaConfig,
-    opts: SweepOptions,
-) -> GridSweep {
-    sweep_grid_run(program, platform, axes, config, opts).sweep
-}
-
-/// Fallible [`sweep_grid`]: validated ingress, typed errors.
-///
-/// # Errors
-///
-/// As [`try_sweep`].
-pub fn try_sweep_grid(
-    program: &Program,
-    platform: &Platform,
-    axes: &[GridAxis],
-    config: &MhlaConfig,
-) -> Result<GridSweep, MhlaError> {
-    try_sweep_grid_run(program, platform, axes, config, &SweepOptions::default())
-        .map(|run| run.sweep)
-}
-
-/// Result of [`sweep_grid_run`]: the grid sweep plus the engine's
+/// Result of [`try_sweep_grid_run`]: the grid sweep plus the engine's
 /// per-mode bookkeeping — the data the `grid4` bench's mode columns and
 /// the improving-vs-cold comparisons are built from.
 #[derive(Clone, PartialEq, Debug)]
 pub struct GridSweepRun {
-    /// The evaluated grid (identical to what [`sweep_grid_with`] returns).
+    /// The evaluated grid.
     pub sweep: GridSweep,
     /// Greedy search legs executed across all points (the cold leg plus
     /// one per distinct warm seed per point); `0` under non-greedy
@@ -889,31 +814,30 @@ impl GridSweepRun {
     }
 }
 
-/// [`sweep_grid_with`], additionally reporting which search legs ran and
-/// which seeds won (see [`GridSweepRun`]).
-pub fn sweep_grid_run(
-    program: &Program,
-    platform: &Platform,
-    axes: &[GridAxis],
-    config: &MhlaConfig,
-    opts: SweepOptions,
-) -> GridSweepRun {
-    match try_sweep_grid_run(program, platform, axes, config, &opts) {
-        Ok(run) => run,
-        Err(e) => panic!("sweep_grid_run: {e}"),
-    }
-}
-
-/// Fallible [`sweep_grid_run`]: validates the program
-/// ([`Program::validate`]), the platform, the configuration and the axes
-/// up front, then runs the budget-aware scheduler for the selected
-/// [`SearchMode`].
+/// Sweeps an N-dimensional layer-size grid exhaustively: for every point
+/// of the Cartesian product of the axes' capacities (each axis sorted and
+/// deduped), resizes the named layers of `platform` and runs the full
+/// MHLA flow — the *joint* trade-off exploration of a multi-layer
+/// hierarchy (e.g. L1×L2 on [`Platform::three_level`]).
+///
+/// Validates the program ([`Program::validate`]), the platform, the
+/// configuration and the axes up front, then runs the budget-aware
+/// scheduler for the selected [`SearchMode`]. Production path: one
+/// shared [`ExplorationContext`] (reuse analysis, program facts, TE
+/// caches, move space computed once), the innermost axis processed in
+/// warm-started chunks, chunks scheduled across threads (see
+/// [`SweepOptions`]). In [`SearchMode::Cold`] each point's result is
+/// bit-identical to a cold standalone [`Mhla::run`] on the same platform
+/// (the portfolio search prefers the cold result on ties), and a 1-axis
+/// grid is exactly [`try_sweep_with`] — both asserted by the equivalence
+/// tests.
 ///
 /// # Errors
 ///
-/// As [`try_sweep`]. Budget exhaustion is *not* an error — the run comes
-/// back `Ok` with [`SweepStatus::Stopped`] and a certified partial
-/// frontier (see [`GridSweepRun::status`]); use
+/// As [`try_sweep_with`], plus [`MhlaError::InvalidOptions`] when two
+/// axes name the same layer. Budget exhaustion is *not* an error — the
+/// run comes back `Ok` with [`SweepStatus::Stopped`] and a certified
+/// partial frontier (see [`GridSweepRun::status`]); use
 /// [`GridSweepRun::require_complete`] to promote a stop into a typed
 /// error.
 pub fn try_sweep_grid_run(
@@ -1014,7 +938,7 @@ fn run_in(
 ///
 /// # Errors
 ///
-/// As [`try_sweep`], plus [`MhlaError::InvalidOptions`] when `prior`
+/// As [`try_sweep_grid_run`], plus [`MhlaError::InvalidOptions`] when `prior`
 /// does not match the given axes (different layers, or points that are
 /// not the expected lexicographic prefix).
 pub fn try_sweep_grid_resume(
@@ -1105,9 +1029,10 @@ fn check_resume_prefix<'p>(
 
 /// The shared sweep engine: one implementation of axis handling, the
 /// lexicographic Cartesian point order, per-point platform construction
-/// and search evaluation, and result assembly — used by all three sweep
-/// families ([`sweep`]/[`sweep_grid_with`] through the chunked or
-/// wavefront scheduler, [`sweep_grid_pruned_with`] through the prune-wave
+/// and search evaluation, and result assembly — used by every grid
+/// engine ([`try_sweep_grid_run`] through the chunked or lexicographic
+/// scheduler, [`try_sweep_grid_pruned_with`] through the prune-wave
+/// scheduler, [`try_sweep_grid_refined_with`] through the refinement
 /// scheduler). The schedulers differ in *when* points run and what seeds
 /// they see; everything a point *is* lives here.
 struct SweepEngine<'e> {
@@ -1387,7 +1312,7 @@ impl<'e> SweepEngine<'e> {
     /// dimension — a task is one chunk of it under one fixed prefix of
     /// the outer axes. Tasks are independent, so their parallel schedule
     /// cannot affect results. Bit-identical to the pre-engine
-    /// `sweep_grid_with` by construction.
+    /// exhaustive grid sweep by construction.
     ///
     /// Covers the lexicographic range from `start` (0 on a fresh run, the
     /// resume cursor on a continuation) and returns only the new points.
@@ -1397,9 +1322,9 @@ impl<'e> SweepEngine<'e> {
     /// from `start` is returned, so the result is always a certified
     /// prefix. Skipping and re-chunking never change point *results*
     /// (each is the warm/cold portfolio, chunk-invariant by the
-    /// determinism guarantee of [`SweepOptions::chunk`]); only the
-    /// leg/winner bookkeeping of a resume's boundary chunk can differ
-    /// from an uninterrupted run's.
+    /// determinism guarantee of [`SweepOptions`]); only the leg/winner
+    /// bookkeeping of a resume's boundary chunk can differ from an
+    /// uninterrupted run's.
     fn run_chunked(&self, opts: &SweepOptions, start: usize) -> GridSweepRun {
         let total = self.order.len();
         let budget = &opts.budget;
@@ -1422,7 +1347,7 @@ impl<'e> SweepEngine<'e> {
         let innermost = &innermost[0];
         let n_in = innermost.len();
         let prefixes = cartesian(outer);
-        let chunk = opts.chunk.max(1).min(n_in);
+        let chunk = SWEEP_CHUNK.min(n_in);
         let tasks: Vec<(usize, &[u64], &[u64])> = prefixes
             .iter()
             .enumerate()
@@ -1550,7 +1475,7 @@ impl<'e> SweepEngine<'e> {
     }
 }
 
-/// Bookkeeping of one [`sweep_grid_pruned`] run.
+/// Bookkeeping of one [`try_sweep_grid_pruned_with`] run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PruneStats {
     /// Points of the full Cartesian product.
@@ -1575,7 +1500,7 @@ impl PruneStats {
     }
 }
 
-/// Result of [`sweep_grid_pruned`]: the evaluated subset of the grid (in
+/// Result of [`try_sweep_grid_pruned_with`]: the evaluated subset of the grid (in
 /// lexicographic order, like [`GridSweep`]) plus the prune bookkeeping.
 #[derive(Clone, PartialEq, Debug)]
 pub struct PrunedGridSweep {
@@ -1651,14 +1576,14 @@ struct PruneCheckpoint {
 }
 
 /// Default number of points one dominance wave of
-/// [`sweep_grid_pruned_with`] may evaluate concurrently (the default of
+/// [`try_sweep_grid_pruned_with`] may evaluate concurrently (the default of
 /// [`PruneOptions::wave`]). Fixed — never derived from the machine's core
 /// count — so wave boundaries, and thus the speculation bookkeeping, are
 /// machine-independent (skip decisions and frontiers are invariant under
 /// the wave size anyway; see [`PruneOptions`]).
 pub const PRUNE_WAVE: usize = 16;
 
-/// Tuning knobs for [`sweep_grid_pruned_with`].
+/// Tuning knobs for [`try_sweep_grid_pruned_with`].
 #[derive(Clone, PartialEq, Debug)]
 pub struct PruneOptions {
     /// Evaluate each wave's points on the `rayon` thread pool. Skip
@@ -1679,7 +1604,7 @@ pub struct PruneOptions {
     /// engine then forces `wave == 1` (a wave member's innermost-axis
     /// seed is the member before it, so waves would change seed
     /// visibility) and the prune hooks switch to their mode-aware forms —
-    /// see [`sweep_grid_pruned`]'s *Improving mode* section.
+    /// see [`try_sweep_grid_pruned_with`]'s *Improving mode* section.
     pub mode: SearchMode,
     /// The exploration budget (default unlimited): `max_evals` bounds
     /// *committed* evaluations — prune skips are free, discarded
@@ -1703,14 +1628,6 @@ impl Default for PruneOptions {
 }
 
 impl PruneOptions {
-    /// The default options under the given budget.
-    pub fn with_budget(budget: ExploreBudget) -> Self {
-        PruneOptions {
-            budget,
-            ..PruneOptions::default()
-        }
-    }
-
     /// The default options with parallelism toggled.
     pub fn with_parallel(parallel: bool) -> Self {
         PruneOptions {
@@ -1830,10 +1747,10 @@ impl PruneStats {
     }
 }
 
-/// The sub-exhaustive grid sweep: like [`sweep_grid`], but capacity
-/// vectors that provably cannot contribute a Pareto point are skipped
-/// *without running the search*. Lossless: every skipped point is
-/// dominated on both the cycles and the energy surface by an evaluated
+/// The sub-exhaustive grid sweep: like [`try_sweep_grid_run`], but
+/// capacity vectors that provably cannot contribute a Pareto point are
+/// skipped *without running the search*. Lossless: every skipped point
+/// is dominated on both the cycles and the energy surface by an evaluated
 /// point, so [`GridSweep::pareto_cycles`] / `pareto_energy` of the result
 /// select exactly the frontier of the exhaustive grid
 /// (`tests/prune_equivalence.rs` asserts this bit-for-bit on all nine
@@ -1901,8 +1818,7 @@ impl PruneStats {
 /// point-by-point loop would have seen: skip decisions, [`PruneStats`],
 /// evaluated points and both frontiers are **identical for every wave
 /// size and thread fan-out** — only wall time (and the
-/// [`PrunedGridSweep::speculative_evals`] bookkeeping) changes. This is
-/// the default path; use [`sweep_grid_pruned_with`] to tune.
+/// [`PrunedGridSweep::speculative_evals`] bookkeeping) changes.
 ///
 /// # Improving mode
 ///
@@ -1929,56 +1845,11 @@ impl PruneStats {
 /// The engine forces `wave == 1` in this mode (see
 /// [`PruneOptions::mode`]), so improving pruned sweeps run sequentially.
 ///
-/// # Panics
-///
-/// Panics if any axis names the off-chip layer or a layer out of range,
-/// or if any capacity is zero.
-pub fn sweep_grid_pruned(
-    program: &Program,
-    platform: &Platform,
-    axes: &[GridAxis],
-    config: &MhlaConfig,
-) -> PrunedGridSweep {
-    sweep_grid_pruned_with(program, platform, axes, config, PruneOptions::default())
-}
-
-/// [`sweep_grid_pruned`] with explicit [`PruneOptions`].
-pub fn sweep_grid_pruned_with(
-    program: &Program,
-    platform: &Platform,
-    axes: &[GridAxis],
-    config: &MhlaConfig,
-    opts: PruneOptions,
-) -> PrunedGridSweep {
-    match try_sweep_grid_pruned_with(program, platform, axes, config, &opts) {
-        Ok(run) => run,
-        Err(e) => panic!("sweep_grid_pruned_with: {e}"),
-    }
-}
-
-/// Fallible [`sweep_grid_pruned`]: validated ingress, typed errors.
-///
 /// # Errors
 ///
-/// As [`try_sweep`].
-pub fn try_sweep_grid_pruned(
-    program: &Program,
-    platform: &Platform,
-    axes: &[GridAxis],
-    config: &MhlaConfig,
-) -> Result<PrunedGridSweep, MhlaError> {
-    try_sweep_grid_pruned_with(program, platform, axes, config, &PruneOptions::default())
-}
-
-/// Fallible [`sweep_grid_pruned_with`]: validates the program, platform,
-/// configuration and axes up front, then runs the budget-aware prune-wave
-/// scheduler.
-///
-/// # Errors
-///
-/// As [`try_sweep`]. Budget exhaustion is *not* an error — the run comes
-/// back `Ok` with [`SweepStatus::Stopped`] and a certified partial
-/// frontier (see [`PrunedGridSweep::status`]); use
+/// As [`try_sweep_grid_run`]. Budget exhaustion is *not* an error — the
+/// run comes back `Ok` with [`SweepStatus::Stopped`] and a certified
+/// partial frontier (see [`PrunedGridSweep::status`]); use
 /// [`PrunedGridSweep::require_complete`] to promote a stop into a typed
 /// error.
 pub fn try_sweep_grid_pruned_with(
@@ -2032,7 +1903,7 @@ pub fn try_sweep_grid_pruned_with(
 ///
 /// # Errors
 ///
-/// As [`try_sweep`], plus [`MhlaError::InvalidOptions`] when `prior`
+/// As [`try_sweep_grid_run`], plus [`MhlaError::InvalidOptions`] when `prior`
 /// does not match the given axes.
 pub fn try_sweep_grid_pruned_resume(
     program: &Program,
@@ -2074,7 +1945,7 @@ pub fn try_sweep_grid_pruned_resume(
 }
 
 impl<'e> SweepEngine<'e> {
-    /// The prune-wave scheduler (the body of [`sweep_grid_pruned_with`]):
+    /// The prune-wave scheduler (the body of [`try_sweep_grid_pruned_with`]):
     /// dominance waves over the lexicographic order, with skip decisions
     /// committed sequentially and the prune hooks dispatched on the
     /// [`SearchMode`].
@@ -2343,7 +2214,7 @@ impl<'e> SweepEngine<'e> {
     }
 }
 
-/// Default per-axis subdivision depth of [`sweep_grid_refined`]: each
+/// Default per-axis subdivision depth of [`try_sweep_grid_refined_with`]: each
 /// coarse axis interval gains up to `2^REFINE_DEPTH - 1` interior points,
 /// so the default three-axis grid4 lattice virtualizes 10⁵+ points.
 pub const REFINE_DEPTH: usize = 4;
@@ -2356,7 +2227,7 @@ pub const REFINE_DEPTH: usize = 4;
 /// runs bit-identical.
 pub const REFINE_CERT_CHUNK: usize = 32;
 
-/// Tuning knobs for [`sweep_grid_refined_with`].
+/// Tuning knobs for [`try_sweep_grid_refined_with`].
 #[derive(Clone, PartialEq, Debug)]
 pub struct RefineOptions {
     /// Per-axis subdivision depth (1..=16, validated; default
@@ -2397,14 +2268,6 @@ impl Default for RefineOptions {
 }
 
 impl RefineOptions {
-    /// The default options under the given budget.
-    pub fn with_budget(budget: ExploreBudget) -> Self {
-        RefineOptions {
-            budget,
-            ..RefineOptions::default()
-        }
-    }
-
     /// The default options with parallelism toggled.
     pub fn with_parallel(parallel: bool) -> Self {
         RefineOptions {
@@ -2426,7 +2289,7 @@ impl RefineOptions {
     }
 }
 
-/// Bookkeeping of one [`sweep_grid_refined`] run.
+/// Bookkeeping of one [`try_sweep_grid_refined_with`] run.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct RefineStats {
     /// Points of the coarse (phase-0) lattice — all evaluated.
@@ -2465,7 +2328,7 @@ impl RefineStats {
     }
 }
 
-/// Result of [`sweep_grid_refined`]: the committed points (sorted
+/// Result of [`try_sweep_grid_refined_with`]: the committed points (sorted
 /// lexicographically, like [`GridSweep`]) plus the refinement
 /// bookkeeping. The Pareto accessors select, point for point, the
 /// frontier of the exhaustive *virtual fine lattice*
@@ -2787,7 +2650,7 @@ fn replay_grows_to(
 
 impl<'e> SweepEngine<'e> {
     /// The point-level certification of one pending corner against the
-    /// committed state — exactly [`sweep_grid_pruned`]'s two skip rules
+    /// committed state — exactly [`try_sweep_grid_pruned_with`]'s two skip rules
     /// (saturation first, cost floor second), with the saturation rule
     /// extended by the per-layer rejection floors
     /// ([`replay_grows_to`]). A certified corner is dominated on both
@@ -3052,7 +2915,7 @@ impl<'e> SweepEngine<'e> {
     }
 
     /// The adaptive refinement scheduler (the body of
-    /// [`sweep_grid_refined_with`]): phase 0 evaluates the coarse
+    /// [`try_sweep_grid_refined_with`]): phase 0 evaluates the coarse
     /// lattice, then refinement waves classify every open cell against
     /// the state committed *before* the wave — saturation certificate
     /// first, cost-floor certificate second, split third — and evaluate
@@ -3265,7 +3128,7 @@ impl<'e> SweepEngine<'e> {
 /// still change the Pareto front, until the virtual fine lattice
 /// (`2^`[`REFINE_DEPTH`] interior points per coarse interval per axis)
 /// is reached or closed. A cell is closed without subdivision only under
-/// a certificate — mirroring [`sweep_grid_pruned`]'s two skip rules,
+/// a certificate — mirroring [`try_sweep_grid_pruned_with`]'s two skip rules,
 /// lifted from points to boxes:
 ///
 /// 1. **Saturation certificate.** A committed cold-kept run at
@@ -3286,58 +3149,16 @@ impl<'e> SweepEngine<'e> {
 /// (`tests/refine_equivalence.rs`), at a small fraction of its
 /// evaluations ([`RefineStats::eval_ratio`]).
 ///
-/// # Panics
-///
-/// Panics if any axis names the off-chip layer or a layer out of range,
-/// or if any capacity is zero.
-pub fn sweep_grid_refined(
-    program: &Program,
-    platform: &Platform,
-    axes: &[GridAxis],
-    config: &MhlaConfig,
-) -> RefinedGridSweep {
-    sweep_grid_refined_with(program, platform, axes, config, RefineOptions::default())
-}
-
-/// [`sweep_grid_refined`] with explicit [`RefineOptions`].
-pub fn sweep_grid_refined_with(
-    program: &Program,
-    platform: &Platform,
-    axes: &[GridAxis],
-    config: &MhlaConfig,
-    opts: RefineOptions,
-) -> RefinedGridSweep {
-    match try_sweep_grid_refined_with(program, platform, axes, config, &opts) {
-        Ok(run) => run,
-        Err(e) => panic!("sweep_grid_refined_with: {e}"),
-    }
-}
-
-/// Fallible [`sweep_grid_refined`]: validated ingress, typed errors.
+/// Validates the program, platform, configuration, axes and refinement
+/// options up front, then runs the budget-aware refinement scheduler.
 ///
 /// # Errors
 ///
-/// As [`try_sweep`].
-pub fn try_sweep_grid_refined(
-    program: &Program,
-    platform: &Platform,
-    axes: &[GridAxis],
-    config: &MhlaConfig,
-) -> Result<RefinedGridSweep, MhlaError> {
-    try_sweep_grid_refined_with(program, platform, axes, config, &RefineOptions::default())
-}
-
-/// Fallible [`sweep_grid_refined_with`]: validates the program,
-/// platform, configuration, axes and refinement options up front, then
-/// runs the budget-aware refinement scheduler.
-///
-/// # Errors
-///
-/// As [`try_sweep`], plus [`MhlaError::InvalidOptions`] for an
-/// out-of-range subdivision depth or duplicate axis layers. Budget
-/// exhaustion is *not* an error — the run comes back `Ok` with
-/// [`SweepStatus::Stopped`]; use [`RefinedGridSweep::require_complete`]
-/// to promote a stop into a typed error.
+/// As [`try_sweep_grid_run`], plus [`MhlaError::InvalidOptions`] for an
+/// out-of-range subdivision depth. Budget exhaustion is *not* an error —
+/// the run comes back `Ok` with [`SweepStatus::Stopped`]; use
+/// [`RefinedGridSweep::require_complete`] to promote a stop into a typed
+/// error.
 pub fn try_sweep_grid_refined_with(
     program: &Program,
     platform: &Platform,
@@ -3347,7 +3168,7 @@ pub fn try_sweep_grid_refined_with(
 ) -> Result<RefinedGridSweep, MhlaError> {
     error::validate_run_ingress(program, platform, config)?;
     error::validate_axes(platform, axes)?;
-    error::validate_refine_options(axes, opts)?;
+    error::validate_refine_options(opts)?;
     let layers: Vec<LayerId> = axes.iter().map(|a| a.layer).collect();
     let coarse: Vec<Vec<u64>> = axes
         .iter()
@@ -3408,7 +3229,7 @@ pub fn try_sweep_grid_refined_resume(
 ) -> Result<RefinedGridSweep, MhlaError> {
     error::validate_run_ingress(program, platform, config)?;
     error::validate_axes(platform, axes)?;
-    error::validate_refine_options(axes, opts)?;
+    error::validate_refine_options(opts)?;
     let next_lex = match prior.status {
         SweepStatus::Complete => return Ok(prior.clone()),
         SweepStatus::Stopped { next_lex, .. } => next_lex,
@@ -3477,12 +3298,28 @@ mod tests {
         b.finish()
     }
 
+    /// The default-options 1-D sweep of layer 1.
+    fn sweep_1d(p: &Program, pf: &Platform, caps: &[u64]) -> Sweep {
+        let (config, opts) = (MhlaConfig::default(), SweepOptions::default());
+        try_sweep_with(p, pf, LayerId(1), caps, &config, &opts)
+            .unwrap()
+            .sweep
+    }
+
+    /// The default-options exhaustive grid sweep.
+    fn grid(p: &Program, pf: &Platform, axes: &[GridAxis]) -> GridSweep {
+        let (config, opts) = (MhlaConfig::default(), SweepOptions::default());
+        try_sweep_grid_run(p, pf, axes, &config, &opts)
+            .unwrap()
+            .sweep
+    }
+
     #[test]
     fn sweep_is_monotone_enough_and_pareto_is_sane() {
         let p = blocked();
         let pf = Platform::embedded_default(1024);
         let caps: Vec<u64> = vec![32, 64, 128, 256, 512, 1024, 4096];
-        let s = sweep(&p, &pf, LayerId(1), &caps, &MhlaConfig::default());
+        let s = sweep_1d(&p, &pf, &caps);
         assert_eq!(s.points.len(), caps.len());
         // Capacities ascend.
         for w in s.points.windows(2) {
@@ -3504,13 +3341,7 @@ mod tests {
     fn bigger_scratchpads_never_hurt_cycles_on_the_front() {
         let p = blocked();
         let pf = Platform::embedded_default(1024);
-        let s = sweep(
-            &p,
-            &pf,
-            LayerId(1),
-            &default_capacities(),
-            &MhlaConfig::default(),
-        );
+        let s = sweep_1d(&p, &pf, &default_capacities());
         let front = s.pareto_energy();
         for w in front.windows(2) {
             assert!(s.points[w[0]].energy_pj() > s.points[w[1]].energy_pj());
@@ -3521,13 +3352,7 @@ mod tests {
     fn duplicate_capacities_are_deduped() {
         let p = blocked();
         let pf = Platform::embedded_default(1024);
-        let s = sweep(
-            &p,
-            &pf,
-            LayerId(1),
-            &[256, 256, 512],
-            &MhlaConfig::default(),
-        );
+        let s = sweep_1d(&p, &pf, &[256, 256, 512]);
         assert_eq!(s.points.len(), 2);
     }
 
@@ -3539,7 +3364,7 @@ mod tests {
             GridAxis::new(LayerId(1), vec![1024u64, 4096]),
             GridAxis::new(LayerId(2), vec![512u64, 128, 256]),
         ];
-        let g = sweep_grid(&p, &pf, &axes, &MhlaConfig::default());
+        let g = grid(&p, &pf, &axes);
         assert_eq!(g.layers, vec![LayerId(1), LayerId(2)]);
         assert_eq!(g.points.len(), 6);
         let caps: Vec<Vec<u64>> = g.points.iter().map(|p| p.capacities.clone()).collect();
@@ -3565,7 +3390,7 @@ mod tests {
             GridAxis::new(LayerId(1), vec![1024u64, 4096]),
             GridAxis::new(LayerId(2), vec![128u64, 512]),
         ];
-        let g = sweep_grid(&p, &pf, &axes, &MhlaConfig::default());
+        let g = grid(&p, &pf, &axes);
         for point in &g.points {
             let standalone = pf.with_layer_capacities(&[
                 (LayerId(1), point.capacities[0]),
@@ -3581,13 +3406,8 @@ mod tests {
         let p = blocked();
         let pf = Platform::embedded_default(1024);
         let caps: Vec<u64> = vec![64, 128, 512, 2048];
-        let s = sweep(&p, &pf, LayerId(1), &caps, &MhlaConfig::default());
-        let g = sweep_grid(
-            &p,
-            &pf,
-            &[GridAxis::new(LayerId(1), caps)],
-            &MhlaConfig::default(),
-        );
+        let s = sweep_1d(&p, &pf, &caps);
+        let g = grid(&p, &pf, &[GridAxis::new(LayerId(1), caps)]);
         assert_eq!(g.points.len(), s.points.len());
         for (gp, sp) in g.points.iter().zip(&s.points) {
             assert_eq!(gp.capacities, vec![sp.capacity]);
@@ -3605,7 +3425,7 @@ mod tests {
             GridAxis::new(LayerId(1), vec![512u64, 1024, 4096]),
             GridAxis::new(LayerId(2), vec![64u64, 128, 512]),
         ];
-        let g = sweep_grid(&p, &pf, &axes, &MhlaConfig::default());
+        let g = grid(&p, &pf, &axes);
         let front = g.pareto_cycles();
         assert!(!front.is_empty());
         for &i in &front {
@@ -3654,26 +3474,29 @@ mod tests {
             GridAxis::new(LayerId(2), vec![64u64, 256, 512]),
         ];
         let config = MhlaConfig::default();
-        let cold = sweep_grid_with(
+        let cold = try_sweep_grid_run(
             &p,
             &pf,
             &axes,
             &config,
-            SweepOptions {
+            &SweepOptions {
                 warm_start: false,
                 ..SweepOptions::default()
             },
-        );
-        let run = sweep_grid_run(
+        )
+        .unwrap()
+        .sweep;
+        let run = try_sweep_grid_run(
             &p,
             &pf,
             &axes,
             &config,
-            SweepOptions {
+            &SweepOptions {
                 mode: SearchMode::Improving,
                 ..SweepOptions::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(run.sweep.points.len(), cold.points.len());
         assert_eq!(run.winners.len(), cold.points.len());
         assert!(run.evals >= cold.points.len(), "cold leg runs everywhere");
@@ -3702,32 +3525,15 @@ mod tests {
             GridAxis::new(LayerId(2), vec![64u64, 256, 512]),
         ];
         let config = MhlaConfig::default();
-        let reference = sweep_grid_run(
-            &p,
-            &pf,
-            &axes,
-            &config,
-            SweepOptions {
-                mode: SearchMode::Improving,
-                ..SweepOptions::default()
-            },
-        );
+        let improving = |parallel| SweepOptions {
+            mode: SearchMode::Improving,
+            parallel,
+            ..SweepOptions::default()
+        };
+        let reference = try_sweep_grid_run(&p, &pf, &axes, &config, &improving(true)).unwrap();
         for parallel in [false, true] {
-            for chunk in [1usize, 2, 64] {
-                let other = sweep_grid_run(
-                    &p,
-                    &pf,
-                    &axes,
-                    &config,
-                    SweepOptions {
-                        mode: SearchMode::Improving,
-                        parallel,
-                        chunk,
-                        ..SweepOptions::default()
-                    },
-                );
-                assert_eq!(reference, other, "parallel={parallel} chunk={chunk}");
-            }
+            let other = try_sweep_grid_run(&p, &pf, &axes, &config, &improving(parallel)).unwrap();
+            assert_eq!(reference, other, "parallel={parallel}");
         }
     }
 
@@ -3735,16 +3541,15 @@ mod tests {
     fn grid_handles_degenerate_axis_lists() {
         let p = blocked();
         let pf = Platform::three_level(4096, 512);
-        let empty = sweep_grid(&p, &pf, &[], &MhlaConfig::default());
+        let empty = grid(&p, &pf, &[]);
         assert!(empty.points.is_empty());
-        let empty_axis = sweep_grid(
+        let empty_axis = grid(
             &p,
             &pf,
             &[
                 GridAxis::new(LayerId(1), vec![1024u64]),
                 GridAxis::new(LayerId(2), Vec::new()),
             ],
-            &MhlaConfig::default(),
         );
         assert!(empty_axis.points.is_empty());
     }
@@ -3814,7 +3619,14 @@ mod tests {
         let p = b.finish();
         let pf = Platform::embedded_default(16384);
         let axes = [GridAxis::new(LayerId(1), vec![16384u64, 65536])];
-        let run = sweep_grid_pruned(&p, &pf, &axes, &MhlaConfig::default());
+        let run = try_sweep_grid_pruned_with(
+            &p,
+            &pf,
+            &axes,
+            &MhlaConfig::default(),
+            &PruneOptions::default(),
+        )
+        .unwrap();
         assert_eq!(run.stats.evaluated, 1, "only the tight point runs");
         assert_eq!(run.stats.skipped_floor, 1, "the grown point is floored");
         assert_eq!(run.stats.skipped_saturated, 0, "saturation is disarmed");
@@ -3830,13 +3642,13 @@ mod tests {
         ];
         let config = MhlaConfig::default();
         let opts = RefineOptions::default().depth(2);
-        let refined = sweep_grid_refined_with(&p, &pf, &axes, &config, opts.clone());
+        let refined = try_sweep_grid_refined_with(&p, &pf, &axes, &config, &opts).unwrap();
         assert!(refined.status.is_complete());
         let fine_axes: Vec<GridAxis> = axes
             .iter()
             .map(|a| GridAxis::new(a.layer, refine_axis(&a.capacities, opts.depth)))
             .collect();
-        let exhaustive = sweep_grid(&p, &pf, &fine_axes, &config);
+        let exhaustive = grid(&p, &pf, &fine_axes);
         assert_eq!(refined.stats.virtual_points, exhaustive.points.len() as u64);
         assert!(refined.stats.evaluated <= exhaustive.points.len());
         let frontier = |g: &GridSweep, idx: Vec<usize>| -> Vec<GridPoint> {
@@ -3864,16 +3676,17 @@ mod tests {
         ];
         let config = MhlaConfig::default();
         let base = RefineOptions::default().depth(1);
-        let uninterrupted = sweep_grid_refined_with(&p, &pf, &axes, &config, base.clone());
+        let uninterrupted = try_sweep_grid_refined_with(&p, &pf, &axes, &config, &base).unwrap();
         assert!(uninterrupted.status.is_complete());
         for max in [1usize, 3, 5] {
-            let stopped = sweep_grid_refined_with(
+            let stopped = try_sweep_grid_refined_with(
                 &p,
                 &pf,
                 &axes,
                 &config,
-                base.clone().budget(ExploreBudget::max_evals(max)),
-            );
+                &base.clone().budget(ExploreBudget::max_evals(max)),
+            )
+            .unwrap();
             assert_eq!(
                 stopped.status.next_lex(),
                 Some(stopped.sweep.points.len()),
@@ -3899,10 +3712,16 @@ mod tests {
             mode: SearchMode::Improving,
             ..RefineOptions::default()
         };
-        let improving = sweep_grid_refined_with(&p, &pf, &axes, &config, opts.clone());
+        let improving = try_sweep_grid_refined_with(&p, &pf, &axes, &config, &opts).unwrap();
         assert!(improving.status.is_complete());
-        let cold =
-            sweep_grid_refined_with(&p, &pf, &axes, &config, RefineOptions::default().depth(1));
+        let cold = try_sweep_grid_refined_with(
+            &p,
+            &pf,
+            &axes,
+            &config,
+            &RefineOptions::default().depth(1),
+        )
+        .unwrap();
         let surface = |run: &RefinedGridSweep| -> Vec<Vec<f64>> {
             run.sweep
                 .pareto_objective(&config.objective)
@@ -3920,7 +3739,7 @@ mod tests {
     }
 
     #[test]
-    fn refined_rejects_bad_options() {
+    fn grid_engines_reject_bad_options() {
         let p = blocked();
         let pf = Platform::three_level(4096, 512);
         let axes = [GridAxis::new(LayerId(1), vec![1024u64, 4096])];
@@ -3937,13 +3756,32 @@ mod tests {
                 Err(MhlaError::InvalidOptions { .. })
             ));
         }
+        // Two axes on one layer: the later axis would overwrite the
+        // earlier one's capacity, and the box floor cannot attribute the
+        // layer — every engine refuses with the same typed error.
+        let pf = Platform::three_level_default();
         let dup = [
-            GridAxis::new(LayerId(1), vec![1024u64]),
-            GridAxis::new(LayerId(1), vec![4096u64]),
+            GridAxis::new(LayerId(1), vec![1024u64, 4096]),
+            GridAxis::new(LayerId(1), vec![2048u64, 8192]),
         ];
-        assert!(matches!(
-            try_sweep_grid_refined_with(&p, &pf, &dup, &config, &RefineOptions::default()),
-            Err(MhlaError::InvalidOptions { .. })
+        let refused = |r: Result<(), MhlaError>| matches!(r, Err(MhlaError::InvalidOptions { .. }));
+        let (sweep, prune, refine) = (
+            SweepOptions::default(),
+            PruneOptions::default(),
+            RefineOptions::default(),
+        );
+        assert!(refused(
+            try_sweep_grid_run(&p, &pf, &dup, &config, &sweep).map(drop)
+        ));
+        let ctx = ExplorationContext::new(&p, &pf, config.clone());
+        assert!(refused(
+            try_sweep_grid_run_in(&ctx, &pf, &dup, &sweep).map(drop)
+        ));
+        assert!(refused(
+            try_sweep_grid_pruned_with(&p, &pf, &dup, &config, &prune).map(drop)
+        ));
+        assert!(refused(
+            try_sweep_grid_refined_with(&p, &pf, &dup, &config, &refine).map(drop)
         ));
     }
 
@@ -3951,12 +3789,19 @@ mod tests {
     fn refined_handles_degenerate_axis_lists() {
         let p = blocked();
         let pf = Platform::three_level(4096, 512);
-        let empty = sweep_grid_refined(&p, &pf, &[], &MhlaConfig::default());
+        let empty = try_sweep_grid_refined_with(
+            &p,
+            &pf,
+            &[],
+            &MhlaConfig::default(),
+            &RefineOptions::default(),
+        )
+        .unwrap();
         assert!(empty.sweep.points.is_empty());
         assert!(empty.status.is_complete());
         // A single-point axis cannot refine but still sweeps cleanly
         // alongside a refining one.
-        let single = sweep_grid_refined_with(
+        let single = try_sweep_grid_refined_with(
             &p,
             &pf,
             &[
@@ -3964,8 +3809,9 @@ mod tests {
                 GridAxis::new(LayerId(2), vec![128u64, 512]),
             ],
             &MhlaConfig::default(),
-            RefineOptions::default().depth(1),
-        );
+            &RefineOptions::default().depth(1),
+        )
+        .unwrap();
         assert!(single.status.is_complete());
         assert!(single
             .sweep

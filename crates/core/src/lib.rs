@@ -23,12 +23,29 @@
 //!    a memory transfer engine get no extensions, exactly as the paper
 //!    notes.
 //!
-//! [`explore`] sweeps on-chip capacities and produces the Pareto trade-off
-//! points the paper's Figures 2 and 3 are drawn from; [`CostModel`]
-//! provides the static cycle/energy estimates (the cycle-accurate
-//! counterpart lives in `mhla-sim`). [`multitask`] implements the paper's
-//! stated future work: statically partitioning the scratchpad among
-//! several tasks, each running the full flow in its partition.
+//! There is one public entry per job, each validating its ingress and
+//! returning a typed [`MhlaError`] instead of panicking:
+//!
+//! * one run: [`Mhla::try_new`] + [`Mhla::try_run`] (or
+//!   [`Mhla::try_run_with_seeds`] for caller-supplied warm seeds);
+//!   [`Mhla::with_context`] + [`Mhla::run_with_stats_in`] /
+//!   [`Mhla::run_with_seeds_in`] is the allocation-free per-point form the
+//!   sweeps use;
+//! * exploration ([`explore`]), which sweeps on-chip capacities and
+//!   produces the Pareto trade-off points the paper's Figures 2 and 3 are
+//!   drawn from: [`explore::try_sweep_with`] (1-D),
+//!   [`explore::try_sweep_grid_run`] / [`explore::try_sweep_grid_run_in`]
+//!   (exhaustive grid), [`explore::try_sweep_grid_pruned_with`] (lossless
+//!   pruning), [`explore::try_sweep_grid_refined_with`] (certified
+//!   refinement), each with a `try_*_resume` for budget-stopped runs, over
+//!   [`explore::default_axes`] unless the caller names its own axes;
+//! * multi-task partitioning ([`multitask::try_partition_scratchpad`]),
+//!   the paper's stated future work: statically partitioning the
+//!   scratchpad among several tasks, each running the full flow in its
+//!   partition.
+//!
+//! [`CostModel`] provides the static cycle/energy estimates (the
+//! cycle-accurate counterpart lives in `mhla-sim`).
 //!
 //! # Example
 //!

@@ -54,27 +54,9 @@ impl MultiTaskResult {
 /// `granularity` is the allocation quantum in bytes (e.g. 512); the
 /// partition sizes are multiples of it and sum to at most the scratchpad
 /// capacity. Tasks can receive a zero partition (they then run entirely
-/// from off-chip memory).
-///
-/// # Panics
-///
-/// Panics if `tasks` is empty, `granularity` is zero, or the platform has
-/// no bounded on-chip layer to partition.
-pub fn partition_scratchpad(
-    tasks: &[&Program],
-    platform: &Platform,
-    config: &MhlaConfig,
-    granularity: u64,
-) -> MultiTaskResult {
-    match try_partition_scratchpad(tasks, platform, config, granularity) {
-        Ok(r) => r,
-        Err(e) => panic!("partition_scratchpad: {e}"),
-    }
-}
-
-/// Fallible [`partition_scratchpad`]: validates every task program, the
-/// platform and the configuration up front and reports unusable inputs
-/// as typed errors instead of panicking.
+/// from off-chip memory). Every task program, the platform and the
+/// configuration are validated up front, and unusable inputs come back
+/// as typed errors instead of panics.
 ///
 /// # Errors
 ///
@@ -207,7 +189,8 @@ mod tests {
         let t1 = scan_task("hot", 512, 64);
         let t2 = scan_task("cold", 512, 2);
         let platform = Platform::embedded_default(1024);
-        let r = partition_scratchpad(&[&t1, &t2], &platform, &MhlaConfig::default(), 256);
+        let r =
+            try_partition_scratchpad(&[&t1, &t2], &platform, &MhlaConfig::default(), 256).unwrap();
         assert_eq!(r.partitions.len(), 2);
         assert!(r.partitions.iter().sum::<u64>() <= 1024);
     }
@@ -219,7 +202,8 @@ mod tests {
         let hot = scan_task("hot", 512, 64);
         let cold = scan_task("cold", 512, 2);
         let platform = Platform::embedded_default(512);
-        let r = partition_scratchpad(&[&cold, &hot], &platform, &MhlaConfig::default(), 512);
+        let r = try_partition_scratchpad(&[&cold, &hot], &platform, &MhlaConfig::default(), 512)
+            .unwrap();
         assert_eq!(r.partitions, vec![0, 512], "hot task gets the space");
     }
 
@@ -229,7 +213,7 @@ mod tests {
         let cold = scan_task("cold", 1024, 1);
         let platform = Platform::embedded_default(1024);
         let config = MhlaConfig::default();
-        let optimal = partition_scratchpad(&[&hot, &cold], &platform, &config, 256);
+        let optimal = try_partition_scratchpad(&[&hot, &cold], &platform, &config, 256).unwrap();
 
         // Manual equal split: both tasks at 512 B.
         let half = platform.with_layer_capacity(mhla_hierarchy::LayerId(1), 512);
@@ -247,25 +231,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one task")]
     fn empty_task_set_is_rejected() {
         let platform = Platform::embedded_default(1024);
-        let _ = partition_scratchpad(&[], &platform, &MhlaConfig::default(), 256);
+        let err =
+            try_partition_scratchpad(&[], &platform, &MhlaConfig::default(), 256).unwrap_err();
+        assert!(matches!(err, MhlaError::InvalidOptions { .. }), "{err}");
+        assert!(err.to_string().contains("at least one task"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "granularity")]
     fn zero_granularity_is_rejected() {
         let t = scan_task("t", 64, 2);
         let platform = Platform::embedded_default(1024);
-        let _ = partition_scratchpad(&[&t], &platform, &MhlaConfig::default(), 0);
+        let err =
+            try_partition_scratchpad(&[&t], &platform, &MhlaConfig::default(), 0).unwrap_err();
+        assert!(matches!(err, MhlaError::InvalidOptions { .. }), "{err}");
+        assert!(err.to_string().contains("granularity"), "{err}");
     }
 
     #[test]
     fn single_task_gets_everything_useful() {
         let t = scan_task("solo", 512, 64);
         let platform = Platform::embedded_default(1024);
-        let r = partition_scratchpad(&[&t], &platform, &MhlaConfig::default(), 256);
+        let r = try_partition_scratchpad(&[&t], &platform, &MhlaConfig::default(), 256).unwrap();
         // It needs 512 B; the DP may hand it any amount ≥ that with equal
         // score, but never less.
         assert!(r.partitions[0] >= 512);

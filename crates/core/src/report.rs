@@ -276,7 +276,7 @@ pub fn objective_coords(g: &GridSweep, indices: &[usize], objective: &Objective)
 
 /// Renders the improving-vs-cold comparison of two sweeps of the *same*
 /// grid (same axes, same lexicographic point order — e.g.
-/// [`sweep_grid_run`](crate::explore::sweep_grid_run) in both
+/// [`try_sweep_grid_run`](crate::explore::try_sweep_grid_run) in both
 /// [`SearchMode`](crate::explore::SearchMode)s): one row per strictly
 /// improved point (capacities, cold and improving objective score, the
 /// relative improvement), then a summary line with the objective-frontier
@@ -344,9 +344,17 @@ pub fn improving_delta_table(
 mod tests {
     use super::*;
     use crate::driver::Mhla;
+    use crate::explore::{try_sweep_grid_run, GridAxis, SweepOptions};
     use crate::types::MhlaConfig;
     use mhla_hierarchy::Platform;
     use mhla_ir::{ElemType, ProgramBuilder};
+
+    /// A grid sweep under the default configuration.
+    fn grid(p: &Program, pf: &Platform, axes: &[GridAxis], opts: &SweepOptions) -> GridSweep {
+        try_sweep_grid_run(p, pf, axes, &MhlaConfig::default(), opts)
+            .unwrap()
+            .sweep
+    }
 
     fn result() -> (Program, ReuseAnalysis, MhlaResult) {
         let mut b = ProgramBuilder::new("tiny");
@@ -390,14 +398,14 @@ mod tests {
     fn grid_csv_and_frontier_cover_every_axis() {
         let (p, _, _) = result();
         let pf = mhla_hierarchy::Platform::three_level(1024, 128);
-        let g = crate::explore::sweep_grid(
+        let g = grid(
             &p,
             &pf,
             &[
-                crate::explore::GridAxis::new(mhla_hierarchy::LayerId(1), vec![256u64, 1024]),
-                crate::explore::GridAxis::new(mhla_hierarchy::LayerId(2), vec![64u64, 128]),
+                GridAxis::new(mhla_hierarchy::LayerId(1), vec![256u64, 1024]),
+                GridAxis::new(mhla_hierarchy::LayerId(2), vec![64u64, 128]),
             ],
-            &MhlaConfig::default(),
+            &SweepOptions::default(),
         );
         let csv = grid_csv(&g);
         assert!(
@@ -419,15 +427,15 @@ mod tests {
         // when PR 2 generalized the grid to N dimensions).
         let (p, _, _) = result();
         let pf = mhla_hierarchy::Platform::four_level(4096, 1024, 128);
-        let g = crate::explore::sweep_grid(
+        let g = grid(
             &p,
             &pf,
             &[
-                crate::explore::GridAxis::new(mhla_hierarchy::LayerId(1), vec![2048u64, 4096]),
-                crate::explore::GridAxis::new(mhla_hierarchy::LayerId(2), vec![512u64, 1024]),
-                crate::explore::GridAxis::new(mhla_hierarchy::LayerId(3), vec![64u64, 128]),
+                GridAxis::new(mhla_hierarchy::LayerId(1), vec![2048u64, 4096]),
+                GridAxis::new(mhla_hierarchy::LayerId(2), vec![512u64, 1024]),
+                GridAxis::new(mhla_hierarchy::LayerId(3), vec![64u64, 128]),
             ],
-            &MhlaConfig::default(),
+            &SweepOptions::default(),
         );
         assert_eq!(g.points.len(), 8);
         let csv = grid_csv(&g);
@@ -450,35 +458,32 @@ mod tests {
 
     #[test]
     fn improving_delta_table_reports_improvements_and_dominance() {
-        use crate::explore::{sweep_grid_run, sweep_grid_with, SearchMode, SweepOptions};
+        use crate::explore::SearchMode;
         let (p, _, _) = result();
         let pf = mhla_hierarchy::Platform::three_level(1024, 128);
         let axes = [
-            crate::explore::GridAxis::new(mhla_hierarchy::LayerId(1), vec![256u64, 1024]),
-            crate::explore::GridAxis::new(mhla_hierarchy::LayerId(2), vec![64u64, 128]),
+            GridAxis::new(mhla_hierarchy::LayerId(1), vec![256u64, 1024]),
+            GridAxis::new(mhla_hierarchy::LayerId(2), vec![64u64, 128]),
         ];
         let config = MhlaConfig::default();
-        let cold = sweep_grid_with(
+        let cold = grid(
             &p,
             &pf,
             &axes,
-            &config,
-            SweepOptions {
+            &SweepOptions {
                 warm_start: false,
                 ..SweepOptions::default()
             },
         );
-        let improving = sweep_grid_run(
+        let improving = grid(
             &p,
             &pf,
             &axes,
-            &config,
-            SweepOptions {
+            &SweepOptions {
                 mode: SearchMode::Improving,
                 ..SweepOptions::default()
             },
-        )
-        .sweep;
+        );
         let table = improving_delta_table(&cold, &improving, &config.objective);
         assert!(
             table.contains("M1 [B]") && table.contains("improving"),
@@ -505,13 +510,16 @@ mod tests {
     fn sweep_csv_has_one_line_per_point_plus_header() {
         let (p, _, _) = result();
         let pf = Platform::embedded_default(256);
-        let s = crate::explore::sweep(
+        let s = crate::explore::try_sweep_with(
             &p,
             &pf,
             mhla_hierarchy::LayerId(1),
             &[64, 128],
             &MhlaConfig::default(),
-        );
+            &SweepOptions::default(),
+        )
+        .unwrap()
+        .sweep;
         let csv = sweep_csv(&s);
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.starts_with("capacity,"));

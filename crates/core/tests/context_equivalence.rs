@@ -11,8 +11,8 @@
 //!   capacities, on both two- and three-level platforms.
 
 use mhla_core::{
-    classify_arrays, Assignment, CostModel, ExplorationContext, Mhla, MhlaConfig, Objective,
-    SelectedCopy, TransferPolicy,
+    classify_arrays, Assignment, CostModel, EvalWorkspace, ExplorationContext, Mhla, MhlaConfig,
+    Objective, SelectedCopy, TransferPolicy,
 };
 use mhla_hierarchy::{LayerId, Platform};
 use mhla_ir::{AffineExpr, ArrayId, ElemType, Program, ProgramBuilder};
@@ -170,7 +170,11 @@ proptest! {
         let resized_pf = base.with_layer_capacity(base.closest(), resized);
         for pf in [base.clone(), resized_pf] {
             let standalone = Mhla::new(&program, &pf, config.clone()).run();
-            let shared = Mhla::with_context(&ctx, &pf).run_with(None, Some(ctx.moves()));
+            let (shared, _) = Mhla::with_context(&ctx, &pf).run_with_stats_in(
+                None,
+                Some(ctx.moves()),
+                &mut EvalWorkspace::default(),
+            );
             prop_assert_eq!(&standalone, &shared);
         }
     }

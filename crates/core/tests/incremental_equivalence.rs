@@ -12,8 +12,8 @@
 //!   candidate move — the seed implementation).
 
 use mhla_core::{
-    assign, classify_arrays, Assignment, CostModel, IncrementalCost, MhlaConfig, Objective,
-    SelectedCopy, TransferPolicy,
+    assign, classify_arrays, Assignment, CostModel, EvalWorkspace, IncrementalCost, MhlaConfig,
+    Objective, SelectedCopy, TransferPolicy,
 };
 use mhla_hierarchy::{LayerId, Platform};
 use mhla_ir::{AffineExpr, ArrayId, ElemType, Program, ProgramBuilder};
@@ -244,13 +244,18 @@ proptest! {
             classify_arrays(&program, &[]),
         );
         let cold = assign::greedy(&model, &config);
-        let portfolio = assign::greedy_portfolio(&model, &config, Some(&warm));
+        let moves = assign::enumerate_moves(&model, &config);
+        let run_portfolio = |seeds: &[&Assignment]| {
+            let mut ws = EvalWorkspace::default();
+            assign::greedy_portfolio_seeded_in(&model, &config, seeds, &moves, &mut ws).0
+        };
+        let portfolio = run_portfolio(&[&warm]);
         prop_assert!(
             config.objective.score(&portfolio.cost)
                 <= config.objective.score(&cold.cost),
             "portfolio must never lose to cold"
         );
-        let solo = assign::greedy_portfolio(&model, &config, None);
+        let solo = run_portfolio(&[]);
         prop_assert_eq!(solo.assignment, cold.assignment);
         prop_assert_eq!(solo.cost, cold.cost);
     }

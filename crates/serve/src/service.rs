@@ -22,12 +22,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mhla_core::explore::{
-    default_capacities, try_sweep_grid_run_in, ExploreBudget, GridAxis, SweepOptions,
-};
+use mhla_core::explore::{default_axes, try_sweep_grid_run_in, ExploreBudget, SweepOptions};
 use mhla_core::fingerprint::{platform_fingerprint, program_fingerprint};
 use mhla_core::{ExplorationContext, MhlaConfig};
-use mhla_hierarchy::Platform;
 use mhla_ir::serdes::Json;
 use mhla_ir::Program;
 use mhla_reuse::ReuseAnalysis;
@@ -303,15 +300,5 @@ impl Service {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         }
-    }
-}
-
-/// The standard grid for a platform's depth — the same default `mhla
-/// grid` uses, so an axis-less request is served with the familiar grid.
-fn default_axes(platform: &Platform) -> Vec<GridAxis> {
-    match platform.layer_count() {
-        3 => mhla_bench::default_grid_axes(),
-        4 => mhla_bench::default_grid4_axes(),
-        _ => vec![GridAxis::new(platform.closest(), default_capacities())],
     }
 }

@@ -8,6 +8,9 @@
 //!   both the raw result body and the reconstructed `mhla grid` CSV;
 //! * a repeated submission is answered **from cache** (`"cached":true`,
 //!   byte-identical body, engine-run counter unchanged);
+//! * a request without `axes` explores exactly the platform's standard
+//!   grid (`explore::default_axes`), and the same grid spelled out is a
+//!   cache hit;
 //! * corrupted submissions get **typed error responses** and the
 //!   connection (and process) stays alive for the next request;
 //! * a **budget-stopped** partial result is *not* cached;
@@ -17,7 +20,7 @@
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 
-use mhla_core::explore::{try_sweep_grid_run, GridAxis, SweepOptions};
+use mhla_core::explore::{default_axes, try_sweep_grid_run, GridAxis, SweepOptions};
 use mhla_core::fingerprint::{platform_fingerprint, program_fingerprint};
 use mhla_core::{report, MhlaConfig};
 use mhla_hierarchy::serdes::platform_value;
@@ -155,6 +158,70 @@ fn served_frontier_is_bit_identical_to_engine_and_resubmit_hits_cache() {
         }
         _ => panic!("expected a status body, got {status_line}"),
     }
+
+    client.roundtrip("{\"op\":\"shutdown\"}").expect("shutdown");
+    server.join();
+}
+
+#[test]
+fn axis_less_request_explores_the_default_grid() {
+    let app = mhla_apps::sobel_edge::app();
+    let platform = Platform::three_level_default();
+    let axes = default_axes(&platform);
+    let server = small_server();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let request = |axes: Option<&[GridAxis]>| {
+        let mut fields = vec![
+            ("op".into(), Json::Str("explore".into())),
+            ("program".into(), program_value(&app.program)),
+            ("platform".into(), Json::Str("three-level".into())),
+        ];
+        fields.extend(axes.map(|a| ("axes".to_string(), axes_value(a))));
+        Json::Obj(fields).render_compact()
+    };
+
+    let bare_line = client
+        .roundtrip(&request(None))
+        .expect("axis-less roundtrip");
+    let bare = match Response::parse(&bare_line).expect("parse axis-less") {
+        Response::Frontier { cached, frontier } => {
+            assert!(!cached, "first submission must be a cache miss");
+            frontier
+        }
+        _ => panic!("expected a frontier, got {bare_line}"),
+    };
+    let run = try_sweep_grid_run(
+        &app.program,
+        &platform,
+        &axes,
+        &MhlaConfig::default(),
+        &SweepOptions::default(),
+    )
+    .expect("oracle run");
+    assert_eq!(
+        bare.layers,
+        axes.iter().map(|a| a.layer).collect::<Vec<_>>(),
+        "the served grid must sweep the default axes' layers"
+    );
+    assert_eq!(bare.candidates, 15, "the default three-level grid");
+    assert_eq!(bare.candidates, run.candidates as u64);
+    assert_eq!(
+        bare.grid_csv(),
+        report::grid_csv(&run.sweep),
+        "the axis-less CSV must be the in-process default-grid CSV"
+    );
+
+    let spelled_line = client
+        .roundtrip(&request(Some(&axes)))
+        .expect("spelled-out roundtrip");
+    match Response::parse(&spelled_line).expect("parse spelled-out") {
+        Response::Frontier { cached, frontier } => {
+            assert!(cached, "the spelled-out default grid must be a cache hit");
+            assert_eq!(frontier, bare);
+        }
+        _ => panic!("expected a frontier, got {spelled_line}"),
+    }
+    assert_eq!(raw_body(&spelled_line), raw_body(&bare_line));
 
     client.roundtrip("{\"op\":\"shutdown\"}").expect("shutdown");
     server.join();

@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --release --example multitask`.
 
-use mhla::core::multitask::partition_scratchpad;
+use mhla::core::multitask::try_partition_scratchpad;
 use mhla::core::MhlaConfig;
 use mhla::hierarchy::Platform;
 
@@ -21,12 +21,13 @@ fn main() {
         fir.description
     );
 
-    let r = partition_scratchpad(
+    let r = try_partition_scratchpad(
         &[&me.program, &fir.program],
         &platform,
         &MhlaConfig::default(),
         1024,
-    );
+    )
+    .expect("the built-in apps partition cleanly");
 
     println!("optimal static partition (1 KiB granularity):");
     for (i, (app, bytes)) in [&me, &fir].iter().zip(&r.partitions).enumerate() {

@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --release --example tradeoff_exploration`.
 
-use mhla::core::explore::{default_capacities, sweep};
+use mhla::core::explore::{default_capacities, try_sweep_with, SweepOptions};
 use mhla::core::{report, MhlaConfig};
 use mhla::hierarchy::{LayerId, Platform};
 
@@ -15,13 +15,16 @@ fn main() {
     let caps = default_capacities();
 
     println!("capacity sweep for `{}`:\n", app.name());
-    let s = sweep(
+    let s = try_sweep_with(
         &app.program,
         &platform,
         LayerId(1),
         &caps,
         &MhlaConfig::default(),
-    );
+        &SweepOptions::default(),
+    )
+    .expect("the built-in app sweeps cleanly")
+    .sweep;
 
     let front_c = s.pareto_cycles();
     let front_e = s.pareto_energy();

@@ -21,7 +21,7 @@
 
 #![cfg(feature = "alloc-counter")]
 
-use mhla::core::explore::{default_capacities, sweep_with, SweepOptions};
+use mhla::core::explore::{default_capacities, try_sweep_with, SweepOptions};
 use mhla::core::MhlaConfig;
 use mhla::hierarchy::{LayerId, Platform};
 
@@ -48,30 +48,17 @@ fn steady_state_sweep_allocations_stay_under_budget() {
     };
     let apps = mhla_apps::all_apps();
     for app in &apps {
-        sweep_with(
-            &app.program,
-            &platform,
-            LayerId(1),
-            &caps,
-            &config,
-            opts.clone(),
-        );
+        try_sweep_with(&app.program, &platform, LayerId(1), &caps, &config, &opts)
+            .expect("valid sweep");
     }
     let mut total_allocs = 0u64;
     let mut total_points = 0usize;
     for app in &apps {
-        let (s, allocs, _) = mhla_alloc_counter::allocations_during(|| {
-            sweep_with(
-                &app.program,
-                &platform,
-                LayerId(1),
-                &caps,
-                &config,
-                opts.clone(),
-            )
+        let (run, allocs, _) = mhla_alloc_counter::allocations_during(|| {
+            try_sweep_with(&app.program, &platform, LayerId(1), &caps, &config, &opts)
         });
         total_allocs += allocs;
-        total_points += s.points.len();
+        total_points += run.expect("valid sweep").sweep.points.len();
     }
     assert!(
         mhla_alloc_counter::is_counting(),

@@ -4,9 +4,22 @@
 //! reproduce the existing three-level grid results point-for-point on all
 //! nine applications.
 
-use mhla::core::explore::{sweep_grid, GridAxis};
+use mhla::core::explore::{try_sweep_grid_run, GridAxis, GridSweep, SweepOptions};
 use mhla::core::{Mhla, MhlaConfig};
 use mhla::hierarchy::{LayerId, Platform};
+use mhla::ir::Program;
+
+/// The default-options exhaustive grid sweep.
+fn run_grid(
+    program: &Program,
+    platform: &Platform,
+    axes: &[GridAxis],
+    config: &MhlaConfig,
+) -> GridSweep {
+    try_sweep_grid_run(program, platform, axes, config, &SweepOptions::default())
+        .expect("valid grid")
+        .sweep
+}
 
 #[test]
 fn zero_l3_four_level_grid_reproduces_the_three_level_grid_on_all_apps() {
@@ -17,7 +30,7 @@ fn zero_l3_four_level_grid_reproduces_the_three_level_grid_on_all_apps() {
     let l1_axis = vec![256u64, 1024];
     let config = MhlaConfig::default();
     for app in mhla_apps::all_apps() {
-        let four = sweep_grid(
+        let four = run_grid(
             &app.program,
             &Platform::four_level(0, 8 * 1024, 1024),
             &[
@@ -26,7 +39,7 @@ fn zero_l3_four_level_grid_reproduces_the_three_level_grid_on_all_apps() {
             ],
             &config,
         );
-        let three = sweep_grid(
+        let three = run_grid(
             &app.program,
             &Platform::three_level(8 * 1024, 1024),
             &[
@@ -73,7 +86,7 @@ fn four_level_grid_points_match_standalone_runs() {
     ];
     let config = MhlaConfig::default();
     let app = mhla_apps::video_encoder::app();
-    let grid = sweep_grid(&app.program, &platform, &axes, &config);
+    let grid = run_grid(&app.program, &platform, &axes, &config);
     assert_eq!(grid.points.len(), 8);
     for point in &grid.points {
         let pf = platform.with_layer_capacities(&[

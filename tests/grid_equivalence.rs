@@ -6,14 +6,28 @@
 //!   same cost breakdowns including the floating-point energy fields,
 //!   same TE schedule);
 //! * on two-layer platforms a 1-axis grid degenerates to exactly the
-//!   existing `sweep` output — same points, same Pareto fronts — on all
-//!   nine applications.
+//!   1-D sweep's output (`try_sweep_with`) — same points, same Pareto
+//!   fronts — on all nine applications.
 
 use mhla::core::explore::{
-    default_capacities, sweep, sweep_grid, sweep_grid_with, GridAxis, SweepOptions,
+    default_capacities, try_sweep_grid_run, try_sweep_with, GridAxis, GridSweep, SweepOptions,
 };
 use mhla::core::{Mhla, MhlaConfig};
 use mhla::hierarchy::{LayerId, Platform};
+use mhla::ir::Program;
+
+/// The exhaustive grid sweep under the default configuration.
+fn run_grid(
+    program: &Program,
+    platform: &Platform,
+    axes: &[GridAxis],
+    opts: &SweepOptions,
+) -> GridSweep {
+    let config = MhlaConfig::default();
+    try_sweep_grid_run(program, platform, axes, &config, opts)
+        .expect("valid grid")
+        .sweep
+}
 
 #[test]
 fn grid_points_are_bit_identical_to_standalone_runs_on_three_level() {
@@ -24,7 +38,7 @@ fn grid_points_are_bit_identical_to_standalone_runs_on_three_level() {
     ];
     let config = MhlaConfig::default();
     for app in mhla_apps::all_apps() {
-        let grid = sweep_grid(&app.program, &platform, &axes, &config);
+        let grid = run_grid(&app.program, &platform, &axes, &SweepOptions::default());
         assert_eq!(grid.points.len(), 6, "{}", app.name());
         for point in &grid.points {
             let pf = platform.with_layer_capacities(&[
@@ -49,12 +63,15 @@ fn single_axis_grid_degenerates_to_the_sweep_on_all_apps() {
     let platform = Platform::embedded_default(1024);
     let config = MhlaConfig::default();
     for app in mhla_apps::all_apps() {
-        let s = sweep(&app.program, &platform, LayerId(1), &caps, &config);
-        let g = sweep_grid(
+        let opts = SweepOptions::default();
+        let s = try_sweep_with(&app.program, &platform, LayerId(1), &caps, &config, &opts)
+            .expect("valid sweep")
+            .sweep;
+        let g = run_grid(
             &app.program,
             &platform,
             &[GridAxis::new(LayerId(1), caps.clone())],
-            &config,
+            &opts,
         );
         assert_eq!(g.points.len(), s.points.len(), "{}", app.name());
         for (gp, sp) in g.points.iter().zip(&s.points) {
@@ -74,31 +91,27 @@ fn single_axis_grid_degenerates_to_the_sweep_on_all_apps() {
 
 #[test]
 fn grid_options_do_not_change_results() {
-    // Chunking, warm starts and the thread fan-out are pure wall-time
-    // knobs: the grid's points are identical under every combination, so
-    // results never depend on the machine's core count.
+    // Warm starts and the thread fan-out are pure wall-time knobs: the
+    // grid's points are identical under every combination, so results
+    // never depend on the machine's core count.
     let platform = Platform::three_level_default();
     let axes = [
         GridAxis::new(LayerId(1), vec![2048u64, 8192, 32768]),
         GridAxis::new(LayerId(2), vec![128u64, 512, 2048]),
     ];
-    let config = MhlaConfig::default();
     let app = mhla_apps::video_encoder::app();
-    let reference = sweep_grid(&app.program, &platform, &axes, &config);
+    let reference = run_grid(&app.program, &platform, &axes, &SweepOptions::default());
     for warm_start in [false, true] {
         for parallel in [false, true] {
-            for chunk in [1usize, 2, 64] {
-                let opts = SweepOptions {
-                    warm_start,
-                    parallel,
-                    chunk,
-                    ..SweepOptions::default()
-                };
-                let g = sweep_grid_with(&app.program, &platform, &axes, &config, opts.clone());
-                assert_eq!(g.points.len(), reference.points.len());
-                for (a, b) in g.points.iter().zip(&reference.points) {
-                    assert_eq!(a.result, b.result, "{opts:?}");
-                }
+            let opts = SweepOptions {
+                warm_start,
+                parallel,
+                ..SweepOptions::default()
+            };
+            let g = run_grid(&app.program, &platform, &axes, &opts);
+            assert_eq!(g.points.len(), reference.points.len());
+            for (a, b) in g.points.iter().zip(&reference.points) {
+                assert_eq!(a.result, b.result, "{opts:?}");
             }
         }
     }

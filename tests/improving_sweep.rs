@@ -19,13 +19,13 @@
 //!   capacity-infeasible seeds, which the mode now rejects.
 
 use mhla::core::explore::{
-    sweep_grid_pruned_with, sweep_grid_run, sweep_grid_with, GridSweep, PruneOptions, SearchMode,
-    SweepOptions,
+    default_axes, try_sweep_grid_pruned_with, try_sweep_grid_run, GridAxis, GridSweep,
+    GridSweepRun, PruneOptions, SearchMode, SweepOptions,
 };
 use mhla::core::report::objective_coords;
 use mhla::core::{pareto, MhlaConfig, Objective};
 use mhla::hierarchy::Platform;
-use mhla_bench::{default_grid4_axes, default_grid_axes};
+use mhla::ir::Program;
 
 /// The three objectives the dominance guarantee is checked under.
 const OBJECTIVES: [Objective; 3] = [
@@ -49,6 +49,17 @@ fn improving_opts() -> SweepOptions {
         mode: SearchMode::Improving,
         ..SweepOptions::default()
     }
+}
+
+/// The exhaustive grid sweep of a grid the suite knows to be valid.
+fn run_grid(
+    program: &Program,
+    platform: &Platform,
+    axes: &[GridAxis],
+    config: &MhlaConfig,
+    opts: SweepOptions,
+) -> GridSweepRun {
+    try_sweep_grid_run(program, platform, axes, config, &opts).expect("valid grid")
 }
 
 /// Asserts the full dominance contract of one improving sweep against its
@@ -85,12 +96,12 @@ fn assert_dominates(
 
 #[test]
 fn improving_dominates_cold_on_all_nine_apps_four_level() {
-    let axes = default_grid4_axes();
     let platform = Platform::four_level_default();
+    let axes = default_axes(&platform);
     let config = MhlaConfig::default();
     for app in mhla_apps::all_apps() {
-        let cold = sweep_grid_with(&app.program, &platform, &axes, &config, cold_opts());
-        let run = sweep_grid_run(&app.program, &platform, &axes, &config, improving_opts());
+        let cold = run_grid(&app.program, &platform, &axes, &config, cold_opts()).sweep;
+        let run = run_grid(&app.program, &platform, &axes, &config, improving_opts());
         let improved = assert_dominates(app.name(), &config.objective, &cold, &run.sweep);
         // A seed win is by construction a strict improvement, and every
         // cold-kept point must be bit-identical to the cold sweep.
@@ -105,16 +116,16 @@ fn improving_dominates_cold_on_all_nine_apps_four_level() {
 
 #[test]
 fn improving_dominates_cold_under_all_objectives_three_level() {
-    let axes = default_grid_axes();
     let platform = Platform::three_level_default();
+    let axes = default_axes(&platform);
     for objective in OBJECTIVES {
         let config = MhlaConfig {
             objective,
             ..MhlaConfig::default()
         };
         for app in mhla_apps::all_apps() {
-            let cold = sweep_grid_with(&app.program, &platform, &axes, &config, cold_opts());
-            let run = sweep_grid_run(&app.program, &platform, &axes, &config, improving_opts());
+            let cold = run_grid(&app.program, &platform, &axes, &config, cold_opts()).sweep;
+            let run = run_grid(&app.program, &platform, &axes, &config, improving_opts());
             assert_dominates(app.name(), &objective, &cold, &run.sweep);
         }
     }
@@ -134,16 +145,16 @@ fn improving_dominates_cold_under_all_objectives_three_level() {
 /// 4-level grid under the cycles objective.
 #[test]
 fn warm_portfolio_strictly_improves_on_the_four_level_grid() {
-    let axes = default_grid4_axes();
     let platform = Platform::four_level_default();
+    let axes = default_axes(&platform);
     let config = MhlaConfig::default();
     for app in [
         mhla_apps::hierarchical_me::app(),
         mhla_apps::video_encoder::app(),
         mhla_apps::wavelet::app(),
     ] {
-        let cold = sweep_grid_with(&app.program, &platform, &axes, &config, cold_opts());
-        let run = sweep_grid_run(&app.program, &platform, &axes, &config, improving_opts());
+        let cold = run_grid(&app.program, &platform, &axes, &config, cold_opts()).sweep;
+        let run = run_grid(&app.program, &platform, &axes, &config, improving_opts());
         let improved = assert_dominates(app.name(), &config.objective, &cold, &run.sweep);
         assert!(
             improved > 0,
@@ -171,11 +182,11 @@ fn infeasible_seeds_are_rejected_on_full_search_me() {
     use std::collections::HashMap;
 
     let app = mhla_apps::full_search_me::app();
-    let axes = default_grid4_axes();
     let platform = Platform::four_level_default();
+    let axes = default_axes(&platform);
     let config = MhlaConfig::default();
-    let cold = sweep_grid_with(&app.program, &platform, &axes, &config, cold_opts());
-    let run = sweep_grid_run(&app.program, &platform, &axes, &config, improving_opts());
+    let cold = run_grid(&app.program, &platform, &axes, &config, cold_opts()).sweep;
+    let run = run_grid(&app.program, &platform, &axes, &config, improving_opts());
     assert_dominates("full_search_me", &config.objective, &cold, &run.sweep);
 
     let ctx = ExplorationContext::new(&app.program, &platform, config.clone());
@@ -201,24 +212,25 @@ fn infeasible_seeds_are_rejected_on_full_search_me() {
 
 #[test]
 fn improving_pruned_frontier_dominates_the_cold_exhaustive_one() {
-    let axes = default_grid4_axes();
     let platform = Platform::four_level_default();
+    let axes = default_axes(&platform);
     let config = MhlaConfig::default();
     for app in [
         mhla_apps::full_search_me::app(),
         mhla_apps::sobel_edge::app(),
     ] {
-        let cold = sweep_grid_with(&app.program, &platform, &axes, &config, cold_opts());
-        let pruned = sweep_grid_pruned_with(
+        let cold = run_grid(&app.program, &platform, &axes, &config, cold_opts()).sweep;
+        let pruned = try_sweep_grid_pruned_with(
             &app.program,
             &platform,
             &axes,
             &config,
-            PruneOptions {
+            &PruneOptions {
                 mode: SearchMode::Improving,
                 ..PruneOptions::default()
             },
-        );
+        )
+        .expect("valid grid");
         // Every evaluated point scores no worse than its cold counterpart.
         for pp in &pruned.sweep.points {
             let cp = cold

@@ -4,7 +4,7 @@
 //! every total must equal the sum of standalone runs at the chosen
 //! partition sizes.
 
-use mhla::core::multitask::partition_scratchpad;
+use mhla::core::multitask::try_partition_scratchpad;
 use mhla::core::{Mhla, MhlaConfig};
 use mhla::hierarchy::{LayerId, Platform};
 
@@ -16,7 +16,8 @@ fn two_task_pipeline_accounting_is_additive_consistent() {
     let config = MhlaConfig::default();
     let granularity = 1024u64;
 
-    let r = partition_scratchpad(&programs, &platform, &config, granularity);
+    let r =
+        try_partition_scratchpad(&programs, &platform, &config, granularity).expect("valid tasks");
 
     // Shape: one partition and one result per task, within budget and on
     // the allocation grid.
@@ -77,7 +78,8 @@ fn partitioning_respects_task_pressure() {
     let programs = [&tasks[0].program, &tasks[1].program];
     let platform = Platform::embedded_default(4 * 1024);
     let config = MhlaConfig::default();
-    let optimal = partition_scratchpad(&programs, &platform, &config, 1024);
+    let optimal =
+        try_partition_scratchpad(&programs, &platform, &config, 1024).expect("valid tasks");
 
     let half = platform.with_layer_capacity(LayerId(1), 2 * 1024);
     let even: u64 = programs

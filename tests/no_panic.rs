@@ -26,8 +26,9 @@
 //!    the parser's 128-level cap, `1e999`/`NaN`/`Infinity` number text,
 //!    documents over the request-size cap, corrupted embedded programs
 //!    and degenerate axes (zero-length, zero-capacity, off-chip,
-//!    out-of-range) all produce one typed response line — the same error
-//!    classes the CLI's ingress reports — never a panic.
+//!    out-of-range, two axes on one layer) all produce one typed response
+//!    line — the same error classes the CLI's ingress reports — never a
+//!    panic.
 //!
 //! CI runs this suite in release mode (the `no_panic` leg); locally the
 //! deterministic per-test-name seed applies.
@@ -537,14 +538,18 @@ fn serve_request(extra: &[(&str, Json)]) -> String {
     Json::Obj(fields).render_compact()
 }
 
-fn axes_json(layer: u64, capacities: &[u64]) -> Json {
-    Json::Arr(vec![Json::Obj(vec![
+fn axis_json(layer: u64, capacities: &[u64]) -> Json {
+    Json::Obj(vec![
         ("layer".into(), Json::from_u64(layer)),
         (
             "capacities".into(),
             Json::Arr(capacities.iter().map(|&c| Json::from_u64(c)).collect()),
         ),
-    ])])
+    ])
+}
+
+fn axes_json(layer: u64, capacities: &[u64]) -> Json {
+    Json::Arr(vec![axis_json(layer, capacities)])
 }
 
 /// Nesting at the parser's 128-level cap: depths below it fail on shape,
@@ -648,6 +653,19 @@ fn degenerate_axes_get_the_library_error_classes() {
     // An axis with no capacities is a zero-candidate (empty) sweep.
     let no_caps = serve_one(&serve_request(&[("axes", axes_json(1, &[]))]));
     assert_eq!(served_error_class(&no_caps), None, "got {no_caps}");
+
+    // Two axes on one layer: the second would overwrite the first's
+    // capacity at every point, so the engine refuses the grid.
+    let dup = Json::Arr(vec![
+        axis_json(1, &[1024, 4096]),
+        axis_json(1, &[2048, 8192]),
+    ]);
+    let response = serve_one(&serve_request(&[("axes", dup)]));
+    assert_eq!(
+        served_error_class(&response).as_deref(),
+        Some("invalid_options"),
+        "duplicate axis layers: got {response}"
+    );
 }
 
 proptest! {

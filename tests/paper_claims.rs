@@ -3,7 +3,7 @@
 //! the measured values (platform constants may be retuned) but narrow
 //! enough that a broken analysis or scheduler fails loudly.
 
-use mhla::core::explore::{default_capacities, sweep};
+use mhla::core::explore::{default_capacities, try_sweep_with, SweepOptions};
 use mhla::core::MhlaConfig;
 use mhla::hierarchy::{LayerId, Platform};
 use mhla_bench::{evaluate_app, te_ablation_point_frac};
@@ -92,13 +92,16 @@ fn energy_savings_are_significant_on_every_app() {
 fn exploration_finds_a_nontrivial_pareto_front() {
     let app = mhla_apps::cavity_detect::app();
     let platform = Platform::embedded_default(1024);
-    let s = sweep(
+    let s = try_sweep_with(
         &app.program,
         &platform,
         LayerId(1),
         &default_capacities(),
         &MhlaConfig::default(),
-    );
+        &SweepOptions::default(),
+    )
+    .expect("valid sweep")
+    .sweep;
     let front = s.pareto_cycles();
     assert!(
         front.len() >= 3,

@@ -21,9 +21,9 @@
 //! step; locally the (deterministic, per-test-name) default seed applies.
 
 use mhla::core::explore::{
-    refine_axis, sweep_grid_pruned_with, sweep_grid_refined_with, sweep_grid_run, sweep_grid_with,
-    try_sweep_grid_refined_resume, ExploreBudget, GridAxis, PruneOptions, RefineOptions,
-    SearchMode, SweepOptions,
+    refine_axis, try_sweep_grid_pruned_with, try_sweep_grid_refined_resume,
+    try_sweep_grid_refined_with, try_sweep_grid_run, ExploreBudget, GridAxis, PruneOptions,
+    RefineOptions, SearchMode, SweepOptions,
 };
 use mhla::core::{
     pareto, report, Assignment, EvalWorkspace, ExplorationContext, Mhla, MhlaConfig, Objective,
@@ -66,27 +66,31 @@ proptest! {
         let axes = small_axes();
         for objective in OBJECTIVES {
             let config = MhlaConfig { objective, ..MhlaConfig::default() };
-            let full = sweep_grid_with(
+            let full = try_sweep_grid_run(
                 &program,
                 &platform,
                 &axes,
                 &config,
-                SweepOptions { warm_start: false, ..SweepOptions::default() },
-            );
-            let sequential = sweep_grid_pruned_with(
+                &SweepOptions { warm_start: false, ..SweepOptions::default() },
+            )
+            .expect("valid grid")
+            .sweep;
+            let sequential = try_sweep_grid_pruned_with(
                 &program,
                 &platform,
                 &axes,
                 &config,
-                PruneOptions { parallel: false, wave: 1, ..PruneOptions::default() },
-            );
-            let parallel = sweep_grid_pruned_with(
+                &PruneOptions { parallel: false, wave: 1, ..PruneOptions::default() },
+            )
+            .expect("valid grid");
+            let parallel = try_sweep_grid_pruned_with(
                 &program,
                 &platform,
                 &axes,
                 &config,
-                PruneOptions::default(),
-            );
+                &PruneOptions::default(),
+            )
+            .expect("valid grid");
             prop_assert_eq!(
                 &sequential.stats, &parallel.stats,
                 "PruneStats diverge between modes under {:?}", objective
@@ -130,20 +134,23 @@ proptest! {
         let axes = small_axes();
         for objective in OBJECTIVES {
             let config = MhlaConfig { objective, ..MhlaConfig::default() };
-            let cold = sweep_grid_with(
+            let cold = try_sweep_grid_run(
                 &program,
                 &platform,
                 &axes,
                 &config,
-                SweepOptions { warm_start: false, ..SweepOptions::default() },
-            );
-            let run = sweep_grid_run(
+                &SweepOptions { warm_start: false, ..SweepOptions::default() },
+            )
+            .expect("valid grid")
+            .sweep;
+            let run = try_sweep_grid_run(
                 &program,
                 &platform,
                 &axes,
                 &config,
-                SweepOptions { mode: SearchMode::Improving, ..SweepOptions::default() },
-            );
+                &SweepOptions { mode: SearchMode::Improving, ..SweepOptions::default() },
+            )
+            .expect("valid grid");
             prop_assert_eq!(run.sweep.points.len(), cold.points.len());
             let mut improved = 0usize;
             for (imp, base) in run.sweep.points.iter().zip(&cold.points) {
@@ -199,20 +206,23 @@ proptest! {
             .collect();
         for objective in OBJECTIVES {
             let config = MhlaConfig { objective, ..MhlaConfig::default() };
-            let full = sweep_grid_with(
+            let full = try_sweep_grid_run(
                 &program,
                 &platform,
                 &fine_axes,
                 &config,
-                SweepOptions { warm_start: false, ..SweepOptions::default() },
-            );
-            let refined = sweep_grid_refined_with(
+                &SweepOptions { warm_start: false, ..SweepOptions::default() },
+            )
+            .expect("valid grid")
+            .sweep;
+            let refined = try_sweep_grid_refined_with(
                 &program,
                 &platform,
                 &axes,
                 &config,
-                RefineOptions::default().depth(depth),
-            );
+                &RefineOptions::default().depth(depth),
+            )
+            .expect("valid grid");
             prop_assert!(refined.status.is_complete());
             prop_assert_eq!(refined.stats.virtual_points, full.points.len() as u64);
             for rp in &refined.sweep.points {
@@ -245,17 +255,18 @@ proptest! {
         let axes = small_axes();
         let config = MhlaConfig::default();
         let base = RefineOptions::default().depth(2);
-        let uninterrupted =
-            sweep_grid_refined_with(&program, &platform, &axes, &config, base.clone());
+        let uninterrupted = try_sweep_grid_refined_with(&program, &platform, &axes, &config, &base)
+            .expect("valid grid");
         prop_assert!(uninterrupted.status.is_complete());
         for max in [1usize, 5] {
-            let stopped = sweep_grid_refined_with(
+            let stopped = try_sweep_grid_refined_with(
                 &program,
                 &platform,
                 &axes,
                 &config,
-                base.clone().budget(ExploreBudget::max_evals(max)),
-            );
+                &base.clone().budget(ExploreBudget::max_evals(max)),
+            )
+            .expect("valid grid");
             let resumed = try_sweep_grid_refined_resume(
                 &program, &platform, &axes, &config, &base, &stopped,
             );
@@ -270,10 +281,10 @@ proptest! {
     /// One `EvalWorkspace` reused across every point, objective and mode
     /// — the sweep engines' steady-state discipline — ≡ a fresh workspace
     /// per evaluation, bit for bit, results *and* stats, on random
-    /// programs. Covers the Cold path (`run_with_stats` vs
-    /// `run_with_stats_in`, warm-chained like the sweep's warm-start) and
-    /// the Improving-style seeded portfolio (`run_with_seeds` vs
-    /// `run_with_seeds_in` over all previously found assignments).
+    /// programs. Covers the Cold path (`run_with_stats_in`, warm-chained
+    /// like the sweep's warm-start) and the Improving-style seeded
+    /// portfolio (`run_with_seeds_in` over all previously found
+    /// assignments).
     #[test]
     fn workspace_reuse_equals_fresh_on_random_programs(spec in program_specs()) {
         let program = spec.build();
@@ -286,8 +297,11 @@ proptest! {
             let mut seeds: Vec<Assignment> = Vec::new();
             for capacity in [64u64, 192, 512, 1024] {
                 let pf = base.with_layer_capacity(LayerId(1), capacity);
-                let fresh =
-                    Mhla::with_context(&ctx, &pf).run_with_stats(warm.as_ref(), Some(ctx.moves()));
+                let fresh = Mhla::with_context(&ctx, &pf).run_with_stats_in(
+                    warm.as_ref(),
+                    Some(ctx.moves()),
+                    &mut EvalWorkspace::default(),
+                );
                 let reused = Mhla::with_context(&ctx, &pf).run_with_stats_in(
                     warm.as_ref(),
                     Some(ctx.moves()),
@@ -298,8 +312,11 @@ proptest! {
                     "cold run diverges at {} B under {:?}", capacity, objective
                 );
                 let refs: Vec<&Assignment> = seeds.iter().collect();
-                let fresh_seeded =
-                    Mhla::with_context(&ctx, &pf).run_with_seeds(&refs, Some(ctx.moves()));
+                let fresh_seeded = Mhla::with_context(&ctx, &pf).run_with_seeds_in(
+                    &refs,
+                    Some(ctx.moves()),
+                    &mut EvalWorkspace::default(),
+                );
                 let reused_seeded = Mhla::with_context(&ctx, &pf).run_with_seeds_in(
                     &refs,
                     Some(ctx.moves()),
@@ -326,7 +343,11 @@ proptest! {
             for capacity in [64u64, 192, 1024] {
                 let pf = base.with_layer_capacity(LayerId(1), capacity);
                 let fresh = Mhla::new(&program, &pf, config.clone()).run();
-                let shared = Mhla::with_context(&ctx, &pf).run_with(None, Some(ctx.moves()));
+                let (shared, _) = Mhla::with_context(&ctx, &pf).run_with_stats_in(
+                    None,
+                    Some(ctx.moves()),
+                    &mut EvalWorkspace::default(),
+                );
                 prop_assert_eq!(
                     &fresh, &shared,
                     "context-backed run diverges at {capacity} B under {:?}", objective

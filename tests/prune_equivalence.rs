@@ -24,12 +24,24 @@
 //! CI leg); malformed values are rejected loudly.
 
 use mhla::core::explore::{
-    sweep_grid_pruned_with, sweep_grid_with, GridAxis, GridSweep, PruneOptions, PrunedGridSweep,
-    SweepOptions,
+    default_axes, try_sweep_grid_pruned_with, try_sweep_grid_run, GridAxis, GridSweep,
+    PruneOptions, PrunedGridSweep, SweepOptions,
 };
 use mhla::core::{Mhla, MhlaConfig, Objective, SearchStrategy};
 use mhla::hierarchy::{LayerId, Platform};
-use mhla_bench::{default_grid4_axes, grid_frontier_points};
+use mhla::ir::Program;
+use mhla_bench::grid_frontier_points;
+
+/// The pruned sweep of a grid the suite knows to be valid.
+fn run_pruned(
+    program: &Program,
+    platform: &Platform,
+    axes: &[GridAxis],
+    config: &MhlaConfig,
+    opts: PruneOptions,
+) -> PrunedGridSweep {
+    try_sweep_grid_pruned_with(program, platform, axes, config, &opts).expect("valid grid")
+}
 
 /// The execution mode under test: parallel waves by default, sequential
 /// when `MHLA_SWEEP_PARALLEL=0`. Parsing/validation is the bench
@@ -51,16 +63,18 @@ fn prune_opts_from_env() -> PruneOptions {
 /// the canonical semantics in which every grid point equals a standalone
 /// run.
 fn exhaustive(app: &mhla_apps::Application, axes: &[GridAxis], config: &MhlaConfig) -> GridSweep {
-    sweep_grid_with(
+    try_sweep_grid_run(
         &app.program,
         &Platform::four_level_default(),
         axes,
         config,
-        SweepOptions {
+        &SweepOptions {
             warm_start: false,
             ..SweepOptions::default()
         },
     )
+    .expect("valid grid")
+    .sweep
 }
 
 /// Asserts the full losslessness contract of one pruned run against its
@@ -103,12 +117,12 @@ fn assert_lossless(name: &str, full: &GridSweep, pruned: &PrunedGridSweep) {
 /// Runs the nine-app suite under one objective, asserting losslessness per
 /// app and returning the suite-wide (candidates, skipped) totals.
 fn suite_under(config: &MhlaConfig, opts: PruneOptions) -> (usize, usize) {
-    let axes = default_grid4_axes();
+    let axes = default_axes(&Platform::four_level_default());
     let mut suite_candidates = 0usize;
     let mut suite_skipped = 0usize;
     for app in mhla_apps::all_apps() {
         let full = exhaustive(&app, &axes, config);
-        let pruned = sweep_grid_pruned_with(
+        let pruned = run_pruned(
             &app.program,
             &Platform::four_level_default(),
             &axes,
@@ -177,7 +191,7 @@ fn parallel_and_sequential_wave_modes_are_identical() {
     // sequential (wave = 1), small waves and the default parallel mode
     // yield identical PruneStats, identical evaluated points and
     // identical frontiers under every objective.
-    let axes = default_grid4_axes();
+    let axes = default_axes(&Platform::four_level_default());
     let apps = [
         mhla_apps::fir_bank::app(),
         mhla_apps::sobel_edge::app(),
@@ -196,7 +210,7 @@ fn parallel_and_sequential_wave_modes_are_identical() {
             ..MhlaConfig::default()
         };
         for app in &apps {
-            let sequential = sweep_grid_pruned_with(
+            let sequential = run_pruned(
                 &app.program,
                 &Platform::four_level_default(),
                 &axes,
@@ -226,7 +240,7 @@ fn parallel_and_sequential_wave_modes_are_identical() {
                     ..PruneOptions::default()
                 },
             ] {
-                let other = sweep_grid_pruned_with(
+                let other = run_pruned(
                     &app.program,
                     &Platform::four_level_default(),
                     &axes,
@@ -257,10 +271,10 @@ fn pruned_points_match_cold_standalone_runs() {
     let app = mhla_apps::sobel_edge::app();
     let platform = Platform::four_level_default();
     let config = MhlaConfig::default();
-    let pruned = sweep_grid_pruned_with(
+    let pruned = run_pruned(
         &app.program,
         &platform,
-        &default_grid4_axes(),
+        &default_axes(&Platform::four_level_default()),
         &config,
         prune_opts_from_env(),
     );
@@ -287,7 +301,7 @@ fn energy_saturation_arms_inside_the_clamp_region() {
     // not bound on the grown axis. The default grid's L1 axis (256 B –
     // 1 KiB) lives entirely inside the clamp region; across the suite at
     // least one app must exhibit such a skip.
-    let axes = default_grid4_axes();
+    let axes = default_axes(&Platform::four_level_default());
     let config = MhlaConfig {
         objective: Objective::Energy,
         ..MhlaConfig::default()
@@ -295,7 +309,7 @@ fn energy_saturation_arms_inside_the_clamp_region() {
     let saturated: usize = mhla_apps::all_apps()
         .iter()
         .map(|app| {
-            sweep_grid_pruned_with(
+            run_pruned(
                 &app.program,
                 &Platform::four_level_default(),
                 &axes,
@@ -329,7 +343,7 @@ fn non_instrumented_strategies_disarm_saturation_but_stay_lossless() {
         GridAxis::new(LayerId(3), vec![512u64, 1024]),
     ];
     let full = exhaustive(&app, &axes, &config);
-    let pruned = sweep_grid_pruned_with(
+    let pruned = run_pruned(
         &app.program,
         &Platform::four_level_default(),
         &axes,
@@ -379,7 +393,7 @@ fn cost_floor_rule_fires_on_transfer_free_programs() {
         strategy: SearchStrategy::Exhaustive { node_limit: 50_000 },
         ..MhlaConfig::default()
     };
-    let pruned = sweep_grid_pruned_with(&program, &platform, &axes, &config, prune_opts_from_env());
+    let pruned = run_pruned(&program, &platform, &axes, &config, prune_opts_from_env());
     assert_eq!(pruned.stats.skipped_saturated, 0, "saturation is disarmed");
     assert!(
         pruned.stats.skipped_floor > 0,
@@ -388,16 +402,18 @@ fn cost_floor_rule_fires_on_transfer_free_programs() {
     );
 
     // Lossless regardless: the frontier matches the exhaustive grid.
-    let full = sweep_grid_with(
+    let full = try_sweep_grid_run(
         &program,
         &platform,
         &axes,
         &config,
-        SweepOptions {
+        &SweepOptions {
             warm_start: false,
             ..SweepOptions::default()
         },
-    );
+    )
+    .expect("valid grid")
+    .sweep;
     assert_lossless("tmp_scan", &full, &pruned);
 }
 
@@ -406,12 +422,11 @@ fn degenerate_axes_yield_empty_pruned_sweeps() {
     let app = mhla_apps::fir_bank::app();
     let platform = Platform::four_level_default();
     let config = MhlaConfig::default();
-    let empty =
-        sweep_grid_pruned_with(&app.program, &platform, &[], &config, prune_opts_from_env());
+    let empty = run_pruned(&app.program, &platform, &[], &config, prune_opts_from_env());
     assert!(empty.sweep.points.is_empty());
     assert_eq!(empty.stats.candidates, 0);
     assert_eq!(empty.waves, 0);
-    let empty_axis = sweep_grid_pruned_with(
+    let empty_axis = run_pruned(
         &app.program,
         &platform,
         &[

@@ -16,12 +16,14 @@
 //! leg); malformed values are rejected loudly.
 
 use mhla::core::explore::{
-    refine_axis, sweep_grid_refined_with, sweep_grid_with, try_sweep_grid_refined_resume,
-    ExploreBudget, GridAxis, GridSweep, RefineOptions, RefinedGridSweep, SweepOptions,
+    default_axes, refine_axis, try_sweep_grid_refined_resume, try_sweep_grid_refined_with,
+    try_sweep_grid_run, ExploreBudget, GridAxis, GridSweep, RefineOptions, RefinedGridSweep,
+    SweepOptions,
 };
 use mhla::core::{MhlaConfig, Objective};
 use mhla::hierarchy::{LayerId, Platform};
-use mhla_bench::{default_grid4_axes, grid_frontier_points};
+use mhla::ir::Program;
+use mhla_bench::grid_frontier_points;
 
 /// The execution mode under test: parallel batches by default,
 /// sequential when `MHLA_SWEEP_PARALLEL=0`.
@@ -30,6 +32,17 @@ fn refine_opts_from_env() -> RefineOptions {
         Ok(parallel) => RefineOptions::with_parallel(parallel),
         Err(e) => panic!("{e}"),
     }
+}
+
+/// The refined sweep of a grid the suite knows to be valid.
+fn run_refined(
+    program: &Program,
+    platform: &Platform,
+    axes: &[GridAxis],
+    config: &MhlaConfig,
+    opts: RefineOptions,
+) -> RefinedGridSweep {
+    try_sweep_grid_refined_with(program, platform, axes, config, &opts).expect("valid grid")
 }
 
 /// The three objectives the exactness half runs under.
@@ -56,7 +69,7 @@ fn small_axes() -> Vec<GridAxis> {
 /// The exhaustive reference over the *materialized* fine lattice: every
 /// virtual point evaluated cold.
 fn exhaustive_fine(
-    program: &mhla::ir::Program,
+    program: &Program,
     platform: &Platform,
     axes: &[GridAxis],
     depth: usize,
@@ -66,16 +79,18 @@ fn exhaustive_fine(
         .iter()
         .map(|a| GridAxis::new(a.layer, refine_axis(&a.capacities, depth)))
         .collect();
-    sweep_grid_with(
+    try_sweep_grid_run(
         program,
         platform,
         &fine_axes,
         config,
-        SweepOptions {
+        &SweepOptions {
             warm_start: false,
             ..SweepOptions::default()
         },
     )
+    .expect("valid grid")
+    .sweep
 }
 
 /// Asserts the exactness contract of one refined run against the
@@ -120,10 +135,10 @@ fn assert_exact(name: &str, full: &GridSweep, refined: &RefinedGridSweep) {
 
 #[test]
 fn refined_lattice_exceeds_1e5_points_with_under_5_percent_evals_on_all_nine_apps() {
-    let axes = default_grid4_axes();
+    let axes = default_axes(&Platform::four_level_default());
     let opts = refine_opts_from_env();
     for app in mhla_apps::all_apps() {
-        let refined = sweep_grid_refined_with(
+        let refined = run_refined(
             &app.program,
             &Platform::four_level_default(),
             &axes,
@@ -172,7 +187,7 @@ fn refined_small_instance_is_bit_identical_to_the_exhaustive_fine_lattice() {
                 objective,
                 ..MhlaConfig::default()
             };
-            let refined = sweep_grid_refined_with(
+            let refined = run_refined(
                 &app.program,
                 &pf,
                 &axes,
@@ -192,10 +207,10 @@ fn refined_budget_interrupt_and_resume_is_bit_identical() {
     let app = mhla_apps::fir_bank::app();
     let config = MhlaConfig::default();
     let base = refine_opts_from_env().depth(2);
-    let uninterrupted = sweep_grid_refined_with(&app.program, &pf, &axes, &config, base.clone());
+    let uninterrupted = run_refined(&app.program, &pf, &axes, &config, base.clone());
     assert!(uninterrupted.status.is_complete());
     for max in [1usize, 4, 9, 20] {
-        let stopped = sweep_grid_refined_with(
+        let stopped = run_refined(
             &app.program,
             &pf,
             &axes,

@@ -9,7 +9,7 @@
 //! non-growable — exactly the soundness the pruned grid sweep's
 //! saturation rule rests on.
 
-use mhla::core::{ExplorationContext, Mhla, MhlaConfig, Objective, RunStats};
+use mhla::core::{EvalWorkspace, ExplorationContext, Mhla, MhlaConfig, Objective, RunStats};
 use mhla::hierarchy::{
     energy::{sram_access_cycles, sram_write_pj},
     LayerId, Platform,
@@ -74,8 +74,11 @@ fn admitted_growth_replays_identically_on_all_nine_apps() {
                 let sizes: Vec<(LayerId, u64)> =
                     layers.iter().copied().zip(caps.iter().copied()).collect();
                 let pf = base.with_layer_capacities(&sizes);
-                let (result, run) =
-                    Mhla::with_context(&ctx, &pf).run_with_stats(None, Some(ctx.moves()));
+                let (result, run) = Mhla::with_context(&ctx, &pf).run_with_stats_in(
+                    None,
+                    Some(ctx.moves()),
+                    &mut EvalWorkspace::default(),
+                );
                 assert!(run.tracked && run.cold_result_kept, "{}", app.name());
 
                 for (axis, &layer) in layers.iter().enumerate() {
@@ -140,7 +143,11 @@ fn fir_bank_mask_spot_pin() {
         (LayerId(2), 2 * 1024),
         (LayerId(3), 256),
     ]);
-    let (_, run) = Mhla::with_context(&ctx, &pf).run_with_stats(None, Some(ctx.moves()));
+    let (_, run) = Mhla::with_context(&ctx, &pf).run_with_stats_in(
+        None,
+        Some(ctx.moves()),
+        &mut EvalWorkspace::default(),
+    );
     assert!(
         run.allows_growth_of(LayerId(1)),
         "L3 scratchpad never bound"
@@ -166,7 +173,11 @@ fn gain_bound_rates_cohere_with_growth_ceilings() {
         let layers = [LayerId(1), LayerId(2), LayerId(3)];
         let sizes: Vec<(LayerId, u64)> = layers.iter().copied().zip(caps).collect();
         let pf = base.with_layer_capacities(&sizes);
-        let (_, run) = Mhla::with_context(&ctx, &pf).run_with_stats(None, Some(ctx.moves()));
+        let (_, run) = Mhla::with_context(&ctx, &pf).run_with_stats_in(
+            None,
+            Some(ctx.moves()),
+            &mut EvalWorkspace::default(),
+        );
         for (axis, &layer) in layers.iter().enumerate() {
             let ceiling = run.energy_growth_ceiling(layer, caps[axis], 1.0);
             assert!(ceiling >= caps[axis]);

@@ -3,9 +3,18 @@
 //! stronger, identical (cycles, energy) at every capacity point — on the
 //! full application suite.
 
-use mhla::core::explore::{default_capacities, sweep, sweep_cold, sweep_with, SweepOptions};
+use mhla::core::explore::{default_capacities, sweep_cold, try_sweep_with, Sweep, SweepOptions};
 use mhla::core::{EvalWorkspace, ExplorationContext, Mhla, MhlaConfig};
 use mhla::hierarchy::{LayerId, Platform};
+use mhla::ir::Program;
+
+/// The production 1-D sweep of layer 1 under `opts`.
+fn fast_sweep(program: &Program, platform: &Platform, caps: &[u64], opts: &SweepOptions) -> Sweep {
+    let config = MhlaConfig::default();
+    try_sweep_with(program, platform, LayerId(1), caps, &config, opts)
+        .expect("valid sweep")
+        .sweep
+}
 
 #[test]
 fn warm_parallel_sweep_matches_cold_sequential_on_all_apps() {
@@ -14,7 +23,7 @@ fn warm_parallel_sweep_matches_cold_sequential_on_all_apps() {
     let config = MhlaConfig::default();
     for app in mhla_apps::all_apps() {
         let cold = sweep_cold(&app.program, &platform, LayerId(1), &caps, &config);
-        let fast = sweep(&app.program, &platform, LayerId(1), &caps, &config);
+        let fast = fast_sweep(&app.program, &platform, &caps, &SweepOptions::default());
 
         assert_eq!(
             cold.pareto_cycles(),
@@ -51,35 +60,24 @@ fn warm_parallel_sweep_matches_cold_sequential_on_all_apps() {
 
 #[test]
 fn sweep_options_do_not_change_results() {
-    // Every combination of warm-start / parallel / chunking produces the
-    // same points (determinism does not depend on the core count).
+    // Every combination of warm-start / parallel produces the same points
+    // (determinism does not depend on the core count).
     let caps = default_capacities();
     let platform = Platform::embedded_default(1024);
-    let config = MhlaConfig::default();
     let app = mhla_apps::video_encoder::app();
-    let reference = sweep(&app.program, &platform, LayerId(1), &caps, &config);
+    let reference = fast_sweep(&app.program, &platform, &caps, &SweepOptions::default());
     for warm_start in [false, true] {
         for parallel in [false, true] {
-            for chunk in [1usize, 3, 64] {
-                let opts = SweepOptions {
-                    warm_start,
-                    parallel,
-                    chunk,
-                    ..SweepOptions::default()
-                };
-                let s = sweep_with(
-                    &app.program,
-                    &platform,
-                    LayerId(1),
-                    &caps,
-                    &config,
-                    opts.clone(),
-                );
-                assert_eq!(s.points.len(), reference.points.len());
-                for (a, b) in s.points.iter().zip(&reference.points) {
-                    assert_eq!(a.cycles(), b.cycles(), "{opts:?}");
-                    assert_eq!(a.energy_pj(), b.energy_pj(), "{opts:?}");
-                }
+            let opts = SweepOptions {
+                warm_start,
+                parallel,
+                ..SweepOptions::default()
+            };
+            let s = fast_sweep(&app.program, &platform, &caps, &opts);
+            assert_eq!(s.points.len(), reference.points.len());
+            for (a, b) in s.points.iter().zip(&reference.points) {
+                assert_eq!(a.cycles(), b.cycles(), "{opts:?}");
+                assert_eq!(a.energy_pj(), b.energy_pj(), "{opts:?}");
             }
         }
     }
@@ -101,8 +99,11 @@ fn one_workspace_across_the_whole_suite_matches_fresh_per_point() {
         let mut warm = None;
         for &cap in &caps {
             let pf = platform.with_layer_capacity(LayerId(1), cap);
-            let fresh =
-                Mhla::with_context(&ctx, &pf).run_with_stats(warm.as_ref(), Some(ctx.moves()));
+            let fresh = Mhla::with_context(&ctx, &pf).run_with_stats_in(
+                warm.as_ref(),
+                Some(ctx.moves()),
+                &mut EvalWorkspace::default(),
+            );
             let reused = Mhla::with_context(&ctx, &pf).run_with_stats_in(
                 warm.as_ref(),
                 Some(ctx.moves()),
@@ -123,17 +124,11 @@ fn one_workspace_across_the_whole_suite_matches_fresh_per_point() {
 #[test]
 fn sweep_handles_degenerate_capacity_lists() {
     let platform = Platform::embedded_default(1024);
-    let config = MhlaConfig::default();
+    let opts = SweepOptions::default();
     let app = mhla_apps::sobel_edge::app();
-    let empty = sweep(&app.program, &platform, LayerId(1), &[], &config);
+    let empty = fast_sweep(&app.program, &platform, &[], &opts);
     assert!(empty.points.is_empty());
-    let dup = sweep(
-        &app.program,
-        &platform,
-        LayerId(1),
-        &[256, 256, 512],
-        &config,
-    );
+    let dup = fast_sweep(&app.program, &platform, &[256, 256, 512], &opts);
     assert_eq!(dup.points.len(), 2);
     assert!(dup.points[0].capacity < dup.points[1].capacity);
 }
