@@ -345,18 +345,23 @@ fn run() -> Result<(), MhlaError> {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("BENCH_grid4.json");
-    // The prior document's cycles/pruned suite wall time, kept as the
-    // before/after trajectory field of the regenerated one.
-    let prev_pruned = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|old| prev_suite_value(&old, "pruned_seconds"));
+    // The prior document's cycles/pruned and refine suite wall times,
+    // kept as the before/after trajectory fields of the regenerated one.
+    let old = std::fs::read_to_string(&path).ok();
+    let prev_pruned = old
+        .as_deref()
+        .and_then(|old| prev_suite_value(old, "pruned_seconds"));
+    let prev_refined = old.as_deref().and_then(|old| {
+        let refine = old.find("\"refine\"")?;
+        prev_suite_value(&old[refine..], "refined_seconds")
+    });
     let json = grid4_perf_json(
         &cycles,
         &energy,
         &cycles_improving,
         &energy_improving,
         &refine,
-        prev_pruned,
+        (prev_pruned, prev_refined),
     );
     match std::fs::write(&path, &json) {
         Ok(()) => println!("wrote {}", path.display()),

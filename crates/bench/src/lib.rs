@@ -976,7 +976,9 @@ fn grid4_improving_json(perfs: &[ImprovingGrid4Perf], indent: &str) -> String {
 
 /// Renders the [`Grid4Refine`] rows as a JSON object (apps + suite
 /// totals), used by [`grid4_perf_json`]'s top-level `refine` section.
-fn grid4_refine_json(perfs: &[Grid4Refine], indent: &str) -> String {
+/// `prev_refined` is the prior tracked document's suite refinement wall
+/// time, when known — the before/after trajectory hook.
+fn grid4_refine_json(perfs: &[Grid4Refine], indent: &str, prev_refined: Option<f64>) -> String {
     let virtual_points: u64 = perfs.iter().map(|p| p.stats.virtual_points).sum();
     let evaluated: usize = perfs.iter().map(|p| p.stats.evaluated).sum();
     let certified: usize = perfs.iter().map(|p| p.stats.corners_certified).sum();
@@ -1006,11 +1008,19 @@ fn grid4_refine_json(perfs: &[Grid4Refine], indent: &str) -> String {
             if i + 1 < perfs.len() { "," } else { "" },
         ));
     }
+    let prev = prev_refined
+        .map(|prev| {
+            format!(
+                "\"prev_refined_seconds\": {prev:.6}, \"wall_speedup_vs_prev\": {:.2}, ",
+                prev / seconds.max(f64::MIN_POSITIVE)
+            )
+        })
+        .unwrap_or_default();
     out.push_str(&format!(
         "{indent}  ],\n{indent}  \"suite\": {{\"virtual_points\": {virtual_points}, \
          \"evaluated\": {evaluated}, \"eval_ratio\": {:.4}, \
          \"corners_certified\": {certified}, \"refined_seconds\": {seconds:.6}, \
-         \"all_consistent\": {all_consistent}}}\n{indent}}}",
+         {prev}\"all_consistent\": {all_consistent}}}\n{indent}}}",
         evaluated as f64 / (virtual_points.max(1)) as f64,
     ));
     out
@@ -1106,25 +1116,47 @@ fn grid4_objective_json(perfs: &[Grid4Perf], indent: &str, prev_pruned: Option<f
 /// carries the pruned-vs-exhaustive data under `pruned` and the
 /// mode-tagged eval counts / frontier deltas under `improving`; the
 /// top-level `refine` section holds the virtual-lattice bookkeeping.
+/// `prev_pruned` and `prev_refined` are the prior document's suite wall
+/// times (cycles/pruned and refine); the `machine` header names the
+/// checkout and thread count the timings come from.
 pub fn grid4_perf_json(
     cycles: &[Grid4Perf],
     energy: &[Grid4Perf],
     cycles_improving: &[ImprovingGrid4Perf],
     energy_improving: &[ImprovingGrid4Perf],
     refine: &[Grid4Refine],
-    prev_pruned: Option<f64>,
+    (prev_pruned, prev_refined): (Option<f64>, Option<f64>),
 ) -> String {
     format!(
-        "{{\n  \"bench\": \"grid_sweep_l1_l2_l3_pruned\",\n  \"objectives\": {{\n    \
+        "{{\n  \"bench\": \"grid_sweep_l1_l2_l3_pruned\",\n  \"machine\": {},\n  \
+         \"objectives\": {{\n    \
          \"cycles\": {{\n      \"pruned\": {},\n      \"improving\": {}\n    }},\n    \
          \"energy\": {{\n      \"pruned\": {},\n      \"improving\": {}\n    }}\n  }},\n  \
          \"refine\": {}\n}}\n",
+        machine_json(),
         grid4_objective_json(cycles, "      ", prev_pruned),
         grid4_improving_json(cycles_improving, "      "),
         grid4_objective_json(energy, "      ", None),
         grid4_improving_json(energy_improving, "      "),
-        grid4_refine_json(refine, "  "),
+        grid4_refine_json(refine, "  ", prev_refined),
     )
+}
+
+/// The checkout and machine a `BENCH_*.json` document was measured on:
+/// `{"commit": "<git describe --always --dirty>", "nproc": <threads>}`,
+/// with `"unknown"` outside a git checkout.
+pub fn machine_json() -> String {
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string());
+    let nproc = std::thread::available_parallelism().map_or(1, usize::from);
+    format!("{{\"commit\": \"{commit}\", \"nproc\": {nproc}}}")
 }
 
 /// Shared-context vs per-point-rebuild timings for one application's

@@ -297,38 +297,6 @@ impl<'p> ExplorationContext<'p> {
     }
 }
 
-/// A memoizing wrapper over a [`FloorProbe`](crate::cost::FloorProbe) —
-/// the per-box floor store of the adaptive refinement scheduler, which
-/// probes the same box corners many times across waves (a cell's minimal
-/// corner is shared by up to `2^axes` sibling cells).
-#[derive(Debug)]
-pub struct FloorCache {
-    probe: crate::cost::FloorProbe,
-    map: std::collections::HashMap<Vec<u64>, crate::cost::CostFloor>,
-}
-
-impl FloorCache {
-    /// Wraps a probe with an empty memo table.
-    pub fn new(probe: crate::cost::FloorProbe) -> Self {
-        FloorCache {
-            probe,
-            map: std::collections::HashMap::new(),
-        }
-    }
-
-    /// The floor at `caps`, computed once and memoized. Because the floor
-    /// is capacity-monotone, calling this at a box's minimal corner lower
-    /// bounds every point of the box.
-    pub fn floor_at(&mut self, caps: &[u64]) -> crate::cost::CostFloor {
-        if let Some(f) = self.map.get(caps) {
-            return *f;
-        }
-        let f = self.probe.floor_at(caps);
-        self.map.insert(caps.to_vec(), f);
-        f
-    }
-}
-
 /// Committed per-point assignments of an improving sweep, keyed by the
 /// grid capacity vector — the warm-seed store of
 /// [`SearchMode::Improving`](crate::explore::SearchMode).

@@ -78,7 +78,7 @@
 //! all-pairs dominance scan.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -91,7 +91,7 @@ use mhla_hierarchy::{
 };
 use mhla_ir::Program;
 
-use crate::context::{ExplorationContext, FloorCache, SeedCache};
+use crate::context::{ExplorationContext, SeedCache};
 use crate::driver::{Mhla, MhlaResult, RunStats};
 use crate::error::{self, MhlaError};
 use crate::pareto;
@@ -2426,130 +2426,400 @@ fn refine_pair(lo: u64, hi: u64, depth: usize, out: &mut Vec<u64>) {
     refine_pair(mid, hi, depth - 1, out);
 }
 
-/// One axis-aligned box of the refinement: the capacity window
-/// `[lo, hi]` per axis (degenerate `lo == hi` on single-point axes) at a
-/// subdivision depth. Invariant: when a cell is classified, all its
-/// corners are committed.
-#[derive(Clone, PartialEq, Debug)]
-struct RefineCell {
-    lo: Vec<u64>,
-    hi: Vec<u64>,
-    depth: usize,
+/// The length of [`refine_axis`]`(coarse, depth)`, counted without
+/// building it: the midpoint recursion puts `min(gap, 2^depth) - 1`
+/// points inside each coarse gap. `depth` must be at most 63.
+fn refine_axis_len(coarse: &[u64], depth: usize) -> u64 {
+    let span = 1u64 << depth;
+    coarse.windows(2).fold(coarse.len() as u64, |len, w| {
+        len + (w[1] - w[0]).min(span) - 1
+    })
 }
 
-/// The Cartesian expansion shared by cell corners, cell splits and the
-/// initial cell grid: one `(lo, hi)` segment list per axis in, the boxes
-/// of their product out.
-fn expand_segments(segments: &[Vec<(u64, u64)>], depth: usize) -> Vec<RefineCell> {
-    let mut cells = vec![RefineCell {
-        lo: Vec::new(),
-        hi: Vec::new(),
-        depth,
-    }];
-    for seg in segments {
-        let mut next = Vec::with_capacity(cells.len() * seg.len());
-        for cell in &cells {
-            for &(l, h) in seg {
-                let mut child = cell.clone();
-                child.lo.push(l);
-                child.hi.push(h);
-                next.push(child);
-            }
-        }
-        cells = next;
+/// The refined axes of a refinement over the cleaned `coarse` axes, or
+/// [`MhlaError::InvalidOptions`] when their lattice has more points than
+/// a `u64` holds (the scheduler packs lattice points into `u64` keys) —
+/// checked before anything is built.
+fn fine_axes(coarse: &[Vec<u64>], depth: usize) -> Result<Vec<Vec<u64>>, MhlaError> {
+    let points = coarse.iter().try_fold(1u64, |total, axis| {
+        total.checked_mul(refine_axis_len(axis, depth))
+    });
+    if points.is_none() {
+        return Err(MhlaError::InvalidOptions {
+            what: format!("the depth-{depth} refinement lattice has more than u64::MAX points"),
+        });
     }
-    cells
+    Ok(coarse.iter().map(|a| refine_axis(a, depth)).collect())
 }
 
-impl RefineCell {
-    /// The cell's corner points (deduplicated on degenerate axes).
-    fn corners(&self) -> Vec<Vec<u64>> {
-        let axes: Vec<Vec<u64>> = self
-            .lo
-            .iter()
-            .zip(&self.hi)
-            .map(|(&l, &h)| if l == h { vec![l] } else { vec![l, h] })
-            .collect();
-        cartesian(&axes)
-    }
+/// The virtual fine lattice of one refinement, in index form. A lattice
+/// point is its per-axis index into the fine axes; its *key* packs those
+/// indices mixed-radix into one `u64`, axis 0 most significant, so (the
+/// fine axes being strictly increasing) ascending keys are the
+/// lexicographic capacity order. [`fine_axes`] rejects lattices whose
+/// point count overflows a `u64`, so every key fits.
+struct Lattice<'a> {
+    /// The refined axes ([`refine_axis`]).
+    fine: &'a [Vec<u64>],
+    /// The axis layers, aligned with `fine`.
+    layers: &'a [LayerId],
+    /// Place value of each axis in a key.
+    strides: Vec<u64>,
+    /// Per axis: the fine indices of the coarse points — the bounds of
+    /// the depth-0 windows.
+    coarse: Vec<Vec<usize>>,
+}
 
-    /// The cell split at every splittable axis's integer midpoint, or
-    /// `None` when it is a leaf: at maximal depth, or with no axis left
-    /// to split (then the box contains only corners — all evaluated).
-    fn split(&self, max_depth: usize) -> Option<Vec<RefineCell>> {
-        if self.depth >= max_depth {
-            return None;
+impl<'a> Lattice<'a> {
+    fn new(fine: &'a [Vec<u64>], layers: &'a [LayerId], coarse_axes: &[Vec<u64>]) -> Self {
+        let mut strides = vec![1u64; fine.len()];
+        for a in (1..fine.len()).rev() {
+            strides[a - 1] = strides[a] * fine[a].len() as u64;
         }
-        let segments: Vec<Vec<(u64, u64)>> = self
-            .lo
+        let coarse = coarse_axes
             .iter()
-            .zip(&self.hi)
-            .map(|(&l, &h)| {
-                let mid = l + (h - l) / 2;
-                if mid == l || mid == h {
-                    vec![(l, h)]
-                } else {
-                    vec![(l, mid), (mid, h)]
-                }
+            .zip(fine)
+            .map(|(axis, f)| {
+                axis.iter()
+                    .map(|&c| f.partition_point(|&x| x < c))
+                    .collect()
             })
             .collect();
-        if segments.iter().all(|s| s.len() == 1) {
+        Lattice {
+            fine,
+            layers,
+            strides,
+            coarse,
+        }
+    }
+
+    /// Points of the lattice.
+    fn points(&self) -> u64 {
+        self.fine.iter().map(|a| a.len() as u64).product()
+    }
+
+    /// The key of the point at fine indices `idx`.
+    fn key(&self, idx: &[usize]) -> u64 {
+        idx.iter()
+            .zip(&self.strides)
+            .map(|(&i, &s)| i as u64 * s)
+            .sum()
+    }
+
+    /// Unpacks `key` into per-axis fine indices.
+    fn unpack(&self, key: u64, idx: &mut [usize]) {
+        for ((i, &s), axis) in idx.iter_mut().zip(&self.strides).zip(self.fine) {
+            *i = (key / s % axis.len() as u64) as usize;
+        }
+    }
+
+    /// The capacity vector at fine indices `idx`, written into `out`.
+    fn caps_into(&self, idx: &[usize], out: &mut Vec<u64>) {
+        out.clear();
+        out.extend(idx.iter().zip(self.fine).map(|(&i, axis)| axis[i]));
+    }
+
+    /// The capacity vector of the point `key`.
+    fn caps(&self, key: u64) -> Vec<u64> {
+        self.fine
+            .iter()
+            .zip(&self.strides)
+            .map(|(axis, &s)| axis[(key / s % axis.len() as u64) as usize])
+            .collect()
+    }
+
+    /// Depth-0 windows along axis `a`: one per adjacent coarse pair, one
+    /// degenerate window on a single-point axis.
+    fn windows(&self, a: usize) -> usize {
+        self.coarse[a].len().saturating_sub(1).max(1)
+    }
+
+    /// The id (mixed-radix over the per-axis window counts, axis 0 most
+    /// significant) of a depth-0 window containing the point at `idx` —
+    /// either one for a point on a window boundary.
+    fn window_of(&self, idx: &[usize]) -> usize {
+        idx.iter().enumerate().fold(0, |id, (a, &i)| {
+            let k = self.coarse[a]
+                .partition_point(|&c| c <= i)
+                .saturating_sub(1);
+            id * self.windows(a) + k.min(self.windows(a) - 1)
+        })
+    }
+
+    /// The fine index of the integer midpoint of the fine range `lo..hi`
+    /// on axis `a` — [`refine_axis`] emitted it if the range's cell sits
+    /// below the maximal depth — or `None` when no integer lies strictly
+    /// inside.
+    fn midpoint(&self, a: usize, lo: usize, hi: usize) -> Option<usize> {
+        let axis = &self.fine[a];
+        let (l, h) = (axis[lo], axis[hi]);
+        let mid = l + (h - l) / 2;
+        if mid == l || mid == h {
             return None;
         }
-        Some(expand_segments(&segments, self.depth + 1))
+        let m = lo + axis[lo..hi].partition_point(|&c| c < mid);
+        debug_assert_eq!(axis[m], mid, "a split midpoint is a fine-axis point");
+        Some(m)
+    }
+
+    /// Calls `f` with the key of every point of the product of the
+    /// per-axis fine-index lists `values` (each ascending), in ascending
+    /// key order.
+    fn for_each_key(&self, values: &[Vec<usize>], f: &mut impl FnMut(u64)) {
+        fn walk(strides: &[u64], values: &[Vec<usize>], base: u64, f: &mut impl FnMut(u64)) {
+            let (Some((&stride, strides)), Some((axis, values))) =
+                (strides.split_first(), values.split_first())
+            else {
+                return f(base);
+            };
+            for &i in axis {
+                walk(strides, values, base + i as u64 * stride, f);
+            }
+        }
+        walk(&self.strides, values, 0, f);
     }
 }
 
-/// The depth-0 cells: one box per Cartesian combination of adjacent
-/// coarse windows (single-point axes contribute a degenerate window, so
-/// the other axes still refine).
-fn initial_cells(coarse_axes: &[Vec<u64>]) -> Vec<RefineCell> {
-    let windows: Vec<Vec<(u64, u64)>> = coarse_axes
-        .iter()
-        .map(|axis| {
-            if axis.len() == 1 {
-                vec![(axis[0], axis[0])]
-            } else {
-                axis.windows(2).map(|w| (w[0], w[1])).collect()
+/// The open cells of one refinement wave, flat. Cell `c` is the
+/// fine-index box `lo..=hi` (`lo == hi` on single-point axes) inside the
+/// depth-0 window `window[c]`, which it never leaves; all cells of a
+/// wave share one subdivision depth. Invariant: when a cell is
+/// classified, all its corners are decided (committed or certified).
+struct Cells {
+    axes: usize,
+    /// Per cell: `lo`, then `hi`.
+    flat: Vec<usize>,
+    window: Vec<usize>,
+}
+
+impl Cells {
+    fn new(axes: usize) -> Self {
+        Cells {
+            axes,
+            flat: Vec::new(),
+            window: Vec::new(),
+        }
+    }
+
+    /// The depth-0 cells: one per depth-0 window, in window-id order.
+    fn initial(lat: &Lattice<'_>) -> Self {
+        let n = lat.fine.len();
+        let mut cells = Cells::new(n);
+        let (mut lo, mut hi) = (vec![0; n], vec![0; n]);
+        for w in 0..(0..n).map(|a| lat.windows(a)).product::<usize>() {
+            let mut rem = w;
+            for a in (0..n).rev() {
+                let (k, cf) = (rem % lat.windows(a), &lat.coarse[a]);
+                rem /= lat.windows(a);
+                lo[a] = cf[k];
+                hi[a] = cf[(k + 1).min(cf.len() - 1)];
             }
+            cells.push(&lo, &hi, w);
+        }
+        cells
+    }
+
+    fn len(&self) -> usize {
+        self.window.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.window.is_empty()
+    }
+
+    /// Cell `c`'s `lo` and `hi`.
+    fn cell(&self, c: usize) -> (&[usize], &[usize]) {
+        self.flat[2 * self.axes * c..2 * self.axes * (c + 1)].split_at(self.axes)
+    }
+
+    fn push(&mut self, lo: &[usize], hi: &[usize], window: usize) {
+        self.flat.extend_from_slice(lo);
+        self.flat.extend_from_slice(hi);
+        self.window.push(window);
+    }
+
+    /// Cell `c`'s corner capacity vectors, in lexicographic order — the
+    /// improving-mode seed sources of the points it generated.
+    fn corner_caps(&self, c: usize, lat: &Lattice<'_>) -> Vec<Vec<u64>> {
+        let (lo, hi) = self.cell(c);
+        let values: Vec<Vec<usize>> = lo
+            .iter()
+            .zip(hi)
+            .map(|(&l, &h)| if l == h { vec![l] } else { vec![l, h] })
+            .collect();
+        let mut corners = Vec::new();
+        lat.for_each_key(&values, &mut |key| corners.push(lat.caps(key)));
+        corners
+    }
+}
+
+/// The saturation certificates as boxes. A committed tracked, cold-kept
+/// run at fine point `q` replays at every lattice point `p` with
+/// `q ≤ p ≤ reach` — each grown axis growable
+/// ([`RunStats::allows_growth_to`], which extends the constraint masks
+/// with the recorded per-layer rejection floors) and inside `q`'s
+/// scratchpad latency class — as far as the run's energy gain margins
+/// allow. Per axis, both conditions are downward-closed in the target
+/// capacity above `q` (`allows_growth_to` compares against a floor and
+/// [`sram_access_cycles`] is monotone), so `reach` is exact and found by
+/// binary search; the margin test is joint over the axes and monotone in
+/// the target, so it runs per query, at the box's far corner. Records are
+/// bucketed by every depth-0 window their box meets: a cell never leaves
+/// its window, and a box containing a point meets every window
+/// containing it, so a query scans one bucket.
+struct MaskBoxes {
+    /// Per record: `q`, then `reach`.
+    flat: Vec<usize>,
+    /// Per record: its committed point (an index into
+    /// [`RefineState::run_stats`]).
+    point: Vec<usize>,
+    /// Per depth-0 window: the records whose box meets it.
+    buckets: Vec<Vec<usize>>,
+}
+
+impl MaskBoxes {
+    fn new(lat: &Lattice<'_>) -> Self {
+        let windows = (0..lat.fine.len()).map(|a| lat.windows(a)).product();
+        MaskBoxes {
+            flat: Vec::new(),
+            point: Vec::new(),
+            buckets: vec![Vec::new(); windows],
+        }
+    }
+
+    /// Records the certificate of `run`, committed at fine point `q` as
+    /// committed point number `point`.
+    fn insert(&mut self, lat: &Lattice<'_>, q: &[usize], run: &RunStats, point: usize) {
+        let record = self.point.len();
+        self.point.push(point);
+        self.flat.extend_from_slice(q);
+        // Per axis, the range of depth-0 windows the box meets.
+        let mut windows: Vec<(usize, usize)> = Vec::with_capacity(q.len());
+        for (a, &qi) in q.iter().enumerate() {
+            let (axis, layer) = (&lat.fine[a], lat.layers[a]);
+            let class = sram_access_cycles(axis[qi]);
+            let reach =
+                qi + axis[qi..].partition_point(|&t| {
+                    t == axis[qi]
+                        || (run.allows_growth_to(layer, t) && sram_access_cycles(t) == class)
+                }) - 1;
+            self.flat.push(reach);
+            let cf = &lat.coarse[a];
+            windows.push((
+                cf[1..].partition_point(|&c| c < qi),
+                cf[..lat.windows(a)].partition_point(|&c| c <= reach) - 1,
+            ));
+        }
+        let mut digit: Vec<usize> = windows.iter().map(|w| w.0).collect();
+        'buckets: loop {
+            let id = digit
+                .iter()
+                .enumerate()
+                .fold(0, |id, (a, &d)| id * lat.windows(a) + d);
+            self.buckets[id].push(record);
+            for a in (0..digit.len()).rev() {
+                if digit[a] < windows[a].1 {
+                    digit[a] += 1;
+                    continue 'buckets;
+                }
+                digit[a] = windows[a].0;
+            }
+            break;
+        }
+    }
+
+    /// Whether some record certifies the whole box `lo..=hi` (a point
+    /// when `lo == hi`) of depth-0 window `window`: `q ≤ lo` and
+    /// `hi ≤ reach` on every axis and, under a nonzero energy weight, the
+    /// growth from `q` to `hi` within the run's gain margins
+    /// ([`RunStats::allows_energy_growth`], which admits everything at
+    /// weight zero).
+    fn covers(
+        &self,
+        lat: &Lattice<'_>,
+        run_stats: &[RunStats],
+        (lo, hi): (&[usize], &[usize]),
+        window: usize,
+        energy_weight: f64,
+    ) -> bool {
+        let n = lo.len();
+        self.buckets[window].iter().any(|&r| {
+            let (q, reach) = self.flat[2 * n * r..2 * n * (r + 1)].split_at(n);
+            q.iter().zip(lo).all(|(q, l)| q <= l)
+                && hi.iter().zip(reach).all(|(h, top)| h <= top)
+                && (energy_weight == 0.0
+                    || run_stats[self.point[r]].allows_energy_growth(
+                        q.iter()
+                            .zip(hi)
+                            .enumerate()
+                            .filter(|(_, (q, h))| q != h)
+                            .map(|(a, (&q, &h))| {
+                                let axis = &lat.fine[a];
+                                (lat.layers[a], scratchpad_energy_delta_pj(axis[q], axis[h]))
+                            }),
+                        energy_weight,
+                    ))
         })
-        .collect();
-    expand_segments(&windows, 0)
+    }
+}
+
+/// The constants of one refinement run: its lattice and how its
+/// certificates arm.
+struct Refinement<'a> {
+    lattice: Lattice<'a>,
+    objective: &'a Objective,
+    /// The cost-floor evaluator over the axis layers.
+    floor: crate::cost::FloorProbe,
+    improving: bool,
+    /// The saturation certificates need the instrumented greedy search.
+    saturation_armed: bool,
+    energy_weight: f64,
 }
 
 /// Where a refinement batch's improving-mode seeds come from: the
 /// committed grid neighbors (phase 0 — the coarse lattice behaves like
-/// the improving grid sweep) or the generating parent cell's committed
-/// corner assignments (refined corners).
+/// the improving grid sweep) or the corner assignments of the cell of
+/// `cells` that generated the point (refined corners).
 enum RefineSeeds<'m> {
     Grid,
-    Corners(&'m BTreeMap<Vec<u64>, Vec<Vec<u64>>>),
+    Corners(&'m Cells),
+}
+
+/// A committed point's values as a cost-floor incumbent.
+struct Incumbent {
+    cycles: u64,
+    energy_pj: f64,
+    score: f64,
 }
 
 /// The mutable committed state of one refinement run, threaded through
-/// the batches. `points`/`run_stats` stay aligned index for index; the
-/// lexicographic sort happens once at assembly.
+/// the batches and keyed by packed lattice keys ([`Lattice`]).
+/// `points`, `run_stats` and `incumbents` stay aligned index for index;
+/// the lexicographic sort happens once at assembly.
 struct RefineState {
     /// Committed results of a resumed prior run, replayed for free.
-    replay: HashMap<Vec<u64>, (MhlaResult, RunStats)>,
+    replay: HashMap<u64, (MhlaResult, RunStats)>,
     /// Improving-mode committed assignments.
     seeds: SeedCache,
     /// Improving-mode lex-predecessor pointer (phase 0 only).
     last_committed: Option<Vec<u64>>,
-    /// Floor-certificate incumbents.
-    evaluated: Vec<Evaluated>,
-    /// Saturation-certificate candidates: committed cold-kept tracked
-    /// runs (their constraint masks and rejection floors).
-    masks: Vec<(Vec<u64>, RunStats)>,
+    /// Saturation-certificate boxes of the committed cold-kept tracked
+    /// runs.
+    masks: MaskBoxes,
     points: Vec<GridPoint>,
     run_stats: Vec<RunStats>,
-    /// Committed capacity vectors (corner dedup across cells).
-    seen: HashSet<Vec<u64>>,
-    /// Corners certified dominated by the point-level skip rules —
-    /// decided without a search, never committed. Certification only
-    /// depends on committed state, which only grows, so membership is
-    /// permanent.
-    covered: HashSet<Vec<u64>>,
+    /// Cost-floor incumbents.
+    incumbents: Vec<Incumbent>,
+    /// The incumbents' componentwise minimum: while it sits above a
+    /// floor, no committed point meets that floor.
+    best: Incumbent,
+    /// Keys committed or certified (corner dedup across cells).
+    /// Certification only depends on committed state, which only grows,
+    /// so both are permanent.
+    decided: HashSet<u64>,
+    /// Points certified dominated by the point-level skip rules —
+    /// decided without a search, never committed.
+    corners_certified: usize,
     /// Fresh searches this call — what the budget counts.
     fresh: usize,
     seed_wins: usize,
@@ -2557,148 +2827,164 @@ struct RefineState {
 }
 
 impl RefineState {
-    #[allow(clippy::too_many_arguments)]
+    fn new(rf: &Refinement<'_>, prior: Option<&RefinedGridSweep>) -> Self {
+        let lat = &rf.lattice;
+        let mut replay = HashMap::new();
+        if let Some(p) = prior {
+            for (pt, run) in p.sweep.points.iter().zip(&p.checkpoint.run_stats) {
+                let idx: Vec<usize> = pt
+                    .capacities
+                    .iter()
+                    .zip(lat.fine)
+                    .map(|(&c, axis)| axis.partition_point(|&x| x < c))
+                    .collect();
+                replay.insert(lat.key(&idx), (pt.result.clone(), run.clone()));
+            }
+        }
+        RefineState {
+            replay,
+            seeds: SeedCache::new(),
+            last_committed: None,
+            masks: MaskBoxes::new(lat),
+            points: Vec::new(),
+            run_stats: Vec::new(),
+            incumbents: Vec::new(),
+            best: Incumbent {
+                cycles: u64::MAX,
+                energy_pj: f64::INFINITY,
+                score: f64::INFINITY,
+            },
+            decided: HashSet::new(),
+            corners_certified: 0,
+            fresh: 0,
+            seed_wins: prior.map_or(0, |p| p.seed_wins),
+            search_legs: prior.map_or(0, |p| p.search_legs),
+        }
+    }
+
+    /// Commits the point `key` with its search outcome; `search` is
+    /// `Some(seed_win)` for a fresh search and `None` for a replayed
+    /// prior result.
     fn commit(
         &mut self,
-        caps: &[u64],
-        result: MhlaResult,
-        run: RunStats,
-        seed_win: bool,
-        fresh: bool,
-        improving: bool,
-        saturation_armed: bool,
-        objective: &Objective,
+        rf: &Refinement<'_>,
+        key: u64,
+        caps: Vec<u64>,
+        (result, run): (MhlaResult, RunStats),
+        search: Option<bool>,
     ) {
-        if fresh {
+        if let Some(seed_win) = search {
             self.search_legs += run.search_legs;
             self.seed_wins += usize::from(seed_win);
         }
-        if saturation_armed && run.tracked && run.cold_result_kept {
-            self.masks.push((caps.to_vec(), run.clone()));
+        if rf.saturation_armed && run.tracked && run.cold_result_kept {
+            let mut q = vec![0; caps.len()];
+            rf.lattice.unpack(key, &mut q);
+            self.masks
+                .insert(&rf.lattice, &q, &run, self.run_stats.len());
         }
-        if improving {
-            self.seeds.commit(caps, result.assignment.clone());
-            self.last_committed = Some(caps.to_vec());
+        if rf.improving {
+            self.seeds.commit(&caps, result.assignment.clone());
+            self.last_committed = Some(caps.clone());
         }
-        self.evaluated.push(Evaluated {
-            capacities: caps.to_vec(),
+        let inc = Incumbent {
             cycles: result.mhla_te_cycles(),
             energy_pj: result.mhla_energy_pj(),
-            score: objective.score(&result.assignment_cost),
-        });
-        self.seen.insert(caps.to_vec());
+            score: rf.objective.score(&result.assignment_cost),
+        };
+        self.best = Incumbent {
+            cycles: self.best.cycles.min(inc.cycles),
+            energy_pj: self.best.energy_pj.min(inc.energy_pj),
+            score: self.best.score.min(inc.score),
+        };
+        self.incumbents.push(inc);
+        self.decided.insert(key);
         self.run_stats.push(run);
         self.points.push(GridPoint {
-            capacities: caps.to_vec(),
+            capacities: caps,
             result,
         });
     }
-}
 
-/// Whether a committed run's saturation certificate covers the whole
-/// cell: its capacities are componentwise ≤ the cell's minimal corner
-/// and growth to the maximal corner is provably replayable on every
-/// changed axis — growable (by constraint mask, or bounded below the
-/// recorded rejection floor), inside one scratchpad latency class, and
-/// within the run's energy gain margins. By monotonicity (latency
-/// classes and write-energy deltas are monotone in capacity; the
-/// rejection floors bound from below) the same holds at every interior
-/// point of the box, so all of them replay the run's result and are
-/// dominated by its committed point.
-fn mask_covers(
-    cell: &RefineCell,
-    masks: &[(Vec<u64>, RunStats)],
-    layers: &[LayerId],
-    energy_weight: f64,
-) -> bool {
-    masks.iter().any(|(qcaps, run)| {
-        qcaps.iter().zip(&cell.lo).all(|(q, l)| q <= l)
-            && replay_grows_to(qcaps, run, &cell.hi, layers, energy_weight)
-    })
-}
-
-/// The growth half of the saturation certificates: whether the committed
-/// (tracked, cold-kept) run at `qcaps` provably replays when every axis
-/// grows to `to` — each changed axis growable
-/// ([`RunStats::allows_growth_to`], which extends the constraint masks
-/// with the recorded per-layer rejection floors) inside one scratchpad
-/// latency class, and the summed write-energy deltas within the run's
-/// gain margins. All three conditions are monotone in the target
-/// capacities, so a pass at `to` extends to every point between `qcaps`
-/// and `to`.
-fn replay_grows_to(
-    qcaps: &[u64],
-    run: &RunStats,
-    to: &[u64],
-    layers: &[LayerId],
-    energy_weight: f64,
-) -> bool {
-    qcaps.iter().zip(to).enumerate().all(|(a, (&q, &t))| {
-        q == t
-            || (run.allows_growth_to(layers[a], t)
-                && sram_access_cycles(q) == sram_access_cycles(t))
-    }) && run.allows_energy_growth(
-        qcaps
-            .iter()
-            .zip(to)
-            .enumerate()
-            .filter(|(_, (q, t))| q != t)
-            .map(|(a, (&q, &t))| (layers[a], scratchpad_energy_delta_pj(q, t))),
-        energy_weight,
-    )
-}
-
-impl<'e> SweepEngine<'e> {
-    /// The point-level certification of one pending corner against the
-    /// committed state — exactly [`try_sweep_grid_pruned_with`]'s two skip rules
-    /// (saturation first, cost floor second), with the saturation rule
-    /// extended by the per-layer rejection floors
-    /// ([`replay_grows_to`]). A certified corner is dominated on both
-    /// result surfaces (the objective-score surface in improving mode)
-    /// by a committed point and needs no search.
-    fn point_certified(
-        &self,
-        caps: &[u64],
-        st: &RefineState,
-        floor_cache: &mut FloorCache,
-        saturation_armed: bool,
-        energy_weight: f64,
-        improving: bool,
-    ) -> bool {
-        if saturation_armed
-            && st.masks.iter().any(|(q, run)| {
-                caps_dominate(q, caps) && replay_grows_to(q, run, caps, self.layers, energy_weight)
-            })
+    /// The point-level certification of one undecided point (fine
+    /// indices `idx`) against the committed state — exactly
+    /// [`try_sweep_grid_pruned_with`]'s two skip rules (saturation first,
+    /// cost floor second), with the saturation rule extended by the
+    /// per-layer rejection floors ([`MaskBoxes`]). A certified point is
+    /// dominated on both result surfaces (the objective-score surface in
+    /// improving mode) by a committed point and needs no search. An
+    /// undecided point is never a record's own `q`, so box containment is
+    /// strict capacity dominance here. `caps` is scratch.
+    fn point_certified(&self, rf: &Refinement<'_>, idx: &[usize], caps: &mut Vec<u64>) -> bool {
+        let lat = &rf.lattice;
+        if rf.saturation_armed
+            && self.masks.covers(
+                lat,
+                &self.run_stats,
+                (idx, idx),
+                lat.window_of(idx),
+                rf.energy_weight,
+            )
         {
             return true;
         }
-        let floor = floor_cache.floor_at(caps);
-        if improving {
-            match floor_objective_score(&self.ctx.config().objective, &floor) {
-                Some(floor_score) => st
-                    .evaluated
-                    .iter()
-                    .any(|q| caps_dominate(&q.capacities, caps) && q.score <= floor_score),
+        lat.caps_into(idx, caps);
+        self.floor_met(rf, caps, false)
+    }
+
+    /// The cost-floor rule at the probe capacities `caps`: committed
+    /// points at capacities below the probe already meet the probe's
+    /// floor on both the cycles and the energy surface (the objective
+    /// score in improving mode). The floor is capacity-monotone, so at a
+    /// cell's minimal corner (`cell`) it bounds the whole box; the cell
+    /// certificate compares in `f64` (capacities included) and admits a
+    /// point at the probe itself, the point rule compares cycles and
+    /// capacities in `u64` under strict dominance. The incumbents'
+    /// minimum answers most probes without a scan.
+    fn floor_met(&self, rf: &Refinement<'_>, caps: &[u64], cell: bool) -> bool {
+        let floor = rf.floor.floor_at(caps);
+        let below = |q: &[u64]| {
+            if cell {
+                q.iter().zip(caps).all(|(&q, &c)| q as f64 <= c as f64)
+            } else {
+                caps_dominate(q, caps)
+            }
+        };
+        let cycles_met = |cycles: u64| {
+            if cell {
+                cycles as f64 <= floor.cycles as f64
+            } else {
+                cycles <= floor.cycles
+            }
+        };
+        let met = |meets: &dyn Fn(&Incumbent) -> bool| {
+            self.points
+                .iter()
+                .zip(&self.incumbents)
+                .any(|(p, inc)| below(&p.capacities) && meets(inc))
+        };
+        if rf.improving {
+            match floor_objective_score(rf.objective, &floor) {
+                Some(score) => self.best.score <= score && met(&|inc| inc.score <= score),
                 None => false,
             }
         } else {
-            st.evaluated
-                .iter()
-                .any(|q| caps_dominate(&q.capacities, caps) && q.cycles <= floor.cycles)
-                && st
-                    .evaluated
-                    .iter()
-                    .any(|q| caps_dominate(&q.capacities, caps) && q.energy_pj <= floor.energy_pj)
+            cycles_met(self.best.cycles)
+                && self.best.energy_pj <= floor.energy_pj
+                && met(&|inc| cycles_met(inc.cycles))
+                && met(&|inc| inc.energy_pj <= floor.energy_pj)
         }
     }
+}
 
-    /// Evaluates one lex-ordered batch of refinement points, committing
-    /// in batch order. Returns `Some(cause)` when the budget stopped the
-    /// batch mid-way — everything committed so far is final, the rest of
-    /// the batch is undecided.
+impl<'e> SweepEngine<'e> {
+    /// Evaluates one ascending batch of `(key, generating cell)` points,
+    /// committing in batch order. Returns `Some(cause)` when the budget
+    /// stopped the batch mid-way — everything committed so far is final,
+    /// the rest of the batch is undecided.
     ///
     /// Replayed points (from a resumed prior run) are free, and so are
-    /// corners certified by the point-level skip rules. The batch is
+    /// points certified by the point-level skip rules. The batch is
     /// processed in fixed [`REFINE_CERT_CHUNK`]-point lex chunks:
     /// certification is decided against the state committed *before the
     /// chunk*, so commits in one chunk certify points in the next —
@@ -2710,202 +2996,135 @@ impl<'e> SweepEngine<'e> {
     /// sweep's chunked scheduler; commits stop at the first uncommitted
     /// gap so the committed set is always a lex prefix of the batch's
     /// searched points.
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
     fn refine_eval_batch(
         &self,
-        batch: &[Vec<u64>],
+        rf: &Refinement<'_>,
+        batch: &[(u64, usize)],
         seeds_from: &RefineSeeds<'_>,
         opts: &RefineOptions,
-        saturation_armed: bool,
-        energy_weight: f64,
-        floor_cache: &mut FloorCache,
         st: &mut RefineState,
     ) -> Option<StopCause> {
-        for chunk in batch.chunks(REFINE_CERT_CHUNK) {
-            if let Some(cause) = self.refine_eval_chunk(
-                chunk,
-                seeds_from,
-                opts,
-                saturation_armed,
-                energy_weight,
-                floor_cache,
-                st,
-            ) {
-                return Some(cause);
-            }
-        }
-        None
+        batch
+            .chunks(REFINE_CERT_CHUNK)
+            .find_map(|chunk| self.refine_eval_chunk(rf, chunk, seeds_from, opts, st))
     }
 
-    /// One fixed-size chunk of [`refine_eval_batch`]: certification
+    /// One fixed-size chunk of [`Self::refine_eval_batch`]: certification
     /// against the chunk-start state, then evaluation and in-order
-    /// commits.
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+    /// commits. Capacity vectors are built only for the points searched
+    /// or committed.
     fn refine_eval_chunk(
         &self,
-        batch: &[Vec<u64>],
+        rf: &Refinement<'_>,
+        chunk: &[(u64, usize)],
         seeds_from: &RefineSeeds<'_>,
         opts: &RefineOptions,
-        saturation_armed: bool,
-        energy_weight: f64,
-        floor_cache: &mut FloorCache,
         st: &mut RefineState,
     ) -> Option<StopCause> {
-        let objective = &self.ctx.config().objective;
-        let improving = opts.mode == SearchMode::Improving;
+        let lat = &rf.lattice;
         let budget = &opts.budget;
 
         // Certification pass, upfront against the chunk-start state: a
-        // certified corner is skipped below exactly where a prune skip
+        // certified point is skipped below exactly where a prune skip
         // would be, for free. Replays win over certification — a point
         // the prior run committed must commit again.
-        let mut certified = vec![false; batch.len()];
-        for (i, caps) in batch.iter().enumerate() {
-            if st.replay.contains_key(caps) {
+        let mut idx = vec![0; lat.fine.len()];
+        let mut caps = Vec::with_capacity(idx.len());
+        let mut certified = vec![false; chunk.len()];
+        for (&(key, _), flag) in chunk.iter().zip(&mut certified) {
+            debug_assert!(!st.decided.contains(&key), "batch points are undecided");
+            if st.replay.contains_key(&key) {
                 continue;
             }
-            if self.point_certified(
-                caps,
-                st,
-                floor_cache,
-                saturation_armed,
-                energy_weight,
-                improving,
-            ) {
-                certified[i] = true;
+            lat.unpack(key, &mut idx);
+            if st.point_certified(rf, &idx, &mut caps) {
+                *flag = true;
+                st.decided.insert(key);
+                st.corners_certified += 1;
             }
         }
-        for (i, caps) in batch.iter().enumerate() {
-            if certified[i] {
-                st.covered.insert(caps.clone());
-            }
-        }
+        let undecided = chunk
+            .iter()
+            .zip(&certified)
+            .filter(|&(_, &flag)| !flag)
+            .map(|(&point, _)| point);
 
-        if improving || !opts.parallel {
-            for (i, caps) in batch.iter().enumerate() {
-                if certified[i] {
-                    continue;
-                }
-                if let Some((result, run)) = st.replay.get(caps) {
-                    let (result, run) = (result.clone(), run.clone());
-                    st.commit(
-                        caps,
-                        result,
-                        run,
-                        false,
-                        false,
-                        improving,
-                        saturation_armed,
-                        objective,
-                    );
+        if rf.improving || !opts.parallel {
+            for (key, parent) in undecided {
+                let caps = lat.caps(key);
+                if let Some(replayed) = st.replay.remove(&key) {
+                    st.commit(rf, key, caps, replayed, None);
                     continue;
                 }
                 if let Some(cause) = budget.stop(st.fresh) {
                     return Some(cause);
                 }
-                let (result, run, seed_win) = if improving {
+                let (result, run, seed_win) = if rf.improving {
                     match seeds_from {
                         RefineSeeds::Grid => {
                             let (result, run, winner) = self.evaluate_improving(
-                                caps,
+                                &caps,
                                 &st.seeds,
                                 st.last_committed.as_deref(),
                             );
                             (result, run, winner.is_some())
                         }
-                        RefineSeeds::Corners(parents) => {
-                            let (result, run) = {
-                                let corners =
-                                    parents.get(caps).map(Vec::as_slice).unwrap_or_default();
-                                let refs = st.seeds.corner_seeds(corners, caps);
-                                self.evaluate_with_seed_refs(caps, &refs)
-                            };
+                        RefineSeeds::Corners(cells) => {
+                            let corners = cells.corner_caps(parent, lat);
+                            let refs = st.seeds.corner_seeds(&corners, &caps);
+                            let (result, run) = self.evaluate_with_seed_refs(&caps, &refs);
                             let seed_win = run.winning_seed.is_some();
                             (result, run, seed_win)
                         }
                     }
                 } else {
-                    let (result, run) = self.evaluate(caps, None);
+                    let (result, run) = self.evaluate(&caps, None);
                     (result, run, false)
                 };
                 st.fresh += 1;
-                st.commit(
-                    caps,
-                    result,
-                    run,
-                    seed_win,
-                    true,
-                    improving,
-                    saturation_armed,
-                    objective,
-                );
+                st.commit(rf, key, caps, (result, run), Some(seed_win));
             }
             return None;
         }
 
         // Cold parallel: fresh evaluations truncated to the remaining
         // deterministic allowance, wall-clock limits through the trip
-        // flag.
-        let fresh_idx: Vec<usize> = batch
-            .iter()
-            .enumerate()
-            .filter(|&(i, caps)| !certified[i] && !st.replay.contains_key(caps))
-            .map(|(i, _)| i)
+        // flag; the results come back in batch order.
+        let fresh: Vec<u64> = undecided
+            .clone()
+            .map(|(key, _)| key)
+            .filter(|key| !st.replay.contains_key(key))
             .collect();
-        let allowed = budget.max_evals.map_or(fresh_idx.len(), |m| {
-            fresh_idx.len().min(m.saturating_sub(st.fresh))
-        });
+        let allowed = budget
+            .max_evals
+            .map_or(fresh.len(), |m| fresh.len().min(m.saturating_sub(st.fresh)));
         let timed = budget.is_timed();
         let trip = TripFlag::new();
-        let evaluated: Vec<(usize, Option<(MhlaResult, RunStats)>)> = fresh_idx[..allowed]
+        let searched: Vec<Option<(MhlaResult, RunStats)>> = fresh[..allowed]
             .par_iter()
-            .map(|&i| {
+            .map(|&key| {
                 if timed {
                     if trip.tripped() {
-                        return (i, None);
+                        return None;
                     }
                     if let Some(cause) = budget.stop_timed() {
                         trip.trip(cause);
-                        return (i, None);
+                        return None;
                     }
                 }
-                let (result, run) = self.evaluate(&batch[i], None);
-                (i, Some((result, run)))
+                Some(self.evaluate(&lat.caps(key), None))
             })
             .collect();
-        let mut results: HashMap<usize, Option<(MhlaResult, RunStats)>> =
-            evaluated.into_iter().collect();
-        for (i, caps) in batch.iter().enumerate() {
-            if certified[i] {
+        let mut searched = searched.into_iter();
+        for (key, _) in undecided {
+            if let Some(replayed) = st.replay.remove(&key) {
+                st.commit(rf, key, lat.caps(key), replayed, None);
                 continue;
             }
-            if let Some((result, run)) = st.replay.get(caps) {
-                let (result, run) = (result.clone(), run.clone());
-                st.commit(
-                    caps,
-                    result,
-                    run,
-                    false,
-                    false,
-                    improving,
-                    saturation_armed,
-                    objective,
-                );
-                continue;
-            }
-            match results.remove(&i) {
-                Some(Some((result, run))) => {
+            match searched.next() {
+                Some(Some(outcome)) => {
                     st.fresh += 1;
-                    st.commit(
-                        caps,
-                        result,
-                        run,
-                        false,
-                        true,
-                        improving,
-                        saturation_armed,
-                        objective,
-                    );
+                    st.commit(rf, key, lat.caps(key), outcome, Some(false));
                 }
                 Some(None) => return Some(trip.cause().unwrap_or(StopCause::Deadline)),
                 None => return Some(StopCause::MaxEvals),
@@ -2919,12 +3138,13 @@ impl<'e> SweepEngine<'e> {
     /// lattice, then refinement waves classify every open cell against
     /// the state committed *before* the wave — saturation certificate
     /// first, cost-floor certificate second, split third — and evaluate
-    /// the new child corners as one lex-sorted batch.
+    /// the new child corners as one ascending batch.
     ///
     /// The engine's `axis_caps` are the *fine* axes (improving-mode
     /// neighbor seeds resolve on them); `coarse_axes` are the caller's
     /// cleaned coarse axes. `self.order` is unused — the fine lattice is
-    /// never materialized.
+    /// never materialized; points are packed lattice keys until they are
+    /// searched or committed.
     ///
     /// With a `prior` run, its committed points replay for free at the
     /// positions the uninterrupted schedule evaluated them, so the
@@ -2937,56 +3157,29 @@ impl<'e> SweepEngine<'e> {
         prior: Option<&RefinedGridSweep>,
     ) -> RefinedGridSweep {
         let config = self.ctx.config();
-        let layers = self.layers;
-        let improving = opts.mode == SearchMode::Improving;
-        let saturation_armed = config.strategy == SearchStrategy::Greedy;
-        let energy_weight = config.objective.energy_weight();
-
-        let mut st = RefineState {
-            replay: HashMap::new(),
-            seeds: SeedCache::new(),
-            last_committed: None,
-            evaluated: Vec::new(),
-            masks: Vec::new(),
-            points: Vec::new(),
-            run_stats: Vec::new(),
-            seen: HashSet::new(),
-            covered: HashSet::new(),
-            fresh: 0,
-            seed_wins: prior.map_or(0, |p| p.seed_wins),
-            search_legs: prior.map_or(0, |p| p.search_legs),
+        let rf = Refinement {
+            lattice: Lattice::new(self.axis_caps, self.layers, coarse_axes),
+            objective: &config.objective,
+            floor: self.ctx.floor_probe(self.platform, self.layers),
+            improving: opts.mode == SearchMode::Improving,
+            saturation_armed: config.strategy == SearchStrategy::Greedy,
+            energy_weight: config.objective.energy_weight(),
         };
-        if let Some(p) = prior {
-            for (pt, run) in p.sweep.points.iter().zip(&p.checkpoint.run_stats) {
-                st.replay
-                    .insert(pt.capacities.clone(), (pt.result.clone(), run.clone()));
-            }
-        }
-
+        let lat = &rf.lattice;
+        let n = lat.fine.len();
+        let mut st = RefineState::new(&rf, prior);
         let mut stats = RefineStats {
-            virtual_points: self
-                .axis_caps
-                .iter()
-                .map(|a| a.len() as u64)
-                .fold(1u64, u64::saturating_mul),
+            virtual_points: lat.points(),
             ..RefineStats::default()
         };
         let mut waves = 0usize;
 
-        let mut floor_cache = FloorCache::new(self.ctx.floor_probe(self.platform, layers));
-
         // Phase 0: the coarse lattice, in lexicographic order.
-        let coarse = cartesian(coarse_axes);
+        let mut coarse = Vec::new();
+        lat.for_each_key(&lat.coarse, &mut |key| coarse.push((key, 0)));
         stats.coarse_points = coarse.len();
-        if let Some(cause) = self.refine_eval_batch(
-            &coarse,
-            &RefineSeeds::Grid,
-            opts,
-            saturation_armed,
-            energy_weight,
-            &mut floor_cache,
-            &mut st,
-        ) {
+        if let Some(cause) = self.refine_eval_batch(&rf, &coarse, &RefineSeeds::Grid, opts, &mut st)
+        {
             let next_lex = st.points.len();
             return self.assemble_refined(
                 st,
@@ -2996,93 +3189,98 @@ impl<'e> SweepEngine<'e> {
             );
         }
 
-        let mut open = initial_cells(coarse_axes);
+        let mut open = Cells::initial(lat);
+        let mut depth = 0;
         let mut status = SweepStatus::Complete;
+        let mut caps = Vec::with_capacity(n);
+        let mut mids: Vec<Option<usize>> = Vec::with_capacity(n);
+        let mut grid: Vec<Vec<usize>> = vec![Vec::with_capacity(3); n];
+        let (mut child_lo, mut child_hi) = (vec![0; n], vec![0; n]);
         while !open.is_empty() {
             waves += 1;
-            // The floor-certificate incumbent surfaces, built once per
-            // wave (no commits happen during classification): committed
-            // points as `(capacities..., value)` rows, probed with the
-            // cell's minimal corner and its floor. A row at the corner
-            // itself is fine — certified interior points are never
-            // committed, so the dominator is always a distinct point.
-            let row = |q: &Evaluated, value: f64| -> Vec<f64> {
-                let mut r: Vec<f64> = q.capacities.iter().map(|&c| c as f64).collect();
-                r.push(value);
-                r
-            };
-            let (cycles_rows, energy_rows, score_rows) = if improving {
-                let scores: Vec<Vec<f64>> = st.evaluated.iter().map(|q| row(q, q.score)).collect();
-                (Vec::new(), Vec::new(), scores)
-            } else {
-                (
-                    st.evaluated
-                        .iter()
-                        .map(|q| row(q, q.cycles as f64))
-                        .collect(),
-                    st.evaluated.iter().map(|q| row(q, q.energy_pj)).collect(),
-                    Vec::new(),
-                )
-            };
-            let mut next_open: Vec<RefineCell> = Vec::new();
-            let mut pending: BTreeMap<Vec<u64>, Vec<Vec<u64>>> = BTreeMap::new();
-            for cell in &open {
-                if saturation_armed && mask_covers(cell, &st.masks, layers, energy_weight) {
+            let mut next = Cells::new(n);
+            // Every child corner, tagged with the cell that generated it.
+            let mut pending: Vec<(u64, usize)> = Vec::new();
+            for c in 0..open.len() {
+                let (lo, hi) = open.cell(c);
+                if rf.saturation_armed
+                    && st.masks.covers(
+                        lat,
+                        &st.run_stats,
+                        (lo, hi),
+                        open.window[c],
+                        rf.energy_weight,
+                    )
+                {
                     stats.cells_closed_mask += 1;
                     continue;
                 }
-                let floor = floor_cache.floor_at(&cell.lo);
-                let mut probe: Vec<f64> = cell.lo.iter().map(|&c| c as f64).collect();
-                let floor_dominated = if improving {
-                    match floor_objective_score(&config.objective, &floor) {
-                        Some(floor_score) => {
-                            probe.push(floor_score);
-                            pareto::covers(&score_rows, &probe)
-                        }
-                        None => false,
-                    }
-                } else {
-                    probe.push(floor.cycles as f64);
-                    let cycles_met = pareto::covers(&cycles_rows, &probe);
-                    if let Some(last) = probe.last_mut() {
-                        *last = floor.energy_pj;
-                    }
-                    cycles_met && pareto::covers(&energy_rows, &probe)
-                };
-                if floor_dominated {
+                lat.caps_into(lo, &mut caps);
+                if st.floor_met(&rf, &caps, true) {
                     stats.cells_closed_floor += 1;
                     continue;
                 }
-                match cell.split(opts.depth) {
-                    Some(children) => {
-                        stats.cells_opened += 1;
-                        for child in children {
-                            for corner in child.corners() {
-                                if !st.seen.contains(&corner) && !st.covered.contains(&corner) {
-                                    pending.entry(corner).or_insert_with(|| cell.corners());
+                // Split at every splittable axis's integer midpoint — or
+                // a leaf: at maximal depth, or with no axis left to split
+                // (then the box contains only corners, all decided).
+                mids.clear();
+                if depth < opts.depth {
+                    mids.extend((0..n).map(|a| lat.midpoint(a, lo[a], hi[a])));
+                }
+                let splits = mids.iter().flatten().count();
+                if splits == 0 {
+                    stats.cells_leaf += 1;
+                    continue;
+                }
+                stats.cells_opened += 1;
+                // The children, lexicographic: split axis `a` takes its
+                // lower half where the child number's bit for `a` (axis 0
+                // most significant) is clear.
+                for m in 0..1usize << splits {
+                    let mut bit = splits;
+                    for a in 0..n {
+                        (child_lo[a], child_hi[a]) = match mids[a] {
+                            None => (lo[a], hi[a]),
+                            Some(mid) => {
+                                bit -= 1;
+                                if m >> bit & 1 == 0 {
+                                    (lo[a], mid)
+                                } else {
+                                    (mid, hi[a])
                                 }
                             }
-                            next_open.push(child);
-                        }
+                        };
                     }
-                    None => stats.cells_leaf += 1,
+                    next.push(&child_lo, &child_hi, open.window[c]);
                 }
+                // The children's corners: every combination of each
+                // axis's lo, midpoint and hi.
+                for (a, values) in grid.iter_mut().enumerate() {
+                    values.clear();
+                    values.push(lo[a]);
+                    values.extend(mids[a]);
+                    if hi[a] != lo[a] {
+                        values.push(hi[a]);
+                    }
+                }
+                lat.for_each_key(&grid, &mut |key| pending.push((key, c)));
             }
-            let batch: Vec<Vec<u64>> = pending.keys().cloned().collect();
-            if let Some(cause) = self.refine_eval_batch(
-                &batch,
-                &RefineSeeds::Corners(&pending),
-                opts,
-                saturation_armed,
-                energy_weight,
-                &mut floor_cache,
-                &mut st,
-            ) {
+            // One entry per undecided key, ascending. The stable sort
+            // keeps a key's entries in classification order, so the
+            // first — the generating cell whose corners seed it in
+            // improving mode — survives the dedup.
+            pending.sort_by_key(|&(key, _)| key);
+            pending.dedup_by_key(|&mut (key, _)| key);
+            pending.retain(|(key, _)| !st.decided.contains(key));
+            if let Some(cause) =
+                self.refine_eval_batch(&rf, &pending, &RefineSeeds::Corners(&open), opts, &mut st)
+            {
                 let next_lex = st.points.len();
                 status = SweepStatus::Stopped { cause, next_lex };
                 break;
             }
-            open = next_open;
+            open = next;
+            depth += 1;
         }
         self.assemble_refined(st, stats, waves, status)
     }
@@ -3099,7 +3297,7 @@ impl<'e> SweepEngine<'e> {
         status: SweepStatus,
     ) -> RefinedGridSweep {
         stats.evaluated = st.points.len();
-        stats.corners_certified = st.covered.len();
+        stats.corners_certified = st.corners_certified;
         let mut zipped: Vec<(GridPoint, RunStats)> =
             st.points.into_iter().zip(st.run_stats).collect();
         zipped.sort_by(|a, b| a.0.capacities.cmp(&b.0.capacities));
@@ -3136,11 +3334,19 @@ impl<'e> SweepEngine<'e> {
 ///    floors ([`RunStats::allows_growth_to`]) prove growth to `cell.hi`
 ///    replays it — every changed axis growable, inside one scratchpad
 ///    latency class, within the energy gain margins. Monotonicity
-///    extends the proof to every interior point of the box.
+///    extends the proof to every interior point of the box. Each
+///    committed run's certificate is kept as the box of lattice points
+///    it reaches, so the test is a per-axis index comparison.
 /// 2. **Cost-floor certificate.** The cost floor at the cell's minimal
 ///    corner (monotone in capacity, so a lower bound for the whole box)
-///    is already dominated by committed points on both the cycles and
-///    the energy surface ([`pareto::covers`]).
+///    is already met by committed points at componentwise-smaller
+///    capacities on both the cycles and the energy surface. While the
+///    committed minimum on either surface sits above the floor, the
+///    certificate fails without a scan.
+///
+/// The scheduler keys lattice points by their per-axis fine indices,
+/// packed into one `u64`, and builds capacity vectors only for the
+/// points it searches or commits.
 ///
 /// Both certificates only ever close boxes whose every unevaluated point
 /// is dominated by a *committed* point, so — by the same transitivity
@@ -3155,7 +3361,8 @@ impl<'e> SweepEngine<'e> {
 /// # Errors
 ///
 /// As [`try_sweep_grid_run`], plus [`MhlaError::InvalidOptions`] for an
-/// out-of-range subdivision depth. Budget exhaustion is *not* an error —
+/// out-of-range subdivision depth or a fine lattice with more points
+/// than a `u64` holds. Budget exhaustion is *not* an error —
 /// the run comes back `Ok` with [`SweepStatus::Stopped`]; use
 /// [`RefinedGridSweep::require_complete`] to promote a stop into a typed
 /// error.
@@ -3188,7 +3395,7 @@ pub fn try_sweep_grid_refined_with(
             checkpoint: RefineCheckpoint::default(),
         });
     }
-    let fine: Vec<Vec<u64>> = coarse.iter().map(|a| refine_axis(a, opts.depth)).collect();
+    let fine = fine_axes(&coarse, opts.depth)?;
     let ctx = ExplorationContext::new(program, platform, config.clone());
     // Built literally, not through `SweepEngine::new`: the fine lattice's
     // Cartesian product is deliberately never materialized (it is the
@@ -3251,7 +3458,7 @@ pub fn try_sweep_grid_refined_resume(
         .iter()
         .map(|a| clean_capacities(&a.capacities))
         .collect();
-    let fine: Vec<Vec<u64>> = coarse.iter().map(|a| refine_axis(a, opts.depth)).collect();
+    let fine = fine_axes(&coarse, opts.depth)?;
     for p in &prior.sweep.points {
         let on_lattice = p.capacities.len() == fine.len()
             && p.capacities
@@ -3567,6 +3774,24 @@ mod tests {
         assert_eq!(refine_axis(&[4, 8, 10], 1), vec![4, 6, 8, 9, 10]);
         // Deep refinement saturates at the full integer range.
         assert_eq!(refine_axis(&[1, 9], 16), (1..=9).collect::<Vec<u64>>());
+        // The closed-form length the ingress check counts with.
+        for (coarse, depth) in [
+            (&[8u64, 16][..], 0),
+            (&[8, 16], 1),
+            (&[8, 16], 2),
+            (&[8, 16], 3),
+            (&[7, 8], 8),
+            (&[4], 3),
+            (&[4, 8, 10], 1),
+            (&[1, 9], 16),
+            (&[3, 100, 101, 1000], 5),
+        ] {
+            assert_eq!(
+                refine_axis_len(coarse, depth),
+                refine_axis(coarse, depth).len() as u64,
+                "{coarse:?} at depth {depth}"
+            );
+        }
     }
 
     #[test]
@@ -3782,6 +4007,22 @@ mod tests {
         ));
         assert!(refused(
             try_sweep_grid_refined_with(&p, &pf, &dup, &config, &refine).map(drop)
+        ));
+        // A fine lattice whose point count a `u64` cannot hold (the
+        // scheduler's packed point keys) is refused before any search:
+        // 64 capacities per axis at depth 16 are 4,128,769 fine points
+        // per axis, ~7·10¹⁹ in all.
+        let wide: Vec<u64> = (1..=64u64).map(|k| k << 20).collect();
+        let huge = [1, 2, 3].map(|l| GridAxis::new(LayerId(l), wide.clone()));
+        assert!(refused(
+            try_sweep_grid_refined_with(
+                &p,
+                &Platform::four_level_default(),
+                &huge,
+                &config,
+                &refine.clone().depth(16),
+            )
+            .map(drop)
         ));
     }
 

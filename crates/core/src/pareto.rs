@@ -59,28 +59,6 @@ fn le(a: &[f64], b: &[f64]) -> bool {
     a.iter().zip(b).all(|(x, y)| x <= y)
 }
 
-/// Whether some point of `front` is componentwise ≤ `probe` — the
-/// front-vs-floor dominance query of the adaptive refinement scheduler.
-///
-/// The scheduler encodes each evaluated point as `(capacities…, value)`
-/// and probes with a cell's `(minimal corner…, cost floor)`: a covering
-/// row is an *already evaluated* point at componentwise-smaller-or-equal
-/// capacities whose achieved value is at or below anything the cell can
-/// ever reach, so the cell cannot contribute to the frontier and is
-/// closed without evaluation. Equal rows cover (`≤`, like the skip rules
-/// of the pruned sweep). An empty front covers nothing.
-///
-/// # Panics
-///
-/// Panics if the rows' dimensions do not all match `probe`'s.
-pub fn covers(front: &[Vec<f64>], probe: &[f64]) -> bool {
-    assert!(
-        front.iter().all(|p| p.len() == probe.len()),
-        "all points of a dominance query must have the probe's dimension"
-    );
-    front.iter().any(|p| le(p, probe))
-}
-
 /// The all-pairs dominance oracle: `O(n²·d)`, the seed semantics frozen.
 ///
 /// Kept public for the equivalence tests and benches; production code uses
@@ -394,25 +372,6 @@ mod tests {
         assert!(!front_dominates(&ours, &tiny));
         // Empty reference: trivially dominated.
         assert!(front_dominates(&ours, &[]));
-    }
-
-    #[test]
-    fn covers_is_componentwise_and_allows_equality() {
-        let rows = pts(&[&[128.0, 64.0, 10.0], &[256.0, 64.0, 7.0]]);
-        // A probe at-or-above some row on every coordinate is covered…
-        assert!(covers(&rows, &[128.0, 64.0, 10.0])); // exact equality
-        assert!(covers(&rows, &[300.0, 64.0, 8.0]));
-        // …a probe below every row on some coordinate is not.
-        assert!(!covers(&rows, &[128.0, 64.0, 9.0]));
-        assert!(!covers(&rows, &[64.0, 64.0, 100.0]));
-        // Empty fronts cover nothing.
-        assert!(!covers(&[], &[0.0, 0.0]));
-    }
-
-    #[test]
-    #[should_panic(expected = "probe's dimension")]
-    fn covers_rejects_mismatched_dimensions() {
-        let _ = covers(&pts(&[&[1.0, 2.0]]), &[1.0]);
     }
 
     #[test]

@@ -11,14 +11,19 @@
 //!   to the exhaustive sweep of the materialized fine lattice, under all
 //!   three objectives; a budget-interrupted refinement resumed to
 //!   completion equals the uninterrupted run bit for bit.
+//! * **Certificates**: at depth 2 on the default four-level grid, the
+//!   full certificate ledger ([`RefineStats`], waves, search legs, seed
+//!   wins) of all nine applications under cycles, energy and improving
+//!   cycles is pinned, so a scheduler change that keeps the frontier but
+//!   certifies differently is caught too.
 //!
 //! `MHLA_SWEEP_PARALLEL=0` runs the suite in sequential mode (the CI
 //! leg); malformed values are rejected loudly.
 
 use mhla::core::explore::{
     default_axes, refine_axis, try_sweep_grid_refined_resume, try_sweep_grid_refined_with,
-    try_sweep_grid_run, ExploreBudget, GridAxis, GridSweep, RefineOptions, RefinedGridSweep,
-    SweepOptions,
+    try_sweep_grid_run, ExploreBudget, GridAxis, GridSweep, RefineOptions, RefineStats,
+    RefinedGridSweep, SearchMode, SweepOptions,
 };
 use mhla::core::{MhlaConfig, Objective};
 use mhla::hierarchy::{LayerId, Platform};
@@ -221,5 +226,89 @@ fn refined_budget_interrupt_and_resume_is_bit_identical() {
             try_sweep_grid_refined_resume(&app.program, &pf, &axes, &config, &base, &stopped)
                 .expect("resume");
         assert_eq!(resumed, uninterrupted, "max_evals={max}");
+    }
+}
+
+/// The depth-2 certificate ledger on the default four-level grid: per
+/// application and mode, `[evaluated, cells_opened, cells_closed_mask,
+/// cells_leaf, corners_certified, search_legs, seed_wins]`. Every row
+/// also has `cells_closed_floor` 0, 3 waves, 90 coarse and 3,213 virtual
+/// points. Energy rows exercise the certificate's energy-margin branch,
+/// improving rows the parent-corner seeds.
+#[rustfmt::skip]
+const LEDGER: [(&str, &str, [usize; 7]); 27] = [
+    ("full_search_me",  "cycles",    [ 457,  346,  334, 2128, 2714,  457,    0]),
+    ("hierarchical_me", "cycles",    [ 542,  349,  351, 2132, 2615,  542,    0]),
+    ("video_encoder",   "cycles",    [ 264,  273,  658, 1293, 2412,  264,    0]),
+    ("jpeg_enc",        "cycles",    [ 266,  221,  721,  866, 2070,  266,    0]),
+    ("cavity_detect",   "cycles",    [ 203,  264,  864, 1024, 2578,  203,    0]),
+    ("wavelet",         "cycles",    [ 504,  328,  616, 1720, 2509,  504,    0]),
+    ("sobel_edge",      "cycles",    [ 113,  156,  588,  544, 1666,  113,    0]),
+    ("fir_bank",        "cycles",    [ 143,  159,  588,  565, 1663,  143,    0]),
+    ("lpc_voice",       "cycles",    [ 103,  159,  588,  565, 1703,  103,    0]),
+    ("full_search_me",  "energy",    [ 845,  360,  160, 2400, 2368,  845,    0]),
+    ("hierarchical_me", "energy",    [2366,  360,    0, 2560,  847, 2366,    0]),
+    ("video_encoder",   "energy",    [ 481,  304,  165, 2003, 2340,  481,    0]),
+    ("jpeg_enc",        "energy",    [ 491,  360,  270, 2290, 2722,  491,    0]),
+    ("cavity_detect",   "energy",    [ 993,  346,  396, 2066, 2161,  993,    0]),
+    ("wavelet",         "energy",    [1009,  347,  333, 2136, 2139, 1009,    0]),
+    ("sobel_edge",      "energy",    [ 370,  283,  791, 1230, 2340,  370,    0]),
+    ("fir_bank",        "energy",    [ 204,  303,  938, 1223, 2781,  204,    0]),
+    ("lpc_voice",       "energy",    [ 257,  297,  608, 1511, 2704,  257,    0]),
+    ("full_search_me",  "improving", [ 503,  346,  334, 2128, 2668,  716,   56]),
+    ("hierarchical_me", "improving", [ 726,  349,  351, 2132, 2431, 1433,  241]),
+    ("video_encoder",   "improving", [ 279,  273,  658, 1293, 2397,  434,   27]),
+    ("jpeg_enc",        "improving", [ 266,  221,  721,  866, 2070,  343,    0]),
+    ("cavity_detect",   "improving", [ 203,  264,  864, 1024, 2578,  288,    0]),
+    ("wavelet",         "improving", [ 555,  328,  604, 1732, 2458, 1012,   86]),
+    ("sobel_edge",      "improving", [ 113,  156,  588,  544, 1666,  146,    0]),
+    ("fir_bank",        "improving", [ 143,  159,  588,  565, 1663,  207,    0]),
+    ("lpc_voice",       "improving", [ 103,  159,  588,  565, 1703,  147,    0]),
+];
+
+#[test]
+fn refined_certificate_ledger_is_pinned_at_depth_2_on_all_nine_apps() {
+    let platform = Platform::four_level_default();
+    let axes = default_axes(&platform);
+    let apps = mhla_apps::all_apps();
+    for (name, mode, [evaluated, opened, mask, leaf, certified, legs, wins]) in LEDGER {
+        let app = apps
+            .iter()
+            .find(|a| a.name() == name)
+            .unwrap_or_else(|| panic!("no app {name}"));
+        let (objective, search) = match mode {
+            "cycles" => (Objective::Cycles, SearchMode::Cold),
+            "energy" => (Objective::Energy, SearchMode::Cold),
+            _ => (Objective::Cycles, SearchMode::Improving),
+        };
+        let config = MhlaConfig {
+            objective,
+            ..MhlaConfig::default()
+        };
+        let opts = RefineOptions {
+            mode: search,
+            ..refine_opts_from_env().depth(2)
+        };
+        let refined = run_refined(&app.program, &platform, &axes, &config, opts);
+        assert!(refined.status.is_complete(), "{name} {mode}");
+        assert_eq!(
+            refined.stats,
+            RefineStats {
+                coarse_points: 90,
+                virtual_points: 3_213,
+                evaluated,
+                cells_opened: opened,
+                cells_closed_floor: 0,
+                cells_closed_mask: mask,
+                cells_leaf: leaf,
+                corners_certified: certified,
+            },
+            "{name} {mode}: certificate ledger"
+        );
+        assert_eq!(
+            (refined.waves, refined.search_legs, refined.seed_wins),
+            (3, legs, wins),
+            "{name} {mode}: waves, search legs, seed wins"
+        );
     }
 }
