@@ -2,16 +2,17 @@
 //! grid sweep (`mhla_core::explore::try_sweep_grid_pruned_with`) against the
 //! exhaustive Cartesian product over the eight-application suite on
 //! `Platform::four_level_default` — under both the cycles and the energy
-//! objective, in both the sequential and the frontier-wave parallel mode
-//! — verifies the pruned frontier is point-for-point the exhaustive one,
-//! prints the frontier of one app, and writes `BENCH_grid4.json` at the
-//! workspace root.
+//! objective — verifies the pruned frontier is point-for-point the
+//! exhaustive one, compares the cold and improving search modes, measures
+//! the adaptive refinement, prints the frontier of one app, and writes
+//! `BENCH_grid4.json` at the workspace root.
 //!
 //! Run with `cargo run --release -p mhla-bench --bin grid4`.
 //!
-//! `MHLA_SWEEP_PARALLEL=0` selects the sequential mode for the frontier
-//! CSV run; malformed values of the tuning variables are rejected with a
-//! typed error on stderr (exit code 2) instead of silently falling back.
+//! The pruned and refined sweeps run one sequential certified loop, so
+//! `MHLA_SWEEP_PARALLEL` does not change them; malformed values of the
+//! tuning variables are still rejected with a typed error on stderr (exit
+//! code 2) instead of silently falling back.
 //!
 //! `MHLA_SWEEP_MAX_EVALS=<n>` switches the binary into the
 //! budget-interrupt smoke mode: one app's pruned sweep runs under the
@@ -28,8 +29,8 @@ use mhla_bench::{
     Grid4Refine, ImprovingGrid4Perf,
 };
 use mhla_core::explore::{
-    default_axes, try_sweep_grid_pruned_resume, try_sweep_grid_pruned_with, PruneOptions,
-    SweepOptions, SweepStatus,
+    default_axes, try_sweep_grid_pruned_resume, try_sweep_grid_pruned_with, ExploreBudget,
+    PruneOptions, SweepStatus,
 };
 use mhla_core::{report, MhlaConfig, MhlaError, Objective};
 use mhla_hierarchy::Platform;
@@ -44,19 +45,15 @@ static COUNTING_ALLOC: mhla_alloc_counter::CountingAlloc = mhla_alloc_counter::C
 fn print_table(title: &str, perfs: &[Grid4Perf]) {
     println!("{title}");
     println!(
-        "{:<18} {:>6} {:>6} {:>8} {:>7} {:>6} {:>5} {:>13} {:>12} {:>12} {:>8} {:>8} {:>12} {:>9}",
+        "{:<18} {:>6} {:>6} {:>8} {:>7} {:>13} {:>12} {:>8} {:>12} {:>9}",
         "application",
         "cand",
         "eval",
         "skipped",
         "skip%",
-        "waves",
-        "spec",
         "exhaust [ms]",
         "pruned [ms]",
-        "par [ms]",
         "speedup",
-        "par-spd",
         "allocs/eval",
         "identical"
     );
@@ -65,39 +62,31 @@ fn print_table(title: &str, perfs: &[Grid4Perf]) {
             .allocs_per_eval
             .map_or_else(|| "-".to_string(), |a| format!("{a:.1}"));
         println!(
-            "{:<18} {:>6} {:>6} {:>8} {:>6.1}% {:>6} {:>5} {:>13.3} {:>12.3} {:>12.3} \
-             {:>7.2}x {:>7.2}x {:>12} {:>9}",
+            "{:<18} {:>6} {:>6} {:>8} {:>6.1}% {:>13.3} {:>12.3} {:>7.2}x {:>12} {:>9}",
             p.app,
             p.stats.candidates,
             p.stats.evaluated,
             p.stats.skipped(),
             100.0 * p.stats.skip_ratio(),
-            p.waves,
-            p.speculative_evals,
             p.exhaustive_seconds * 1e3,
             p.pruned_seconds * 1e3,
-            p.pruned_parallel_seconds * 1e3,
             p.speedup(),
-            p.parallel_speedup(),
             allocs,
-            p.frontier_identical && p.points_identical && p.modes_identical,
+            p.frontier_identical && p.points_identical,
         );
     }
     let exhaustive: f64 = perfs.iter().map(|p| p.exhaustive_seconds).sum();
     let pruned: f64 = perfs.iter().map(|p| p.pruned_seconds).sum();
-    let parallel: f64 = perfs.iter().map(|p| p.pruned_parallel_seconds).sum();
     let candidates: usize = perfs.iter().map(|p| p.stats.candidates).sum();
     let evaluated: usize = perfs.iter().map(|p| p.stats.evaluated).sum();
     println!(
         "suite: {candidates} candidates, {evaluated} evaluated ({} skipped, {:.1}%), \
-         exhaustive {:.1} ms, pruned {:.1} ms ({:.2}x), parallel {:.1} ms ({:.2}x)",
+         exhaustive {:.1} ms, pruned {:.1} ms ({:.2}x)",
         candidates - evaluated,
         100.0 * (candidates - evaluated) as f64 / candidates.max(1) as f64,
         exhaustive * 1e3,
         pruned * 1e3,
         exhaustive / pruned.max(f64::MIN_POSITIVE),
-        parallel * 1e3,
-        exhaustive / parallel.max(f64::MIN_POSITIVE),
     );
     println!();
 }
@@ -168,7 +157,7 @@ fn print_refine_table(title: &str, perfs: &[Grid4Refine]) -> bool {
             p.stats.virtual_points,
             p.stats.evaluated,
             100.0 * p.stats.eval_ratio(),
-            p.stats.cells_closed_mask + p.stats.cells_closed_floor,
+            p.stats.cells_closed_mask,
             p.stats.corners_certified,
             p.waves,
             p.refined_seconds * 1e3,
@@ -198,13 +187,13 @@ fn print_refine_table(title: &str, perfs: &[Grid4Refine]) -> bool {
 /// uninterrupted sweep. Panics (nonzero exit) on any mismatch — this is
 /// the machine-checked half of the "certified partial frontier"
 /// guarantee that CI exercises.
-fn budget_smoke(opts: &SweepOptions) -> Result<(), MhlaError> {
+fn budget_smoke(budget: ExploreBudget) -> Result<(), MhlaError> {
     let app = mhla_apps::hierarchical_me::app();
     let platform = Platform::four_level_default();
     let axes = default_axes(&platform);
     let config = MhlaConfig::default();
 
-    let budgeted = PruneOptions::with_parallel(opts.parallel).budget(opts.budget.clone());
+    let budgeted = PruneOptions::default().budget(budget);
     let partial = try_sweep_grid_pruned_with(&app.program, &platform, &axes, &config, &budgeted)?;
     match partial.status {
         SweepStatus::Complete => println!(
@@ -223,7 +212,7 @@ fn budget_smoke(opts: &SweepOptions) -> Result<(), MhlaError> {
         ),
     }
 
-    let unlimited = PruneOptions::with_parallel(opts.parallel);
+    let unlimited = PruneOptions::default();
     let resumed = try_sweep_grid_pruned_resume(
         &app.program,
         &platform,
@@ -271,13 +260,12 @@ fn run() -> Result<(), MhlaError> {
     // values); a budget in the environment switches to the smoke mode.
     let opts = sweep_options_from_env()?;
     if !opts.budget.is_unlimited() {
-        return budget_smoke(&opts);
+        return budget_smoke(opts.budget);
     }
-    let parallel = opts.parallel;
 
     let cycles = measure_grid4_perf(3);
     print_table(
-        "L1xL2xL3 grid sweep, Objective::Cycles: exhaustive vs pruned (sequential + wave-parallel)",
+        "L1xL2xL3 grid sweep, Objective::Cycles: exhaustive vs pruned",
         &cycles,
     );
     let energy_config = MhlaConfig {
@@ -330,7 +318,7 @@ fn run() -> Result<(), MhlaError> {
         &platform,
         &default_axes(&platform),
         &MhlaConfig::default(),
-        &PruneOptions::with_parallel(parallel),
+        &PruneOptions::default(),
     )?;
     println!(
         "{}: L1xL2xL3 Pareto frontier (C = cycles front, E = energy front)",

@@ -428,17 +428,6 @@ pub fn sweep_options_from_env() -> Result<mhla_core::explore::SweepOptions, mhla
     )
 }
 
-/// Strict parsing of `MHLA_SWEEP_PARALLEL` alone (`true` unless set to
-/// `0`); shared by the sweep and pruned-grid harnesses.
-///
-/// # Errors
-///
-/// Any value other than `0` or `1` is rejected (see
-/// [`sweep_options_from_env`]).
-pub fn sweep_parallel_from_env() -> Result<bool, mhla_core::MhlaError> {
-    parse_sweep_parallel(env_value("MHLA_SWEEP_PARALLEL")?.as_deref())
-}
-
 /// Strict parsing of `MHLA_SWEEP_MAX_EVALS` alone (`None` when unset);
 /// shared by the grid harnesses' budget-interrupt smoke mode.
 ///
@@ -476,7 +465,8 @@ fn parse_sweep_options(
     Ok(opts)
 }
 
-/// The pure parsing behind [`sweep_parallel_from_env`].
+/// The pure parsing of `MHLA_SWEEP_PARALLEL` behind
+/// [`sweep_options_from_env`]: `true` unless set to `0`.
 fn parse_sweep_parallel(value: Option<&str>) -> Result<bool, mhla_core::MhlaError> {
     match value {
         None => Ok(true),
@@ -508,54 +498,36 @@ fn parse_sweep_max_evals(value: Option<&str>) -> Result<Option<usize>, mhla_core
 /// [`mhla_core::explore::try_sweep_grid_run`] (sequential, cold — the same
 /// per-point machinery and semantics as the pruned path, so the delta is
 /// the pruning itself). *Pruned* is
-/// [`mhla_core::explore::try_sweep_grid_pruned_with`], measured both
-/// sequentially (`wave = 1`) and in the frontier-wave parallel mode
-/// (default [`PruneOptions`](mhla_core::explore::PruneOptions)) — skip
-/// decisions, evaluated points and frontiers are identical between the
-/// two by construction, so the parallel column is pure wall time.
+/// [`mhla_core::explore::try_sweep_grid_pruned_with`] under the default
+/// [`PruneOptions`](mhla_core::explore::PruneOptions) — one sequential
+/// certified loop.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Grid4Perf {
     /// Application name.
     pub app: String,
     /// The pruned sweep's own bookkeeping (candidates, evaluated, skip
-    /// counts and ratios) — identical in both modes (asserted).
+    /// counts and ratios).
     pub stats: mhla_core::explore::PruneStats,
     /// Best-of-`repeats` wall time of the exhaustive sweep, seconds.
     pub exhaustive_seconds: f64,
-    /// Best-of-`repeats` wall time of the sequential pruned sweep,
-    /// seconds.
+    /// Best-of-`repeats` wall time of the pruned sweep, seconds.
     pub pruned_seconds: f64,
-    /// Best-of-`repeats` wall time of the frontier-wave parallel pruned
-    /// sweep, seconds.
-    pub pruned_parallel_seconds: f64,
-    /// Dominance waves of the parallel run.
-    pub waves: usize,
-    /// Speculative evaluations the parallel run discarded at commit time.
-    pub speculative_evals: usize,
     /// Whether the pruned cycles and energy frontiers are point-for-point
     /// (capacities + full results) those of the exhaustive grid.
     pub frontier_identical: bool,
     /// Whether every evaluated pruned point is bit-identical to the
     /// exhaustive point at the same capacity vector.
     pub points_identical: bool,
-    /// Whether the sequential and parallel pruned runs produced identical
-    /// `PruneStats` and evaluated points.
-    pub modes_identical: bool,
-    /// Allocation events per evaluated point of the sequential pruned
-    /// sweep, measured by the counting allocator (`None` outside
+    /// Allocation events per evaluated point of the pruned sweep,
+    /// measured by the counting allocator (`None` outside
     /// `alloc-counter` builds).
     pub allocs_per_eval: Option<f64>,
 }
 
 impl Grid4Perf {
-    /// exhaustive / sequential-pruned wall-time ratio.
+    /// exhaustive / pruned wall-time ratio.
     pub fn speedup(&self) -> f64 {
         self.exhaustive_seconds / self.pruned_seconds.max(f64::MIN_POSITIVE)
-    }
-
-    /// exhaustive / parallel-pruned wall-time ratio.
-    pub fn parallel_speedup(&self) -> f64 {
-        self.exhaustive_seconds / self.pruned_parallel_seconds.max(f64::MIN_POSITIVE)
     }
 }
 
@@ -599,20 +571,14 @@ pub fn measure_grid4_perf_with(repeats: usize, config: &mhla_core::MhlaConfig) -
         warm_start: false,
         ..SweepOptions::default()
     };
-    let sequential_opts = PruneOptions {
-        parallel: false,
-        wave: 1,
-        ..PruneOptions::default()
-    };
+    let prune_opts = PruneOptions::default();
     sweep_suite()
         .iter()
         .map(|app| {
             let mut exhaustive_s = f64::INFINITY;
             let mut pruned_s = f64::INFINITY;
-            let mut parallel_s = f64::INFINITY;
             let mut exhaustive = None;
             let mut pruned = None;
-            let mut parallel = None;
             for _ in 0..repeats.max(1) {
                 let t = std::time::Instant::now();
                 exhaustive = Some(
@@ -623,38 +589,16 @@ pub fn measure_grid4_perf_with(repeats: usize, config: &mhla_core::MhlaConfig) -
                 exhaustive_s = exhaustive_s.min(t.elapsed().as_secs_f64());
                 let t = std::time::Instant::now();
                 pruned = Some(
-                    try_sweep_grid_pruned_with(
-                        &app.program,
-                        &platform,
-                        &axes,
-                        config,
-                        &sequential_opts,
-                    )
-                    .expect("the built-in grid sweeps cleanly"),
+                    try_sweep_grid_pruned_with(&app.program, &platform, &axes, config, &prune_opts)
+                        .expect("the built-in grid sweeps cleanly"),
                 );
                 pruned_s = pruned_s.min(t.elapsed().as_secs_f64());
-                let t = std::time::Instant::now();
-                parallel = Some(
-                    try_sweep_grid_pruned_with(
-                        &app.program,
-                        &platform,
-                        &axes,
-                        config,
-                        &PruneOptions::default(),
-                    )
-                    .expect("the built-in grid sweeps cleanly"),
-                );
-                parallel_s = parallel_s.min(t.elapsed().as_secs_f64());
             }
-            let (exhaustive, pruned, parallel) = (
-                exhaustive.expect("ran"),
-                pruned.expect("ran"),
-                parallel.expect("ran"),
-            );
-            // One extra (untimed) sequential pruned run under the
-            // counting allocator; `None` outside `alloc-counter` builds.
+            let (exhaustive, pruned) = (exhaustive.expect("ran"), pruned.expect("ran"));
+            // One extra (untimed) pruned run under the counting
+            // allocator; `None` outside `alloc-counter` builds.
             let (_, allocs_per_eval) = count_allocs_per_eval(pruned.stats.evaluated, || {
-                try_sweep_grid_pruned_with(&app.program, &platform, &axes, config, &sequential_opts)
+                try_sweep_grid_pruned_with(&app.program, &platform, &axes, config, &prune_opts)
             });
             let frontier_identical = grid_frontier_points(&exhaustive, &exhaustive.pareto_cycles())
                 == grid_frontier_points(&pruned.sweep, &pruned.sweep.pareto_cycles())
@@ -667,18 +611,13 @@ pub fn measure_grid4_perf_with(repeats: usize, config: &mhla_core::MhlaConfig) -
                     .find(|ep| ep.capacities == pp.capacities)
                     .is_some_and(|ep| ep.result == pp.result)
             });
-            let modes_identical = pruned.stats == parallel.stats && pruned.sweep == parallel.sweep;
             Grid4Perf {
                 app: app.name().to_string(),
                 stats: pruned.stats,
                 exhaustive_seconds: exhaustive_s,
                 pruned_seconds: pruned_s,
-                pruned_parallel_seconds: parallel_s,
-                waves: parallel.waves,
-                speculative_evals: parallel.speculative_evals,
                 frontier_identical,
                 points_identical,
-                modes_identical,
                 allocs_per_eval,
             }
         })
@@ -989,7 +928,7 @@ fn grid4_refine_json(perfs: &[Grid4Refine], indent: &str, prev_refined: Option<f
         out.push_str(&format!(
             "{indent}    {{\"name\": \"{}\", \"virtual_points\": {}, \"evaluated\": {}, \
              \"eval_ratio\": {:.4}, \"coarse_points\": {}, \"cells_opened\": {}, \
-             \"cells_closed_mask\": {}, \"cells_closed_floor\": {}, \"cells_leaf\": {}, \
+             \"cells_closed_mask\": {}, \"cells_leaf\": {}, \
              \"corners_certified\": {}, \"waves\": {}, \"frontier_consistent\": {}, \
              \"refined_seconds\": {:.6}}}{}\n",
             p.app,
@@ -999,7 +938,6 @@ fn grid4_refine_json(perfs: &[Grid4Refine], indent: &str, prev_refined: Option<f
             p.stats.coarse_points,
             p.stats.cells_opened,
             p.stats.cells_closed_mask,
-            p.stats.cells_closed_floor,
             p.stats.cells_leaf,
             p.stats.corners_certified,
             p.waves,
@@ -1028,20 +966,17 @@ fn grid4_refine_json(perfs: &[Grid4Refine], indent: &str, prev_refined: Option<f
 
 /// Renders one objective's [`Grid4Perf`] rows as a JSON object (apps +
 /// suite totals), used by [`grid4_perf_json`] per objective section.
-/// `prev_pruned` is the prior tracked document's suite sequential-pruned
-/// wall time, when known — the before/after trajectory hook.
+/// `prev_pruned` is the prior tracked document's suite pruned wall time,
+/// when known — the before/after trajectory hook.
 fn grid4_objective_json(perfs: &[Grid4Perf], indent: &str, prev_pruned: Option<f64>) -> String {
     let exhaustive: f64 = perfs.iter().map(|p| p.exhaustive_seconds).sum();
     let pruned: f64 = perfs.iter().map(|p| p.pruned_seconds).sum();
-    let parallel: f64 = perfs.iter().map(|p| p.pruned_parallel_seconds).sum();
     let candidates: usize = perfs.iter().map(|p| p.stats.candidates).sum();
     let evaluated: usize = perfs.iter().map(|p| p.stats.evaluated).sum();
     let skipped: usize = perfs.iter().map(|p| p.stats.skipped()).sum();
-    let waves: usize = perfs.iter().map(|p| p.waves).sum();
-    let speculative: usize = perfs.iter().map(|p| p.speculative_evals).sum();
     let all_identical = perfs
         .iter()
-        .all(|p| p.frontier_identical && p.points_identical && p.modes_identical);
+        .all(|p| p.frontier_identical && p.points_identical);
     let mut out = format!("{{\n{indent}  \"apps\": [\n");
     for (i, p) in perfs.iter().enumerate() {
         let allocs = p
@@ -1050,28 +985,20 @@ fn grid4_objective_json(perfs: &[Grid4Perf], indent: &str, prev_pruned: Option<f
             .unwrap_or_default();
         out.push_str(&format!(
             "{indent}    {{\"name\": \"{}\", \"candidates\": {}, \"evaluated\": {}, \
-             \"skipped_saturated\": {}, \"skipped_floor\": {}, \"skip_ratio\": {:.3}, \
-             \"waves\": {}, \"speculative_evals\": {}, \
+             \"skipped_saturated\": {}, \"skip_ratio\": {:.3}, \
              \"exhaustive_seconds\": {:.6}, \"pruned_seconds\": {:.6}, \
-             \"pruned_parallel_seconds\": {:.6}, \"speedup\": {:.2}, \
-             \"parallel_speedup\": {:.2}, {allocs}\"frontier_identical\": {}, \
-             \"points_identical\": {}, \"modes_identical\": {}}}{}\n",
+             \"speedup\": {:.2}, {allocs}\"frontier_identical\": {}, \
+             \"points_identical\": {}}}{}\n",
             p.app,
             p.stats.candidates,
             p.stats.evaluated,
             p.stats.skipped_saturated,
-            p.stats.skipped_floor,
             p.stats.skip_ratio(),
-            p.waves,
-            p.speculative_evals,
             p.exhaustive_seconds,
             p.pruned_seconds,
-            p.pruned_parallel_seconds,
             p.speedup(),
-            p.parallel_speedup(),
             p.frontier_identical,
             p.points_identical,
-            p.modes_identical,
             if i + 1 < perfs.len() { "," } else { "" },
         ));
     }
@@ -1097,14 +1024,11 @@ fn grid4_objective_json(perfs: &[Grid4Perf], indent: &str, prev_pruned: Option<f
     out.push_str(&format!(
         "{indent}  ],\n{indent}  \"suite\": {{\"candidates\": {candidates}, \
          \"evaluated\": {evaluated}, \"skipped\": {skipped}, \"skip_ratio\": {:.3}, \
-         \"waves\": {waves}, \"speculative_evals\": {speculative}, \
          \"exhaustive_seconds\": {exhaustive:.6}, \"pruned_seconds\": {pruned:.6}, \
-         \"pruned_parallel_seconds\": {parallel:.6}, \"speedup\": {:.2}, \
-         \"parallel_speedup\": {:.2}, {suite_allocs}{prev}\
+         \"speedup\": {:.2}, {suite_allocs}{prev}\
          \"all_identical\": {all_identical}}}\n{indent}}}",
         skipped as f64 / candidates.max(1) as f64,
         exhaustive / pruned.max(f64::MIN_POSITIVE),
-        exhaustive / parallel.max(f64::MIN_POSITIVE),
     ));
     out
 }

@@ -51,11 +51,6 @@ pub struct ProgramFacts<'p> {
     pub(crate) array_accesses: Vec<Vec<(StmtId, AccessKind)>>,
     /// Pure datapath cycles of one program run.
     pub(crate) total_compute: u64,
-    /// Total read-access executions of one program run (all arrays) —
-    /// input of [`CostModel::cost_floor`](crate::CostModel::cost_floor).
-    pub(crate) total_read_execs: u64,
-    /// Total write-access executions of one program run.
-    pub(crate) total_write_execs: u64,
     /// Sorted, deduped union of every interval endpoint a resident can
     /// have (array spans and candidate spans) — the coordinate set of the
     /// incremental occupancy ledger in
@@ -94,14 +89,9 @@ impl<'p> ProgramFacts<'p> {
             .map(|&r| info.compute_cycles(r))
             .sum();
         let mut array_accesses = vec![Vec::new(); program.array_count()];
-        let (mut total_read_execs, mut total_write_execs) = (0u64, 0u64);
         for (sid, stmt) in program.stmts() {
             for acc in &stmt.accesses {
                 array_accesses[acc.array.index()].push((sid, acc.kind));
-                match acc.kind {
-                    AccessKind::Read => total_read_execs += stmt_execs[sid.index()],
-                    AccessKind::Write => total_write_execs += stmt_execs[sid.index()],
-                }
             }
         }
         let occupancy_times = occupancy_times(program, reuse, &timeline);
@@ -112,8 +102,6 @@ impl<'p> ProgramFacts<'p> {
             stmt_execs,
             array_accesses,
             total_compute,
-            total_read_execs,
-            total_write_execs,
             occupancy_times,
             te: None,
         }
@@ -278,22 +266,6 @@ impl<'p> ExplorationContext<'p> {
     /// (no re-derivation).
     pub fn cost_model<'s>(&'s self, platform: &'s Platform) -> CostModel<'s> {
         CostModel::with_facts(self.program, platform, &self.reuse, &self.facts)
-    }
-
-    /// An allocation-free [`CostFloor`](crate::cost::CostFloor) evaluator
-    /// over the grid spanned by `axis_layers` of `platform`: the
-    /// capacity-invariant floor inputs (access totals, CPU overhead,
-    /// fixed-layer minima) are folded once, and
-    /// [`floor_at`](crate::cost::FloorProbe::floor_at) then prices any
-    /// capacity vector without building a [`CostModel`] or a resized
-    /// [`Platform`] — bit-identical to
-    /// [`CostModel::cost_floor`] on the resized platform.
-    pub fn floor_probe(
-        &self,
-        platform: &Platform,
-        axis_layers: &[mhla_hierarchy::LayerId],
-    ) -> crate::cost::FloorProbe {
-        crate::cost::FloorProbe::new(&self.facts, platform, axis_layers)
     }
 }
 

@@ -253,113 +253,6 @@ pub(crate) fn stream_template(
     }
 }
 
-/// Capacity-monotone lower bounds on the cost of *any* assignment of a
-/// (program, platform) pair — the lower-bound hook of the pruned grid
-/// sweep ([`explore`](crate::explore)).
-///
-/// Derivation: `mhla_te_cycles = compute + CPU access cycles + residual
-/// stalls ≥ compute + Σ execs · min-layer access cycles`, and `energy =
-/// CPU access energy + transfer energy ≥ Σ execs · min-layer access
-/// energy` (per access direction; transfers ≥ 0). Both minima are taken
-/// over every layer of the platform, so the bounds hold regardless of
-/// which layers serve which accesses. They are monotone in the layer
-/// capacities (the scaling laws never get cheaper as a layer grows), so a
-/// grid point whose *floor* is already dominated by an evaluated point
-/// with componentwise-smaller capacities can be skipped losslessly.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct CostFloor {
-    /// No assignment on this platform finishes in fewer cycles.
-    pub cycles: u64,
-    /// No assignment on this platform uses less memory energy, picojoule.
-    pub energy_pj: f64,
-}
-
-/// Allocation-free [`CostFloor`] evaluator for a grid sweep: everything
-/// capacity-*invariant* (the program's access totals, the CPU overhead,
-/// and the cost minima over the non-axis layers) is folded once at
-/// construction, so probing the floor at a grid point is a handful of
-/// arithmetic ops over the axis capacities — no [`CostModel`], no resized
-/// [`Platform`], no allocation.
-///
-/// Bit-identity: [`Platform::with_layer_capacities`] re-derives every
-/// resized layer's parameters from the same scaling laws
-/// ([`mhla_hierarchy::energy::sram_access_cycles`],
-/// [`mhla_hierarchy::energy::sram_read_pj`],
-/// [`mhla_hierarchy::energy::sram_write_pj`]) this
-/// probe applies, `min` over `u64`/finite `f64` is order-insensitive and
-/// exact, and `min_i (overhead + x_i) = overhead + min_i x_i` — so
-/// [`floor_at`](FloorProbe::floor_at) equals
-/// [`CostModel::cost_floor`] on the correspondingly resized platform,
-/// bit for bit. Requires distinct axis layers (a repeated layer would
-/// fold both trial capacities where the resized platform keeps only the
-/// last); the sweep entry points guarantee this after capacity cleaning.
-#[derive(Clone, PartialEq, Debug)]
-pub struct FloorProbe {
-    total_compute: u64,
-    total_read_execs: u64,
-    total_write_execs: u64,
-    overhead: u64,
-    base_access: u64,
-    base_read: f64,
-    base_write: f64,
-}
-
-impl FloorProbe {
-    /// Folds the capacity-invariant floor inputs: program access totals
-    /// from `facts`, CPU overhead and fixed-layer minima from `platform`,
-    /// leaving only the `axis_layers` to be priced per probe.
-    pub fn new(facts: &ProgramFacts<'_>, platform: &Platform, axis_layers: &[LayerId]) -> Self {
-        debug_assert!(
-            axis_layers
-                .iter()
-                .enumerate()
-                .all(|(i, l)| !axis_layers[..i].contains(l)),
-            "FloorProbe requires distinct axis layers"
-        );
-        let mut base_access = u64::MAX;
-        let (mut base_read, mut base_write) = (f64::INFINITY, f64::INFINITY);
-        for (lid, layer) in platform.layers() {
-            if axis_layers.contains(&lid) {
-                continue;
-            }
-            base_access = base_access.min(layer.access_cycles);
-            base_read = base_read.min(layer.read_energy_pj);
-            base_write = base_write.min(layer.write_energy_pj);
-        }
-        FloorProbe {
-            total_compute: facts.total_compute,
-            total_read_execs: facts.total_read_execs,
-            total_write_execs: facts.total_write_execs,
-            overhead: platform.cpu().access_overhead_cycles,
-            base_access,
-            base_read,
-            base_write,
-        }
-    }
-
-    /// The [`CostFloor`] at the grid point where the axis layers hold
-    /// `caps` (aligned with the `axis_layers` of construction). Equals
-    /// [`CostModel::cost_floor`] on the resized platform. Because the
-    /// floor is monotone nondecreasing in every capacity, calling this at
-    /// the *minimal corner* of a capacity box lower-bounds the whole box.
-    pub fn floor_at(&self, caps: &[u64]) -> CostFloor {
-        use mhla_hierarchy::energy::{sram_access_cycles, sram_read_pj, sram_write_pj};
-        let mut min_access = self.base_access;
-        let (mut min_read, mut min_write) = (self.base_read, self.base_write);
-        for &c in caps {
-            min_access = min_access.min(sram_access_cycles(c));
-            min_read = min_read.min(sram_read_pj(c));
-            min_write = min_write.min(sram_write_pj(c));
-        }
-        let accesses = self.total_read_execs + self.total_write_execs;
-        CostFloor {
-            cycles: self.total_compute + accesses * (self.overhead + min_access),
-            energy_pj: self.total_read_execs as f64 * min_read
-                + self.total_write_execs as f64 * min_write,
-        }
-    }
-}
-
 /// Static estimator for a fixed (program, platform) pair.
 ///
 /// Construction caches the derived program facts ([`ProgramFacts`]:
@@ -444,25 +337,6 @@ impl<'a> CostModel<'a> {
     /// The full shared fact bundle this model prices against.
     pub fn facts(&self) -> &ProgramFacts<'a> {
         &self.facts
-    }
-
-    /// The platform's [`CostFloor`]: capacity-monotone lower bounds on any
-    /// assignment's cycles and energy. `O(layers)` — the access totals are
-    /// cached in the program facts.
-    pub fn cost_floor(&self) -> CostFloor {
-        let mut min_cycles = u64::MAX;
-        let (mut min_read, mut min_write) = (f64::INFINITY, f64::INFINITY);
-        for (lid, layer) in self.platform.layers() {
-            min_cycles = min_cycles.min(self.platform.access_cycles(lid));
-            min_read = min_read.min(layer.read_energy_pj);
-            min_write = min_write.min(layer.write_energy_pj);
-        }
-        let accesses = self.facts.total_read_execs + self.facts.total_write_execs;
-        CostFloor {
-            cycles: self.facts.total_compute + accesses * min_cycles,
-            energy_pj: self.facts.total_read_execs as f64 * min_read
-                + self.facts.total_write_execs as f64 * min_write,
-        }
     }
 
     /// The cached freedom loops of a candidate, when an

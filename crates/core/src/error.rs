@@ -245,10 +245,8 @@ pub(crate) fn validate_run_ingress(
 /// on-chip layer of the platform and visit nonzero capacities
 /// ([`MhlaError::InfeasiblePoint`] otherwise), and no two axes may name
 /// the same layer ([`MhlaError::InvalidOptions`]: the later axis would
-/// overwrite the earlier one's capacity at every point, and the box cost
-/// floor — [`FloorProbe`](crate::cost::FloorProbe) — folds per-layer
-/// minima and cannot attribute one layer to two axes). (Empty axis lists
-/// are legal and yield an empty sweep, as before.)
+/// overwrite the earlier one's capacity at every point). (Empty axis
+/// lists are legal and yield an empty sweep, as before.)
 pub(crate) fn validate_axes(platform: &Platform, axes: &[GridAxis]) -> Result<(), MhlaError> {
     for (i, axis) in axes.iter().enumerate() {
         if axis.layer.index() == 0 {
@@ -281,9 +279,11 @@ pub(crate) fn validate_axes(platform: &Platform, axes: &[GridAxis]) -> Result<()
 
 /// Validates the refinement-specific options of
 /// [`try_sweep_grid_refined_with`](crate::explore::try_sweep_grid_refined_with):
-/// the subdivision depth must be in `1..=16` (depth 0 is the plain grid
-/// sweep; past 16 the virtual lattice bookkeeping overflows long before
-/// any capacity range benefits).
+/// the subdivision depth must be in `1..=16` (depth 0 is the pruned grid
+/// sweep,
+/// [`try_sweep_grid_pruned_with`](crate::explore::try_sweep_grid_pruned_with);
+/// past 16 the virtual lattice bookkeeping overflows long before any
+/// capacity range benefits).
 pub(crate) fn validate_refine_options(
     opts: &crate::explore::RefineOptions,
 ) -> Result<(), MhlaError> {

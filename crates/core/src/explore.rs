@@ -20,16 +20,15 @@
 //! * [`try_sweep_grid_pruned_with`] — the sub-exhaustive production path
 //!   for large grids: points that provably cannot contribute a Pareto
 //!   point are skipped *without evaluation* (see its documentation for the
-//!   two prune rules and the losslessness argument). The rules arm under
-//!   all three [`Objective`]s — the energy/weighted side rides on
-//!   instrumented per-run *gain bounds* ([`RunStats`]) — and the loop
-//!   executes in *frontier waves* whose cold evaluations run in parallel
-//!   while skip decisions commit in lexicographic order, so frontiers and
-//!   [`PruneStats`] are identical to the sequential point-by-point path;
+//!   prune rule and the losslessness argument). The rule arms under all
+//!   three [`Objective`]s — the energy/weighted side rides on
+//!   instrumented per-run *gain bounds* ([`RunStats`]).
 //!   `tests/prune_equivalence.rs` verifies the pruned frontier bit-for-bit
-//!   against the exhaustive one under every objective and both modes.
+//!   against the exhaustive one under every objective.
 //! * [`try_sweep_grid_refined_with`] — certified adaptive refinement of a
-//!   coarse grid towards a virtual fine lattice ([`refine_axis`]).
+//!   coarse grid towards a virtual fine lattice ([`refine_axis`]). The
+//!   pruned sweep is this scheduler at depth 0, where the lattice is the
+//!   grid itself.
 //! * [`try_sweep_grid_resume`], [`try_sweep_grid_pruned_resume`] and
 //!   [`try_sweep_grid_refined_resume`] continue a budget-stopped run
 //!   ([`ExploreBudget`]) of the matching engine.
@@ -56,8 +55,9 @@
 //! `SweepEngine`): axis cleaning, the lexicographic
 //! Cartesian point order, per-point platform construction and evaluation,
 //! and the result assembly are written once; the families differ only in
-//! their *scheduler* (warm-started chunks, wavefront levels, or prune
-//! waves). The engine is parameterized by a [`SearchMode`]:
+//! their *scheduler* (warm-started chunks, the sequential improving loop,
+//! or the certified refinement loop). The engine is parameterized by a
+//! [`SearchMode`]:
 //!
 //! * [`SearchMode::Cold`] — the frozen semantics every entry point
 //!   defaults to: results are bit-identical to the pre-engine sweeps
@@ -162,13 +162,15 @@ impl SweepStatus {
 /// [`MhlaError`].
 #[derive(Clone, Debug, Default)]
 pub struct ExploreBudget {
-    /// Maximum grid points *committed* in this call (speculatively
-    /// evaluated but discarded wave members do not count). Deterministic:
-    /// the same inputs stop at the same point on every machine.
+    /// Maximum points *searched* in this call (points the pruned and
+    /// refined sweeps certify without a search, and points replayed from
+    /// a resumed prior run, are free). Deterministic: the same inputs stop
+    /// at the same point on every machine.
     pub max_evals: Option<usize>,
     /// Hard wall-clock deadline. Checked between point evaluations; an
     /// in-flight evaluation is never aborted, so the sweep can overshoot
-    /// by roughly one point (one wave, when parallel).
+    /// by roughly one point (one per thread under the exhaustive engine's
+    /// parallel chunks).
     pub deadline: Option<Instant>,
     /// Cooperative cancellation: raise the flag from another thread and
     /// the sweep stops at the next check, returning the committed prefix.
@@ -458,9 +460,9 @@ pub enum SearchMode {
     /// `tests/improving_sweep.rs` and the randomized-program proptests
     /// enforce it). Points run strictly sequentially in lexicographic
     /// order (a point's seeds are its committed predecessors), so
-    /// results are deterministic and independent of every
-    /// `parallel`/`wave` setting — those knobs only tune the cold
-    /// schedulers. Warm seeds are a greedy-search construct;
+    /// results are deterministic and independent of
+    /// [`SweepOptions::parallel`], which only tunes the cold exhaustive
+    /// scheduler. Warm seeds are a greedy-search construct;
     /// non-greedy strategies ignore them and this mode equals
     /// [`Cold`](SearchMode::Cold).
     Improving,
@@ -1031,8 +1033,8 @@ fn check_resume_prefix<'p>(
 /// lexicographic Cartesian point order, per-point platform construction
 /// and search evaluation, and result assembly — used by every grid
 /// engine ([`try_sweep_grid_run`] through the chunked or lexicographic
-/// scheduler, [`try_sweep_grid_pruned_with`] through the prune-wave
-/// scheduler, [`try_sweep_grid_refined_with`] through the refinement
+/// scheduler, [`try_sweep_grid_pruned_with`] and
+/// [`try_sweep_grid_refined_with`] through the certified refinement
 /// scheduler). The schedulers differ in *when* points run and what seeds
 /// they see; everything a point *is* lives here.
 struct SweepEngine<'e> {
@@ -1132,15 +1134,14 @@ impl<'e> SweepEngine<'e> {
         }
     }
 
-    /// One point's search with an optional single warm seed — the cold
-    /// schedulers' evaluation (the chunked chain passes its predecessor,
-    /// the prune waves pass `None`). Runs on the thread's
-    /// [`EngineScratch`]: in-place platform resize, reused workspace.
-    fn evaluate(&self, caps: &[u64], warm: Option<&Assignment>) -> (MhlaResult, RunStats) {
+    /// One point's cold search — the certified scheduler's evaluation in
+    /// [`SearchMode::Cold`]. Runs on the thread's [`EngineScratch`]:
+    /// in-place platform resize, reused workspace.
+    fn evaluate(&self, caps: &[u64]) -> (MhlaResult, RunStats) {
         ENGINE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             let (pf, ws) = scratch.point(self, caps);
-            Mhla::with_context(self.ctx, pf).run_with_stats_in(warm, Some(self.ctx.moves()), ws)
+            Mhla::with_context(self.ctx, pf).run_with_stats_in(None, Some(self.ctx.moves()), ws)
         })
     }
 
@@ -1484,14 +1485,12 @@ pub struct PruneStats {
     pub evaluated: usize,
     /// Points skipped by the saturation rule.
     pub skipped_saturated: usize,
-    /// Points skipped by the cost-floor rule.
-    pub skipped_floor: usize,
 }
 
 impl PruneStats {
     /// Points skipped without evaluation.
     pub fn skipped(&self) -> usize {
-        self.skipped_saturated + self.skipped_floor
+        self.skipped_saturated
     }
 
     /// Fraction of the Cartesian product skipped (0 on an empty grid).
@@ -1508,37 +1507,37 @@ pub struct PrunedGridSweep {
     /// surfaces ([`GridSweep::pareto_cycles`] / `pareto_energy`) are
     /// point-for-point those of the exhaustive grid.
     pub sweep: GridSweep,
-    /// How many points were evaluated vs skipped, and why. Identical for
-    /// every [`PruneOptions`] — the wave structure changes wall time only.
+    /// How many points were evaluated vs skipped.
     pub stats: PruneStats,
-    /// Dominance waves executed (each wave's cold evaluations run
-    /// concurrently under the parallel mode; a sequential run with
-    /// `wave == 1` degenerates to one wave per evaluated point).
+    /// Refinement waves executed. The pruned sweep is the depth-0
+    /// refinement, so this is `1` once a nonempty grid completes (its one
+    /// wave closes the grid's cells) and `0` on an empty grid or a run
+    /// the budget stopped.
     pub waves: usize,
-    /// Wave members evaluated speculatively whose results were discarded
-    /// at commit time because an earlier member of the same wave enabled a
-    /// skip — the (bounded) price of evaluating a wave before committing
-    /// it. Always `0` when `wave == 1`.
+    /// Always `0`: every point is decided against the committed state
+    /// before it is searched, so no search result is ever discarded.
     pub speculative_evals: usize,
-    /// Greedy search legs executed across all evaluated points (including
-    /// discarded speculative ones). In [`SearchMode::Cold`] every
-    /// evaluation is exactly one cold leg; in [`SearchMode::Improving`]
-    /// each point adds one leg per distinct committed neighbor seed.
+    /// Greedy search legs executed across all evaluated points; `0` under
+    /// non-greedy strategies, which report no leg counts. In
+    /// [`SearchMode::Cold`] every evaluation is exactly one cold leg, so
+    /// this equals `stats.evaluated`; in [`SearchMode::Improving`] each
+    /// point adds one leg per distinct committed neighbor seed.
     pub search_legs: usize,
     /// Points whose committed result came from a warm seed instead of the
     /// cold leg — always `0` in [`SearchMode::Cold`].
     pub seed_wins: usize,
     /// How far the sweep got. When `Stopped`, every point before
-    /// `next_lex` is *decided* — evaluated or skip-finalized against
-    /// committed evaluations inside the prefix — so the losslessness
-    /// argument applies to the prefix verbatim: the result's Pareto
-    /// accessors select the certified frontier of the decided prefix,
-    /// and [`try_sweep_grid_pruned_resume`] continues deterministically.
+    /// `next_lex` is *decided* — evaluated or skipped against committed
+    /// evaluations inside the prefix — so `next_lex` is
+    /// `stats.evaluated + stats.skipped()` and the losslessness argument
+    /// applies to the prefix verbatim: the result's Pareto accessors
+    /// select the certified frontier of the decided prefix, and
+    /// [`try_sweep_grid_pruned_resume`] continues deterministically.
     pub status: SweepStatus,
     /// Resume state of a stopped run (empty when
     /// [`status`](Self::status) is [`SweepStatus::Complete`], so
     /// resumed-to-complete runs compare equal to uninterrupted ones).
-    checkpoint: PruneCheckpoint,
+    checkpoint: RefineCheckpoint,
 }
 
 impl PrunedGridSweep {
@@ -1565,185 +1564,59 @@ impl PrunedGridSweep {
             }),
         }
     }
-}
 
-/// What a stopped pruned sweep carries to resume exactly: the rule-1
-/// replay candidates of its committed evaluations (everything else —
-/// incumbents, seeds, floors — is rebuilt from the points).
-#[derive(Clone, PartialEq, Debug, Default)]
-struct PruneCheckpoint {
-    replayable: Vec<Replayable>,
+    /// The pruned view of a depth-0 refinement: its lattice is the grid,
+    /// its certified corners are the skipped points, and — every decided
+    /// point being committed or certified, in lexicographic order — a
+    /// stop's cursor is the decided count.
+    fn from_depth_0(run: RefinedGridSweep) -> Self {
+        let s = run.stats;
+        let status = match run.status {
+            SweepStatus::Complete => SweepStatus::Complete,
+            SweepStatus::Stopped { cause, .. } => SweepStatus::Stopped {
+                cause,
+                next_lex: s.evaluated + s.corners_certified,
+            },
+        };
+        PrunedGridSweep {
+            sweep: run.sweep,
+            stats: PruneStats {
+                candidates: usize::try_from(s.virtual_points).unwrap_or(usize::MAX),
+                evaluated: s.evaluated,
+                skipped_saturated: s.corners_certified,
+            },
+            waves: run.waves,
+            speculative_evals: 0,
+            search_legs: run.search_legs,
+            seed_wins: run.seed_wins,
+            status,
+            checkpoint: run.checkpoint,
+        }
+    }
 }
-
-/// Default number of points one dominance wave of
-/// [`try_sweep_grid_pruned_with`] may evaluate concurrently (the default of
-/// [`PruneOptions::wave`]). Fixed — never derived from the machine's core
-/// count — so wave boundaries, and thus the speculation bookkeeping, are
-/// machine-independent (skip decisions and frontiers are invariant under
-/// the wave size anyway; see [`PruneOptions`]).
-pub const PRUNE_WAVE: usize = 16;
 
 /// Tuning knobs for [`try_sweep_grid_pruned_with`].
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct PruneOptions {
-    /// Evaluate each wave's points on the `rayon` thread pool. Skip
-    /// decisions commit in lexicographic order either way, so results,
-    /// frontiers and [`PruneStats`] are identical with and without
-    /// parallelism — only wall time changes.
-    pub parallel: bool,
-    /// Maximum points per dominance wave (clamped to ≥ 1; default
-    /// [`PRUNE_WAVE`]). `wave == 1` is exactly the sequential
-    /// point-by-point loop. Larger waves expose more parallelism but can
-    /// evaluate a few points speculatively
-    /// ([`PrunedGridSweep::speculative_evals`]).
-    pub wave: usize,
     /// The search mode (default [`SearchMode::Cold`] — every evaluated
     /// point runs cold and standalone-identical, the canonical
     /// losslessness semantics). In [`SearchMode::Improving`] each
-    /// evaluated point runs the neighbor-seeded portfolio instead; the
-    /// engine then forces `wave == 1` (a wave member's innermost-axis
-    /// seed is the member before it, so waves would change seed
-    /// visibility) and the prune hooks switch to their mode-aware forms —
-    /// see [`try_sweep_grid_pruned_with`]'s *Improving mode* section.
+    /// evaluated point runs the neighbor-seeded portfolio instead and the
+    /// prune rule switches to its mode-aware form — see
+    /// [`try_sweep_grid_pruned_with`]'s *Improving mode* section.
     pub mode: SearchMode,
     /// The exploration budget (default unlimited): `max_evals` bounds
-    /// *committed* evaluations — prune skips are free, discarded
-    /// speculative wave members do not count — and the stop lands on a
+    /// searches — prune skips are free — and the stop lands on a
     /// fully-decided lexicographic prefix, so the partial frontier stays
-    /// certified (see [`PrunedGridSweep::status`]). Like every other
-    /// prune result property, the stop point is identical for every
-    /// `wave`/`parallel` setting.
+    /// certified (see [`PrunedGridSweep::status`]).
     pub budget: ExploreBudget,
 }
 
-impl Default for PruneOptions {
-    fn default() -> Self {
-        PruneOptions {
-            parallel: true,
-            wave: PRUNE_WAVE,
-            mode: SearchMode::Cold,
-            budget: ExploreBudget::default(),
-        }
-    }
-}
-
 impl PruneOptions {
-    /// The default options with parallelism toggled.
-    pub fn with_parallel(parallel: bool) -> Self {
-        PruneOptions {
-            parallel,
-            ..PruneOptions::default()
-        }
-    }
-
     /// This option set with its budget replaced.
     pub fn budget(mut self, budget: ExploreBudget) -> Self {
         self.budget = budget;
         self
-    }
-}
-
-/// `q ≤ p` in every coordinate without being the same vector.
-fn caps_dominate(q: &[u64], p: &[u64]) -> bool {
-    q != p && q.iter().zip(p).all(|(a, b)| a <= b)
-}
-
-/// The score-perturbation budget the growth from capacity `from` to
-/// capacity `to` spends at one scratchpad layer: its *write-energy* delta
-/// — the unit the gain-bound sensitivities are expressed in (reads scale
-/// as `δw / 1.2` and bursts as `δw` exactly, both folded into
-/// [`ArrayContribution::energy_sensitivity`](crate::ArrayContribution)).
-/// Zero inside the sub-reference clamp region, where growth leaves the
-/// whole cost model bit-identical.
-fn scratchpad_energy_delta_pj(from: u64, to: u64) -> f64 {
-    (sram_write_pj(to) - sram_write_pj(from)).max(0.0)
-}
-
-/// Every evaluated point: capacities and reported (cycles, energy) — the
-/// incumbents of the cost-floor rule — plus the committed objective score
-/// (the incumbent of the improving mode's score-floor rule).
-struct Evaluated {
-    capacities: Vec<u64>,
-    cycles: u64,
-    energy_pj: f64,
-    score: f64,
-}
-
-/// The objective's lower bound implied by a cost floor — the improving
-/// mode's floor-rule comparand. `None` when the objective's weights are
-/// not all non-negative (a negative weight inverts the bound direction,
-/// so no sound floor exists and the rule disarms).
-fn floor_objective_score(objective: &Objective, floor: &crate::cost::CostFloor) -> Option<f64> {
-    match *objective {
-        Objective::Cycles => Some(floor.cycles as f64),
-        Objective::Energy => Some(floor.energy_pj),
-        Objective::Weighted {
-            energy_weight,
-            cycle_weight,
-        } => (energy_weight >= 0.0 && cycle_weight >= 0.0)
-            .then_some(energy_weight * floor.energy_pj + cycle_weight * floor.cycles as f64),
-    }
-}
-
-/// Rule-1 dominator candidates: evaluated points with at least one
-/// *growable* axis (per-axis, precomputed from the run's constrained-layer
-/// mask) plus the run's recorded gain-bound data. Points whose run was
-/// bound on every axis can never justify a skip and never enter this
-/// list, which keeps the per-candidate scan short — on fully
-/// capacity-bound apps it is empty. (Both scans are still linear in their
-/// list; a spatial index over the capacity lattice would be the next step
-/// for 10⁵+ grids.)
-#[derive(Clone, PartialEq, Debug)]
-struct Replayable {
-    capacities: Vec<u64>,
-    growable: Vec<bool>,
-    stats: RunStats,
-}
-
-impl Replayable {
-    /// Whether this evaluated run provably replays (and therefore
-    /// dominates on both surfaces) at the grown point `caps`: capacity
-    /// dominance, growth confined to never-binding axes inside one
-    /// scratchpad latency class, and the per-layer write-energy deltas
-    /// within the run's recorded gain-bound budget
-    /// ([`RunStats::allows_energy_growth`]).
-    fn replays_at(&self, caps: &[u64], layers: &[LayerId], energy_weight: f64) -> bool {
-        if !caps_dominate(&self.capacities, caps) {
-            return false;
-        }
-        for ((&qc, &pc), &growable) in self.capacities.iter().zip(caps).zip(&self.growable) {
-            if qc == pc {
-                continue;
-            }
-            if !growable || sram_access_cycles(qc) != sram_access_cycles(pc) {
-                return false;
-            }
-        }
-        self.stats.allows_energy_growth(
-            self.capacities
-                .iter()
-                .zip(caps)
-                .enumerate()
-                .filter(|(_, (qc, pc))| qc != pc)
-                .map(|(axis, (&qc, &pc))| (layers[axis], scratchpad_energy_delta_pj(qc, pc))),
-            energy_weight,
-        )
-    }
-}
-
-/// Why a candidate point was skipped without evaluation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum SkipRule {
-    Saturated,
-    Floor,
-}
-
-impl PruneStats {
-    fn record(&mut self, rule: SkipRule) {
-        match rule {
-            SkipRule::Saturated => self.skipped_saturated += 1,
-            SkipRule::Floor => self.skipped_floor += 1,
-        }
     }
 }
 
@@ -1759,66 +1632,56 @@ impl PruneStats {
 /// Every evaluated point runs *cold* (no warm start), so each result is
 /// bit-identical to a standalone [`Mhla::run`] on the same platform — the
 /// canonical semantics the losslessness proof and the equivalence harness
-/// build on. Two prune rules apply, both conservative:
+/// build on. One conservative prune rule applies — **per-layer
+/// saturation with gain bounds**. Capacities enter the greedy search
+/// three ways: *feasibility* (monotone — anything that fits keeps fitting
+/// as layers grow), *per-access cycles* (constant inside one scratchpad
+/// latency class), and *per-access energies* (the clamped √-capacity
+/// scaling law). Each evaluated run records which layers actually *bound*
+/// it ([`RunStats`]): the first-overflow layer of every failed greedy
+/// probe, every layer at which TE rejected an extension, every layer that
+/// turned an array away during direct placement — together with the
+/// smallest byte requirement any of those rejections needed per layer
+/// (its *rejection floor*, [`RunStats::allows_growth_to`]) and the run's
+/// minimum *decision margin* per energy-sensitive operation
+/// ([`RunStats::gain_margin_rates`](crate::RunStats::gain_margin_rates)),
+/// an instrumented gain bound derived from the cost model's cached access
+/// and transfer-volume totals. If point `p` differs from an evaluated
+/// point `q ≤ p` only on layers that never bound `q`'s run or that stay
+/// below their rejection floor, each staying inside its latency class,
+/// and the summed per-layer energy deltas (times the objective's energy
+/// weight) stay strictly below `q`'s margin, the run at `p` replays `q`'s
+/// decision for decision — failed probes still fail, successful ones
+/// still succeed, no gain comparison can flip — yielding the same
+/// assignment and TE schedule, hence *equal cycles* and, because
+/// per-access energies are monotone in capacity, *no lower energy*. `p`
+/// is dominated by `q` on both surfaces and is skipped. Under the cycles
+/// objective the energy weight is zero and the margin test is vacuous
+/// (the classic rule); under the energy/weighted objectives it arms
+/// wherever the margins allow — always for growth inside the
+/// sub-reference energy-clamp region (zero delta), and beyond it whenever
+/// no decision of `q`'s run sat close to a tie.
 ///
-/// 1. **Per-layer saturation with gain bounds.** Capacities enter the
-///    greedy search three ways: *feasibility* (monotone — anything that
-///    fits keeps fitting as layers grow), *per-access cycles* (constant
-///    inside one scratchpad latency class), and *per-access energies*
-///    (the clamped √-capacity scaling law). Each evaluated run records
-///    which layers actually *bound* it ([`RunStats`]):
-///    the first-overflow layer of every failed greedy probe, every layer
-///    at which TE rejected an extension, every layer that turned an array
-///    away during direct placement — plus the run's minimum *decision
-///    margin* per energy-sensitive operation
-///    ([`RunStats::gain_margin_rates`](crate::RunStats::gain_margin_rates)),
-///    an instrumented gain bound derived from the cost model's cached
-///    access and transfer-volume totals. If point `p` differs from an
-///    evaluated point `q ≤ p` only on layers that never bound `q`'s run,
-///    each staying inside its latency class, and the summed per-layer
-///    energy deltas (times the objective's energy weight) stay strictly
-///    below `q`'s margin, the run at `p` replays `q`'s decision for
-///    decision — failed probes still fail, successful ones still
-///    succeed, no gain comparison can flip — yielding the same
-///    assignment and TE schedule, hence *equal cycles* and, because
-///    per-access energies are monotone in capacity, *no lower energy*.
-///    `p` is dominated by `q` on both surfaces and is skipped. Under the
-///    cycles objective the energy weight is zero and the margin test is
-///    vacuous (the classic rule); under the energy/weighted objectives it
-///    arms wherever the margins allow — always for growth inside the
-///    sub-reference energy-clamp region (zero delta), and beyond it
-///    whenever no decision of `q`'s run sat close to a tie.
-/// 2. **Cost floor.** [`CostModel::cost_floor`](crate::CostModel::cost_floor)
-///    bounds any assignment's cycles and energy from below using only the
-///    point's layer parameters. If some evaluated point with
-///    componentwise-smaller capacities already meets the floor on cycles
-///    *and* some evaluated point does so on energy, the point cannot beat
-///    either incumbent and is skipped.
-///
-/// Both rules only ever skip points dominated by an *evaluated* point, so
+/// The rule only ever skips points dominated by an *evaluated* point, so
 /// dominance transitivity keeps every surface intact (anything a skipped
-/// point would dominate is already dominated by its dominator). When the
-/// preconditions of rule 1 do not hold (a non-greedy strategy, or margins
-/// too tight for the requested growth), the rule disarms itself and the
-/// sweep degrades towards exhaustive — never towards a wrong frontier.
+/// point would dominate is already dominated by its dominator). When its
+/// preconditions do not hold (a non-greedy strategy, or margins too tight
+/// for the requested growth), the rule disarms itself and the sweep
+/// degrades towards exhaustive — never towards a wrong frontier.
 ///
-/// # Frontier waves
+/// # One certified loop
 ///
-/// The loop runs in *dominance waves* ([`PruneOptions`]): each wave
-/// collects, in lexicographic order, a run of consecutive points that are
-/// not skippable given the committed evaluations (stopping at the wave
-/// cap and at the first skippable point), evaluates the wave's cold
-/// searches — in parallel under `rayon` when [`PruneOptions::parallel`]
-/// is set — and then commits the results in lexicographic order,
-/// re-applying the skip rules as it goes: a member whose skip was enabled
-/// by an earlier member of the same wave is recorded as skipped and its
-/// speculative evaluation discarded. Because a point is only
-/// skip-*finalized* when every lexicographically earlier point has been
-/// committed, each decision sees exactly the evaluated set the sequential
-/// point-by-point loop would have seen: skip decisions, [`PruneStats`],
-/// evaluated points and both frontiers are **identical for every wave
-/// size and thread fan-out** — only wall time (and the
-/// [`PrunedGridSweep::speculative_evals`] bookkeeping) changes.
+/// The sweep is [`try_sweep_grid_refined_with`]'s scheduler at depth 0:
+/// the refined lattice is the grid itself, a point's key is its
+/// lexicographic index, and the coarse phase is the whole run. The loop
+/// visits the points in lexicographic order and decides each one against
+/// everything committed before it — skipped when a committed run's
+/// saturation certificate covers it, searched and committed otherwise. A
+/// certificate reads only committed points componentwise *below* the
+/// point, so any visit order that puts a point after its whole down-set
+/// decides it identically, and lexicographic order does. No decision is
+/// revisited and no search is thrown away: in cold mode
+/// [`PrunedGridSweep::search_legs`] equals the evaluated count.
 ///
 /// # Improving mode
 ///
@@ -1828,28 +1691,18 @@ impl PruneStats {
 /// standalone-identical, but every committed point scores no worse than
 /// its cold counterpart under the configured objective, and the
 /// *objective* Pareto frontier ([`GridSweep::pareto_objective`])
-/// dominates-or-equals the cold exhaustive one. The prune hooks are
-/// mode-aware to keep that sound:
-///
-/// * the saturation rule only ever replays *cold-kept* runs (a seed win
-///   clears [`RunStats::cold_result_kept`], so such points never enter
-///   the replay set) — a skipped point's cold counterpart is then
-///   dominated on the objective surface by its dominator exactly as in
-///   cold mode;
-/// * the cost-floor rule compares committed objective *scores* against
-///   the floor's objective lower bound instead of the two raw surfaces
-///   (the raw-surface rule bounds the cycle/energy surfaces, not the
-///   score surface the improving guarantee is stated on), and disarms
-///   for objectives with a negative weight (no sound floor exists).
-///
-/// The engine forces `wave == 1` in this mode (see
-/// [`PruneOptions::mode`]), so improving pruned sweeps run sequentially.
+/// dominates-or-equals the cold exhaustive one. The saturation rule stays
+/// sound because it only ever replays *cold-kept* runs (a seed win clears
+/// [`RunStats::cold_result_kept`], so such points certify nothing) — a
+/// skipped point's cold counterpart is then dominated on the objective
+/// surface by its dominator exactly as in cold mode.
 ///
 /// # Errors
 ///
-/// As [`try_sweep_grid_run`]. Budget exhaustion is *not* an error — the
-/// run comes back `Ok` with [`SweepStatus::Stopped`] and a certified
-/// partial frontier (see [`PrunedGridSweep::status`]); use
+/// As [`try_sweep_grid_run`], plus [`MhlaError::InvalidOptions`] for a
+/// grid with more points than a `u64` holds. Budget exhaustion is *not*
+/// an error — the run comes back `Ok` with [`SweepStatus::Stopped`] and a
+/// certified partial frontier (see [`PrunedGridSweep::status`]); use
 /// [`PrunedGridSweep::require_complete`] to promote a stop into a typed
 /// error.
 pub fn try_sweep_grid_pruned_with(
@@ -1861,30 +1714,7 @@ pub fn try_sweep_grid_pruned_with(
 ) -> Result<PrunedGridSweep, MhlaError> {
     error::validate_run_ingress(program, platform, config)?;
     error::validate_axes(platform, axes)?;
-    let layers: Vec<LayerId> = axes.iter().map(|a| a.layer).collect();
-    let axis_caps: Vec<Vec<u64>> = axes
-        .iter()
-        .map(|a| clean_capacities(&a.capacities))
-        .collect();
-    if axis_caps.is_empty() || axis_caps.iter().any(Vec::is_empty) {
-        return Ok(PrunedGridSweep {
-            sweep: GridSweep {
-                layers,
-                points: Vec::new(),
-            },
-            stats: PruneStats::default(),
-            waves: 0,
-            speculative_evals: 0,
-            search_legs: 0,
-            seed_wins: 0,
-            status: SweepStatus::Complete,
-            checkpoint: PruneCheckpoint::default(),
-        });
-    }
-
-    let ctx = ExplorationContext::new(program, platform, config.clone());
-    let engine = SweepEngine::new(&ctx, platform, &layers, &axis_caps);
-    Ok(engine.run_pruned(opts, None))
+    prune_grid(program, platform, axes, config, opts, None)
 }
 
 /// Resumes a stopped [`try_sweep_grid_pruned_with`] from its recorded
@@ -1893,18 +1723,16 @@ pub fn try_sweep_grid_pruned_with(
 /// run used (checked where cheaply possible); resuming a complete run
 /// returns it unchanged.
 ///
-/// The merged run's points, [`PruneStats`], status and frontiers are
-/// bit-identical to the uninterrupted run's (the stop lands on a decided
-/// prefix and the continuation replays the committed state); only the
-/// wave bookkeeping ([`PrunedGridSweep::waves`],
-/// [`speculative_evals`](PrunedGridSweep::speculative_evals), and in
-/// parallel cold mode [`search_legs`](PrunedGridSweep::search_legs))
-/// reflects the actual two-installment schedule.
+/// The deterministic scheduler re-runs from the start with the prior
+/// run's committed points replayed for free (the budget counts fresh
+/// searches only), so the merged run — points, [`PruneStats`], search
+/// legs, seed wins, status and frontiers — is bit-identical to the
+/// uninterrupted run's.
 ///
 /// # Errors
 ///
-/// As [`try_sweep_grid_run`], plus [`MhlaError::InvalidOptions`] when `prior`
-/// does not match the given axes.
+/// As [`try_sweep_grid_pruned_with`], plus [`MhlaError::InvalidOptions`]
+/// when `prior` does not match the given axes.
 pub fn try_sweep_grid_pruned_resume(
     program: &Program,
     platform: &Platform,
@@ -1924,308 +1752,57 @@ pub fn try_sweep_grid_pruned_resume(
         .iter()
         .map(|a| clean_capacities(&a.capacities))
         .collect();
-    let ctx = ExplorationContext::new(program, platform, config.clone());
-    let engine = SweepEngine::new(&ctx, platform, &layers, &axis_caps);
+    let order = cartesian(&axis_caps);
     check_resume_prefix(
         &layers,
-        &engine.order,
+        &order,
         &prior.sweep.layers,
         prior.sweep.points.iter().map(|p| p.capacities.as_slice()),
         prior.sweep.points.len(),
         next_lex,
     )?;
-    if prior.stats.candidates != engine.order.len()
-        || prior.stats.evaluated != prior.sweep.points.len()
+    let stats = prior.stats;
+    if stats.candidates != order.len()
+        || stats.evaluated != prior.sweep.points.len()
+        || stats.evaluated + stats.skipped() != next_lex
+        || prior.checkpoint.run_stats.len() != prior.sweep.points.len()
     {
         return Err(MhlaError::InvalidOptions {
             what: "resume: the prior run's bookkeeping does not match this grid".into(),
         });
     }
-    Ok(engine.run_pruned(opts, Some(prior)))
+    let replay = Replay {
+        points: &prior.sweep.points,
+        run_stats: &prior.checkpoint.run_stats,
+        search_legs: prior.search_legs,
+        seed_wins: prior.seed_wins,
+    };
+    prune_grid(program, platform, axes, config, opts, Some(replay))
 }
 
-impl<'e> SweepEngine<'e> {
-    /// The prune-wave scheduler (the body of [`try_sweep_grid_pruned_with`]):
-    /// dominance waves over the lexicographic order, with skip decisions
-    /// committed sequentially and the prune hooks dispatched on the
-    /// [`SearchMode`].
-    ///
-    /// With a `prior` run (a continuation), the committed state —
-    /// incumbents, replay candidates, improving seeds, the cursor and
-    /// the skip bookkeeping — is rebuilt first and the scan restarts at
-    /// the recorded cursor; the merged result is returned. The budget
-    /// bounds the *continuation's* committed evaluations.
-    fn run_pruned(&self, opts: &PruneOptions, prior: Option<&PrunedGridSweep>) -> PrunedGridSweep {
-        let config = self.ctx.config();
-        let order = &self.order;
-        let layers = self.layers;
-        let budget = &opts.budget;
-
-        // The saturation rule needs the instrumented greedy search (the
-        // only strategy recording constraint masks and decision margins).
-        // The objective no longer disarms it: the energy weight below
-        // scales the gain-bound test, which is vacuous for cycles
-        // (weight 0) and margin-guarded otherwise.
-        let saturation_armed = config.strategy == SearchStrategy::Greedy;
-        // The signed energy weight: zero makes the gain landscape exactly
-        // capacity-independent (the classic cycles-only rule falls out as
-        // the degenerate case); a negative weight makes
-        // `RunStats::allows_energy_growth` refuse every nonzero
-        // perturbation (the one-sided margin rates do not cover that
-        // direction), leaving only bit-identical zero-delta replays.
-        let energy_weight = config.objective.energy_weight();
-        let improving = opts.mode == SearchMode::Improving;
-        // Improving commits must be strictly sequential: a wave member's
-        // innermost-axis seed is the member before it.
-        let wave_cap = if improving { 1 } else { opts.wave.max(1) };
-
-        // A continuation rebuilds the committed state from the prior run:
-        // incumbents and improving seeds from its points, replay
-        // candidates from its checkpoint, counters carried forward.
-        let mut stats = prior.map_or(
-            PruneStats {
-                candidates: order.len(),
-                ..PruneStats::default()
-            },
-            |p| p.stats,
-        );
-        let mut replayable: Vec<Replayable> =
-            prior.map_or_else(Vec::new, |p| p.checkpoint.replayable.clone());
-        let mut points: Vec<GridPoint> = prior.map_or_else(Vec::new, |p| p.sweep.points.clone());
-        let mut seen: Vec<Evaluated> = points
-            .iter()
-            .map(|p| Evaluated {
-                capacities: p.capacities.clone(),
-                cycles: p.cycles(),
-                energy_pj: p.energy_pj(),
-                score: config.objective.score(&p.result.assignment_cost),
-            })
-            .collect();
-        let mut waves = prior.map_or(0usize, |p| p.waves);
-        let mut speculative_evals = prior.map_or(0usize, |p| p.speculative_evals);
-        let mut search_legs = prior.map_or(0usize, |p| p.search_legs);
-        let mut seed_wins = prior.map_or(0usize, |p| p.seed_wins);
-        let mut seeds = SeedCache::new();
-        let mut last_committed: Option<Vec<u64>> = None;
-        if opts.mode == SearchMode::Improving {
-            for p in &points {
-                seeds.commit(&p.capacities, p.result.assignment.clone());
-            }
-            last_committed = points.last().map(|p| p.capacities.clone());
-        }
-        let start = prior.and_then(|p| p.status.next_lex()).unwrap_or(0);
-        // Committed evaluations are what the budget counts; the prior
-        // run's are already paid for.
-        let base_evaluated = stats.evaluated;
-
-        // Per-candidate cost floors, memoized: a point's floor depends
-        // only on its capacities, but its skip rules can run several
-        // times (wave re-examinations, the commit re-check). The probe
-        // pre-folds every capacity-invariant input (access totals, CPU
-        // overhead, fixed-layer minima), so a memo miss is a handful of
-        // arithmetic ops — no resized platform, no cost model, no
-        // allocation — and bit-identical to the model's floor on the
-        // resized platform ([`FloorProbe`](crate::cost::FloorProbe)).
-        let floor_probe = self.ctx.floor_probe(self.platform, layers);
-        let mut floors: Vec<Option<crate::cost::CostFloor>> = vec![None; order.len()];
-        // The skip rules against the *committed* evaluations. Rule 1
-        // first, rule 2 second (the bookkeeping attributes a skip to the
-        // first rule that fires); the cold rule-2 energy scan only runs
-        // once the cycles scan has found a dominator — a miss on either
-        // side keeps the point.
-        let skip_rule = |i: usize,
-                         seen: &[Evaluated],
-                         replayable: &[Replayable],
-                         floors: &mut [Option<crate::cost::CostFloor>]| {
-            let caps: &[u64] = &order[i];
-            if saturation_armed
-                && replayable
-                    .iter()
-                    .any(|q| q.replays_at(caps, layers, energy_weight))
-            {
-                return Some(SkipRule::Saturated);
-            }
-            let floor = *floors[i].get_or_insert_with(|| floor_probe.floor_at(caps));
-            let floor_dominated = if improving {
-                // Mode-aware rule 2: the improving guarantee lives on the
-                // objective-score surface, so the incumbents must beat
-                // the floor's score bound there.
-                match floor_objective_score(&config.objective, &floor) {
-                    Some(floor_score) => seen
-                        .iter()
-                        .any(|q| caps_dominate(&q.capacities, caps) && q.score <= floor_score),
-                    None => false,
-                }
-            } else {
-                seen.iter()
-                    .any(|q| caps_dominate(&q.capacities, caps) && q.cycles <= floor.cycles)
-                    && seen.iter().any(|q| {
-                        caps_dominate(&q.capacities, caps) && q.energy_pj <= floor.energy_pj
-                    })
-            };
-            floor_dominated.then_some(SkipRule::Floor)
-        };
-
-        let mut next = start;
-        let mut status = SweepStatus::Complete;
-        'waves: while next < order.len() {
-            // --- Wave selection: walk the lexicographic order from the
-            // cursor. While the wave is empty, every earlier point has
-            // been committed, so a skip decision here sees exactly the
-            // sequential loop's evaluated set and is final. Once a member
-            // is selected, later skips can no longer be finalized (the
-            // member's own result is pending) — the wave stops there and
-            // the point is re-examined next wave. Points merely
-            // capacity-dominated by a pending member do join the wave; if
-            // the member's commit turns out to enable their skip, the
-            // commit pass below discards their evaluation as speculative
-            // (measured: a handful per app on the default grid).
-            let mut wave: Vec<usize> = Vec::new();
-            while next < order.len() && wave.len() < wave_cap {
-                match skip_rule(next, &seen, &replayable, &mut floors) {
-                    Some(rule) => {
-                        if !wave.is_empty() {
-                            break;
-                        }
-                        stats.record(rule);
-                        next += 1;
-                    }
-                    None => {
-                        // The budget gates evaluations only — skips stay
-                        // free, before and after exhaustion. A stop is
-                        // *final* only on an empty wave, where the exact
-                        // committed count is known and every earlier
-                        // point is decided: the stop point is therefore
-                        // wave-invariant (pending members over-count by
-                        // at most their eventual speculative discards,
-                        // which merely pauses selection one round).
-                        if let Some(cause) =
-                            budget.stop(stats.evaluated - base_evaluated + wave.len())
-                        {
-                            if wave.is_empty() {
-                                status = SweepStatus::Stopped {
-                                    cause,
-                                    next_lex: next,
-                                };
-                                break 'waves;
-                            }
-                            break;
-                        }
-                        wave.push(next);
-                        next += 1;
-                    }
-                }
-            }
-            if wave.is_empty() {
-                continue; // the scan consumed pure skips up to the end
-            }
-            waves += 1;
-
-            // --- Evaluations of the wave, order-preserving: cold (and
-            // parallelizable — skip decisions commit below either way) in
-            // cold mode, seeded in improving mode (wave size 1, so every
-            // seed is committed; the lex-predecessor seed is the last
-            // *committed* point — skipped points have no result to seed
-            // from).
-            let runs: Vec<(MhlaResult, RunStats, Option<SeedOrigin>)> = if improving {
-                wave.iter()
-                    .map(|&i| self.evaluate_improving(&order[i], &seeds, last_committed.as_deref()))
-                    .collect()
-            } else if opts.parallel && wave.len() > 1 {
-                wave.par_iter()
-                    .map(|&i| {
-                        let (result, run) = self.evaluate(&order[i], None);
-                        (result, run, None)
-                    })
-                    .collect()
-            } else {
-                wave.iter()
-                    .map(|&i| {
-                        let (result, run) = self.evaluate(&order[i], None);
-                        (result, run, None)
-                    })
-                    .collect()
-            };
-
-            // --- Deterministic commit in lexicographic order. A member
-            // whose skip rules now fire (an earlier member's commit
-            // enabled them) is recorded as skipped and its speculative
-            // result discarded — exactly the sequential decision, since
-            // at this position every earlier point is committed.
-            let mut committed_in_wave = false;
-            for (&i, (result, run, winner)) in wave.iter().zip(runs) {
-                search_legs += run.search_legs;
-                let capacities = order[i].clone();
-                if committed_in_wave {
-                    if let Some(rule) = skip_rule(i, &seen, &replayable, &mut floors) {
-                        stats.record(rule);
-                        speculative_evals += 1;
-                        continue;
-                    }
-                }
-                if saturation_armed {
-                    let growable: Vec<bool> =
-                        layers.iter().map(|&l| run.allows_growth_of(l)).collect();
-                    if growable.iter().any(|&g| g) {
-                        replayable.push(Replayable {
-                            capacities: capacities.clone(),
-                            growable,
-                            stats: run,
-                        });
-                    }
-                }
-                seed_wins += usize::from(winner.is_some());
-                if improving {
-                    seeds.commit(&capacities, result.assignment.clone());
-                    last_committed = Some(capacities.clone());
-                }
-                seen.push(Evaluated {
-                    capacities: capacities.clone(),
-                    cycles: result.mhla_te_cycles(),
-                    energy_pj: result.mhla_energy_pj(),
-                    score: config.objective.score(&result.assignment_cost),
-                });
-                stats.evaluated += 1;
-                points.push(GridPoint { capacities, result });
-                committed_in_wave = true;
-            }
-        }
-
-        // Only a stopped run needs resume state; leaving it empty on
-        // completion keeps resumed-to-complete runs `PartialEq`-equal to
-        // uninterrupted ones.
-        let checkpoint = match status {
-            SweepStatus::Complete => PruneCheckpoint::default(),
-            SweepStatus::Stopped { .. } => PruneCheckpoint { replayable },
-        };
-        PrunedGridSweep {
-            sweep: GridSweep {
-                layers: layers.to_vec(),
-                points,
-            },
-            stats,
-            waves,
-            speculative_evals,
-            search_legs,
-            seed_wins,
-            status,
-            checkpoint,
-        }
-    }
+/// The shared body of [`try_sweep_grid_pruned_with`] and
+/// [`try_sweep_grid_pruned_resume`] (ingress validated): the refinement
+/// scheduler at depth 0, mapped onto the pruned bookkeeping.
+fn prune_grid(
+    program: &Program,
+    platform: &Platform,
+    axes: &[GridAxis],
+    config: &MhlaConfig,
+    opts: &PruneOptions,
+    prior: Option<Replay<'_>>,
+) -> Result<PrunedGridSweep, MhlaError> {
+    let depth_0 = RefineOptions {
+        depth: 0,
+        mode: opts.mode,
+        budget: opts.budget.clone(),
+    };
+    refine_grid(program, platform, axes, config, &depth_0, prior).map(PrunedGridSweep::from_depth_0)
 }
 
 /// Default per-axis subdivision depth of [`try_sweep_grid_refined_with`]: each
 /// coarse axis interval gains up to `2^REFINE_DEPTH - 1` interior points,
 /// so the default three-axis grid4 lattice virtualizes 10⁵+ points.
 pub const REFINE_DEPTH: usize = 4;
-
-/// Lex-chunk size of the refinement batch scheduler: certification is
-/// re-decided against the committed state at every chunk boundary, so
-/// commits early in a wave certify corners later in it. A constant (not
-/// a core-count function) — chunk boundaries are part of the
-/// deterministic schedule that makes parallel, sequential and resumed
-/// runs bit-identical.
-pub const REFINE_CERT_CHUNK: usize = 32;
 
 /// Tuning knobs for [`try_sweep_grid_refined_with`].
 #[derive(Clone, PartialEq, Debug)]
@@ -2236,11 +1813,6 @@ pub struct RefineOptions {
     /// midpoints; exhausted ranges stop early), defining the *virtual
     /// fine lattice* the result's frontier is certified against.
     pub depth: usize,
-    /// Evaluate each corner batch on the `rayon` thread pool (cold mode
-    /// only — improving mode is strictly sequential). Cell decisions and
-    /// commits are ordered either way, so results are identical with and
-    /// without parallelism.
-    pub parallel: bool,
     /// The search mode (default [`SearchMode::Cold`], the canonical
     /// exhaustive-equivalence semantics). Under [`SearchMode::Improving`]
     /// each evaluated corner runs the seeded portfolio — phase-0 points
@@ -2251,8 +1823,9 @@ pub struct RefineOptions {
     pub mode: SearchMode,
     /// The exploration budget (default unlimited): `max_evals` bounds
     /// *fresh* searches in this call — points replayed from a resumed
-    /// prior run are free — and the stop lands on a committed batch
-    /// prefix, resumable via [`try_sweep_grid_refined_resume`].
+    /// prior run and points certified without a search are free — and
+    /// the stop lands before a search, every earlier point of its batch
+    /// decided, resumable via [`try_sweep_grid_refined_resume`].
     pub budget: ExploreBudget,
 }
 
@@ -2260,7 +1833,6 @@ impl Default for RefineOptions {
     fn default() -> Self {
         RefineOptions {
             depth: REFINE_DEPTH,
-            parallel: true,
             mode: SearchMode::Cold,
             budget: ExploreBudget::default(),
         }
@@ -2268,14 +1840,6 @@ impl Default for RefineOptions {
 }
 
 impl RefineOptions {
-    /// The default options with parallelism toggled.
-    pub fn with_parallel(parallel: bool) -> Self {
-        RefineOptions {
-            parallel,
-            ..RefineOptions::default()
-        }
-    }
-
     /// This option set with its subdivision depth replaced.
     pub fn depth(mut self, depth: usize) -> Self {
         self.depth = depth;
@@ -2292,7 +1856,8 @@ impl RefineOptions {
 /// Bookkeeping of one [`try_sweep_grid_refined_with`] run.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct RefineStats {
-    /// Points of the coarse (phase-0) lattice — all evaluated.
+    /// Points of the coarse (phase-0) lattice — each evaluated or
+    /// certified.
     pub coarse_points: usize,
     /// Points of the virtual fine lattice the frontier is certified
     /// against (the Cartesian product of the refined axes — never
@@ -2302,10 +1867,6 @@ pub struct RefineStats {
     pub evaluated: usize,
     /// Cells subdivided into children.
     pub cells_opened: usize,
-    /// Cells closed by the cost-floor certificate: the floor at the
-    /// cell's minimal corner is dominated by committed points on both
-    /// surfaces (one, the objective score, in improving mode).
-    pub cells_closed_floor: usize,
     /// Cells closed by the saturation certificate: a committed run's
     /// constraint masks and rejection floors prove every interior point
     /// replays it.
@@ -2313,10 +1874,12 @@ pub struct RefineStats {
     /// Cells at maximal depth (or with no splittable axis): their box
     /// contains only corners, all evaluated or certified.
     pub cells_leaf: usize,
-    /// Pending corners certified dominated by the point-level skip rules
-    /// (a committed run's saturation mask with rejection floors, or the
-    /// corner's cost floor) and therefore never searched — the per-point
-    /// complement of the cell-level certificates.
+    /// Points certified dominated when their turn came — a run committed
+    /// before them covers them with its saturation certificate (constraint
+    /// masks with rejection floors, within the energy gain margins) — and
+    /// therefore never searched: the per-point complement of the cell-level
+    /// certificate. At depth 0 these are the pruned sweep's skipped
+    /// points.
     pub corners_certified: usize,
 }
 
@@ -2392,6 +1955,16 @@ impl RefinedGridSweep {
 #[derive(Clone, PartialEq, Debug, Default)]
 struct RefineCheckpoint {
     run_stats: Vec<RunStats>,
+}
+
+/// The committed state of a stopped pruned or refined run that its
+/// resume replays: the points with their aligned [`RunStats`], plus the
+/// search counters already paid for.
+struct Replay<'p> {
+    points: &'p [GridPoint],
+    run_stats: &'p [RunStats],
+    search_legs: usize,
+    seed_wins: usize,
 }
 
 /// The refined (virtual fine) axis for one coarse axis: every coarse
@@ -2653,6 +2226,17 @@ impl Cells {
     }
 }
 
+/// The score-perturbation budget the growth from capacity `from` to
+/// capacity `to` spends at one scratchpad layer: its *write-energy* delta
+/// — the unit the gain-bound sensitivities are expressed in (reads scale
+/// as `δw / 1.2` and bursts as `δw` exactly, both folded into
+/// [`ArrayContribution::energy_sensitivity`](crate::ArrayContribution)).
+/// Zero inside the sub-reference clamp region, where growth leaves the
+/// whole cost model bit-identical.
+fn scratchpad_energy_delta_pj(from: u64, to: u64) -> f64 {
+    (sram_write_pj(to) - sram_write_pj(from)).max(0.0)
+}
+
 /// The saturation certificates as boxes. A committed tracked, cold-kept
 /// run at fine point `q` replays at every lattice point `p` with
 /// `q ≤ p ≤ reach` — each grown axis growable
@@ -2767,9 +2351,6 @@ impl MaskBoxes {
 /// certificates arm.
 struct Refinement<'a> {
     lattice: Lattice<'a>,
-    objective: &'a Objective,
-    /// The cost-floor evaluator over the axis layers.
-    floor: crate::cost::FloorProbe,
     improving: bool,
     /// The saturation certificates need the instrumented greedy search.
     saturation_armed: bool,
@@ -2785,17 +2366,10 @@ enum RefineSeeds<'m> {
     Corners(&'m Cells),
 }
 
-/// A committed point's values as a cost-floor incumbent.
-struct Incumbent {
-    cycles: u64,
-    energy_pj: f64,
-    score: f64,
-}
-
 /// The mutable committed state of one refinement run, threaded through
 /// the batches and keyed by packed lattice keys ([`Lattice`]).
-/// `points`, `run_stats` and `incumbents` stay aligned index for index;
-/// the lexicographic sort happens once at assembly.
+/// `points` and `run_stats` stay aligned index for index; the
+/// lexicographic sort happens once at assembly.
 struct RefineState {
     /// Committed results of a resumed prior run, replayed for free.
     replay: HashMap<u64, (MhlaResult, RunStats)>,
@@ -2808,17 +2382,12 @@ struct RefineState {
     masks: MaskBoxes,
     points: Vec<GridPoint>,
     run_stats: Vec<RunStats>,
-    /// Cost-floor incumbents.
-    incumbents: Vec<Incumbent>,
-    /// The incumbents' componentwise minimum: while it sits above a
-    /// floor, no committed point meets that floor.
-    best: Incumbent,
     /// Keys committed or certified (corner dedup across cells).
     /// Certification only depends on committed state, which only grows,
     /// so both are permanent.
     decided: HashSet<u64>,
-    /// Points certified dominated by the point-level skip rules —
-    /// decided without a search, never committed.
+    /// Points certified dominated by a committed run — decided without a
+    /// search, never committed.
     corners_certified: usize,
     /// Fresh searches this call — what the budget counts.
     fresh: usize,
@@ -2827,11 +2396,12 @@ struct RefineState {
 }
 
 impl RefineState {
-    fn new(rf: &Refinement<'_>, prior: Option<&RefinedGridSweep>) -> Self {
+    fn new(rf: &Refinement<'_>, prior: Option<Replay<'_>>) -> Self {
         let lat = &rf.lattice;
         let mut replay = HashMap::new();
+        let (mut search_legs, mut seed_wins) = (0, 0);
         if let Some(p) = prior {
-            for (pt, run) in p.sweep.points.iter().zip(&p.checkpoint.run_stats) {
+            for (pt, run) in p.points.iter().zip(p.run_stats) {
                 let idx: Vec<usize> = pt
                     .capacities
                     .iter()
@@ -2840,6 +2410,7 @@ impl RefineState {
                     .collect();
                 replay.insert(lat.key(&idx), (pt.result.clone(), run.clone()));
             }
+            (search_legs, seed_wins) = (p.search_legs, p.seed_wins);
         }
         RefineState {
             replay,
@@ -2848,17 +2419,11 @@ impl RefineState {
             masks: MaskBoxes::new(lat),
             points: Vec::new(),
             run_stats: Vec::new(),
-            incumbents: Vec::new(),
-            best: Incumbent {
-                cycles: u64::MAX,
-                energy_pj: f64::INFINITY,
-                score: f64::INFINITY,
-            },
             decided: HashSet::new(),
             corners_certified: 0,
             fresh: 0,
-            seed_wins: prior.map_or(0, |p| p.seed_wins),
-            search_legs: prior.map_or(0, |p| p.search_legs),
+            seed_wins,
+            search_legs,
         }
     }
 
@@ -2887,17 +2452,6 @@ impl RefineState {
             self.seeds.commit(&caps, result.assignment.clone());
             self.last_committed = Some(caps.clone());
         }
-        let inc = Incumbent {
-            cycles: result.mhla_te_cycles(),
-            energy_pj: result.mhla_energy_pj(),
-            score: rf.objective.score(&result.assignment_cost),
-        };
-        self.best = Incumbent {
-            cycles: self.best.cycles.min(inc.cycles),
-            energy_pj: self.best.energy_pj.min(inc.energy_pj),
-            score: self.best.score.min(inc.score),
-        };
-        self.incumbents.push(inc);
         self.decided.insert(key);
         self.run_stats.push(run);
         self.points.push(GridPoint {
@@ -2906,18 +2460,16 @@ impl RefineState {
         });
     }
 
-    /// The point-level certification of one undecided point (fine
-    /// indices `idx`) against the committed state — exactly
-    /// [`try_sweep_grid_pruned_with`]'s two skip rules (saturation first,
-    /// cost floor second), with the saturation rule extended by the
-    /// per-layer rejection floors ([`MaskBoxes`]). A certified point is
+    /// The point-level certificate of one undecided point (fine indices
+    /// `idx`) against the committed state: some committed run's
+    /// saturation box ([`MaskBoxes`]) contains it. A certified point is
     /// dominated on both result surfaces (the objective-score surface in
     /// improving mode) by a committed point and needs no search. An
     /// undecided point is never a record's own `q`, so box containment is
-    /// strict capacity dominance here. `caps` is scratch.
-    fn point_certified(&self, rf: &Refinement<'_>, idx: &[usize], caps: &mut Vec<u64>) -> bool {
+    /// strict capacity dominance here.
+    fn point_certified(&self, rf: &Refinement<'_>, idx: &[usize]) -> bool {
         let lat = &rf.lattice;
-        if rf.saturation_armed
+        rf.saturation_armed
             && self.masks.covers(
                 lat,
                 &self.run_stats,
@@ -2925,220 +2477,84 @@ impl RefineState {
                 lat.window_of(idx),
                 rf.energy_weight,
             )
-        {
-            return true;
-        }
-        lat.caps_into(idx, caps);
-        self.floor_met(rf, caps, false)
-    }
-
-    /// The cost-floor rule at the probe capacities `caps`: committed
-    /// points at capacities below the probe already meet the probe's
-    /// floor on both the cycles and the energy surface (the objective
-    /// score in improving mode). The floor is capacity-monotone, so at a
-    /// cell's minimal corner (`cell`) it bounds the whole box; the cell
-    /// certificate compares in `f64` (capacities included) and admits a
-    /// point at the probe itself, the point rule compares cycles and
-    /// capacities in `u64` under strict dominance. The incumbents'
-    /// minimum answers most probes without a scan.
-    fn floor_met(&self, rf: &Refinement<'_>, caps: &[u64], cell: bool) -> bool {
-        let floor = rf.floor.floor_at(caps);
-        let below = |q: &[u64]| {
-            if cell {
-                q.iter().zip(caps).all(|(&q, &c)| q as f64 <= c as f64)
-            } else {
-                caps_dominate(q, caps)
-            }
-        };
-        let cycles_met = |cycles: u64| {
-            if cell {
-                cycles as f64 <= floor.cycles as f64
-            } else {
-                cycles <= floor.cycles
-            }
-        };
-        let met = |meets: &dyn Fn(&Incumbent) -> bool| {
-            self.points
-                .iter()
-                .zip(&self.incumbents)
-                .any(|(p, inc)| below(&p.capacities) && meets(inc))
-        };
-        if rf.improving {
-            match floor_objective_score(rf.objective, &floor) {
-                Some(score) => self.best.score <= score && met(&|inc| inc.score <= score),
-                None => false,
-            }
-        } else {
-            cycles_met(self.best.cycles)
-                && self.best.energy_pj <= floor.energy_pj
-                && met(&|inc| cycles_met(inc.cycles))
-                && met(&|inc| inc.energy_pj <= floor.energy_pj)
-        }
     }
 }
 
 impl<'e> SweepEngine<'e> {
-    /// Evaluates one ascending batch of `(key, generating cell)` points,
-    /// committing in batch order. Returns `Some(cause)` when the budget
-    /// stopped the batch mid-way — everything committed so far is final,
-    /// the rest of the batch is undecided.
+    /// Decides one ascending batch of `(key, generating cell)` points, one
+    /// at a time in batch order, each against everything committed before
+    /// it: a point replayed from a resumed prior run is committed for
+    /// free; otherwise a point the committed state certifies
+    /// ([`RefineState::point_certified`]) is decided without a search;
+    /// otherwise the point is searched — cold, or seeded in improving
+    /// mode — and committed. Returns `Some(cause)` when the budget, which
+    /// counts fresh searches only, stops the batch before a search:
+    /// everything decided so far is final, the rest of the batch is
+    /// undecided.
     ///
-    /// Replayed points (from a resumed prior run) are free, and so are
-    /// points certified by the point-level skip rules. The batch is
-    /// processed in fixed [`REFINE_CERT_CHUNK`]-point lex chunks:
-    /// certification is decided against the state committed *before the
-    /// chunk*, so commits in one chunk certify points in the next —
-    /// and, because the chunk boundaries are a constant, the decisions
-    /// are identical for every parallel/sequential schedule and across
-    /// resumes. The budget counts fresh searches only. Cold parallel
-    /// chunks enforce `max_evals` by deterministic truncation and poll
-    /// the wall clock through a [`TripFlag`], mirroring the pruned
-    /// sweep's chunked scheduler; commits stop at the first uncommitted
-    /// gap so the committed set is always a lex prefix of the batch's
-    /// searched points.
+    /// A certificate only reads committed points componentwise below the
+    /// point, and the committed set only grows, so every point is decided
+    /// exactly as late as its down-set allows: the loop never searches a
+    /// point the committed state already certifies.
     fn refine_eval_batch(
         &self,
         rf: &Refinement<'_>,
         batch: &[(u64, usize)],
         seeds_from: &RefineSeeds<'_>,
-        opts: &RefineOptions,
-        st: &mut RefineState,
-    ) -> Option<StopCause> {
-        batch
-            .chunks(REFINE_CERT_CHUNK)
-            .find_map(|chunk| self.refine_eval_chunk(rf, chunk, seeds_from, opts, st))
-    }
-
-    /// One fixed-size chunk of [`Self::refine_eval_batch`]: certification
-    /// against the chunk-start state, then evaluation and in-order
-    /// commits. Capacity vectors are built only for the points searched
-    /// or committed.
-    fn refine_eval_chunk(
-        &self,
-        rf: &Refinement<'_>,
-        chunk: &[(u64, usize)],
-        seeds_from: &RefineSeeds<'_>,
-        opts: &RefineOptions,
+        budget: &ExploreBudget,
         st: &mut RefineState,
     ) -> Option<StopCause> {
         let lat = &rf.lattice;
-        let budget = &opts.budget;
-
-        // Certification pass, upfront against the chunk-start state: a
-        // certified point is skipped below exactly where a prune skip
-        // would be, for free. Replays win over certification — a point
-        // the prior run committed must commit again.
         let mut idx = vec![0; lat.fine.len()];
-        let mut caps = Vec::with_capacity(idx.len());
-        let mut certified = vec![false; chunk.len()];
-        for (&(key, _), flag) in chunk.iter().zip(&mut certified) {
+        for &(key, parent) in batch {
             debug_assert!(!st.decided.contains(&key), "batch points are undecided");
-            if st.replay.contains_key(&key) {
-                continue;
-            }
-            lat.unpack(key, &mut idx);
-            if st.point_certified(rf, &idx, &mut caps) {
-                *flag = true;
-                st.decided.insert(key);
-                st.corners_certified += 1;
-            }
-        }
-        let undecided = chunk
-            .iter()
-            .zip(&certified)
-            .filter(|&(_, &flag)| !flag)
-            .map(|(&point, _)| point);
-
-        if rf.improving || !opts.parallel {
-            for (key, parent) in undecided {
-                let caps = lat.caps(key);
-                if let Some(replayed) = st.replay.remove(&key) {
-                    st.commit(rf, key, caps, replayed, None);
-                    continue;
-                }
-                if let Some(cause) = budget.stop(st.fresh) {
-                    return Some(cause);
-                }
-                let (result, run, seed_win) = if rf.improving {
-                    match seeds_from {
-                        RefineSeeds::Grid => {
-                            let (result, run, winner) = self.evaluate_improving(
-                                &caps,
-                                &st.seeds,
-                                st.last_committed.as_deref(),
-                            );
-                            (result, run, winner.is_some())
-                        }
-                        RefineSeeds::Corners(cells) => {
-                            let corners = cells.corner_caps(parent, lat);
-                            let refs = st.seeds.corner_seeds(&corners, &caps);
-                            let (result, run) = self.evaluate_with_seed_refs(&caps, &refs);
-                            let seed_win = run.winning_seed.is_some();
-                            (result, run, seed_win)
-                        }
-                    }
-                } else {
-                    let (result, run) = self.evaluate(&caps, None);
-                    (result, run, false)
-                };
-                st.fresh += 1;
-                st.commit(rf, key, caps, (result, run), Some(seed_win));
-            }
-            return None;
-        }
-
-        // Cold parallel: fresh evaluations truncated to the remaining
-        // deterministic allowance, wall-clock limits through the trip
-        // flag; the results come back in batch order.
-        let fresh: Vec<u64> = undecided
-            .clone()
-            .map(|(key, _)| key)
-            .filter(|key| !st.replay.contains_key(key))
-            .collect();
-        let allowed = budget
-            .max_evals
-            .map_or(fresh.len(), |m| fresh.len().min(m.saturating_sub(st.fresh)));
-        let timed = budget.is_timed();
-        let trip = TripFlag::new();
-        let searched: Vec<Option<(MhlaResult, RunStats)>> = fresh[..allowed]
-            .par_iter()
-            .map(|&key| {
-                if timed {
-                    if trip.tripped() {
-                        return None;
-                    }
-                    if let Some(cause) = budget.stop_timed() {
-                        trip.trip(cause);
-                        return None;
-                    }
-                }
-                Some(self.evaluate(&lat.caps(key), None))
-            })
-            .collect();
-        let mut searched = searched.into_iter();
-        for (key, _) in undecided {
             if let Some(replayed) = st.replay.remove(&key) {
                 st.commit(rf, key, lat.caps(key), replayed, None);
                 continue;
             }
-            match searched.next() {
-                Some(Some(outcome)) => {
-                    st.fresh += 1;
-                    st.commit(rf, key, lat.caps(key), outcome, Some(false));
-                }
-                Some(None) => return Some(trip.cause().unwrap_or(StopCause::Deadline)),
-                None => return Some(StopCause::MaxEvals),
+            lat.unpack(key, &mut idx);
+            if st.point_certified(rf, &idx) {
+                st.decided.insert(key);
+                st.corners_certified += 1;
+                continue;
             }
+            if let Some(cause) = budget.stop(st.fresh) {
+                return Some(cause);
+            }
+            let mut caps = Vec::with_capacity(idx.len());
+            lat.caps_into(&idx, &mut caps);
+            let (result, run, seed_win) = if !rf.improving {
+                let (result, run) = self.evaluate(&caps);
+                (result, run, false)
+            } else {
+                match seeds_from {
+                    RefineSeeds::Grid => {
+                        let (result, run, winner) =
+                            self.evaluate_improving(&caps, &st.seeds, st.last_committed.as_deref());
+                        (result, run, winner.is_some())
+                    }
+                    RefineSeeds::Corners(cells) => {
+                        let corners = cells.corner_caps(parent, lat);
+                        let refs = st.seeds.corner_seeds(&corners, &caps);
+                        let (result, run) = self.evaluate_with_seed_refs(&caps, &refs);
+                        let seed_win = run.winning_seed.is_some();
+                        (result, run, seed_win)
+                    }
+                }
+            };
+            st.fresh += 1;
+            st.commit(rf, key, caps, (result, run), Some(seed_win));
         }
         None
     }
 
     /// The adaptive refinement scheduler (the body of
-    /// [`try_sweep_grid_refined_with`]): phase 0 evaluates the coarse
+    /// [`try_sweep_grid_refined_with`], and at depth 0 of
+    /// [`try_sweep_grid_pruned_with`]): phase 0 decides the coarse
     /// lattice, then refinement waves classify every open cell against
     /// the state committed *before* the wave — saturation certificate
-    /// first, cost-floor certificate second, split third — and evaluate
-    /// the new child corners as one ascending batch.
+    /// first, split second — and decide the new child corners as one
+    /// ascending batch.
     ///
     /// The engine's `axis_caps` are the *fine* axes (improving-mode
     /// neighbor seeds resolve on them); `coarse_axes` are the caller's
@@ -3154,13 +2570,11 @@ impl<'e> SweepEngine<'e> {
         &self,
         coarse_axes: &[Vec<u64>],
         opts: &RefineOptions,
-        prior: Option<&RefinedGridSweep>,
+        prior: Option<Replay<'_>>,
     ) -> RefinedGridSweep {
         let config = self.ctx.config();
         let rf = Refinement {
             lattice: Lattice::new(self.axis_caps, self.layers, coarse_axes),
-            objective: &config.objective,
-            floor: self.ctx.floor_probe(self.platform, self.layers),
             improving: opts.mode == SearchMode::Improving,
             saturation_armed: config.strategy == SearchStrategy::Greedy,
             energy_weight: config.objective.energy_weight(),
@@ -3178,7 +2592,8 @@ impl<'e> SweepEngine<'e> {
         let mut coarse = Vec::new();
         lat.for_each_key(&lat.coarse, &mut |key| coarse.push((key, 0)));
         stats.coarse_points = coarse.len();
-        if let Some(cause) = self.refine_eval_batch(&rf, &coarse, &RefineSeeds::Grid, opts, &mut st)
+        if let Some(cause) =
+            self.refine_eval_batch(&rf, &coarse, &RefineSeeds::Grid, &opts.budget, &mut st)
         {
             let next_lex = st.points.len();
             return self.assemble_refined(
@@ -3192,7 +2607,6 @@ impl<'e> SweepEngine<'e> {
         let mut open = Cells::initial(lat);
         let mut depth = 0;
         let mut status = SweepStatus::Complete;
-        let mut caps = Vec::with_capacity(n);
         let mut mids: Vec<Option<usize>> = Vec::with_capacity(n);
         let mut grid: Vec<Vec<usize>> = vec![Vec::with_capacity(3); n];
         let (mut child_lo, mut child_hi) = (vec![0; n], vec![0; n]);
@@ -3213,11 +2627,6 @@ impl<'e> SweepEngine<'e> {
                     )
                 {
                     stats.cells_closed_mask += 1;
-                    continue;
-                }
-                lat.caps_into(lo, &mut caps);
-                if st.floor_met(&rf, &caps, true) {
-                    stats.cells_closed_floor += 1;
                     continue;
                 }
                 // Split at every splittable axis's integer midpoint — or
@@ -3272,9 +2681,13 @@ impl<'e> SweepEngine<'e> {
             pending.sort_by_key(|&(key, _)| key);
             pending.dedup_by_key(|&mut (key, _)| key);
             pending.retain(|(key, _)| !st.decided.contains(key));
-            if let Some(cause) =
-                self.refine_eval_batch(&rf, &pending, &RefineSeeds::Corners(&open), opts, &mut st)
-            {
+            if let Some(cause) = self.refine_eval_batch(
+                &rf,
+                &pending,
+                &RefineSeeds::Corners(&open),
+                &opts.budget,
+                &mut st,
+            ) {
                 let next_lex = st.points.len();
                 status = SweepStatus::Stopped { cause, next_lex };
                 break;
@@ -3326,29 +2739,29 @@ impl<'e> SweepEngine<'e> {
 /// still change the Pareto front, until the virtual fine lattice
 /// (`2^`[`REFINE_DEPTH`] interior points per coarse interval per axis)
 /// is reached or closed. A cell is closed without subdivision only under
-/// a certificate — mirroring [`try_sweep_grid_pruned_with`]'s two skip rules,
-/// lifted from points to boxes:
+/// the **saturation certificate** — [`try_sweep_grid_pruned_with`]'s
+/// prune rule lifted from points to boxes: a committed cold-kept run at
+/// `q ≤ cell.lo` whose constraint masks and per-layer rejection floors
+/// ([`RunStats::allows_growth_to`]) prove growth to `cell.hi` replays it
+/// — every changed axis growable, inside one scratchpad latency class,
+/// within the energy gain margins. Monotonicity extends the proof to
+/// every interior point of the box. Each committed run's certificate is
+/// kept as the box of lattice points it reaches, so the test is a
+/// per-axis index comparison.
 ///
-/// 1. **Saturation certificate.** A committed cold-kept run at
-///    `q ≤ cell.lo` whose constraint masks and per-layer rejection
-///    floors ([`RunStats::allows_growth_to`]) prove growth to `cell.hi`
-///    replays it — every changed axis growable, inside one scratchpad
-///    latency class, within the energy gain margins. Monotonicity
-///    extends the proof to every interior point of the box. Each
-///    committed run's certificate is kept as the box of lattice points
-///    it reaches, so the test is a per-axis index comparison.
-/// 2. **Cost-floor certificate.** The cost floor at the cell's minimal
-///    corner (monotone in capacity, so a lower bound for the whole box)
-///    is already met by committed points at componentwise-smaller
-///    capacities on both the cycles and the energy surface. While the
-///    committed minimum on either surface sits above the floor, the
-///    certificate fails without a scan.
+/// One sequential loop decides the points: the coarse lattice first,
+/// then each wave's new child corners, every batch in ascending
+/// (lexicographic) order. Each point is decided against everything
+/// committed before it — certified when a committed run's box contains
+/// it, searched and committed otherwise — so no search lands on a point
+/// the committed state already certifies. [`try_sweep_grid_pruned_with`]
+/// is this scheduler at depth 0, where the lattice is the grid itself.
 ///
 /// The scheduler keys lattice points by their per-axis fine indices,
 /// packed into one `u64`, and builds capacity vectors only for the
 /// points it searches or commits.
 ///
-/// Both certificates only ever close boxes whose every unevaluated point
+/// The certificate only ever closes boxes whose every unevaluated point
 /// is dominated by a *committed* point, so — by the same transitivity
 /// argument as the pruned sweep — the result's Pareto accessors select,
 /// bit for bit, the frontier of the exhaustive virtual fine lattice
@@ -3361,9 +2774,10 @@ impl<'e> SweepEngine<'e> {
 /// # Errors
 ///
 /// As [`try_sweep_grid_run`], plus [`MhlaError::InvalidOptions`] for an
-/// out-of-range subdivision depth or a fine lattice with more points
-/// than a `u64` holds. Budget exhaustion is *not* an error —
-/// the run comes back `Ok` with [`SweepStatus::Stopped`]; use
+/// out-of-range subdivision depth (depth 0 is
+/// [`try_sweep_grid_pruned_with`]) or a fine lattice with more points
+/// than a `u64` holds. Budget exhaustion is *not* an error — the run
+/// comes back `Ok` with [`SweepStatus::Stopped`]; use
 /// [`RefinedGridSweep::require_complete`] to promote a stop into a typed
 /// error.
 pub fn try_sweep_grid_refined_with(
@@ -3376,38 +2790,7 @@ pub fn try_sweep_grid_refined_with(
     error::validate_run_ingress(program, platform, config)?;
     error::validate_axes(platform, axes)?;
     error::validate_refine_options(opts)?;
-    let layers: Vec<LayerId> = axes.iter().map(|a| a.layer).collect();
-    let coarse: Vec<Vec<u64>> = axes
-        .iter()
-        .map(|a| clean_capacities(&a.capacities))
-        .collect();
-    if coarse.is_empty() || coarse.iter().any(Vec::is_empty) {
-        return Ok(RefinedGridSweep {
-            sweep: GridSweep {
-                layers,
-                points: Vec::new(),
-            },
-            stats: RefineStats::default(),
-            waves: 0,
-            search_legs: 0,
-            seed_wins: 0,
-            status: SweepStatus::Complete,
-            checkpoint: RefineCheckpoint::default(),
-        });
-    }
-    let fine = fine_axes(&coarse, opts.depth)?;
-    let ctx = ExplorationContext::new(program, platform, config.clone());
-    // Built literally, not through `SweepEngine::new`: the fine lattice's
-    // Cartesian product is deliberately never materialized (it is the
-    // *virtual* lattice — at depth 16 it would not fit in memory).
-    let engine = SweepEngine {
-        ctx: &ctx,
-        platform,
-        layers: &layers,
-        axis_caps: &fine,
-        order: Vec::new(),
-    };
-    Ok(engine.run_refined(&coarse, opts, None))
+    refine_grid(program, platform, axes, config, opts, None)
 }
 
 /// Resumes a stopped [`try_sweep_grid_refined_with`] and returns the
@@ -3441,8 +2824,7 @@ pub fn try_sweep_grid_refined_resume(
         SweepStatus::Complete => return Ok(prior.clone()),
         SweepStatus::Stopped { next_lex, .. } => next_lex,
     };
-    let layers: Vec<LayerId> = axes.iter().map(|a| a.layer).collect();
-    if prior.sweep.layers != layers {
+    if prior.sweep.layers.iter().ne(axes.iter().map(|a| &a.layer)) {
         return Err(MhlaError::InvalidOptions {
             what: "resume: the prior run's axis layers do not match".into(),
         });
@@ -3454,12 +2836,48 @@ pub fn try_sweep_grid_refined_resume(
             what: "resume: the prior run's bookkeeping does not match its points".into(),
         });
     }
+    let replay = Replay {
+        points: &prior.sweep.points,
+        run_stats: &prior.checkpoint.run_stats,
+        search_legs: prior.search_legs,
+        seed_wins: prior.seed_wins,
+    };
+    refine_grid(program, platform, axes, config, opts, Some(replay))
+}
+
+/// The shared body of the pruned and refined entry points, ingress
+/// already validated: clean the axes, shortcut the empty grid, check a
+/// resumed prior's points against the lattice, and run the certified
+/// refinement scheduler `opts.depth` levels deep.
+fn refine_grid(
+    program: &Program,
+    platform: &Platform,
+    axes: &[GridAxis],
+    config: &MhlaConfig,
+    opts: &RefineOptions,
+    prior: Option<Replay<'_>>,
+) -> Result<RefinedGridSweep, MhlaError> {
+    let layers: Vec<LayerId> = axes.iter().map(|a| a.layer).collect();
     let coarse: Vec<Vec<u64>> = axes
         .iter()
         .map(|a| clean_capacities(&a.capacities))
         .collect();
+    if coarse.is_empty() || coarse.iter().any(Vec::is_empty) {
+        return Ok(RefinedGridSweep {
+            sweep: GridSweep {
+                layers,
+                points: Vec::new(),
+            },
+            stats: RefineStats::default(),
+            waves: 0,
+            search_legs: 0,
+            seed_wins: 0,
+            status: SweepStatus::Complete,
+            checkpoint: RefineCheckpoint::default(),
+        });
+    }
     let fine = fine_axes(&coarse, opts.depth)?;
-    for p in &prior.sweep.points {
+    for p in prior.iter().flat_map(|prior| prior.points) {
         let on_lattice = p.capacities.len() == fine.len()
             && p.capacities
                 .iter()
@@ -3472,6 +2890,9 @@ pub fn try_sweep_grid_refined_resume(
         }
     }
     let ctx = ExplorationContext::new(program, platform, config.clone());
+    // Built literally, not through `SweepEngine::new`: the fine lattice's
+    // Cartesian product is deliberately never materialized (it is the
+    // *virtual* lattice — at depth 16 it would not fit in memory).
     let engine = SweepEngine {
         ctx: &ctx,
         platform,
@@ -3479,7 +2900,7 @@ pub fn try_sweep_grid_refined_resume(
         axis_caps: &fine,
         order: Vec::new(),
     };
-    Ok(engine.run_refined(&coarse, opts, Some(prior)))
+    Ok(engine.run_refined(&coarse, opts, prior))
 }
 
 #[cfg(test)]
@@ -3666,8 +3087,7 @@ mod tests {
         let some = PruneStats {
             candidates: 10,
             evaluated: 6,
-            skipped_saturated: 3,
-            skipped_floor: 1,
+            skipped_saturated: 4,
         };
         assert_eq!(some.skip_ratio(), 0.4);
     }
@@ -3795,69 +3215,6 @@ mod tests {
     }
 
     #[test]
-    fn floor_probe_matches_the_cost_model_floor_bit_for_bit() {
-        let p = blocked();
-        let pf = Platform::three_level(4096, 512);
-        let layers = [LayerId(1), LayerId(2)];
-        let config = MhlaConfig::default();
-        let ctx = ExplorationContext::new(&p, &pf, config);
-        let probe = ctx.floor_probe(&pf, &layers);
-        for caps in cartesian(&[vec![256, 1024, 40960, 524288], vec![128, 2048, 300000]]) {
-            let resized = pf.with_layer_capacities(&[(LayerId(1), caps[0]), (LayerId(2), caps[1])]);
-            assert_eq!(
-                probe.floor_at(&caps),
-                ctx.cost_model(&resized).cost_floor(),
-                "at {caps:?}"
-            );
-        }
-    }
-
-    /// A deliberately tight two-level setup where the cost-floor rule
-    /// provably fires — why it never does on the default grid4 bench:
-    /// the floor ignores transfer costs, so a committed point beats a
-    /// grown point's floor only when its DMA energy is amortized below
-    /// the floor's per-access energy growth, *and* the saturation rule
-    /// (checked first) must fail. Here the array fits at the smaller
-    /// capacity, heavy reuse (128×) amortizes the one burst copy below
-    /// the √-capacity access-energy growth, and the larger capacity
-    /// crosses the 32 KiB scratchpad latency boundary, so saturation is
-    /// disarmed (different latency class) while the grown point's floor
-    /// — per-access cycles and energies strictly above the committed
-    /// point's achieved cost — certifies the skip on both surfaces. On
-    /// the bench apps the reuse never clears the DMA amortization bar
-    /// inside a latency class, so saturation always wins first.
-    #[test]
-    fn floor_rule_fires_across_a_latency_class_boundary() {
-        let mut b = ProgramBuilder::new("reuse-heavy");
-        let data = b.array("data", &[4096], ElemType::U8);
-        let lb = b.begin_loop("blk", 0, 16, 1);
-        let _lr = b.begin_loop("rep", 0, 128, 1);
-        let li = b.begin_loop("i", 0, 256, 1);
-        let (blk, i) = (b.var(lb), b.var(li));
-        b.stmt("use")
-            .read(data, vec![blk * 256 + i])
-            .compute_cycles(2)
-            .finish();
-        b.end_loop();
-        b.end_loop();
-        b.end_loop();
-        let p = b.finish();
-        let pf = Platform::embedded_default(16384);
-        let axes = [GridAxis::new(LayerId(1), vec![16384u64, 65536])];
-        let run = try_sweep_grid_pruned_with(
-            &p,
-            &pf,
-            &axes,
-            &MhlaConfig::default(),
-            &PruneOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(run.stats.evaluated, 1, "only the tight point runs");
-        assert_eq!(run.stats.skipped_floor, 1, "the grown point is floored");
-        assert_eq!(run.stats.skipped_saturated, 0, "saturation is disarmed");
-    }
-
-    #[test]
     fn refined_small_grid_matches_the_exhaustive_fine_lattice() {
         let p = blocked();
         let pf = Platform::three_level(4096, 512);
@@ -3982,8 +3339,8 @@ mod tests {
             ));
         }
         // Two axes on one layer: the later axis would overwrite the
-        // earlier one's capacity, and the box floor cannot attribute the
-        // layer — every engine refuses with the same typed error.
+        // earlier one's capacity at every point — every engine refuses
+        // with the same typed error.
         let pf = Platform::three_level_default();
         let dup = [
             GridAxis::new(LayerId(1), vec![1024u64, 4096]),

@@ -97,9 +97,7 @@ mod types;
 
 pub use classify::{classify_arrays, ArrayClass};
 pub use context::{ExplorationContext, ProgramFacts, SeedCache};
-pub use cost::{
-    ArrayContribution, CostBreakdown, CostFloor, CostModel, IncPool, IncrementalCost, LayerUsage,
-};
+pub use cost::{ArrayContribution, CostBreakdown, CostModel, IncPool, IncrementalCost, LayerUsage};
 pub use driver::{Mhla, MhlaResult, RunStats};
 pub use error::{
     validate_config, validate_objective, validate_platform, validate_program, MhlaError,

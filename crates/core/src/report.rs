@@ -246,7 +246,7 @@ pub fn refine_row(name: &str, r: &RefinedGridSweep) -> String {
         s.virtual_points,
         s.evaluated,
         100.0 * s.eval_ratio(),
-        s.cells_closed_mask + s.cells_closed_floor,
+        s.cells_closed_mask,
         s.corners_certified
     )
 }

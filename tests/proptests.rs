@@ -6,8 +6,7 @@
 //!
 //! * the pruned grid sweep's evaluated points and both Pareto frontiers
 //!   are bit-identical to the exhaustive Cartesian product, under all
-//!   three objectives, in both sequential and parallel wave modes (with
-//!   identical `PruneStats` across modes);
+//!   three objectives;
 //! * the adaptive refinement's committed points and both Pareto
 //!   frontiers are bit-identical to the exhaustive sweep of the
 //!   materialized fine lattice, under all three objectives, and a
@@ -57,8 +56,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Pruned ≡ exhaustive on random programs: evaluated points
-    /// bit-identical, frontiers bit-identical, PruneStats identical
-    /// between the sequential and parallel wave modes.
+    /// bit-identical, frontiers bit-identical.
     #[test]
     fn pruned_equals_exhaustive_on_random_programs(spec in program_specs()) {
         let program = spec.build();
@@ -75,15 +73,7 @@ proptest! {
             )
             .expect("valid grid")
             .sweep;
-            let sequential = try_sweep_grid_pruned_with(
-                &program,
-                &platform,
-                &axes,
-                &config,
-                &PruneOptions { parallel: false, wave: 1, ..PruneOptions::default() },
-            )
-            .expect("valid grid");
-            let parallel = try_sweep_grid_pruned_with(
+            let pruned = try_sweep_grid_pruned_with(
                 &program,
                 &platform,
                 &axes,
@@ -91,17 +81,9 @@ proptest! {
                 &PruneOptions::default(),
             )
             .expect("valid grid");
-            prop_assert_eq!(
-                &sequential.stats, &parallel.stats,
-                "PruneStats diverge between modes under {:?}", objective
-            );
-            prop_assert_eq!(
-                &sequential.sweep, &parallel.sweep,
-                "evaluated points diverge between modes under {:?}", objective
-            );
             // Every evaluated pruned point is a point of the exhaustive
             // grid, bit-identical.
-            for pp in &parallel.sweep.points {
+            for pp in &pruned.sweep.points {
                 let ep = full
                     .points
                     .iter()
@@ -111,12 +93,12 @@ proptest! {
             }
             prop_assert_eq!(
                 grid_frontier_points(&full, &full.pareto_cycles()),
-                grid_frontier_points(&parallel.sweep, &parallel.sweep.pareto_cycles()),
+                grid_frontier_points(&pruned.sweep, &pruned.sweep.pareto_cycles()),
                 "cycles frontier diverges under {:?}", objective
             );
             prop_assert_eq!(
                 grid_frontier_points(&full, &full.pareto_energy()),
-                grid_frontier_points(&parallel.sweep, &parallel.sweep.pareto_energy()),
+                grid_frontier_points(&pruned.sweep, &pruned.sweep.pareto_energy()),
                 "energy frontier diverges under {:?}", objective
             );
         }

@@ -1,8 +1,7 @@
 //! The pruned four-level grid exploration must be *provably lossless* —
 //! the PR acceptance bar, enforced here on all nine applications over the
 //! default L1×L2×L3 grid of `Platform::four_level_default`, under all
-//! three objectives and in both execution modes (sequential point-by-point
-//! and frontier-wave parallel):
+//! three objectives:
 //!
 //! * every point the pruned sweep evaluates is bit-identical to the same
 //!   point of the exhaustive grid (and to a cold standalone `Mhla::run`);
@@ -12,16 +11,14 @@
 //!   skipped points;
 //! * the pruning is real: ≥ 30 % of the candidate points are skipped
 //!   across the suite under the cycles objective and ≥ 20 % under the
-//!   energy objective (the gain-bound saturation rule plus the cost
-//!   floor), with per-point bookkeeping that adds up;
-//! * the parallel wave mode commits exactly the sequential decisions:
-//!   identical `PruneStats`, identical evaluated points, identical
-//!   frontiers for every wave size;
+//!   energy objective (the gain-bound saturation rule), with per-point
+//!   bookkeeping that adds up;
+//! * every point is decided before it is searched: the per-app ledger of
+//!   evaluated points, skips and search legs is pinned under the cycles
+//!   and energy objectives, and no search is thrown away (one cold search
+//!   leg per evaluated point);
 //! * disarming conditions degrade to exhaustive, never to a wrong
 //!   frontier.
-//!
-//! `MHLA_SWEEP_PARALLEL=0` runs the whole suite in sequential mode (the
-//! CI leg); malformed values are rejected loudly.
 
 use mhla::core::explore::{
     default_axes, try_sweep_grid_pruned_with, try_sweep_grid_run, GridAxis, GridSweep,
@@ -32,31 +29,15 @@ use mhla::hierarchy::{LayerId, Platform};
 use mhla::ir::Program;
 use mhla_bench::grid_frontier_points;
 
-/// The pruned sweep of a grid the suite knows to be valid.
+/// The default pruned sweep of a grid the suite knows to be valid.
 fn run_pruned(
     program: &Program,
     platform: &Platform,
     axes: &[GridAxis],
     config: &MhlaConfig,
-    opts: PruneOptions,
 ) -> PrunedGridSweep {
-    try_sweep_grid_pruned_with(program, platform, axes, config, &opts).expect("valid grid")
-}
-
-/// The execution mode under test: parallel waves by default, sequential
-/// when `MHLA_SWEEP_PARALLEL=0`. Parsing/validation is the bench
-/// harness's (one definition of the `0 | 1 | reject` contract); anything
-/// malformed fails the suite instead of silently testing the wrong mode.
-fn prune_opts_from_env() -> PruneOptions {
-    match mhla_bench::sweep_parallel_from_env() {
-        Ok(true) => PruneOptions::default(),
-        Ok(false) => PruneOptions {
-            parallel: false,
-            wave: 1,
-            ..PruneOptions::default()
-        },
-        Err(e) => panic!("{e}"),
-    }
+    try_sweep_grid_pruned_with(program, platform, axes, config, &PruneOptions::default())
+        .expect("valid grid")
 }
 
 /// The exhaustive reference: every point of the Cartesian product, cold —
@@ -86,7 +67,7 @@ fn assert_lossless(name: &str, full: &GridSweep, pruned: &PrunedGridSweep) {
     assert_eq!(stats.candidates, full.points.len(), "{name}");
     assert_eq!(stats.evaluated, pruned.sweep.points.len(), "{name}");
     assert_eq!(
-        stats.evaluated + stats.skipped_saturated + stats.skipped_floor,
+        stats.evaluated + stats.skipped_saturated,
         stats.candidates,
         "{name}"
     );
@@ -116,19 +97,13 @@ fn assert_lossless(name: &str, full: &GridSweep, pruned: &PrunedGridSweep) {
 
 /// Runs the nine-app suite under one objective, asserting losslessness per
 /// app and returning the suite-wide (candidates, skipped) totals.
-fn suite_under(config: &MhlaConfig, opts: PruneOptions) -> (usize, usize) {
+fn suite_under(config: &MhlaConfig) -> (usize, usize) {
     let axes = default_axes(&Platform::four_level_default());
     let mut suite_candidates = 0usize;
     let mut suite_skipped = 0usize;
     for app in mhla_apps::all_apps() {
         let full = exhaustive(&app, &axes, config);
-        let pruned = run_pruned(
-            &app.program,
-            &Platform::four_level_default(),
-            &axes,
-            config,
-            opts.clone(),
-        );
+        let pruned = run_pruned(&app.program, &Platform::four_level_default(), &axes, config);
         assert_lossless(app.name(), &full, &pruned);
         suite_candidates += pruned.stats.candidates;
         suite_skipped += pruned.stats.skipped();
@@ -138,10 +113,10 @@ fn suite_under(config: &MhlaConfig, opts: PruneOptions) -> (usize, usize) {
 
 #[test]
 fn pruned_four_level_frontier_is_bit_identical_on_all_nine_apps() {
-    let (candidates, skipped) = suite_under(&MhlaConfig::default(), prune_opts_from_env());
+    let (candidates, skipped) = suite_under(&MhlaConfig::default());
     // The pruning is real: at least 30 % of the default grid is skipped
     // across the suite (deterministic — skip decisions depend only on the
-    // searches, not on timing or the wave structure).
+    // searches, not on timing).
     let ratio = skipped as f64 / candidates as f64;
     assert!(
         ratio >= 0.30,
@@ -152,15 +127,15 @@ fn pruned_four_level_frontier_is_bit_identical_on_all_nine_apps() {
 
 #[test]
 fn pruned_energy_objective_is_bit_identical_and_still_prunes() {
-    // The energy-side saturation rule (instrumented gain bounds) plus the
-    // cost floor must keep pruning meaningful under `Objective::Energy`:
+    // The energy-side saturation rule (instrumented gain bounds) must
+    // keep pruning meaningful under `Objective::Energy`:
     // ≥ 20 % of the suite's candidate points skipped, frontiers
     // bit-identical throughout.
     let config = MhlaConfig {
         objective: Objective::Energy,
         ..MhlaConfig::default()
     };
-    let (candidates, skipped) = suite_under(&config, prune_opts_from_env());
+    let (candidates, skipped) = suite_under(&config);
     let ratio = skipped as f64 / candidates as f64;
     assert!(
         ratio >= 0.20,
@@ -181,86 +156,72 @@ fn pruned_weighted_objective_is_bit_identical() {
         },
         ..MhlaConfig::default()
     };
-    let (candidates, skipped) = suite_under(&config, prune_opts_from_env());
+    let (candidates, skipped) = suite_under(&config);
     assert!(skipped <= candidates);
 }
 
+/// The pruned ledger on the default four-level grid: per application
+/// and objective, `[evaluated, skipped_saturated, search_legs]` of the
+/// default (cold) pruned sweep over the 90 candidates. `search_legs`
+/// equals `evaluated` on every row: each point is decided against the
+/// committed state before it is searched, so no search is discarded.
+#[rustfmt::skip]
+const LEDGER: [(&str, &str, [usize; 3]); 18] = [
+    ("full_search_me",  "cycles", [39, 51, 39]),
+    ("hierarchical_me", "cycles", [33, 57, 33]),
+    ("video_encoder",   "cycles", [16, 74, 16]),
+    ("jpeg_enc",        "cycles", [16, 74, 16]),
+    ("cavity_detect",   "cycles", [15, 75, 15]),
+    ("wavelet",         "cycles", [45, 45, 45]),
+    ("sobel_edge",      "cycles", [ 6, 84,  6]),
+    ("fir_bank",        "cycles", [ 8, 82,  8]),
+    ("lpc_voice",       "cycles", [ 8, 82,  8]),
+    ("full_search_me",  "energy", [56, 34, 56]),
+    ("hierarchical_me", "energy", [86,  4, 86]),
+    ("video_encoder",   "energy", [36, 54, 36]),
+    ("jpeg_enc",        "energy", [38, 52, 38]),
+    ("cavity_detect",   "energy", [57, 33, 57]),
+    ("wavelet",         "energy", [68, 22, 68]),
+    ("sobel_edge",      "energy", [17, 73, 17]),
+    ("fir_bank",        "energy", [18, 72, 18]),
+    ("lpc_voice",       "energy", [18, 72, 18]),
+];
+
 #[test]
-fn parallel_and_sequential_wave_modes_are_identical() {
-    // The frontier-wave restructure must not change a single decision:
-    // sequential (wave = 1), small waves and the default parallel mode
-    // yield identical PruneStats, identical evaluated points and
-    // identical frontiers under every objective.
-    let axes = default_axes(&Platform::four_level_default());
-    let apps = [
-        mhla_apps::fir_bank::app(),
-        mhla_apps::sobel_edge::app(),
-        mhla_apps::full_search_me::app(),
-    ];
-    for objective in [
-        Objective::Cycles,
-        Objective::Energy,
-        Objective::Weighted {
-            energy_weight: 0.5,
-            cycle_weight: 0.5,
-        },
-    ] {
+fn pruned_ledger_is_pinned_on_all_nine_apps() {
+    let platform = Platform::four_level_default();
+    let axes = default_axes(&platform);
+    let apps = mhla_apps::all_apps();
+    for (name, objective, ledger) in LEDGER {
+        let app = apps
+            .iter()
+            .find(|a| a.name() == name)
+            .unwrap_or_else(|| panic!("no app {name}"));
         let config = MhlaConfig {
-            objective,
+            objective: match objective {
+                "cycles" => Objective::Cycles,
+                _ => Objective::Energy,
+            },
             ..MhlaConfig::default()
         };
-        for app in &apps {
-            let sequential = run_pruned(
-                &app.program,
-                &Platform::four_level_default(),
-                &axes,
-                &config,
-                PruneOptions {
-                    parallel: false,
-                    wave: 1,
-                    ..PruneOptions::default()
-                },
-            );
-            assert_eq!(
-                sequential.speculative_evals,
-                0,
-                "{}: wave=1 cannot speculate",
-                app.name()
-            );
-            for opts in [
-                PruneOptions::default(),
-                PruneOptions {
-                    parallel: true,
-                    wave: 4,
-                    ..PruneOptions::default()
-                },
-                PruneOptions {
-                    parallel: false,
-                    wave: 16,
-                    ..PruneOptions::default()
-                },
-            ] {
-                let other = run_pruned(
-                    &app.program,
-                    &Platform::four_level_default(),
-                    &axes,
-                    &config,
-                    opts.clone(),
-                );
-                assert_eq!(
-                    sequential.stats,
-                    other.stats,
-                    "{} ({objective:?}, {opts:?}): PruneStats diverge",
-                    app.name()
-                );
-                assert_eq!(
-                    sequential.sweep,
-                    other.sweep,
-                    "{} ({objective:?}, {opts:?}): evaluated points diverge",
-                    app.name()
-                );
-            }
-        }
+        let pruned = run_pruned(&app.program, &platform, &axes, &config);
+        assert!(pruned.status.is_complete(), "{name} {objective}");
+        let stats = pruned.stats;
+        assert_eq!(stats.candidates, 90, "{name} {objective}");
+        assert_eq!(
+            [stats.evaluated, stats.skipped_saturated, pruned.search_legs],
+            ledger,
+            "{name} {objective}: [evaluated, skipped, search legs]"
+        );
+        assert_eq!(
+            pruned.search_legs, stats.evaluated,
+            "{name} {objective}: a search was discarded"
+        );
+        assert_eq!(
+            (pruned.waves, pruned.speculative_evals),
+            (1, 0),
+            "{name} {objective}: waves, speculative evals"
+        );
     }
 }
 
@@ -276,7 +237,6 @@ fn pruned_points_match_cold_standalone_runs() {
         &platform,
         &default_axes(&Platform::four_level_default()),
         &config,
-        prune_opts_from_env(),
     );
     assert!(
         pruned.stats.skipped() > 0,
@@ -314,7 +274,6 @@ fn energy_saturation_arms_inside_the_clamp_region() {
                 &Platform::four_level_default(),
                 &axes,
                 &config,
-                prune_opts_from_env(),
             )
             .stats
             .skipped_saturated
@@ -329,8 +288,8 @@ fn energy_saturation_arms_inside_the_clamp_region() {
 #[test]
 fn non_instrumented_strategies_disarm_saturation_but_stay_lossless() {
     // The exhaustive strategy records no constraint masks or margins, so
-    // the saturation rule must disarm; the sweep may still floor-prune
-    // but must reproduce the exhaustive frontier regardless.
+    // the saturation rule must disarm: the sweep evaluates every point
+    // and reproduces the exhaustive frontier.
     let app = mhla_apps::fir_bank::app();
     let config = MhlaConfig {
         strategy: SearchStrategy::Exhaustive { node_limit: 20_000 },
@@ -348,73 +307,9 @@ fn non_instrumented_strategies_disarm_saturation_but_stay_lossless() {
         &Platform::four_level_default(),
         &axes,
         &config,
-        prune_opts_from_env(),
     );
     assert_eq!(pruned.stats.skipped_saturated, 0, "saturation must disarm");
     assert_lossless(app.name(), &full, &pruned);
-}
-
-#[test]
-fn cost_floor_rule_fires_on_transfer_free_programs() {
-    // A program whose optimum is transfer-free — one internal temporary,
-    // written once and then re-read — achieves the cost floor exactly:
-    // every access served at 1 cycle from the cheapest layer, zero
-    // transfer energy. Under the (non-instrumented) exhaustive strategy
-    // the saturation rule is disarmed, so any skipping below must come
-    // from the cost-floor rule: the small point's achieved
-    // (cycles, energy) is at or below every larger point's floor
-    // (per-access energies are clamped equal below 1 KiB), which
-    // dominates those points sight unseen.
-    use mhla::ir::{ElemType, ProgramBuilder};
-    let mut b = ProgramBuilder::new("tmp_scan");
-    let tmp = b.array("tmp", &[64], ElemType::U8);
-    b.loop_scope("w", 0, 64, 1, |b, lw| {
-        let i = b.var(lw);
-        b.stmt("write")
-            .write(tmp, vec![i])
-            .compute_cycles(1)
-            .finish();
-    });
-    b.loop_scope("rep", 0, 200, 1, |b, _| {
-        b.loop_scope("r", 0, 64, 1, |b, lr| {
-            let j = b.var(lr);
-            b.stmt("read").read(tmp, vec![j]).compute_cycles(1).finish();
-        });
-    });
-    let program = b.finish();
-
-    let platform = Platform::three_level(1024, 256);
-    let axes = [
-        GridAxis::new(LayerId(1), vec![512u64, 1024]),
-        GridAxis::new(LayerId(2), vec![128u64, 256, 512]),
-    ];
-    let config = MhlaConfig {
-        objective: Objective::Energy,
-        strategy: SearchStrategy::Exhaustive { node_limit: 50_000 },
-        ..MhlaConfig::default()
-    };
-    let pruned = run_pruned(&program, &platform, &axes, &config, prune_opts_from_env());
-    assert_eq!(pruned.stats.skipped_saturated, 0, "saturation is disarmed");
-    assert!(
-        pruned.stats.skipped_floor > 0,
-        "cost-floor rule must fire on a floor-achieving program: {:?}",
-        pruned.stats
-    );
-
-    // Lossless regardless: the frontier matches the exhaustive grid.
-    let full = try_sweep_grid_run(
-        &program,
-        &platform,
-        &axes,
-        &config,
-        &SweepOptions {
-            warm_start: false,
-            ..SweepOptions::default()
-        },
-    )
-    .expect("valid grid")
-    .sweep;
-    assert_lossless("tmp_scan", &full, &pruned);
 }
 
 #[test]
@@ -422,7 +317,7 @@ fn degenerate_axes_yield_empty_pruned_sweeps() {
     let app = mhla_apps::fir_bank::app();
     let platform = Platform::four_level_default();
     let config = MhlaConfig::default();
-    let empty = run_pruned(&app.program, &platform, &[], &config, prune_opts_from_env());
+    let empty = run_pruned(&app.program, &platform, &[], &config);
     assert!(empty.sweep.points.is_empty());
     assert_eq!(empty.stats.candidates, 0);
     assert_eq!(empty.waves, 0);
@@ -434,7 +329,6 @@ fn degenerate_axes_yield_empty_pruned_sweeps() {
             GridAxis::new(LayerId(2), Vec::new()),
         ],
         &config,
-        prune_opts_from_env(),
     );
     assert!(empty_axis.sweep.points.is_empty());
 }

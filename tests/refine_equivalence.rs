@@ -15,10 +15,9 @@
 //!   full certificate ledger ([`RefineStats`], waves, search legs, seed
 //!   wins) of all nine applications under cycles, energy and improving
 //!   cycles is pinned, so a scheduler change that keeps the frontier but
-//!   certifies differently is caught too.
-//!
-//! `MHLA_SWEEP_PARALLEL=0` runs the suite in sequential mode (the CI
-//! leg); malformed values are rejected loudly.
+//!   certifies differently is caught too, and every cold row spends
+//!   exactly one search leg per committed point (no search is wasted on a
+//!   point the committed state already certifies).
 
 use mhla::core::explore::{
     default_axes, refine_axis, try_sweep_grid_refined_resume, try_sweep_grid_refined_with,
@@ -29,15 +28,6 @@ use mhla::core::{MhlaConfig, Objective};
 use mhla::hierarchy::{LayerId, Platform};
 use mhla::ir::Program;
 use mhla_bench::grid_frontier_points;
-
-/// The execution mode under test: parallel batches by default,
-/// sequential when `MHLA_SWEEP_PARALLEL=0`.
-fn refine_opts_from_env() -> RefineOptions {
-    match mhla_bench::sweep_parallel_from_env() {
-        Ok(parallel) => RefineOptions::with_parallel(parallel),
-        Err(e) => panic!("{e}"),
-    }
-}
 
 /// The refined sweep of a grid the suite knows to be valid.
 fn run_refined(
@@ -141,7 +131,7 @@ fn assert_exact(name: &str, full: &GridSweep, refined: &RefinedGridSweep) {
 #[test]
 fn refined_lattice_exceeds_1e5_points_with_under_5_percent_evals_on_all_nine_apps() {
     let axes = default_axes(&Platform::four_level_default());
-    let opts = refine_opts_from_env();
+    let opts = RefineOptions::default();
     for app in mhla_apps::all_apps() {
         let refined = run_refined(
             &app.program,
@@ -174,7 +164,7 @@ fn refined_lattice_exceeds_1e5_points_with_under_5_percent_evals_on_all_nine_app
             app.name()
         );
         assert!(
-            refined.stats.cells_closed_floor + refined.stats.cells_closed_mask > 0,
+            refined.stats.cells_closed_mask > 0,
             "{}: no cell was ever certified closed",
             app.name()
         );
@@ -197,7 +187,7 @@ fn refined_small_instance_is_bit_identical_to_the_exhaustive_fine_lattice() {
                 &pf,
                 &axes,
                 &config,
-                refine_opts_from_env().depth(depth),
+                RefineOptions::default().depth(depth),
             );
             let full = exhaustive_fine(&app.program, &pf, &axes, depth, &config);
             assert_exact(app.name(), &full, &refined);
@@ -211,7 +201,7 @@ fn refined_budget_interrupt_and_resume_is_bit_identical() {
     let axes = small_axes();
     let app = mhla_apps::fir_bank::app();
     let config = MhlaConfig::default();
-    let base = refine_opts_from_env().depth(2);
+    let base = RefineOptions::default().depth(2);
     let uninterrupted = run_refined(&app.program, &pf, &axes, &config, base.clone());
     assert!(uninterrupted.status.is_complete());
     for max in [1usize, 4, 9, 20] {
@@ -232,38 +222,39 @@ fn refined_budget_interrupt_and_resume_is_bit_identical() {
 /// The depth-2 certificate ledger on the default four-level grid: per
 /// application and mode, `[evaluated, cells_opened, cells_closed_mask,
 /// cells_leaf, corners_certified, search_legs, seed_wins]`. Every row
-/// also has `cells_closed_floor` 0, 3 waves, 90 coarse and 3,213 virtual
-/// points. Energy rows exercise the certificate's energy-margin branch,
-/// improving rows the parent-corner seeds.
+/// also has 3 waves, 90 coarse and 3,213 virtual points, and every cold
+/// row has `search_legs == evaluated`. Energy rows exercise the
+/// certificate's energy-margin branch, improving rows the parent-corner
+/// seeds.
 #[rustfmt::skip]
 const LEDGER: [(&str, &str, [usize; 7]); 27] = [
-    ("full_search_me",  "cycles",    [ 457,  346,  334, 2128, 2714,  457,    0]),
-    ("hierarchical_me", "cycles",    [ 542,  349,  351, 2132, 2615,  542,    0]),
-    ("video_encoder",   "cycles",    [ 264,  273,  658, 1293, 2412,  264,    0]),
-    ("jpeg_enc",        "cycles",    [ 266,  221,  721,  866, 2070,  266,    0]),
-    ("cavity_detect",   "cycles",    [ 203,  264,  864, 1024, 2578,  203,    0]),
-    ("wavelet",         "cycles",    [ 504,  328,  616, 1720, 2509,  504,    0]),
-    ("sobel_edge",      "cycles",    [ 113,  156,  588,  544, 1666,  113,    0]),
-    ("fir_bank",        "cycles",    [ 143,  159,  588,  565, 1663,  143,    0]),
-    ("lpc_voice",       "cycles",    [ 103,  159,  588,  565, 1703,  103,    0]),
-    ("full_search_me",  "energy",    [ 845,  360,  160, 2400, 2368,  845,    0]),
-    ("hierarchical_me", "energy",    [2366,  360,    0, 2560,  847, 2366,    0]),
-    ("video_encoder",   "energy",    [ 481,  304,  165, 2003, 2340,  481,    0]),
-    ("jpeg_enc",        "energy",    [ 491,  360,  270, 2290, 2722,  491,    0]),
-    ("cavity_detect",   "energy",    [ 993,  346,  396, 2066, 2161,  993,    0]),
-    ("wavelet",         "energy",    [1009,  347,  333, 2136, 2139, 1009,    0]),
-    ("sobel_edge",      "energy",    [ 370,  283,  791, 1230, 2340,  370,    0]),
-    ("fir_bank",        "energy",    [ 204,  303,  938, 1223, 2781,  204,    0]),
-    ("lpc_voice",       "energy",    [ 257,  297,  608, 1511, 2704,  257,    0]),
-    ("full_search_me",  "improving", [ 503,  346,  334, 2128, 2668,  716,   56]),
-    ("hierarchical_me", "improving", [ 726,  349,  351, 2132, 2431, 1433,  241]),
-    ("video_encoder",   "improving", [ 279,  273,  658, 1293, 2397,  434,   27]),
-    ("jpeg_enc",        "improving", [ 266,  221,  721,  866, 2070,  343,    0]),
-    ("cavity_detect",   "improving", [ 203,  264,  864, 1024, 2578,  288,    0]),
-    ("wavelet",         "improving", [ 555,  328,  604, 1732, 2458, 1012,   86]),
-    ("sobel_edge",      "improving", [ 113,  156,  588,  544, 1666,  146,    0]),
-    ("fir_bank",        "improving", [ 143,  159,  588,  565, 1663,  207,    0]),
-    ("lpc_voice",       "improving", [ 103,  159,  588,  565, 1703,  147,    0]),
+    ("full_search_me",  "cycles",    [ 153,  346,  334, 2128, 3018,  153,    0]),
+    ("hierarchical_me", "cycles",    [ 278,  349,  351, 2132, 2879,  278,    0]),
+    ("video_encoder",   "cycles",    [  52,  273,  658, 1293, 2624,   52,    0]),
+    ("jpeg_enc",        "cycles",    [  48,  221,  721,  866, 2288,   48,    0]),
+    ("cavity_detect",   "cycles",    [  37,  264,  864, 1024, 2744,   37,    0]),
+    ("wavelet",         "cycles",    [ 195,  328,  616, 1720, 2818,  195,    0]),
+    ("sobel_edge",      "cycles",    [  14,  156,  588,  544, 1765,   14,    0]),
+    ("fir_bank",        "cycles",    [  20,  159,  588,  565, 1786,   20,    0]),
+    ("lpc_voice",       "cycles",    [  18,  159,  588,  565, 1788,   18,    0]),
+    ("full_search_me",  "energy",    [ 601,  360,  160, 2400, 2612,  601,    0]),
+    ("hierarchical_me", "energy",    [2338,  360,    0, 2560,  875, 2338,    0]),
+    ("video_encoder",   "energy",    [ 328,  304,  165, 2003, 2493,  328,    0]),
+    ("jpeg_enc",        "energy",    [ 351,  360,  270, 2290, 2862,  351,    0]),
+    ("cavity_detect",   "energy",    [ 365,  352,  308, 2196, 2817,  365,    0]),
+    ("wavelet",         "energy",    [ 426,  348,  280, 2196, 2734,  426,    0]),
+    ("sobel_edge",      "energy",    [  58,  286,  693, 1349, 2670,   58,    0]),
+    ("fir_bank",        "energy",    [  70,  303,  936, 1225, 2915,   70,    0]),
+    ("lpc_voice",       "energy",    [ 113,  297,  607, 1512, 2848,  113,    0]),
+    ("full_search_me",  "improving", [ 197,  346,  334, 2128, 2974,  303,   46]),
+    ("hierarchical_me", "improving", [ 514,  349,  351, 2132, 2643, 1006,  273]),
+    ("video_encoder",   "improving", [  76,  273,  658, 1293, 2600,  121,   26]),
+    ("jpeg_enc",        "improving", [  48,  221,  721,  866, 2288,   52,    0]),
+    ("cavity_detect",   "improving", [  37,  264,  864, 1024, 2744,   50,    0]),
+    ("wavelet",         "improving", [ 262,  328,  604, 1732, 2751,  515,   84]),
+    ("sobel_edge",      "improving", [  14,  156,  588,  544, 1765,   15,    0]),
+    ("fir_bank",        "improving", [  20,  159,  588,  565, 1786,   22,    0]),
+    ("lpc_voice",       "improving", [  18,  159,  588,  565, 1788,   20,    0]),
 ];
 
 #[test]
@@ -287,7 +278,7 @@ fn refined_certificate_ledger_is_pinned_at_depth_2_on_all_nine_apps() {
         };
         let opts = RefineOptions {
             mode: search,
-            ..refine_opts_from_env().depth(2)
+            ..RefineOptions::default().depth(2)
         };
         let refined = run_refined(&app.program, &platform, &axes, &config, opts);
         assert!(refined.status.is_complete(), "{name} {mode}");
@@ -298,7 +289,6 @@ fn refined_certificate_ledger_is_pinned_at_depth_2_on_all_nine_apps() {
                 virtual_points: 3_213,
                 evaluated,
                 cells_opened: opened,
-                cells_closed_floor: 0,
                 cells_closed_mask: mask,
                 cells_leaf: leaf,
                 corners_certified: certified,
@@ -310,5 +300,11 @@ fn refined_certificate_ledger_is_pinned_at_depth_2_on_all_nine_apps() {
             (3, legs, wins),
             "{name} {mode}: waves, search legs, seed wins"
         );
+        if search == SearchMode::Cold {
+            assert_eq!(
+                refined.search_legs, refined.stats.evaluated,
+                "{name} {mode}: a search was wasted"
+            );
+        }
     }
 }
