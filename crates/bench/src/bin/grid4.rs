@@ -9,10 +9,11 @@
 //!
 //! Run with `cargo run --release -p mhla-bench --bin grid4`.
 //!
-//! The pruned and refined sweeps run one sequential certified loop, so
-//! `MHLA_SWEEP_PARALLEL` does not change them; malformed values of the
-//! tuning variables are still rejected with a typed error on stderr (exit
-//! code 2) instead of silently falling back.
+//! The pruned and refined sweeps have no parallel switch — their certified
+//! loop searches each rank level on the calling thread plus helper
+//! threads of its own — so `MHLA_SWEEP_PARALLEL` does not change them;
+//! malformed values of the tuning variables are still rejected with a
+//! typed error on stderr (exit code 2) instead of silently falling back.
 //!
 //! `MHLA_SWEEP_MAX_EVALS=<n>` switches the binary into the
 //! budget-interrupt smoke mode: one app's pruned sweep runs under the
@@ -333,23 +334,25 @@ fn run() -> Result<(), MhlaError> {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("BENCH_grid4.json");
-    // The prior document's cycles/pruned and refine suite wall times,
-    // kept as the before/after trajectory fields of the regenerated one.
+    // The prior document's cycles/pruned, energy/pruned and refine suite
+    // wall times, kept as the before/after trajectory fields of the
+    // regenerated one: each is the first suite after its section's key.
     let old = std::fs::read_to_string(&path).ok();
-    let prev_pruned = old
-        .as_deref()
-        .and_then(|old| prev_suite_value(old, "pruned_seconds"));
-    let prev_refined = old.as_deref().and_then(|old| {
-        let refine = old.find("\"refine\"")?;
-        prev_suite_value(&old[refine..], "refined_seconds")
-    });
+    let prev = |section: &str, key: &str| {
+        let old = old.as_deref()?;
+        prev_suite_value(&old[old.find(section)?..], key)
+    };
     let json = grid4_perf_json(
         &cycles,
         &energy,
         &cycles_improving,
         &energy_improving,
         &refine,
-        (prev_pruned, prev_refined),
+        (
+            prev("\"cycles\"", "pruned_seconds"),
+            prev("\"energy\"", "pruned_seconds"),
+            prev("\"refine\"", "refined_seconds"),
+        ),
     );
     match std::fs::write(&path, &json) {
         Ok(()) => println!("wrote {}", path.display()),

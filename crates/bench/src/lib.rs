@@ -499,8 +499,8 @@ fn parse_sweep_max_evals(value: Option<&str>) -> Result<Option<usize>, mhla_core
 /// per-point machinery and semantics as the pruned path, so the delta is
 /// the pruning itself). *Pruned* is
 /// [`mhla_core::explore::try_sweep_grid_pruned_with`] under the default
-/// [`PruneOptions`](mhla_core::explore::PruneOptions) — one sequential
-/// certified loop.
+/// [`PruneOptions`](mhla_core::explore::PruneOptions) — the certified
+/// loop, which searches each rank level on every core.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Grid4Perf {
     /// Application name.
@@ -1040,16 +1040,17 @@ fn grid4_objective_json(perfs: &[Grid4Perf], indent: &str, prev_pruned: Option<f
 /// carries the pruned-vs-exhaustive data under `pruned` and the
 /// mode-tagged eval counts / frontier deltas under `improving`; the
 /// top-level `refine` section holds the virtual-lattice bookkeeping.
-/// `prev_pruned` and `prev_refined` are the prior document's suite wall
-/// times (cycles/pruned and refine); the `machine` header names the
-/// checkout and thread count the timings come from.
+/// `prev_cycles`, `prev_energy` and `prev_refined` are the prior
+/// document's suite wall times (cycles/pruned, energy/pruned and
+/// refine); the `machine` header names the checkout and thread count the
+/// timings come from.
 pub fn grid4_perf_json(
     cycles: &[Grid4Perf],
     energy: &[Grid4Perf],
     cycles_improving: &[ImprovingGrid4Perf],
     energy_improving: &[ImprovingGrid4Perf],
     refine: &[Grid4Refine],
-    (prev_pruned, prev_refined): (Option<f64>, Option<f64>),
+    (prev_cycles, prev_energy, prev_refined): (Option<f64>, Option<f64>, Option<f64>),
 ) -> String {
     format!(
         "{{\n  \"bench\": \"grid_sweep_l1_l2_l3_pruned\",\n  \"machine\": {},\n  \
@@ -1058,9 +1059,9 @@ pub fn grid4_perf_json(
          \"energy\": {{\n      \"pruned\": {},\n      \"improving\": {}\n    }}\n  }},\n  \
          \"refine\": {}\n}}\n",
         machine_json(),
-        grid4_objective_json(cycles, "      ", prev_pruned),
+        grid4_objective_json(cycles, "      ", prev_cycles),
         grid4_improving_json(cycles_improving, "      "),
-        grid4_objective_json(energy, "      ", None),
+        grid4_objective_json(energy, "      ", prev_energy),
         grid4_improving_json(energy_improving, "      "),
         grid4_refine_json(refine, "  ", prev_refined),
     )

@@ -42,7 +42,9 @@
 //! exhaustive engine processes points in fixed-size chunks scheduled
 //! across threads with `rayon`, and within a chunk each point
 //! warm-starts the greedy search from its predecessor along the
-//! innermost axis.
+//! innermost axis. The pruned and refined engines search the points of
+//! one rank level of their certified loop at the same time, on the
+//! calling thread and helper threads of their own.
 //!
 //! [`sweep_cold`] keeps the frozen pre-optimization reference path:
 //! strictly sequential, every point re-analyzed and searched from scratch.
@@ -77,11 +79,15 @@
 //! [`pareto::front`] — the sort-based sweep that replaced the seed's
 //! all-pairs dominance scan.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::num::NonZeroUsize;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread;
+use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 
@@ -1049,10 +1055,16 @@ struct SweepEngine<'e> {
 /// Per-thread evaluation scratch of the sweep engines: one working
 /// [`Platform`] resized *in place* per grid point (instead of a fresh
 /// platform build per point) and one [`EvalWorkspace`] reused across
-/// every point the thread evaluates. Under the vendored single-thread
-/// `rayon` (and in `mhla serve`'s persistent worker pool) a thread lives
-/// for the whole sweep/session, so steady-state evaluation reuses every
-/// buffer here.
+/// every point the thread evaluates. Three kinds of thread evaluate
+/// points, and each reuses its scratch for as long as it lives:
+///
+/// * the exhaustive engine's `rayon` chunk threads: the vendored stand-in
+///   spawns scoped threads on every parallel call (it runs inline on the
+///   caller only with one core or one task), so reuse spans one call's
+///   chunk of tasks;
+/// * the pruned and refined sweeps' caller and the exploration's helper
+///   threads ([`Helpers`]), which live for one exploration;
+/// * `mhla serve`'s worker threads, which persist across requests.
 ///
 /// The working platform's layer *names* go stale (in-place resizing
 /// skips the allocating rename) — by design: nothing in the evaluation
@@ -1105,11 +1117,10 @@ impl EngineScratch {
 }
 
 thread_local! {
-    /// One [`EngineScratch`] per evaluation thread. The vendored `rayon`
-    /// runs inline on the caller thread in single-thread mode (full
-    /// cross-point reuse) and spawns scoped threads per parallel call
-    /// (per-chunk reuse); the serve worker pool's threads persist across
-    /// requests (cross-request reuse).
+    /// One [`EngineScratch`] per evaluation thread: `rayon` chunk threads
+    /// (one parallel call each), an exploration's helpers (one
+    /// exploration each) and serve workers (the server's lifetime) — see
+    /// [`EngineScratch`].
     static ENGINE_SCRATCH: RefCell<EngineScratch> = RefCell::new(EngineScratch {
         platform: None,
         ws: EvalWorkspace::new(),
@@ -1674,14 +1685,38 @@ impl PruneOptions {
 /// The sweep is [`try_sweep_grid_refined_with`]'s scheduler at depth 0:
 /// the refined lattice is the grid itself, a point's key is its
 /// lexicographic index, and the coarse phase is the whole run. The loop
-/// visits the points in lexicographic order and decides each one against
-/// everything committed before it — skipped when a committed run's
-/// saturation certificate covers it, searched and committed otherwise. A
-/// certificate reads only committed points componentwise *below* the
-/// point, so any visit order that puts a point after its whole down-set
-/// decides it identically, and lexicographic order does. No decision is
+/// decides each point against everything committed before it — skipped
+/// when a committed run's saturation certificate covers it, searched and
+/// committed otherwise. A certificate reads only committed points
+/// componentwise *below* the point, so any visit order that puts a point
+/// after its whole down-set decides it identically. No decision is
 /// revisited and no search is thrown away: in cold mode
 /// [`PrunedGridSweep::search_legs`] equals the evaluated count.
+///
+/// The loop runs in *steps* of three phases: replay or certify the
+/// step's points against the committed state, search the others, commit
+/// the results in key order. Points of equal fine-index sum — one *rank
+/// level* — are mutually incomparable, so none certifies another. A cold
+/// run with an unlimited budget takes one rank level per step, levels
+/// ascending, and searches the level's points at the same time on the
+/// calling thread and up to `available_parallelism() - 1` helper
+/// threads. The helpers live for one call; they start once the caller
+/// has spent 1 ms alone on searches a helper could have taken, so small
+/// grids never pay for them. Every other run — [`SearchMode::Improving`],
+/// or any [`ExploreBudget`], even `max_evals(usize::MAX)` — takes one
+/// point per step in lexicographic order, so a budget stops on a decided
+/// lexicographic prefix ([`SweepStatus::next_lex`]). Points, statistics
+/// and frontiers are the same for every schedule and core count.
+///
+/// Measured back to back on one 2-core machine (release build, parent
+/// commit first; the one-point-per-step loop before, rank levels after):
+///
+/// | run | before | after | speedup |
+/// |-----|-------:|------:|--------:|
+/// | `grid4` bin, cycles suite, best of 3 (`BENCH_grid4.json`) | 72.9 ms | 63.7 ms | 1.14× |
+/// | `grid4` bin, energy suite, best of 2 | 361.8 ms | 234.2 ms | 1.54× |
+/// | `perfbench --workload grid_pruned`, median `points_per_s` of 10 alternating 10 s pairs | 3 713/s | 5 426/s | 1.46× |
+/// | the same pairs, median `latency_p90_ms` | 62.3 ms | 40.7 ms | 1.53× |
 ///
 /// # Improving mode
 ///
@@ -2086,12 +2121,6 @@ impl<'a> Lattice<'a> {
         }
     }
 
-    /// The capacity vector at fine indices `idx`, written into `out`.
-    fn caps_into(&self, idx: &[usize], out: &mut Vec<u64>) {
-        out.clear();
-        out.extend(idx.iter().zip(self.fine).map(|(&i, axis)| axis[i]));
-    }
-
     /// The capacity vector of the point `key`.
     fn caps(&self, key: u64) -> Vec<u64> {
         self.fine
@@ -2480,22 +2509,285 @@ impl RefineState {
     }
 }
 
+/// How long an idle helper, or a caller waiting on its helpers, spins
+/// before it parks. Certifying a rank level takes microseconds, while a
+/// parked thread on a virtual machine can wake tens to hundreds of
+/// microseconds after its notification.
+const HELPER_SPIN: Duration = Duration::from_micros(200);
+
+/// How much search time an exploration's caller spends, alone, on the
+/// searches a helper could have taken before it starts handing searches
+/// to helpers. A helper's spawn and its fresh [`EvalWorkspace`] cost
+/// about 0.1–0.2 ms once per exploration, which explorations with few
+/// concurrent searches, or short ones, do not repay.
+const HANDOFF_AFTER: Duration = Duration::from_millis(1);
+
+/// One step's jobs as the caller and the helpers of a [`Helpers`] pool
+/// share them.
+struct Board<J, R> {
+    /// The unclaimed jobs with their positions: the shared cursor.
+    jobs: std::iter::Enumerate<std::vec::IntoIter<J>>,
+    /// Finished results by job position.
+    results: Vec<Option<R>>,
+    /// The payload of a job that panicked on a helper.
+    panic: Option<Box<dyn Any + Send>>,
+    /// Set when the pool drops: helpers exit.
+    shutdown: bool,
+}
+
+/// The state a [`Helpers`] pool's threads share. The two counters are
+/// hints for spinning threads: they change only under the lock, and a
+/// thread takes the lock before it reads the board, so the lock orders
+/// every job and result (the counters' Release stores pair with the
+/// spinners' Acquire loads only to end the spin early).
+struct PoolShared<J, R> {
+    board: Mutex<Board<J, R>>,
+    /// Helpers park here until a step is posted or the pool shuts down.
+    posted: Condvar,
+    /// The caller parks here until the step's last job has finished.
+    drained: Condvar,
+    /// Bumped under the lock on every post and on shutdown: what idle
+    /// helpers spin on.
+    epoch: AtomicUsize,
+    /// Jobs of the current step not finished yet, changed under the
+    /// lock: what the waiting caller spins on.
+    unfinished: AtomicUsize,
+}
+
+/// The helper threads of one exploration. The caller posts a step's jobs
+/// ([`Helpers::run`]) and works through them alongside the helpers:
+/// every thread claims the next job from one shared cursor, and the
+/// results come back in job order whichever thread ran each job.
+///
+/// Helpers are scoped threads, spawned at the first step that has a job
+/// for them — at most `max`, never more than a step's jobs minus one —
+/// and they live until the pool drops, so each keeps its thread-local
+/// [`EngineScratch`] for the whole exploration. Until then the caller
+/// runs every step alone and times the jobs a helper could have taken —
+/// the last half of each step — and the pool hands off from the step
+/// after those jobs add up to [`HANDOFF_AFTER`]: few or short concurrent
+/// jobs do not repay the helpers' one-off costs.
+struct Helpers<'scope, 'env, J, R> {
+    scope: &'scope thread::Scope<'scope, 'env>,
+    shared: &'scope PoolShared<J, R>,
+    work: &'scope (dyn Fn(J) -> R + Sync),
+    /// Helpers the pool may spawn; `None` until a step first needs one,
+    /// then one fewer than the cores available to the process.
+    max: Option<usize>,
+    spawned: usize,
+    /// Time the caller spent alone on jobs a helper could have taken.
+    missed: Duration,
+}
+
+/// Runs `body` with a [`Helpers`] pool whose jobs run `work`, and shuts
+/// the helpers down when `body` returns or unwinds.
+fn with_helpers<J: Send, R: Send, T>(
+    max: Option<usize>,
+    work: &(dyn Fn(J) -> R + Sync),
+    body: impl FnOnce(&mut Helpers<'_, '_, J, R>) -> T,
+) -> T {
+    let shared = PoolShared {
+        board: Mutex::new(Board {
+            jobs: Vec::new().into_iter().enumerate(),
+            results: Vec::new(),
+            panic: None,
+            shutdown: false,
+        }),
+        posted: Condvar::new(),
+        drained: Condvar::new(),
+        epoch: AtomicUsize::new(0),
+        unfinished: AtomicUsize::new(0),
+    };
+    thread::scope(|scope| {
+        let mut pool = Helpers {
+            scope,
+            shared: &shared,
+            work,
+            max,
+            spawned: 0,
+            missed: Duration::ZERO,
+        };
+        body(&mut pool)
+    })
+}
+
+impl<'scope, J: Send, R: Send> Helpers<'scope, '_, J, R> {
+    /// Runs one step's jobs and returns their results in job order. A job
+    /// that panicked on a helper panics here, on the caller, once the
+    /// step's other jobs have finished.
+    fn run(&mut self, jobs: Vec<J>) -> Vec<R> {
+        let n = jobs.len();
+        if n >= 2 && self.missed >= HANDOFF_AFTER && self.spawn(n - 1) {
+            return self.shared.run(jobs, self.work);
+        }
+        let alone = n - n / 2;
+        let mut results = Vec::with_capacity(n);
+        for (i, job) in jobs.into_iter().enumerate() {
+            let start = Instant::now();
+            results.push((self.work)(job));
+            if i >= alone {
+                self.missed += start.elapsed();
+            }
+        }
+        results
+    }
+
+    /// Spawns helpers up to `wanted` (capped by `max`); whether any runs.
+    /// A failed spawn caps the pool at the helpers already running.
+    fn spawn(&mut self, wanted: usize) -> bool {
+        let max = *self.max.get_or_insert_with(|| cores() - 1);
+        while self.spawned < wanted.min(max) {
+            let (shared, work) = (self.shared, self.work);
+            let helper = thread::Builder::new()
+                .name("mhla-explore".into())
+                .spawn_scoped(self.scope, move || shared.serve(work));
+            if helper.is_err() {
+                self.max = Some(self.spawned);
+                break;
+            }
+            self.spawned += 1;
+        }
+        self.spawned > 0
+    }
+}
+
+impl<J, R> Drop for Helpers<'_, '_, J, R> {
+    fn drop(&mut self) {
+        let mut board = self.shared.lock();
+        board.shutdown = true;
+        self.shared.epoch.fetch_add(1, Ordering::Release);
+        drop(board);
+        self.shared.posted.notify_all();
+    }
+}
+
+impl<J, R> PoolShared<J, R> {
+    /// The board. No job runs under the lock, so a panicking job cannot
+    /// leave it half-updated; a poisoned lock is taken as it is.
+    fn lock(&self) -> MutexGuard<'_, Board<J, R>> {
+        self.board.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The caller's side of a pooled step: posts `jobs`, claims and runs
+    /// jobs until none is left, then waits for the helpers' last ones.
+    fn run(&self, jobs: Vec<J>, work: &(dyn Fn(J) -> R + Sync)) -> Vec<R> {
+        let n = jobs.len();
+        let mut board = self.lock();
+        board.jobs = jobs.into_iter().enumerate();
+        board.results.clear();
+        board.results.resize_with(n, || None);
+        self.unfinished.store(n, Ordering::Release);
+        self.epoch.fetch_add(1, Ordering::Release);
+        drop(board);
+        self.posted.notify_all();
+        loop {
+            let claimed = self.lock().jobs.next();
+            let Some((k, job)) = claimed else { break };
+            let result = work(job);
+            self.finish(k, Ok(result));
+        }
+        spin_until(|| self.unfinished.load(Ordering::Acquire) == 0);
+        let mut board = self.lock();
+        while self.unfinished.load(Ordering::Acquire) > 0 {
+            board = self
+                .drained
+                .wait(board)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        if let Some(payload) = board.panic.take() {
+            drop(board);
+            panic::resume_unwind(payload);
+        }
+        board.results.drain(..).flatten().collect()
+    }
+
+    /// Records job `k`'s outcome and wakes the caller after the step's
+    /// last job.
+    fn finish(&self, k: usize, outcome: thread::Result<R>) {
+        let mut board = self.lock();
+        match outcome {
+            Ok(result) => board.results[k] = Some(result),
+            Err(payload) => {
+                board.panic.get_or_insert(payload);
+            }
+        }
+        if self.unfinished.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.drained.notify_one();
+        }
+    }
+
+    /// A helper's loop: claim a job, run it, record its outcome — a panic
+    /// included, for the caller to raise — until the pool shuts down.
+    /// With nothing to claim it spins on the epoch, then parks.
+    fn serve(&self, work: &(dyn Fn(J) -> R + Sync)) {
+        loop {
+            let mut board = self.lock();
+            let (k, job) = loop {
+                if board.shutdown {
+                    return;
+                }
+                if let Some(claimed) = board.jobs.next() {
+                    break claimed;
+                }
+                let seen = self.epoch.load(Ordering::Acquire);
+                drop(board);
+                spin_until(|| self.epoch.load(Ordering::Acquire) != seen);
+                board = self.lock();
+                while !board.shutdown && self.epoch.load(Ordering::Acquire) == seen {
+                    board = self
+                        .posted
+                        .wait(board)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+            };
+            drop(board);
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| work(job)));
+            self.finish(k, outcome);
+        }
+    }
+}
+
+/// The cores available to the process, read once: the query reads
+/// cgroup files, which takes tens of microseconds.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// Spins until `done` holds or [`HELPER_SPIN`] has passed.
+fn spin_until(done: impl Fn() -> bool) {
+    let start = Instant::now();
+    while !done() && start.elapsed() < HELPER_SPIN {
+        std::hint::spin_loop();
+    }
+}
+
 impl<'e> SweepEngine<'e> {
-    /// Decides one ascending batch of `(key, generating cell)` points, one
-    /// at a time in batch order, each against everything committed before
-    /// it: a point replayed from a resumed prior run is committed for
-    /// free; otherwise a point the committed state certifies
-    /// ([`RefineState::point_certified`]) is decided without a search;
-    /// otherwise the point is searched — cold, or seeded in improving
-    /// mode — and committed. Returns `Some(cause)` when the budget, which
-    /// counts fresh searches only, stops the batch before a search:
-    /// everything decided so far is final, the rest of the batch is
-    /// undecided.
+    /// Decides one ascending batch of `(key, generating cell)` points in
+    /// steps, each step against everything committed before it. A step
+    /// works in three phases:
+    ///
+    /// 1. replay or certify, one point at a time: a point replayed from a
+    ///    resumed prior run is committed for free; otherwise a point the
+    ///    committed state certifies ([`RefineState::point_certified`]) is
+    ///    decided without a search; otherwise it is queued;
+    /// 2. search the queued points — cold on the caller and `pool`'s
+    ///    helpers, or seeded on the caller in improving mode;
+    /// 3. commit the results in key order.
     ///
     /// A certificate only reads committed points componentwise below the
-    /// point, and the committed set only grows, so every point is decided
-    /// exactly as late as its down-set allows: the loop never searches a
-    /// point the committed state already certifies.
+    /// point, and points of equal fine-index sum (one *rank level*) are
+    /// mutually incomparable, so any order that decides a point after its
+    /// whole down-set decides it identically. A cold run with an
+    /// unlimited budget therefore takes one rank level per step — levels
+    /// ascending, keys ascending inside a level — and its searches run
+    /// concurrently. Every other run takes one point per step in key
+    /// order: an improving search reads the seeds committed before it,
+    /// and a budget stops on a key-order prefix. Returns `Some(cause)`
+    /// when the budget, which counts fresh searches only, stops the batch
+    /// before a search: everything decided so far is final, the rest of
+    /// the batch is undecided. Either way the loop never searches a point
+    /// the committed state already certifies.
     fn refine_eval_batch(
         &self,
         rf: &Refinement<'_>,
@@ -2503,49 +2795,101 @@ impl<'e> SweepEngine<'e> {
         seeds_from: &RefineSeeds<'_>,
         budget: &ExploreBudget,
         st: &mut RefineState,
+        pool: &mut Helpers<'_, '_, u64, (MhlaResult, RunStats)>,
     ) -> Option<StopCause> {
         let lat = &rf.lattice;
-        let mut idx = vec![0; lat.fine.len()];
-        for &(key, parent) in batch {
-            debug_assert!(!st.decided.contains(&key), "batch points are undecided");
-            if let Some(replayed) = st.replay.remove(&key) {
-                st.commit(rf, key, lat.caps(key), replayed, None);
-                continue;
-            }
-            lat.unpack(key, &mut idx);
-            if st.point_certified(rf, &idx) {
-                st.decided.insert(key);
-                st.corners_certified += 1;
-                continue;
-            }
-            if let Some(cause) = budget.stop(st.fresh) {
-                return Some(cause);
-            }
-            let mut caps = Vec::with_capacity(idx.len());
-            lat.caps_into(&idx, &mut caps);
-            let (result, run, seed_win) = if !rf.improving {
-                let (result, run) = self.evaluate(&caps);
-                (result, run, false)
-            } else {
-                match seeds_from {
-                    RefineSeeds::Grid => {
-                        let (result, run, winner) =
-                            self.evaluate_improving(&caps, &st.seeds, st.last_committed.as_deref());
-                        (result, run, winner.is_some())
-                    }
-                    RefineSeeds::Corners(cells) => {
-                        let corners = cells.corner_caps(parent, lat);
-                        let refs = st.seeds.corner_seeds(&corners, &caps);
-                        let (result, run) = self.evaluate_with_seed_refs(&caps, &refs);
-                        let seed_win = run.winning_seed.is_some();
-                        (result, run, seed_win)
-                    }
+        let n = lat.fine.len();
+        // Every point's fine indices, unpacked once.
+        let mut idx = vec![0; batch.len() * n];
+        for (&(key, _), at) in batch.iter().zip(idx.chunks_exact_mut(n)) {
+            lat.unpack(key, at);
+        }
+        let by_level = !rf.improving && budget.is_unlimited();
+        let rank: Vec<usize> = idx
+            .chunks_exact(n)
+            .map(|at| if by_level { at.iter().sum() } else { 0 })
+            .collect();
+        // Batch positions by rank, keys ascending inside a level: a
+        // counting sort.
+        let mut next = vec![0; rank.iter().max().map_or(1, |&r| r + 2)];
+        for &r in &rank {
+            next[r + 1] += 1;
+        }
+        for r in 1..next.len() {
+            next[r] += next[r - 1];
+        }
+        let mut order = vec![0; batch.len()];
+        for (p, &r) in rank.iter().enumerate() {
+            order[next[r]] = p;
+            next[r] += 1;
+        }
+        let mut queued: Vec<(u64, usize)> = Vec::new();
+        for step in order.chunk_by(|&a, &b| by_level && rank[a] == rank[b]) {
+            queued.clear();
+            for &p in step {
+                let (key, parent) = batch[p];
+                debug_assert!(!st.decided.contains(&key), "batch points are undecided");
+                if let Some(replayed) = st.replay.remove(&key) {
+                    st.commit(rf, key, lat.caps(key), replayed, None);
+                    continue;
                 }
+                if st.point_certified(rf, &idx[p * n..(p + 1) * n]) {
+                    st.decided.insert(key);
+                    st.corners_certified += 1;
+                    continue;
+                }
+                // Only one-point steps can stop: rank levels run unbudgeted.
+                if let Some(cause) = budget.stop(st.fresh) {
+                    return Some(cause);
+                }
+                queued.push((key, parent));
+            }
+            let outcomes: Vec<(MhlaResult, RunStats, bool)> = if rf.improving {
+                queued
+                    .iter()
+                    .map(|&(key, parent)| self.search_improving(rf, key, parent, seeds_from, st))
+                    .collect()
+            } else {
+                pool.run(queued.iter().map(|&(key, _)| key).collect())
+                    .into_iter()
+                    .map(|(result, run)| (result, run, false))
+                    .collect()
             };
-            st.fresh += 1;
-            st.commit(rf, key, caps, (result, run), Some(seed_win));
+            for (&(key, _), (result, run, seed_win)) in queued.iter().zip(outcomes) {
+                st.fresh += 1;
+                st.commit(rf, key, lat.caps(key), (result, run), Some(seed_win));
+            }
         }
         None
+    }
+
+    /// One improving-mode search of the point `key`, generated by cell
+    /// `parent`: seeded from the committed grid neighbors in phase 0, from
+    /// the generating cell's committed corners in a refinement wave.
+    /// Returns the result, its run stats and whether a seed won.
+    fn search_improving(
+        &self,
+        rf: &Refinement<'_>,
+        key: u64,
+        parent: usize,
+        seeds_from: &RefineSeeds<'_>,
+        st: &RefineState,
+    ) -> (MhlaResult, RunStats, bool) {
+        let caps = rf.lattice.caps(key);
+        match seeds_from {
+            RefineSeeds::Grid => {
+                let (result, run, winner) =
+                    self.evaluate_improving(&caps, &st.seeds, st.last_committed.as_deref());
+                (result, run, winner.is_some())
+            }
+            RefineSeeds::Corners(cells) => {
+                let corners = cells.corner_caps(parent, &rf.lattice);
+                let refs = st.seeds.corner_seeds(&corners, &caps);
+                let (result, run) = self.evaluate_with_seed_refs(&caps, &refs);
+                let seed_win = run.winning_seed.is_some();
+                (result, run, seed_win)
+            }
+        }
     }
 
     /// The adaptive refinement scheduler (the body of
@@ -2566,6 +2910,9 @@ impl<'e> SweepEngine<'e> {
     /// positions the uninterrupted schedule evaluated them, so the
     /// continuation re-derives the identical state and the merged result
     /// is bit-identical to the uninterrupted run's.
+    ///
+    /// The exploration's cold searches run on the caller and on helper
+    /// threads ([`Helpers`]) that live as long as this call.
     fn run_refined(
         &self,
         coarse_axes: &[Vec<u64>],
@@ -2579,9 +2926,23 @@ impl<'e> SweepEngine<'e> {
             saturation_armed: config.strategy == SearchStrategy::Greedy,
             energy_weight: config.objective.energy_weight(),
         };
+        let search = |key: u64| self.evaluate(&rf.lattice.caps(key));
+        with_helpers(None, &search, |pool| {
+            self.refine_waves(&rf, opts, prior, pool)
+        })
+    }
+
+    /// [`Self::run_refined`]'s phase 0 and waves, searching on `pool`.
+    fn refine_waves(
+        &self,
+        rf: &Refinement<'_>,
+        opts: &RefineOptions,
+        prior: Option<Replay<'_>>,
+        pool: &mut Helpers<'_, '_, u64, (MhlaResult, RunStats)>,
+    ) -> RefinedGridSweep {
         let lat = &rf.lattice;
         let n = lat.fine.len();
-        let mut st = RefineState::new(&rf, prior);
+        let mut st = RefineState::new(rf, prior);
         let mut stats = RefineStats {
             virtual_points: lat.points(),
             ..RefineStats::default()
@@ -2593,7 +2954,7 @@ impl<'e> SweepEngine<'e> {
         lat.for_each_key(&lat.coarse, &mut |key| coarse.push((key, 0)));
         stats.coarse_points = coarse.len();
         if let Some(cause) =
-            self.refine_eval_batch(&rf, &coarse, &RefineSeeds::Grid, &opts.budget, &mut st)
+            self.refine_eval_batch(rf, &coarse, &RefineSeeds::Grid, &opts.budget, &mut st, pool)
         {
             let next_lex = st.points.len();
             return self.assemble_refined(
@@ -2682,11 +3043,12 @@ impl<'e> SweepEngine<'e> {
             pending.dedup_by_key(|&mut (key, _)| key);
             pending.retain(|(key, _)| !st.decided.contains(key));
             if let Some(cause) = self.refine_eval_batch(
-                &rf,
+                rf,
                 &pending,
                 &RefineSeeds::Corners(&open),
                 &opts.budget,
                 &mut st,
+                pool,
             ) {
                 let next_lex = st.points.len();
                 status = SweepStatus::Stopped { cause, next_lex };
@@ -2749,13 +3111,16 @@ impl<'e> SweepEngine<'e> {
 /// kept as the box of lattice points it reaches, so the test is a
 /// per-axis index comparison.
 ///
-/// One sequential loop decides the points: the coarse lattice first,
-/// then each wave's new child corners, every batch in ascending
-/// (lexicographic) order. Each point is decided against everything
-/// committed before it — certified when a committed run's box contains
-/// it, searched and committed otherwise — so no search lands on a point
-/// the committed state already certifies. [`try_sweep_grid_pruned_with`]
-/// is this scheduler at depth 0, where the lattice is the grid itself.
+/// One certified loop decides the points: the coarse lattice first, then
+/// each wave's new child corners, one batch at a time. Each point is
+/// decided against everything committed before it — certified when a
+/// committed run's box contains it, searched and committed otherwise — so
+/// no search lands on a point the committed state already certifies. A
+/// cold, unbudgeted batch is decided one rank level at a time, with the
+/// level's searches running concurrently; other runs step through it one
+/// point at a time in ascending key order (see
+/// [`try_sweep_grid_pruned_with`]'s *One certified loop*, which is this
+/// scheduler at depth 0, where the lattice is the grid itself).
 ///
 /// The scheduler keys lattice points by their per-axis fine indices,
 /// packed into one `u64`, and builds capacity vectors only for the
@@ -3417,6 +3782,126 @@ mod tests {
             .iter()
             .all(|pt| pt.capacities[0] == 4096));
         assert!(single.stats.virtual_points >= 3);
+    }
+
+    /// A job the pool tests run twice as a pool's first step: the caller
+    /// runs that step alone, and the second run — the helpers' share —
+    /// takes [`HANDOFF_AFTER`], so every later step of two or more jobs
+    /// is handed off.
+    const WARM_UP: usize = usize::MAX;
+
+    /// Lets a job on the caller wait until some job has run on another
+    /// thread, so a test knows a helper took part. The wait is bounded,
+    /// and after one timeout no job waits again: a pool that never hands
+    /// off fails the test's assertions instead of hanging it.
+    struct Handshake {
+        ran_off_caller: Mutex<bool>,
+        signal: Condvar,
+    }
+
+    impl Handshake {
+        fn new() -> Self {
+            Handshake {
+                ran_off_caller: Mutex::new(false),
+                signal: Condvar::new(),
+            }
+        }
+
+        fn off_caller(&self) {
+            *self.ran_off_caller.lock().unwrap() = true;
+            self.signal.notify_all();
+        }
+
+        fn wait(&self) {
+            let ran = self.ran_off_caller.lock().unwrap();
+            let (mut ran, _) = self
+                .signal
+                .wait_timeout_while(ran, Duration::from_secs(10), |ran| !*ran)
+                .unwrap();
+            *ran = true;
+        }
+    }
+
+    #[test]
+    fn helper_pool_returns_results_in_job_order() {
+        let caller = thread::current().id();
+        let handshake = Handshake::new();
+        let work = |job: usize| {
+            if job == WARM_UP {
+                thread::sleep(HANDOFF_AFTER);
+                return (job, true);
+            }
+            let on_caller = thread::current().id() == caller;
+            if on_caller {
+                handshake.wait();
+            } else {
+                handshake.off_caller();
+            }
+            (job * 2, on_caller)
+        };
+        let steps = with_helpers(Some(1), &work, |pool| {
+            pool.run(vec![WARM_UP; 2]);
+            (0..4)
+                .map(|step| pool.run((step * 10..step * 10 + 8).collect()))
+                .collect::<Vec<_>>()
+        });
+        for (step, results) in steps.iter().enumerate() {
+            let doubled: Vec<usize> = results.iter().map(|&(r, _)| r).collect();
+            let expected: Vec<usize> = (step * 10..step * 10 + 8).map(|j| j * 2).collect();
+            assert_eq!(doubled, expected, "step {step}");
+        }
+        let on_caller = steps.iter().flatten().filter(|r| r.1).count();
+        assert!(on_caller > 0, "the caller ran no job");
+        assert!(on_caller < 32, "no helper ran a job");
+    }
+
+    #[test]
+    fn helper_pool_without_helpers_runs_everything_on_the_caller() {
+        let caller = thread::current().id();
+        let work = |job: usize| {
+            if job == WARM_UP {
+                thread::sleep(HANDOFF_AFTER);
+            }
+            (job, thread::current().id())
+        };
+        let results = with_helpers(Some(0), &work, |pool| {
+            assert!(pool.run(vec![WARM_UP; 2]).iter().all(|r| r.1 == caller));
+            (0..3)
+                .flat_map(|step| pool.run((step * 5..step * 5 + 5).collect()))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(
+            results.iter().map(|r| r.0).collect::<Vec<_>>(),
+            (0..15).collect::<Vec<_>>()
+        );
+        assert!(results.iter().all(|r| r.1 == caller));
+    }
+
+    #[test]
+    fn a_job_that_panics_on_a_helper_panics_on_the_caller() {
+        let caller = thread::current().id();
+        let handshake = Handshake::new();
+        let work = |job: usize| {
+            if job == WARM_UP {
+                thread::sleep(HANDOFF_AFTER);
+                return job;
+            }
+            if thread::current().id() == caller {
+                handshake.wait();
+                return job;
+            }
+            handshake.off_caller();
+            panic!("job {job} failed on a helper");
+        };
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            with_helpers(Some(1), &work, |pool| {
+                pool.run(vec![WARM_UP; 2]);
+                pool.run((0..8).collect())
+            })
+        }));
+        let payload = outcome.expect_err("the helper's panic reaches the caller");
+        let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(message.ends_with("failed on a helper"), "{message}");
     }
 
     use mhla_ir::Program;

@@ -11,7 +11,9 @@
 //!   frontiers are bit-identical to the exhaustive sweep of the
 //!   materialized fine lattice, under all three objectives, and a
 //!   budget-interrupted refinement resumed to completion equals the
-//!   uninterrupted run bit for bit;
+//!   uninterrupted run bit for bit, and the unbudgeted refinement (rank
+//!   levels searched concurrently) equals the key-order loop a budget
+//!   selects, field for field;
 //! * a context-backed run (`Mhla::with_context`) is bit-identical to a
 //!   fresh standalone run at every platform point, under all three
 //!   objectives.
@@ -257,6 +259,33 @@ proptest! {
                 resumed.unwrap(), uninterrupted.clone(),
                 "resume from max_evals={} diverges", max
             );
+        }
+    }
+
+    /// Rank-level steps ≡ key-order steps on random programs: the
+    /// unbudgeted refinement takes one rank level per step and searches
+    /// its points concurrently, while `max_evals(usize::MAX)` — a budget
+    /// never reached — takes one point per step in key order. Both decide
+    /// every point identically, under all three objectives.
+    #[test]
+    fn rank_level_refinement_equals_key_order_on_random_programs(spec in program_specs()) {
+        let program = spec.build();
+        let platform = Platform::three_level(1024, 256);
+        let axes = small_axes();
+        let opts = RefineOptions::default().depth(1);
+        let key_order = opts.clone().budget(ExploreBudget::max_evals(usize::MAX));
+        for objective in OBJECTIVES {
+            let config = MhlaConfig { objective, ..MhlaConfig::default() };
+            let pooled = try_sweep_grid_refined_with(&program, &platform, &axes, &config, &opts)
+                .expect("valid grid");
+            let keyed = try_sweep_grid_refined_with(&program, &platform, &axes, &config, &key_order)
+                .expect("valid grid");
+            prop_assert_eq!(&pooled.sweep, &keyed.sweep, "sweep under {:?}", objective);
+            prop_assert_eq!(pooled.stats, keyed.stats, "stats under {:?}", objective);
+            prop_assert_eq!(pooled.search_legs, keyed.search_legs, "legs under {:?}", objective);
+            prop_assert_eq!(pooled.seed_wins, keyed.seed_wins, "seed wins under {:?}", objective);
+            prop_assert_eq!(pooled.waves, keyed.waves, "waves under {:?}", objective);
+            prop_assert_eq!(pooled.status, keyed.status, "status under {:?}", objective);
         }
     }
 

@@ -17,12 +17,15 @@
 //!   evaluated points, skips and search legs is pinned under the cycles
 //!   and energy objectives, and no search is thrown away (one cold search
 //!   leg per evaluated point);
+//! * the schedule does not matter: the unbudgeted sweep, which searches
+//!   each rank level of the grid concurrently, equals the one-point-per-step
+//!   key-order loop a budget selects, field for field;
 //! * disarming conditions degrade to exhaustive, never to a wrong
 //!   frontier.
 
 use mhla::core::explore::{
-    default_axes, try_sweep_grid_pruned_with, try_sweep_grid_run, GridAxis, GridSweep,
-    PruneOptions, PrunedGridSweep, SweepOptions,
+    default_axes, try_sweep_grid_pruned_with, try_sweep_grid_run, ExploreBudget, GridAxis,
+    GridSweep, PruneOptions, PrunedGridSweep, SweepOptions,
 };
 use mhla::core::{Mhla, MhlaConfig, Objective, SearchStrategy};
 use mhla::hierarchy::{LayerId, Platform};
@@ -222,6 +225,44 @@ fn pruned_ledger_is_pinned_on_all_nine_apps() {
             (1, 0),
             "{name} {objective}: waves, speculative evals"
         );
+    }
+}
+
+#[test]
+fn rank_level_steps_equal_key_order_steps_on_all_nine_apps() {
+    // Unbudgeted, the certified loop takes one rank level per step and
+    // searches its points concurrently. `max_evals(usize::MAX)` is a
+    // budget, never reached, so the same loop takes one point per step in
+    // key order. Both schedules decide every point identically.
+    let platform = Platform::four_level_default();
+    let axes = default_axes(&platform);
+    let key_order = PruneOptions::default().budget(ExploreBudget::max_evals(usize::MAX));
+    let objectives = [
+        Objective::Cycles,
+        Objective::Energy,
+        Objective::Weighted {
+            energy_weight: 0.5,
+            cycle_weight: 0.5,
+        },
+    ];
+    for objective in objectives {
+        let config = MhlaConfig {
+            objective,
+            ..MhlaConfig::default()
+        };
+        for app in mhla_apps::all_apps() {
+            let name = format!("{} {objective:?}", app.name());
+            let pooled = run_pruned(&app.program, &platform, &axes, &config);
+            let keyed =
+                try_sweep_grid_pruned_with(&app.program, &platform, &axes, &config, &key_order)
+                    .expect("valid grid");
+            assert_eq!(pooled.sweep, keyed.sweep, "{name}: sweep");
+            assert_eq!(pooled.stats, keyed.stats, "{name}: stats");
+            assert_eq!(pooled.search_legs, keyed.search_legs, "{name}: legs");
+            assert_eq!(pooled.seed_wins, keyed.seed_wins, "{name}: seed wins");
+            assert_eq!(pooled.waves, keyed.waves, "{name}: waves");
+            assert_eq!(pooled.status, keyed.status, "{name}: status");
+        }
     }
 }
 
