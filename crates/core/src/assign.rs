@@ -28,13 +28,20 @@ use crate::workspace::EvalWorkspace;
 impl Objective {
     /// Scalar score of a cost breakdown (lower is better).
     pub fn score(&self, cost: &CostBreakdown) -> f64 {
+        self.score_totals(cost.total_cycles(), cost.total_energy_pj())
+    }
+
+    /// The score of a `(total cycles, total energy)` pair — the one
+    /// objective formula, shared by [`score`](Self::score) and the greedy
+    /// search's score-only trial pricing.
+    pub(crate) fn score_totals(&self, cycles: u64, energy_pj: f64) -> f64 {
         match self {
-            Objective::Energy => cost.total_energy_pj(),
-            Objective::Cycles => cost.total_cycles() as f64,
+            Objective::Energy => energy_pj,
+            Objective::Cycles => cycles as f64,
             Objective::Weighted {
                 energy_weight,
                 cycle_weight,
-            } => energy_weight * cost.total_energy_pj() + cycle_weight * cost.total_cycles() as f64,
+            } => energy_weight * energy_pj + cycle_weight * cycles as f64,
         }
     }
 
@@ -468,10 +475,13 @@ const FREE_WIN_SCALE: f64 = 1e12;
 
 /// One greedy run over a fixed option list with a per-move trial cache.
 ///
-/// Candidate moves are priced through [`IncrementalCost`]: re-evaluating a
-/// move costs `O(arrays)` additions plus an `O(residents)` capacity probe —
-/// the full [`CostModel::evaluate`] is never called inside the loop, and
-/// neither is the assignment cloned per candidate.
+/// Candidate moves are priced through [`IncrementalCost`], as scores
+/// (`trial_score`: `O(arrays)` additions, no [`CostBreakdown`] built),
+/// and only moves that improve the score are probed for capacity. A probe
+/// re-scans only the layers the trial occupies, against the ledger's base
+/// for the trial's array, and reads the trial's residents as its cache
+/// slot located them. The full [`CostModel::evaluate`] is never called
+/// inside the loop, and neither is the assignment cloned per candidate.
 ///
 /// `trace` accumulates the run's [`SearchTrace`]:
 ///
@@ -508,7 +518,6 @@ fn greedy_search(
         cache,
         contenders,
         svec_buf,
-        scratch,
         streams,
         pool,
         ..
@@ -546,14 +555,13 @@ fn greedy_search(
                     streams,
                     &mut slot.contrib,
                 );
-                model.array_residents_into(array, home, chain, &mut slot.residents);
+                model.array_events_into(array, home, chain, &mut slot.events);
             }
             let entry = &cache[idx];
             // Gain first, capacity second: both are pure filters, so the
             // order cannot change the chosen move, and the cheap gain test
             // rejects most moves without paying for a capacity probe.
-            inc.evaluate_with_contribution_into(array, &entry.contrib, scratch);
-            let gain = current_score - config.objective.score(scratch);
+            let gain = current_score - inc.trial_score(&config.objective, array, &entry.contrib);
             if gain <= 0.0 {
                 // The rejection must survive growth: its gain rises at
                 // layer `l` at rate `(cur − trial) sensitivity⁺`. Layers
@@ -566,7 +574,7 @@ fn greedy_search(
                 }
                 continue;
             }
-            let size = match inc.probe_required(array, &entry.residents) {
+            let size = match inc.probe_events(array, &entry.events) {
                 Ok(size) => size,
                 Err((layer, required)) => {
                     trace.reject(layer, required);

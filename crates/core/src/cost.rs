@@ -23,7 +23,7 @@ use mhla_reuse::{CandidateId, CopyCandidate, ReuseAnalysis};
 
 use crate::classify::ArrayClass;
 use crate::context::ProgramFacts;
-use crate::types::{Assignment, AssignmentError, SelectedCopy, TransferPolicy};
+use crate::types::{Assignment, AssignmentError, Objective, SelectedCopy, TransferPolicy};
 
 /// One block-transfer stream: the transfer geometry of one selected copy.
 #[derive(Clone, PartialEq, Debug)]
@@ -779,8 +779,9 @@ impl<'a> CostModel<'a> {
     /// Extensions price extra buffers through the full path).
     ///
     /// Like [`array_contribution`](CostModel::array_contribution), this
-    /// depends only on the one array's state — the greedy search caches it
-    /// per candidate move.
+    /// depends only on the one array's state — the greedy search caches
+    /// it per candidate move, located in the event-time set
+    /// (`array_events_into`).
     pub fn array_residents(
         &self,
         array: ArrayId,
@@ -788,24 +789,22 @@ impl<'a> CostModel<'a> {
         chain: &[SelectedCopy],
     ) -> Vec<(LayerId, Resident)> {
         let mut out = Vec::new();
-        self.array_residents_into(array, home, chain, &mut out);
+        self.for_each_array_resident(array, home, chain, |layer, r| out.push((layer, r)));
         out
     }
 
-    /// [`array_residents`](Self::array_residents) into a caller-owned
-    /// buffer (cleared first) — the workspace-reuse paths refill one
-    /// long-lived vector per cached trial instead of allocating.
-    pub(crate) fn array_residents_into(
+    /// Calls `f` on every resident of [`array_residents`](Self::array_residents),
+    /// in the same order, without collecting them.
+    fn for_each_array_resident(
         &self,
         array: ArrayId,
         home: LayerId,
         chain: &[SelectedCopy],
-        out: &mut Vec<(LayerId, Resident)>,
+        mut f: impl FnMut(LayerId, Resident),
     ) {
-        out.clear();
         if home.index() != 0 {
             if let Some(r) = Resident::for_array(self.program, &self.facts.timeline, array) {
-                out.push((home, r));
+                f(home, r);
             }
         }
         for copy in chain {
@@ -817,10 +816,89 @@ impl<'a> CostModel<'a> {
                 cc,
                 false,
             ) {
-                out.push((copy.layer, r));
+                f(copy.layer, r);
             }
         }
     }
+
+    /// The occupancy-ledger events of one array's (home, chain) state:
+    /// its [`array_residents`](Self::array_residents), each located in
+    /// the event-time set, into a caller-owned buffer (cleared first).
+    /// The greedy search indexes a trial once, when it fills the trial's
+    /// cache slot, so no capacity probe pays for a binary search.
+    pub(crate) fn array_events_into(
+        &self,
+        array: ArrayId,
+        home: LayerId,
+        chain: &[SelectedCopy],
+        out: &mut Vec<ResidentEvents>,
+    ) {
+        out.clear();
+        self.for_each_array_resident(array, home, chain, |layer, r| {
+            out.extend(self.resident_events(layer, &r));
+        });
+    }
+
+    /// One resident located in the event-time set; `None` when it
+    /// occupies nothing on chip (off-chip, zero bytes or an empty
+    /// interval).
+    fn resident_events(&self, layer: LayerId, r: &Resident) -> Option<ResidentEvents> {
+        if layer.index() == 0 || r.bytes == 0 || r.interval.is_empty() {
+            return None;
+        }
+        Some(ResidentEvents {
+            slot: layer.index() - 1,
+            start: self.time_index(r.interval.start),
+            end: self.time_index(r.interval.end),
+            bytes: r.bytes as i64,
+        })
+    }
+
+    /// Index of an endpoint in the precomputed event-time set. Every
+    /// resident the cost model can produce has its endpoints in the set.
+    fn time_index(&self, t: u64) -> usize {
+        // Internal invariant, not user-reachable: ProgramFacts
+        // precomputes the endpoint set of every resident the cost model
+        // can produce.
+        #[allow(clippy::expect_used)]
+        self.facts
+            .occupancy_times
+            .binary_search(&t)
+            .expect("resident endpoint missing from precomputed occupancy times")
+    }
+}
+
+/// One on-chip resident as the occupancy ledger books it: the layer slot
+/// (`LayerId(slot + 1)`), the positions of its interval's endpoints in the
+/// program's event-time set, and its bytes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct ResidentEvents {
+    slot: usize,
+    start: usize,
+    end: usize,
+    bytes: i64,
+}
+
+impl ResidentEvents {
+    /// Adds `sign` times this resident's events to a delta table of
+    /// `times`-wide rows, one per slot.
+    fn book(&self, table: &mut [i64], times: usize, sign: i64) {
+        let row = self.slot * times;
+        table[row + self.start] += sign * self.bytes;
+        table[row + self.end] -= sign * self.bytes;
+    }
+}
+
+/// Peak of one layer's delta row: max prefix sum (and ≥ 0, matching
+/// [`peak_occupancy`]'s empty-pool behavior).
+fn peak(delta: &[i64]) -> u64 {
+    let mut cur = 0i64;
+    let mut peak = 0i64;
+    for &d in delta {
+        cur += d;
+        peak = peak.max(cur);
+    }
+    peak as u64
 }
 
 /// Per-layer incremental peak-occupancy ledger.
@@ -828,138 +906,134 @@ impl<'a> CostModel<'a> {
 /// Every resident interval endpoint comes from a small, program-fixed set
 /// (array access spans and candidate spans — precomputed as
 /// `ProgramFacts::occupancy_times`). The ledger keeps, per on-chip layer, a
-/// byte-delta array indexed by position in that sorted time set; the peak
-/// occupancy is the running maximum of its prefix sums — exactly what
+/// row of byte deltas indexed by position in that sorted time set; the
+/// peak occupancy is the running maximum of its prefix sums — exactly what
 /// [`peak_occupancy`] computes from a resident pool, without materializing
-/// the pool.
+/// the pool. Residents arrive pre-located ([`ResidentEvents`]), so booking
+/// and probing never search the time set.
 ///
-/// A capacity probe for a single-array trial copies the layer's deltas
-/// into a reused scratch buffer, swaps the touched array's events for the
-/// trial's, and scans: `O(times + residents-of-that-array)` with zero
-/// allocation — compared to the previous `O(all residents)` clone + sort
-/// per probe. Commits invalidate only the touched array's events.
+/// A capacity probe asks for the peaks with one array's committed
+/// residents swapped for a trial's. The ledger answers it against a
+/// *probe base* ([`ProbeBase`]): the committed rows with that array's
+/// residents taken out, plus each row's peak. The base is built on the
+/// first probe of an array and kept until the next probe of another array
+/// or the next booking; the greedy search enumerates its options grouped
+/// by array, so that is one build per array per step. A probe then
+/// re-scans only the rows the trial places residents on and reads the
+/// base peak for every other row.
 #[derive(Debug)]
-struct OccupancyLedger<'t> {
-    /// Sorted, deduped candidate event times (shared coordinate set),
-    /// borrowed from the model's [`ProgramFacts`] — constructing a
-    /// ledger no longer clones the endpoint table.
-    times: &'t [u64],
-    /// Per on-chip layer: (layer, capacity, aggregated byte deltas).
-    layers: Vec<(LayerId, u64, Vec<i64>)>,
-    /// Probe scratch, one allocation reused across all probes.
-    scratch: RefCell<Vec<i64>>,
+struct OccupancyLedger {
+    /// Length of one row: the size of the event-time set.
+    times: usize,
+    /// On-chip layer capacities by slot (`u64::MAX` when unbounded).
+    capacities: Vec<u64>,
+    /// Committed byte deltas, one row of `times` entries per slot.
+    deltas: Vec<i64>,
+    /// The probe base, rebuilt on demand by the `&self` probes.
+    base: RefCell<ProbeBase>,
 }
 
-impl<'t> OccupancyLedger<'t> {
-    /// Builds an empty ledger, drawing the per-layer delta buffers and
-    /// the probe scratch from `pool` when it has recycled ones.
-    fn new_in(model: &'t CostModel<'_>, pool: &mut IncPool) -> Self {
-        let times: &'t [u64] = &model.facts().occupancy_times;
-        let layers = model
-            .platform()
-            .on_chip_layers()
-            .map(|(lid, l)| {
-                let mut delta = pool.deltas.pop().unwrap_or_default();
-                delta.clear();
-                delta.resize(times.len(), 0);
-                (lid, l.capacity.unwrap_or(u64::MAX), delta)
-            })
-            .collect();
-        let mut scratch = std::mem::take(&mut pool.scratch);
-        scratch.clear();
-        scratch.resize(times.len(), 0);
+/// The committed occupancy rows with one array's residents taken out —
+/// the part of a capacity probe that every trial state of that array
+/// shares.
+#[derive(Debug, Default)]
+struct ProbeBase {
+    /// The array whose residents `deltas` leaves out; `None` when no base
+    /// is built (at construction, and after every booking).
+    array: Option<ArrayId>,
+    /// The committed rows minus the array's residents.
+    deltas: Vec<i64>,
+    /// Per slot: the peak of the base row.
+    peaks: Vec<u64>,
+    /// One base row plus a trial's residents, re-scanned per probe.
+    trial_row: Vec<i64>,
+}
+
+impl OccupancyLedger {
+    /// Builds an empty ledger, drawing its buffers from `pool`.
+    fn new_in(model: &CostModel<'_>, pool: &mut IncPool) -> Self {
+        let times = model.facts().occupancy_times.len();
+        let mut capacities = std::mem::take(&mut pool.capacities);
+        capacities.clear();
+        capacities.extend(
+            model
+                .platform()
+                .on_chip_layers()
+                .map(|(_, l)| l.capacity.unwrap_or(u64::MAX)),
+        );
+        let mut deltas = std::mem::take(&mut pool.deltas);
+        deltas.clear();
+        deltas.resize(capacities.len() * times, 0);
+        let mut base = std::mem::take(&mut pool.base);
+        base.array = None;
         OccupancyLedger {
             times,
-            layers,
-            scratch: RefCell::new(scratch),
+            capacities,
+            deltas,
+            base: RefCell::new(base),
         }
     }
 
     /// Returns the ledger's buffers to `pool` for the next evaluator.
     fn recycle(self, pool: &mut IncPool) {
-        for (.., delta) in self.layers {
-            pool.deltas.push(delta);
-        }
-        pool.scratch = self.scratch.into_inner();
+        pool.capacities = self.capacities;
+        pool.deltas = self.deltas;
+        pool.base = self.base.into_inner();
     }
 
-    /// Index of an endpoint in the precomputed time set. Every resident
-    /// the cost model can produce has its endpoints in the set.
-    fn time_index(&self, t: u64) -> usize {
-        // Internal invariant, not user-reachable: ProgramFacts
-        // precomputes the endpoint set of every resident the cost model
-        // can produce.
-        #[allow(clippy::expect_used)]
-        self.times
-            .binary_search(&t)
-            .expect("resident endpoint missing from precomputed occupancy times")
+    /// One slot's row of a delta table laid out like `deltas`.
+    fn row<'d>(&self, table: &'d [i64], slot: usize) -> &'d [i64] {
+        &table[slot * self.times..(slot + 1) * self.times]
     }
 
-    /// Adds (`sign = 1`) or removes (`sign = -1`) one resident's events.
-    fn apply(&mut self, layer: LayerId, r: &Resident, sign: i64) {
-        if r.bytes == 0 || r.interval.is_empty() {
-            return;
-        }
-        let (s, e) = (
-            self.time_index(r.interval.start),
-            self.time_index(r.interval.end),
-        );
-        if let Some((_, _, delta)) = self.layers.iter_mut().find(|(lid, ..)| *lid == layer) {
-            delta[s] += sign * r.bytes as i64;
-            delta[e] -= sign * r.bytes as i64;
-        }
+    /// Books (`sign = 1`) or unbooks (`sign = -1`) one resident's events,
+    /// dropping the probe base.
+    fn apply(&mut self, e: &ResidentEvents, sign: i64) {
+        e.book(&mut self.deltas, self.times, sign);
+        self.base.get_mut().array = None;
     }
 
-    /// Peak of a delta array: max prefix sum (and ≥ 0, matching
-    /// [`peak_occupancy`]'s empty-pool behavior).
-    fn peak(delta: &[i64]) -> u64 {
-        let mut cur = 0i64;
-        let mut peak = 0i64;
-        for &d in delta {
-            cur += d;
-            peak = peak.max(cur);
-        }
-        peak as u64
-    }
-
-    /// Applies one resident set's events of one layer onto `scratch`.
-    fn splice(
-        &self,
-        scratch: &mut [i64],
-        layer: LayerId,
-        residents: &[(LayerId, Resident)],
-        sign: i64,
-    ) {
-        for (l, r) in residents {
-            if *l != layer || r.bytes == 0 || r.interval.is_empty() {
-                continue;
-            }
-            scratch[self.time_index(r.interval.start)] += sign * r.bytes as i64;
-            scratch[self.time_index(r.interval.end)] -= sign * r.bytes as i64;
-        }
-    }
-
-    /// Capacity probe: peak per layer with `old` (the touched array's
-    /// cached residents) removed and `trial` added. `Err` names the first
-    /// overflowing layer (in platform order) together with the bytes the
-    /// trial state needs there — a capacity-independent requirement, so
-    /// any capacity still below it provably rejects the same probe. `Ok`
-    /// is the summed on-chip requirement.
+    /// Capacity probe: the peak of every on-chip layer with `committed`
+    /// (the residents `array` has booked) swapped for `trial`. `Err` names
+    /// the first overflowing layer (in platform order) together with the
+    /// bytes the trial state needs there — a capacity-independent
+    /// requirement, so any capacity still below it provably rejects the
+    /// same probe. `Ok` is the summed on-chip requirement.
     fn probe(
         &self,
-        old: &[(LayerId, Resident)],
-        trial: &[(LayerId, Resident)],
+        array: ArrayId,
+        committed: &[ResidentEvents],
+        trial: &[ResidentEvents],
     ) -> Result<u64, (LayerId, u64)> {
+        let mut guard = self.base.borrow_mut();
+        let base = &mut *guard;
+        if base.array != Some(array) {
+            base.array = Some(array);
+            base.deltas.clear();
+            base.deltas.extend_from_slice(&self.deltas);
+            for e in committed {
+                e.book(&mut base.deltas, self.times, -1);
+            }
+            base.peaks.clear();
+            base.peaks
+                .extend((0..self.capacities.len()).map(|slot| peak(self.row(&base.deltas, slot))));
+        }
         let mut total = 0u64;
-        let mut scratch = self.scratch.borrow_mut();
-        for (lid, capacity, delta) in &self.layers {
-            scratch.clear();
-            scratch.extend_from_slice(delta);
-            self.splice(&mut scratch, *lid, old, -1);
-            self.splice(&mut scratch, *lid, trial, 1);
-            let required = Self::peak(&scratch);
-            if required > *capacity {
-                return Err((*lid, required));
+        for (slot, &capacity) in self.capacities.iter().enumerate() {
+            let required = if trial.iter().any(|e| e.slot == slot) {
+                base.trial_row.clear();
+                base.trial_row
+                    .extend_from_slice(self.row(&base.deltas, slot));
+                for e in trial.iter().filter(|e| e.slot == slot) {
+                    base.trial_row[e.start] += e.bytes;
+                    base.trial_row[e.end] -= e.bytes;
+                }
+                peak(&base.trial_row)
+            } else {
+                base.peaks[slot]
+            };
+            if required > capacity {
+                return Err((LayerId(slot + 1), required));
             }
             total += required;
         }
@@ -968,17 +1042,19 @@ impl<'t> OccupancyLedger<'t> {
 
     /// Total on-chip bytes required by the committed state.
     fn onchip_required(&self) -> u64 {
-        self.layers.iter().map(|(.., d)| Self::peak(d)).sum()
+        (0..self.capacities.len())
+            .map(|slot| peak(self.row(&self.deltas, slot)))
+            .sum()
     }
 }
 
 /// Recyclable buffers of an [`IncrementalCost`] evaluator.
 ///
 /// One greedy search leg builds an evaluator (per-array contributions,
-/// per-array residents, the occupancy ledger's delta arrays) and tears
-/// it down again; a sweep runs thousands of legs over the same program.
-/// The pool carries those buffers from one evaluator to the next —
-/// [`IncrementalCost::new_in`] draws from it,
+/// per-array resident events, the occupancy ledger's rows and probe base)
+/// and tears it down again; a sweep runs thousands of legs over the same
+/// program. The pool carries those buffers from one evaluator to the
+/// next — [`IncrementalCost::new_in`] draws from it,
 /// [`IncrementalCost::into_parts`] returns to it — so steady-state legs
 /// reuse every allocation. A fresh default pool reproduces the
 /// allocating path exactly; results are bit-identical either way (the
@@ -986,9 +1062,10 @@ impl<'t> OccupancyLedger<'t> {
 #[derive(Debug, Default)]
 pub struct IncPool {
     contribs: Vec<ArrayContribution>,
-    residents: Vec<Vec<(LayerId, Resident)>>,
-    deltas: Vec<Vec<i64>>,
-    scratch: Vec<i64>,
+    events: Vec<Vec<ResidentEvents>>,
+    capacities: Vec<u64>,
+    deltas: Vec<i64>,
+    base: ProbeBase,
     streams: Vec<TransferStream>,
     chain: Vec<SelectedCopy>,
     current: CostBreakdown,
@@ -1010,24 +1087,27 @@ impl IncPool {
 /// touching exactly one array. The full [`CostModel::evaluate`] re-prices
 /// every access of every array; this evaluator caches the per-array
 /// [`ArrayContribution`]s and layer residents, so a candidate move costs
-/// `O(accesses-of-that-array)` to price, and a capacity probe costs
-/// `O(event times + residents-of-that-array)` through the occupancy
-/// ledger (`OccupancyLedger`) — no assignment clone, no timeline re-walk,
-/// no resident-pool rebuild.
+/// `O(accesses-of-that-array)` to price, and a capacity probe re-scans
+/// only the layers the trial occupies, against a per-array base of the
+/// occupancy ledger (`OccupancyLedger`) — no assignment clone, no
+/// timeline re-walk, no resident-pool rebuild.
 ///
 /// Totals are maintained by re-summing the cached contributions in
 /// ascending array order, the exact summation order of the oracle, so
 /// [`cost`](IncrementalCost::cost) is **bit-for-bit identical** to
 /// `model.evaluate(assignment)` at every point (see the equivalence
-/// proptests in `crates/core/tests/`).
+/// proptests in `crates/core/tests/`). The greedy search prices its
+/// trial moves as scores only (`trial_score`): the same additions in the
+/// same order, without building a [`CostBreakdown`].
 #[derive(Debug)]
 pub struct IncrementalCost<'m, 'a> {
     model: &'m CostModel<'a>,
     assignment: Assignment,
     contribs: Vec<ArrayContribution>,
-    /// Per array: the residents its current state places, with their layer.
-    residents: Vec<Vec<(LayerId, Resident)>>,
-    occupancy: OccupancyLedger<'m>,
+    /// Per array: the ledger events of the residents its current state
+    /// places.
+    events: Vec<Vec<ResidentEvents>>,
+    occupancy: OccupancyLedger,
     current: CostBreakdown,
     /// Stream-pricing scratch for in-place contribution refills.
     streams: Vec<TransferStream>,
@@ -1046,8 +1126,8 @@ impl<'m, 'a> IncrementalCost<'m, 'a> {
         let n = assignment.array_count();
         let mut contribs = std::mem::take(&mut pool.contribs);
         contribs.resize_with(n, ArrayContribution::default);
-        let mut residents = std::mem::take(&mut pool.residents);
-        residents.resize_with(n, Vec::new);
+        let mut events = std::mem::take(&mut pool.events);
+        events.resize_with(n, Vec::new);
         let mut streams = std::mem::take(&mut pool.streams);
         let mut chain = std::mem::take(&mut pool.chain);
         let mut occupancy = OccupancyLedger::new_in(model, pool);
@@ -1063,9 +1143,9 @@ impl<'m, 'a> IncrementalCost<'m, 'a> {
                 &mut streams,
                 &mut contribs[aid],
             );
-            model.array_residents_into(array, home, &chain, &mut residents[aid]);
-            for (l, r) in &residents[aid] {
-                occupancy.apply(*l, r, 1);
+            model.array_events_into(array, home, &chain, &mut events[aid]);
+            for e in &events[aid] {
+                occupancy.apply(e, 1);
             }
         }
         pool.chain = chain;
@@ -1073,7 +1153,7 @@ impl<'m, 'a> IncrementalCost<'m, 'a> {
             model,
             assignment,
             contribs,
-            residents,
+            events,
             occupancy,
             current: std::mem::take(&mut pool.current),
             streams,
@@ -1089,14 +1169,14 @@ impl<'m, 'a> IncrementalCost<'m, 'a> {
         let IncrementalCost {
             assignment,
             contribs,
-            residents,
+            events,
             occupancy,
             current,
             streams,
             ..
         } = self;
         pool.contribs = contribs;
-        pool.residents = residents;
+        pool.events = events;
         pool.streams = streams;
         occupancy.recycle(pool);
         (assignment, current)
@@ -1162,32 +1242,41 @@ impl<'m, 'a> IncrementalCost<'m, 'a> {
         array: ArrayId,
         trial: &ArrayContribution,
     ) -> CostBreakdown {
-        let mut b = CostBreakdown::default();
-        self.evaluate_with_contribution_into(array, trial, &mut b);
+        let mut b = CostBreakdown {
+            compute_cycles: self.model.facts.total_compute,
+            accesses_per_layer: vec![0; self.model.platform.layer_count()],
+            ..CostBreakdown::default()
+        };
+        for (i, c) in self.contribs.iter().enumerate() {
+            b.absorb(if i == array.index() { trial } else { c });
+        }
         b
     }
 
-    /// [`evaluate_with_contribution`](IncrementalCost::evaluate_with_contribution)
-    /// into a caller-owned scratch buffer — the greedy loop re-prices
-    /// hundreds of moves per step and reuses one allocation for all of
-    /// them.
-    pub fn evaluate_with_contribution_into(
+    /// `objective.score(&self.evaluate_with_contribution(array, trial))`,
+    /// bit for bit, without building the breakdown: the same additions in
+    /// the same ascending array order, skipping the per-layer access
+    /// counts the score never reads. The greedy search prices every trial
+    /// move through this.
+    pub(crate) fn trial_score(
         &self,
+        objective: &Objective,
         array: ArrayId,
         trial: &ArrayContribution,
-        out: &mut CostBreakdown,
-    ) {
-        *out = CostBreakdown {
-            compute_cycles: self.model.facts.total_compute,
-            accesses_per_layer: std::mem::take(&mut out.accesses_per_layer),
-            ..CostBreakdown::default()
-        };
-        out.accesses_per_layer.clear();
-        out.accesses_per_layer
-            .resize(self.model.platform.layer_count(), 0);
+    ) -> f64 {
+        let (mut cpu_cycles, mut cpu_energy) = (0u64, 0f64);
+        let (mut transfer_cycles, mut transfer_energy) = (0u64, 0f64);
         for (i, c) in self.contribs.iter().enumerate() {
-            out.absorb(if i == array.index() { trial } else { c });
+            let c = if i == array.index() { trial } else { c };
+            cpu_cycles += c.cpu_access_cycles;
+            cpu_energy += c.cpu_access_energy_pj;
+            transfer_cycles += c.transfer_cycles;
+            transfer_energy += c.transfer_energy_pj;
         }
+        objective.score_totals(
+            self.model.facts.total_compute + cpu_cycles + transfer_cycles,
+            cpu_energy + transfer_energy,
+        )
     }
 
     /// Capacity probe for the trial state: `None` when some on-chip layer
@@ -1199,16 +1288,13 @@ impl<'m, 'a> IncrementalCost<'m, 'a> {
         home: LayerId,
         chain: &[SelectedCopy],
     ) -> Option<u64> {
-        let trial = self.model.array_residents(array, home, chain);
-        self.onchip_required_with_residents(array, &trial)
+        let mut trial = Vec::new();
+        self.model.array_events_into(array, home, chain, &mut trial);
+        self.probe_events(array, &trial).ok()
     }
 
     /// [`onchip_required_with`](IncrementalCost::onchip_required_with) with
-    /// the trial residents already computed (cacheable per candidate move).
-    ///
-    /// Served by the occupancy ledger: the cached per-layer delta arrays
-    /// stand in for the resident pool, so the probe neither clones
-    /// residents nor re-sorts events.
+    /// the trial residents already computed.
     pub fn onchip_required_with_residents(
         &self,
         array: ArrayId,
@@ -1232,7 +1318,25 @@ impl<'m, 'a> IncrementalCost<'m, 'a> {
         array: ArrayId,
         trial: &[(LayerId, Resident)],
     ) -> Result<u64, (LayerId, u64)> {
-        self.occupancy.probe(&self.residents[array.index()], trial)
+        let trial: Vec<ResidentEvents> = trial
+            .iter()
+            .filter_map(|(layer, r)| self.model.resident_events(*layer, r))
+            .collect();
+        self.probe_events(array, &trial)
+    }
+
+    /// [`probe_required`](Self::probe_required) with the trial's residents
+    /// already located in the event-time set
+    /// ([`CostModel::array_events_into`]) — the probe of the greedy loop,
+    /// which indexes each trial once per cache fill. Every capacity probe
+    /// runs through here.
+    pub(crate) fn probe_events(
+        &self,
+        array: ArrayId,
+        trial: &[ResidentEvents],
+    ) -> Result<u64, (LayerId, u64)> {
+        self.occupancy
+            .probe(array, &self.events[array.index()], trial)
     }
 
     /// Total on-chip bytes required by the working assignment.
@@ -1241,8 +1345,8 @@ impl<'m, 'a> IncrementalCost<'m, 'a> {
     }
 
     /// Commits `array`'s new state, updating the cached contribution,
-    /// residents, occupancy ledger and totals. Only the touched array's
-    /// cached state is invalidated.
+    /// resident events, occupancy ledger and totals. Only the touched
+    /// array's cached state is invalidated (and the ledger's probe base).
     pub fn commit_array_state(&mut self, array: ArrayId, home: LayerId, chain: &[SelectedCopy]) {
         self.assignment.clear_copies_of(array);
         self.assignment.set_home(array, home);
@@ -1259,13 +1363,13 @@ impl<'m, 'a> IncrementalCost<'m, 'a> {
             &mut self.streams,
             &mut self.contribs[array.index()],
         );
-        for (l, r) in &self.residents[array.index()] {
-            self.occupancy.apply(*l, r, -1);
+        let events = &mut self.events[array.index()];
+        for e in events.iter() {
+            self.occupancy.apply(e, -1);
         }
-        let slot = &mut self.residents[array.index()];
-        model.array_residents_into(array, home, chain, slot);
-        for (l, r) in self.residents[array.index()].iter() {
-            self.occupancy.apply(*l, r, 1);
+        model.array_events_into(array, home, chain, events);
+        for e in events.iter() {
+            self.occupancy.apply(e, 1);
         }
         self.refresh_total();
     }
@@ -1470,4 +1574,122 @@ mod tests {
     }
 
     use mhla_ir::{LoopId, Program};
+    use proptest::prelude::*;
+
+    /// Every state the greedy search can give `array` on a three-level
+    /// platform: off-chip home with no copies or with one of its reuse
+    /// chains on ascending on-chip layers, or a re-home on chip.
+    fn array_states(reuse: &ReuseAnalysis, array: ArrayId) -> Vec<(LayerId, Vec<SelectedCopy>)> {
+        let mut states = vec![
+            (LayerId(0), Vec::new()),
+            (LayerId(1), Vec::new()),
+            (LayerId(2), Vec::new()),
+        ];
+        for chain in reuse.chains(array, 2) {
+            let layer_sets: &[&[usize]] = match chain.len() {
+                1 => &[&[1], &[2]],
+                _ => &[&[1, 2]],
+            };
+            for layers in layer_sets {
+                let sel = chain
+                    .iter()
+                    .zip(layers.iter())
+                    .map(|(&candidate, &l)| SelectedCopy {
+                        candidate,
+                        layer: LayerId(l),
+                    })
+                    .collect();
+                states.push((LayerId(0), sel));
+            }
+        }
+        states
+    }
+
+    /// The probe result the full capacity check implies: the first
+    /// over-full on-chip layer with its requirement, else the summed
+    /// on-chip requirement.
+    fn oracle_probe(m: &CostModel<'_>, assignment: &Assignment) -> Result<u64, (LayerId, u64)> {
+        let usage = m.layer_usage(assignment, &HashMap::new());
+        match usage.iter().skip(1).find(|u| !u.fits()) {
+            Some(u) => Err((u.layer, u.required)),
+            None => Ok(usage.iter().skip(1).map(|u| u.required).sum()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Over random move sequences on a three-level platform, the
+        /// score-only trial pricing equals scoring the full trial
+        /// breakdown bit for bit under every objective kind, and the
+        /// per-array probe base answers every probe exactly as the full
+        /// capacity check does — including the first over-full layer and
+        /// its requirement. Each step probes one array and commits an
+        /// independently drawn one, so a base outliving a commit to
+        /// another array would show.
+        #[test]
+        fn trial_score_and_probe_match_the_oracles(
+            spec in mhla_ir::arbitrary::program_specs(),
+            l2 in 32u64..2048,
+            l1 in 16u64..512,
+            steps in prop::collection::vec(
+                (
+                    any::<prop::sample::Index>(),
+                    any::<prop::sample::Index>(),
+                    any::<bool>(),
+                    any::<prop::sample::Index>(),
+                    any::<prop::sample::Index>(),
+                ),
+                1..16,
+            ),
+        ) {
+            let p = spec.build();
+            let pf = Platform::three_level(l2.max(l1 + 1), l1);
+            let reuse = ReuseAnalysis::analyze(&p);
+            let m = model(&p, &pf, &reuse);
+            let objectives = [
+                Objective::Cycles,
+                Objective::Energy,
+                Objective::Weighted {
+                    energy_weight: 0.25,
+                    cycle_weight: 3.0,
+                },
+            ];
+            let mut inc = IncrementalCost::new(
+                &m,
+                Assignment::baseline(p.array_count(), TransferPolicy::default()),
+            );
+            let mut events = Vec::new();
+            let pick = |array: prop::sample::Index, state: prop::sample::Index| {
+                let array = ArrayId::from_index(array.index(p.array_count()));
+                let states = array_states(&reuse, array);
+                let (home, chain) = states[state.index(states.len())].clone();
+                (array, home, chain)
+            };
+            for (array_pick, state_pick, commit, commit_array, commit_state) in steps {
+                let (array, home, chain) = &pick(array_pick, state_pick);
+                let array = *array;
+                let trial = m.array_contribution(array, *home, chain, inc.assignment().policy());
+                let full = inc.evaluate_array_state(array, *home, chain);
+                for objective in &objectives {
+                    prop_assert_eq!(
+                        inc.trial_score(objective, array, &trial).to_bits(),
+                        objective.score(&full).to_bits()
+                    );
+                }
+                let mut applied = inc.assignment().clone();
+                applied.clear_copies_of(array);
+                applied.set_home(array, *home);
+                for &c in chain {
+                    applied.add_copy(c);
+                }
+                m.array_events_into(array, *home, chain, &mut events);
+                prop_assert_eq!(inc.probe_events(array, &events), oracle_probe(&m, &applied));
+                if commit {
+                    let (array, home, chain) = pick(commit_array, commit_state);
+                    inc.commit_array_state(array, home, &chain);
+                }
+            }
+        }
+    }
 }

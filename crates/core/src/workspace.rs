@@ -17,24 +17,25 @@
 //! pin this.
 
 use mhla_hierarchy::LayerId;
-use mhla_lifetime::Resident;
 
 use crate::assign::SearchTrace;
-use crate::cost::{ArrayContribution, CostBreakdown, IncPool, TransferStream};
+use crate::cost::{ArrayContribution, IncPool, ResidentEvents, TransferStream};
 use crate::types::Assignment;
 
 /// Cached trial data of one candidate move: its array's cost contribution
-/// and layer residents under the move's `(home, chain)` state. Both depend
-/// only on that one array's state, so they stay valid across greedy steps
-/// (and across the portfolio's legs) as long as the array's home is
-/// unchanged — `home` records the home the entry was computed under,
-/// `None` meaning *invalid* (the platform changed between sweep points, so
-/// every cached price is stale).
+/// and its layer residents under the move's `(home, chain)` state, the
+/// residents already located in the program's event-time set
+/// ([`ResidentEvents`]) so a capacity probe reads them as they are. Both
+/// depend only on that one array's state, so they stay valid across
+/// greedy steps (and across the portfolio's legs) as long as the array's
+/// home is unchanged — `home` records the home the entry was computed
+/// under, `None` meaning *invalid* (the platform changed between sweep
+/// points, so every cached price is stale).
 #[derive(Debug, Default)]
 pub(crate) struct CacheSlot {
     pub(crate) home: Option<LayerId>,
     pub(crate) contrib: ArrayContribution,
-    pub(crate) residents: Vec<(LayerId, Resident)>,
+    pub(crate) events: Vec<ResidentEvents>,
 }
 
 /// Scratch buffers of one evaluation thread, reused across sweep points.
@@ -56,8 +57,6 @@ pub struct EvalWorkspace {
     /// Flat per-contender sensitivity differences (`layer_count` entries
     /// per contender).
     pub(crate) svec_buf: Vec<f64>,
-    /// Trial-pricing scratch of the greedy gain test.
-    pub(crate) scratch: CostBreakdown,
     /// Stream-pricing scratch for cache refills.
     pub(crate) streams: Vec<TransferStream>,
     /// Recyclable buffers of the incremental evaluator.

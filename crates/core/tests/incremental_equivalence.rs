@@ -6,10 +6,12 @@
 //!   every commit of a random move sequence, and its trial evaluation must
 //!   match evaluating the applied trial;
 //! * its capacity probe must agree with the full
-//!   [`CostModel::check_capacity`] / layer-usage path;
+//!   [`CostModel::check_capacity`] / layer-usage path, a failed probe
+//!   naming the first over-full layer and the bytes it needs;
 //! * [`assign::greedy`] (incremental, cached options) must produce the
 //!   same outcome as [`assign::greedy_oracle`] (clone + full evaluate per
-//!   candidate move — the seed implementation).
+//!   candidate move — the seed implementation) under the cycles, energy
+//!   and a weighted objective.
 
 use mhla_core::{
     assign, classify_arrays, Assignment, CostModel, EvalWorkspace, IncrementalCost, MhlaConfig,
@@ -151,14 +153,20 @@ proptest! {
             let probe = inc.onchip_required_with(array, home, &chain);
             let full = model.check_capacity(&applied, &HashMap::new());
             prop_assert_eq!(probe.is_some(), full.is_ok());
+            let usage = model.layer_usage(&applied, &HashMap::new());
             if let Some(bytes) = probe {
-                let usage: u64 = model
-                    .layer_usage(&applied, &HashMap::new())
-                    .iter()
-                    .skip(1)
-                    .map(|u| u.required)
-                    .sum();
-                prop_assert_eq!(bytes, usage);
+                let onchip: u64 = usage.iter().skip(1).map(|u| u.required).sum();
+                prop_assert_eq!(bytes, onchip);
+            }
+
+            // A failed probe names the first over-full on-chip layer and
+            // the bytes the trial needs there: the rejection floor the
+            // grid certificates read.
+            let detailed = inc.probe_required(array, &model.array_residents(array, home, &chain));
+            prop_assert_eq!(detailed.ok(), probe);
+            if let Err((layer, required)) = detailed {
+                let first = usage.iter().skip(1).find(|u| !u.fits());
+                prop_assert_eq!(first.map(|u| (u.layer, u.required)), Some((layer, required)));
             }
 
             // Commit and re-check the running total, bit for bit.
@@ -181,7 +189,14 @@ proptest! {
             &reuse,
             classify_arrays(&program, &[]),
         );
-        for objective in [Objective::Cycles, Objective::Energy] {
+        for objective in [
+            Objective::Cycles,
+            Objective::Energy,
+            Objective::Weighted {
+                energy_weight: 0.5,
+                cycle_weight: 2.0,
+            },
+        ] {
             let config = MhlaConfig {
                 objective,
                 ..MhlaConfig::default()
