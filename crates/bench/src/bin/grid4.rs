@@ -7,27 +7,25 @@
 //! the adaptive refinement, prints the frontier of one app, and writes
 //! `BENCH_grid4.json` at the workspace root.
 //!
-//! Run with `cargo run --release -p mhla-bench --bin grid4`.
-//!
-//! The pruned and refined sweeps have no parallel switch — their certified
-//! loop searches each rank level on the calling thread plus helper
-//! threads of its own — so `MHLA_SWEEP_PARALLEL` does not change them;
-//! malformed values of the tuning variables are still rejected with a
-//! typed error on stderr (exit code 2) instead of silently falling back.
+//! Run with `cargo run --release -p mhla-bench --bin grid4`. Every timed
+//! path runs [`REPEATS`] times per app; the document records each suite's
+//! median and interquartile range.
 //!
 //! `MHLA_SWEEP_MAX_EVALS=<n>` switches the binary into the
 //! budget-interrupt smoke mode: one app's pruned sweep runs under the
 //! given evaluation budget, the completion status is printed, and the
 //! interrupted run is resumed and checked bit-for-bit against the
 //! uninterrupted sweep — the CI leg that proves a budgeted exploration
-//! exits cleanly with a certified partial frontier.
+//! exits cleanly with a certified partial frontier. A malformed value is
+//! rejected with a typed error on stderr (exit code 2) instead of
+//! silently falling back.
 
 use std::process::ExitCode;
 
 use mhla_bench::{
-    grid4_perf_json, measure_grid4_improving, measure_grid4_perf, measure_grid4_perf_with,
-    measure_grid4_refine, prev_suite_value, sweep_options_from_env, write_results, Grid4Perf,
-    Grid4Refine, ImprovingGrid4Perf,
+    grid4_perf_json, measure_grid4_improving, measure_grid4_perf, measure_grid4_refine,
+    prev_suite_value, sweep_max_evals_from_env, write_results, Grid4Perf, Grid4Refine,
+    ImprovingGrid4Perf, Samples,
 };
 use mhla_core::explore::{
     default_axes, try_sweep_grid_pruned_resume, try_sweep_grid_pruned_with, ExploreBudget,
@@ -35,6 +33,10 @@ use mhla_core::explore::{
 };
 use mhla_core::{report, MhlaConfig, MhlaError, Objective};
 use mhla_hierarchy::Platform;
+
+/// Timed runs of every path per app: the suite's median and quartiles
+/// come from this many whole-suite repetitions.
+const REPEATS: usize = 5;
 
 /// With `--features alloc-counter`, every measurement row also reports
 /// allocation events per evaluated point (the `allocs/eval` column and
@@ -69,25 +71,28 @@ fn print_table(title: &str, perfs: &[Grid4Perf]) {
             p.stats.evaluated,
             p.stats.skipped(),
             100.0 * p.stats.skip_ratio(),
-            p.exhaustive_seconds * 1e3,
-            p.pruned_seconds * 1e3,
+            p.exhaustive.median() * 1e3,
+            p.pruned.median() * 1e3,
             p.speedup(),
             allocs,
             p.frontier_identical && p.points_identical,
         );
     }
-    let exhaustive: f64 = perfs.iter().map(|p| p.exhaustive_seconds).sum();
-    let pruned: f64 = perfs.iter().map(|p| p.pruned_seconds).sum();
+    let exhaustive = Samples::suite(perfs.iter().map(|p| &p.exhaustive));
+    let pruned = Samples::suite(perfs.iter().map(|p| &p.pruned));
     let candidates: usize = perfs.iter().map(|p| p.stats.candidates).sum();
     let evaluated: usize = perfs.iter().map(|p| p.stats.evaluated).sum();
     println!(
         "suite: {candidates} candidates, {evaluated} evaluated ({} skipped, {:.1}%), \
-         exhaustive {:.1} ms, pruned {:.1} ms ({:.2}x)",
+         median of {REPEATS}: exhaustive {:.1} ms (IQR {:.1}), pruned {:.1} ms (IQR {:.1}) \
+         ({:.2}x)",
         candidates - evaluated,
         100.0 * (candidates - evaluated) as f64 / candidates.max(1) as f64,
-        exhaustive * 1e3,
-        pruned * 1e3,
-        exhaustive / pruned.max(f64::MIN_POSITIVE),
+        exhaustive.median() * 1e3,
+        exhaustive.iqr() * 1e3,
+        pruned.median() * 1e3,
+        pruned.iqr() * 1e3,
+        exhaustive.median() / pruned.median().max(f64::MIN_POSITIVE),
     );
     println!();
 }
@@ -118,8 +123,8 @@ fn print_improving_table(title: &str, perfs: &[ImprovingGrid4Perf]) -> bool {
             p.improved_points,
             p.max_improvement_pct,
             p.dominates,
-            p.cold_seconds * 1e3,
-            p.improving_seconds * 1e3,
+            p.cold.median() * 1e3,
+            p.improving.median() * 1e3,
         );
     }
     let all_dominate = perfs.iter().all(|p| p.dominates);
@@ -161,7 +166,7 @@ fn print_refine_table(title: &str, perfs: &[Grid4Refine]) -> bool {
             p.stats.cells_closed_mask,
             p.stats.corners_certified,
             p.waves,
-            p.refined_seconds * 1e3,
+            p.refined.median() * 1e3,
             if p.frontier_consistent {
                 "PASS"
             } else {
@@ -257,14 +262,13 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), MhlaError> {
-    // Validates the tuning variables up front (hard error on malformed
+    // Validates the budget variable up front (hard error on malformed
     // values); a budget in the environment switches to the smoke mode.
-    let opts = sweep_options_from_env()?;
-    if !opts.budget.is_unlimited() {
-        return budget_smoke(opts.budget);
+    if let Some(max_evals) = sweep_max_evals_from_env()? {
+        return budget_smoke(ExploreBudget::max_evals(max_evals));
     }
 
-    let cycles = measure_grid4_perf(3);
+    let cycles = measure_grid4_perf(REPEATS, &MhlaConfig::default());
     print_table(
         "L1xL2xL3 grid sweep, Objective::Cycles: exhaustive vs pruned",
         &cycles,
@@ -273,7 +277,7 @@ fn run() -> Result<(), MhlaError> {
         objective: Objective::Energy,
         ..MhlaConfig::default()
     };
-    let energy = measure_grid4_perf_with(2, &energy_config);
+    let energy = measure_grid4_perf(REPEATS, &energy_config);
     print_table(
         "L1xL2xL3 grid sweep, Objective::Energy: exhaustive vs pruned (gain-bound saturation)",
         &energy,
@@ -283,12 +287,12 @@ fn run() -> Result<(), MhlaError> {
     // portfolio). The dominance check is the mode's machine-checked
     // guarantee — a FAIL here is a bug, and the process exits nonzero so
     // the CI smoke leg catches it.
-    let cycles_improving = measure_grid4_improving(2, &MhlaConfig::default());
+    let cycles_improving = measure_grid4_improving(REPEATS, &MhlaConfig::default());
     let cycles_ok = print_improving_table(
         "L1xL2xL3 grid sweep, Objective::Cycles: cold vs improving mode (SearchMode::Improving)",
         &cycles_improving,
     );
-    let energy_improving = measure_grid4_improving(2, &energy_config);
+    let energy_improving = measure_grid4_improving(REPEATS, &energy_config);
     let energy_ok = print_improving_table(
         "L1xL2xL3 grid sweep, Objective::Energy: cold vs improving mode (SearchMode::Improving)",
         &energy_improving,
@@ -301,7 +305,7 @@ fn run() -> Result<(), MhlaError> {
     // The adaptive refinement: the certified virtual fine lattice, the
     // fraction searched, and the frontier-equivalence verdict. A FAIL is
     // a lost certificate — the CI smoke leg exits nonzero on it.
-    let refine = measure_grid4_refine(&MhlaConfig::default());
+    let refine = measure_grid4_refine(REPEATS, &MhlaConfig::default());
     let refine_ok = print_refine_table(
         "L1xL2xL3 adaptive refinement: certified virtual fine lattice vs evals",
         &refine,

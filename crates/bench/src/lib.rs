@@ -14,8 +14,8 @@
 //!
 //! The binaries (`fig2_performance`, `fig3_energy`, `tradeoff_curves`,
 //! `te_ablation`) print the tables and drop CSVs under `results/`; the
-//! `bench`, `grid` and `grid4` binaries track the exploration engines'
-//! wall time in the `BENCH_*.json` documents at the workspace root.
+//! `grid4` binary tracks the exploration engines' wall time in
+//! `BENCH_grid4.json` at the workspace root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,12 +44,11 @@ fn count_allocs_per_eval<R>(evals: usize, f: impl FnOnce() -> R) -> (R, Option<f
 }
 
 /// The suite-level `"<key>": <number>` of a previously written
-/// `BENCH_*.json` document — the before/after hook: the `bench` and
-/// `grid4` binaries read the tracked file's prior value before
-/// overwriting it, so the regenerated document records the wall-time
-/// trajectory across code changes. Reads the *first* `"suite"` object
-/// (the sweep document's only one; the grid document's cycles/pruned
-/// one).
+/// `BENCH_*.json` document — the before/after hook: the `grid4` binary
+/// reads the tracked file's prior value before overwriting it, so the
+/// regenerated document records the wall-time trajectory across code
+/// changes. Reads the *first* `"suite"` object after the start of
+/// `content`.
 pub fn prev_suite_value(content: &str, key: &str) -> Option<f64> {
     let suite = content.find("\"suite\"")?;
     let pat = format!("\"{key}\":");
@@ -236,205 +235,16 @@ pub fn sweep_suite() -> Vec<Application> {
     apps
 }
 
-/// Cold-vs-fast sweep timings for one application.
-///
-/// *Cold* is the frozen pre-optimization path
-/// ([`mhla_core::explore::sweep_cold`]): sequential, re-analyzed per point,
-/// every candidate move priced by the full `evaluate` oracle. *Fast* is the
-/// production path ([`mhla_core::explore::try_sweep_with`]): shared
-/// analysis and move space, incremental move pricing, warm-started
-/// portfolio search, parallel chunks.
-#[derive(Clone, PartialEq, Debug)]
-pub struct SweepPerf {
-    /// Application name.
-    pub app: String,
-    /// Best-of-`repeats` wall time of the cold sweep, seconds.
-    pub cold_seconds: f64,
-    /// Best-of-`repeats` wall time of the fast sweep, seconds.
-    pub fast_seconds: f64,
-    /// Capacity points evaluated per sweep.
-    pub points: usize,
-    /// Whether both paths produced identical Pareto fronts.
-    pub fronts_identical: bool,
-    /// Whether both paths produced identical (cycles, energy) per point.
-    pub points_identical: bool,
-    /// Allocation events per point of the fast sweep, measured by the
-    /// counting allocator (`None` outside `alloc-counter` builds).
-    pub allocs_per_eval: Option<f64>,
-}
-
-impl SweepPerf {
-    /// cold / fast wall-time ratio.
-    pub fn speedup(&self) -> f64 {
-        self.cold_seconds / self.fast_seconds.max(f64::MIN_POSITIVE)
-    }
-}
-
-/// Measures cold vs fast capacity sweeps over [`sweep_suite`], taking the
-/// best of `repeats` runs per path (first run warms caches and the
-/// allocator).
-pub fn measure_sweep_perf(repeats: usize) -> Vec<SweepPerf> {
-    measure_sweep_perf_with(repeats, mhla_core::explore::SweepOptions::default())
-}
-
-/// [`measure_sweep_perf`] with explicit [`SweepOptions`] for the fast
-/// path — the fan-out experiment. The `bench` binary exposes the knob
-/// through the `MHLA_SWEEP_PARALLEL` environment variable, so the
-/// experiment runs without recompiling; results are identical for every
-/// setting (see [`SweepOptions`]'s determinism guarantee), only wall time
-/// moves.
-///
-/// [`SweepOptions`]: mhla_core::explore::SweepOptions
-pub fn measure_sweep_perf_with(
-    repeats: usize,
-    opts: mhla_core::explore::SweepOptions,
-) -> Vec<SweepPerf> {
-    use mhla_core::explore::{default_capacities, sweep_cold, try_sweep_with};
-    use mhla_core::MhlaConfig;
-    use mhla_hierarchy::LayerId;
-
-    let caps = default_capacities();
-    let platform = Platform::embedded_default(1024);
-    let config = MhlaConfig::default();
-    sweep_suite()
-        .iter()
-        .map(|app| {
-            let mut cold_s = f64::INFINITY;
-            let mut fast_s = f64::INFINITY;
-            let mut cold = None;
-            let mut fast = None;
-            for _ in 0..repeats.max(1) {
-                let t = std::time::Instant::now();
-                cold = Some(sweep_cold(
-                    &app.program,
-                    &platform,
-                    LayerId(1),
-                    &caps,
-                    &config,
-                ));
-                cold_s = cold_s.min(t.elapsed().as_secs_f64());
-                let t = std::time::Instant::now();
-                fast = Some(
-                    try_sweep_with(&app.program, &platform, LayerId(1), &caps, &config, &opts)
-                        .expect("the built-in suite sweeps cleanly")
-                        .sweep,
-                );
-                fast_s = fast_s.min(t.elapsed().as_secs_f64());
-            }
-            let (cold, fast) = (cold.expect("ran"), fast.expect("ran"));
-            // One extra (untimed) fast run under the counting allocator;
-            // a no-op reporting `None` outside `alloc-counter` builds.
-            let (_, allocs_per_eval) = count_allocs_per_eval(fast.points.len(), || {
-                try_sweep_with(&app.program, &platform, LayerId(1), &caps, &config, &opts)
-            });
-            let fronts_identical = cold.pareto_cycles() == fast.pareto_cycles()
-                && cold.pareto_energy() == fast.pareto_energy();
-            let points_identical = cold.points.len() == fast.points.len()
-                && cold
-                    .points
-                    .iter()
-                    .zip(&fast.points)
-                    .all(|(a, b)| a.cycles() == b.cycles() && a.energy_pj() == b.energy_pj());
-            SweepPerf {
-                app: app.name().to_string(),
-                cold_seconds: cold_s,
-                fast_seconds: fast_s,
-                points: cold.points.len(),
-                fronts_identical,
-                points_identical,
-                allocs_per_eval,
-            }
-        })
-        .collect()
-}
-
-/// Renders [`SweepPerf`] rows as the `BENCH_sweep.json` document tracked
-/// at the workspace root: wall times, points/sec throughput, and the
-/// cold/fast equivalence verdict, per app and suite-wide. Optional
-/// fields: per-app and suite `allocs_per_eval` when the counting
-/// allocator measured the fast path, and suite `prev_fast_seconds` /
-/// `wall_speedup_vs_prev` when the prior tracked document's suite time
-/// is passed in (the before/after wall-time trajectory).
-pub fn sweep_perf_json(perfs: &[SweepPerf], prev_fast: Option<f64>) -> String {
-    let cold: f64 = perfs.iter().map(|p| p.cold_seconds).sum();
-    let fast: f64 = perfs.iter().map(|p| p.fast_seconds).sum();
-    let points: usize = perfs.iter().map(|p| p.points).sum();
-    let all_identical = perfs
-        .iter()
-        .all(|p| p.fronts_identical && p.points_identical);
-    let mut out = String::from("{\n  \"bench\": \"tradeoff_sweep\",\n  \"apps\": [\n");
-    for (i, p) in perfs.iter().enumerate() {
-        let allocs = p
-            .allocs_per_eval
-            .map(|a| format!("\"allocs_per_eval\": {a:.1}, "))
-            .unwrap_or_default();
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"points\": {}, \"cold_seconds\": {:.6}, \
-             \"fast_seconds\": {:.6}, \"speedup\": {:.2}, {allocs}\
-             \"fronts_identical\": {}, \"points_identical\": {}}}{}\n",
-            p.app,
-            p.points,
-            p.cold_seconds,
-            p.fast_seconds,
-            p.speedup(),
-            p.fronts_identical,
-            p.points_identical,
-            if i + 1 < perfs.len() { "," } else { "" },
-        ));
-    }
-    let suite_allocs = perfs
-        .iter()
-        .map(|p| p.allocs_per_eval.map(|a| a * p.points as f64))
-        .sum::<Option<f64>>()
-        .map(|total| format!("\"allocs_per_eval\": {:.1}, ", total / points.max(1) as f64))
-        .unwrap_or_default();
-    let prev = prev_fast
-        .map(|prev| {
-            format!(
-                "\"prev_fast_seconds\": {prev:.6}, \"wall_speedup_vs_prev\": {:.2}, ",
-                prev / fast.max(f64::MIN_POSITIVE)
-            )
-        })
-        .unwrap_or_default();
-    out.push_str(&format!(
-        "  ],\n  \"suite\": {{\"points\": {points}, \"cold_seconds\": {cold:.6}, \
-         \"fast_seconds\": {fast:.6}, \"speedup\": {:.2}, {suite_allocs}{prev}\
-         \"points_per_second_cold\": {:.0}, \"points_per_second_fast\": {:.0}, \
-         \"all_identical\": {all_identical}}}\n}}\n",
-        cold / fast.max(f64::MIN_POSITIVE),
-        points as f64 / cold.max(f64::MIN_POSITIVE),
-        points as f64 / fast.max(f64::MIN_POSITIVE),
-    ));
-    out
-}
-
-/// Strict parsing of the sweep tuning environment variables
-/// (`MHLA_SWEEP_PARALLEL`, `MHLA_SWEEP_MAX_EVALS`).
+/// Strict parsing of `MHLA_SWEEP_MAX_EVALS` (`None` when unset): the
+/// evaluation budget ([`ExploreBudget`](mhla_core::explore::ExploreBudget))
+/// of the `grid4` binary's budget-interrupt smoke mode.
 ///
 /// # Errors
 ///
-/// Malformed values are *rejected* with a typed
+/// Any value that is not a positive integer is rejected with a typed
 /// [`MhlaError::InvalidOptions`](mhla_core::MhlaError) instead of
 /// silently falling back to defaults — a typo'd tuning run must not
 /// masquerade as a default-configuration measurement.
-/// `MHLA_SWEEP_PARALLEL` must be `0` (sequential) or `1` (parallel, the
-/// default); `MHLA_SWEEP_MAX_EVALS` must parse as a positive integer and
-/// caps the sweep's evaluation budget
-/// ([`ExploreBudget`](mhla_core::explore::ExploreBudget)).
-pub fn sweep_options_from_env() -> Result<mhla_core::explore::SweepOptions, mhla_core::MhlaError> {
-    parse_sweep_options(
-        env_value("MHLA_SWEEP_PARALLEL")?.as_deref(),
-        env_value("MHLA_SWEEP_MAX_EVALS")?.as_deref(),
-    )
-}
-
-/// Strict parsing of `MHLA_SWEEP_MAX_EVALS` alone (`None` when unset);
-/// shared by the grid harnesses' budget-interrupt smoke mode.
-///
-/// # Errors
-///
-/// Any value that is not a positive integer is rejected (see
-/// [`sweep_options_from_env`]).
 pub fn sweep_max_evals_from_env() -> Result<Option<usize>, mhla_core::MhlaError> {
     parse_sweep_max_evals(env_value("MHLA_SWEEP_MAX_EVALS")?.as_deref())
 }
@@ -447,33 +257,6 @@ fn env_value(name: &str) -> Result<Option<String>, mhla_core::MhlaError> {
         Err(std::env::VarError::NotPresent) => Ok(None),
         Err(e) => Err(mhla_core::MhlaError::InvalidOptions {
             what: format!("{name} unreadable: {e}"),
-        }),
-    }
-}
-
-/// The pure parsing behind [`sweep_options_from_env`] — unit-testable
-/// without mutating process-global environment state.
-fn parse_sweep_options(
-    parallel: Option<&str>,
-    max_evals: Option<&str>,
-) -> Result<mhla_core::explore::SweepOptions, mhla_core::MhlaError> {
-    let mut opts = mhla_core::explore::SweepOptions {
-        parallel: parse_sweep_parallel(parallel)?,
-        ..mhla_core::explore::SweepOptions::default()
-    };
-    opts.budget.max_evals = parse_sweep_max_evals(max_evals)?;
-    Ok(opts)
-}
-
-/// The pure parsing of `MHLA_SWEEP_PARALLEL` behind
-/// [`sweep_options_from_env`]: `true` unless set to `0`.
-fn parse_sweep_parallel(value: Option<&str>) -> Result<bool, mhla_core::MhlaError> {
-    match value {
-        None => Ok(true),
-        Some("0") => Ok(false),
-        Some("1") => Ok(true),
-        Some(v) => Err(mhla_core::MhlaError::InvalidOptions {
-            what: format!("MHLA_SWEEP_PARALLEL must be 0 or 1, got {v:?}"),
         }),
     }
 }
@@ -491,16 +274,76 @@ fn parse_sweep_max_evals(value: Option<&str>) -> Result<Option<usize>, mhla_core
     }
 }
 
+/// Wall-time samples of one measured path, seconds: one per repetition.
+#[derive(Clone, PartialEq, Debug, Default)]
+pub struct Samples(pub Vec<f64>);
+
+impl Samples {
+    /// The median sample (0 when empty).
+    pub fn median(&self) -> f64 {
+        self.quantile(0.5)
+    }
+
+    /// The interquartile range: the third quartile minus the first (0
+    /// when empty).
+    pub fn iqr(&self) -> f64 {
+        self.quantile(0.75) - self.quantile(0.25)
+    }
+
+    /// The `q`-quantile, interpolated linearly between order statistics.
+    fn quantile(&self, q: f64) -> f64 {
+        let mut sorted = self.0.clone();
+        sorted.sort_by(f64::total_cmp);
+        let Some(last) = sorted.len().checked_sub(1) else {
+            return 0.0;
+        };
+        let pos = q * last as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+    }
+
+    /// Whole-suite samples from per-app ones: repetition `r` of the suite
+    /// took the sum of every app's `r`-th sample.
+    pub fn suite<'a>(per_app: impl IntoIterator<Item = &'a Samples>) -> Samples {
+        let mut total: Vec<f64> = Vec::new();
+        for app in per_app {
+            total.resize(total.len().max(app.0.len()), 0.0);
+            for (t, s) in total.iter_mut().zip(&app.0) {
+                *t += s;
+            }
+        }
+        Samples(total)
+    }
+
+    /// Runs `f` once, records its wall time and returns its result.
+    fn time<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        let t = std::time::Instant::now();
+        let r = f();
+        self.0.push(t.elapsed().as_secs_f64());
+        r
+    }
+
+    /// The suite JSON fields of this path: `"<key>"` is the median and
+    /// `"<key>_iqr"` the interquartile range.
+    fn json(&self, key: &str) -> String {
+        format!(
+            "\"{key}\": {:.6}, \"{key}_iqr\": {:.6}",
+            self.median(),
+            self.iqr()
+        )
+    }
+}
+
 /// Exhaustive vs pruned timings and counts for one application's
 /// four-level (L1×L2×L3) grid sweep.
 ///
 /// *Exhaustive* evaluates the full Cartesian product with
-/// [`mhla_core::explore::try_sweep_grid_run`] (sequential, cold — the same
-/// per-point machinery and semantics as the pruned path, so the delta is
-/// the pruning itself). *Pruned* is
+/// [`mhla_core::explore::try_sweep_grid_run`] (cold — the pruned sweep's
+/// certified loop with its certificates off, so the delta is the pruning
+/// itself). *Pruned* is
 /// [`mhla_core::explore::try_sweep_grid_pruned_with`] under the default
-/// [`PruneOptions`](mhla_core::explore::PruneOptions) — the certified
-/// loop, which searches each rank level on every core.
+/// [`PruneOptions`](mhla_core::explore::PruneOptions). Both search each
+/// rank level on every core.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Grid4Perf {
     /// Application name.
@@ -508,10 +351,10 @@ pub struct Grid4Perf {
     /// The pruned sweep's own bookkeeping (candidates, evaluated, skip
     /// counts and ratios).
     pub stats: mhla_core::explore::PruneStats,
-    /// Best-of-`repeats` wall time of the exhaustive sweep, seconds.
-    pub exhaustive_seconds: f64,
-    /// Best-of-`repeats` wall time of the pruned sweep, seconds.
-    pub pruned_seconds: f64,
+    /// Wall times of the exhaustive sweep, one per repetition.
+    pub exhaustive: Samples,
+    /// Wall times of the pruned sweep, one per repetition.
+    pub pruned: Samples,
     /// Whether the pruned cycles and energy frontiers are point-for-point
     /// (capacities + full results) those of the exhaustive grid.
     pub frontier_identical: bool,
@@ -525,9 +368,9 @@ pub struct Grid4Perf {
 }
 
 impl Grid4Perf {
-    /// exhaustive / pruned wall-time ratio.
+    /// exhaustive / pruned median wall-time ratio.
     pub fn speedup(&self) -> f64 {
-        self.exhaustive_seconds / self.pruned_seconds.max(f64::MIN_POSITIVE)
+        self.exhaustive.median() / self.pruned.median().max(f64::MIN_POSITIVE)
     }
 }
 
@@ -545,54 +388,34 @@ pub fn grid_frontier_points(
 }
 
 /// Measures exhaustive vs pruned four-level grid sweeps over
-/// [`sweep_suite`] under the default (cycles) objective, best of
-/// `repeats` runs per path, verifying frontier and per-point identity.
-pub fn measure_grid4_perf(repeats: usize) -> Vec<Grid4Perf> {
-    measure_grid4_perf_with(repeats, &mhla_core::MhlaConfig::default())
-}
-
-/// [`measure_grid4_perf`] under an explicit [`MhlaConfig`] — the `grid4`
-/// binary also measures `Objective::Energy`, where the gain-bound
+/// [`sweep_suite`] under `config`, `repeats` runs per path, verifying
+/// frontier and per-point identity. The `grid4` binary measures the
+/// cycles and the energy objective; under energy the gain-bound
 /// saturation rule (instead of the cycles-only one) drives the pruning.
-///
-/// [`MhlaConfig`]: mhla_core::MhlaConfig
-pub fn measure_grid4_perf_with(repeats: usize, config: &mhla_core::MhlaConfig) -> Vec<Grid4Perf> {
+pub fn measure_grid4_perf(repeats: usize, config: &mhla_core::MhlaConfig) -> Vec<Grid4Perf> {
     use mhla_core::explore::{
         default_axes, try_sweep_grid_pruned_with, try_sweep_grid_run, PruneOptions, SweepOptions,
     };
 
     let platform = Platform::four_level_default();
     let axes = default_axes(&platform);
-    // Sequential *cold* exhaustive reference: the pruned sweep evaluates
-    // every point cold (its canonical, standalone-identical semantics), so
-    // the reference must too — the timing delta then isolates pruning.
-    let opts = SweepOptions {
-        parallel: false,
-        warm_start: false,
-        ..SweepOptions::default()
-    };
-    let prune_opts = PruneOptions::default();
+    let (opts, prune_opts) = (SweepOptions::default(), PruneOptions::default());
     sweep_suite()
         .iter()
         .map(|app| {
-            let mut exhaustive_s = f64::INFINITY;
-            let mut pruned_s = f64::INFINITY;
+            let (mut exhaustive_s, mut pruned_s) = (Samples::default(), Samples::default());
             let mut exhaustive = None;
             let mut pruned = None;
             for _ in 0..repeats.max(1) {
-                let t = std::time::Instant::now();
-                exhaustive = Some(
+                exhaustive = Some(exhaustive_s.time(|| {
                     try_sweep_grid_run(&app.program, &platform, &axes, config, &opts)
                         .expect("the built-in grid sweeps cleanly")
-                        .sweep,
-                );
-                exhaustive_s = exhaustive_s.min(t.elapsed().as_secs_f64());
-                let t = std::time::Instant::now();
-                pruned = Some(
+                        .sweep
+                }));
+                pruned = Some(pruned_s.time(|| {
                     try_sweep_grid_pruned_with(&app.program, &platform, &axes, config, &prune_opts)
-                        .expect("the built-in grid sweeps cleanly"),
-                );
-                pruned_s = pruned_s.min(t.elapsed().as_secs_f64());
+                        .expect("the built-in grid sweeps cleanly")
+                }));
             }
             let (exhaustive, pruned) = (exhaustive.expect("ran"), pruned.expect("ran"));
             // One extra (untimed) pruned run under the counting
@@ -614,8 +437,8 @@ pub fn measure_grid4_perf_with(repeats: usize, config: &mhla_core::MhlaConfig) -
             Grid4Perf {
                 app: app.name().to_string(),
                 stats: pruned.stats,
-                exhaustive_seconds: exhaustive_s,
-                pruned_seconds: pruned_s,
+                exhaustive: exhaustive_s,
+                pruned: pruned_s,
                 frontier_identical,
                 points_identical,
                 allocs_per_eval,
@@ -646,15 +469,15 @@ pub struct Grid4Refine {
     /// refined frontiers contain every coarse frontier point or a
     /// dominator of it.
     pub frontier_consistent: bool,
-    /// Wall time of the refined sweep, seconds.
-    pub refined_seconds: f64,
+    /// Wall times of the refined sweep, one per repetition.
+    pub refined: Samples,
 }
 
 /// Measures the adaptive refinement over [`sweep_suite`] at the default
 /// depth ([`mhla_core::explore::REFINE_DEPTH`]) under the given config,
-/// checking per-app frontier consistency against the pruned coarse
-/// sweep.
-pub fn measure_grid4_refine(config: &mhla_core::MhlaConfig) -> Vec<Grid4Refine> {
+/// `repeats` runs per app, checking per-app frontier consistency against
+/// the pruned coarse sweep.
+pub fn measure_grid4_refine(repeats: usize, config: &mhla_core::MhlaConfig) -> Vec<Grid4Refine> {
     use mhla_core::explore::{
         default_axes, try_sweep_grid_pruned_with, try_sweep_grid_refined_with, PruneOptions,
         RefineOptions,
@@ -666,16 +489,21 @@ pub fn measure_grid4_refine(config: &mhla_core::MhlaConfig) -> Vec<Grid4Refine> 
     sweep_suite()
         .iter()
         .map(|app| {
-            let t = std::time::Instant::now();
-            let refined = try_sweep_grid_refined_with(
-                &app.program,
-                &platform,
-                &axes,
-                config,
-                &RefineOptions::default(),
-            )
-            .expect("the built-in grid refines cleanly");
-            let refined_seconds = t.elapsed().as_secs_f64();
+            let mut refined_s = Samples::default();
+            let mut refined = None;
+            for _ in 0..repeats.max(1) {
+                refined = Some(refined_s.time(|| {
+                    try_sweep_grid_refined_with(
+                        &app.program,
+                        &platform,
+                        &axes,
+                        config,
+                        &RefineOptions::default(),
+                    )
+                    .expect("the built-in grid refines cleanly")
+                }));
+            }
+            let refined = refined.expect("ran");
             let coarse = try_sweep_grid_pruned_with(
                 &app.program,
                 &platform,
@@ -723,7 +551,7 @@ pub fn measure_grid4_refine(config: &mhla_core::MhlaConfig) -> Vec<Grid4Refine> 
                 stats: refined.stats,
                 waves: refined.waves,
                 frontier_consistent: refined.status.is_complete() && points_ok && fronts_ok,
-                refined_seconds,
+                refined: refined_s,
             }
         })
         .collect()
@@ -731,9 +559,10 @@ pub fn measure_grid4_refine(config: &mhla_core::MhlaConfig) -> Vec<Grid4Refine> 
 
 /// Improving-vs-cold comparison for one application's four-level grid:
 /// the mode-tagged eval counts and frontier deltas of
-/// [`SearchMode`](mhla_core::explore::SearchMode) — `Cold` (the frozen
-/// semantics) against `Improving` (the neighbor-seeded portfolio whose
-/// results dominate-or-equal the cold ones on the objective surface).
+/// [`SearchMode`](mhla_core::explore::SearchMode) — `Cold` (every point a
+/// standalone run) against `Improving` (the neighbor-seeded portfolio
+/// whose results dominate-or-equal the cold ones on the objective
+/// surface).
 #[derive(Clone, PartialEq, Debug)]
 pub struct ImprovingGrid4Perf {
     /// Application name.
@@ -761,16 +590,17 @@ pub struct ImprovingGrid4Perf {
     /// counterpart and the improving objective frontier dominates-or-
     /// equals the cold one.
     pub dominates: bool,
-    /// Best-of-`repeats` wall time of the (sequential) cold sweep,
-    /// seconds.
-    pub cold_seconds: f64,
-    /// Best-of-`repeats` wall time of the improving sweep, seconds.
-    pub improving_seconds: f64,
+    /// Wall times of the cold sweep (rank levels on every core), one per
+    /// repetition.
+    pub cold: Samples,
+    /// Wall times of the improving sweep (one point at a time: its seeds
+    /// are its predecessors), one per repetition.
+    pub improving: Samples,
 }
 
 /// Measures cold-vs-improving four-level grid sweeps over [`sweep_suite`]
-/// under an explicit [`MhlaConfig`], best of `repeats` runs per mode,
-/// verifying the dominance guarantee per app.
+/// under an explicit [`MhlaConfig`], `repeats` runs per mode, verifying
+/// the dominance guarantee per app.
 ///
 /// [`MhlaConfig`]: mhla_core::MhlaConfig
 pub fn measure_grid4_improving(
@@ -782,13 +612,7 @@ pub fn measure_grid4_improving(
 
     let platform = Platform::four_level_default();
     let axes = default_axes(&platform);
-    // Sequential cold reference: the improving scheduler is sequential by
-    // construction, so the timing delta isolates the extra portfolio legs.
-    let cold_opts = SweepOptions {
-        warm_start: false,
-        parallel: false,
-        ..SweepOptions::default()
-    };
+    let cold_opts = SweepOptions::default();
     let improving_opts = SweepOptions {
         mode: SearchMode::Improving,
         ..SweepOptions::default()
@@ -796,23 +620,18 @@ pub fn measure_grid4_improving(
     sweep_suite()
         .iter()
         .map(|app| {
-            let mut cold_s = f64::INFINITY;
-            let mut improving_s = f64::INFINITY;
+            let (mut cold_s, mut improving_s) = (Samples::default(), Samples::default());
             let mut cold = None;
             let mut improving = None;
             for _ in 0..repeats.max(1) {
-                let t = std::time::Instant::now();
-                cold = Some(
+                cold = Some(cold_s.time(|| {
                     try_sweep_grid_run(&app.program, &platform, &axes, config, &cold_opts)
-                        .expect("the built-in grid sweeps cleanly"),
-                );
-                cold_s = cold_s.min(t.elapsed().as_secs_f64());
-                let t = std::time::Instant::now();
-                improving = Some(
+                        .expect("the built-in grid sweeps cleanly")
+                }));
+                improving = Some(improving_s.time(|| {
                     try_sweep_grid_run(&app.program, &platform, &axes, config, &improving_opts)
-                        .expect("the built-in grid sweeps cleanly"),
-                );
-                improving_s = improving_s.min(t.elapsed().as_secs_f64());
+                        .expect("the built-in grid sweeps cleanly")
+                }));
             }
             let (cold, improving) = (cold.expect("ran"), improving.expect("ran"));
             let objective = &config.objective;
@@ -863,8 +682,8 @@ pub fn measure_grid4_improving(
                 max_improvement_pct,
                 frontier_max_delta_pct,
                 dominates: per_point_ok && frontier_ok,
-                cold_seconds: cold_s,
-                improving_seconds: improving_s,
+                cold: cold_s,
+                improving: improving_s,
             }
         })
         .collect()
@@ -874,8 +693,8 @@ pub fn measure_grid4_improving(
 /// (apps + suite totals), used by [`grid4_perf_json`]'s per-objective
 /// `improving` section.
 fn grid4_improving_json(perfs: &[ImprovingGrid4Perf], indent: &str) -> String {
-    let cold: f64 = perfs.iter().map(|p| p.cold_seconds).sum();
-    let improving: f64 = perfs.iter().map(|p| p.improving_seconds).sum();
+    let cold = Samples::suite(perfs.iter().map(|p| &p.cold));
+    let improving = Samples::suite(perfs.iter().map(|p| &p.improving));
     let points: usize = perfs.iter().map(|p| p.points).sum();
     let cold_evals: usize = perfs.iter().map(|p| p.cold_evals).sum();
     let improving_evals: usize = perfs.iter().map(|p| p.improving_evals).sum();
@@ -898,8 +717,8 @@ fn grid4_improving_json(perfs: &[ImprovingGrid4Perf], indent: &str) -> String {
             p.max_improvement_pct,
             p.frontier_max_delta_pct,
             p.dominates,
-            p.cold_seconds,
-            p.improving_seconds,
+            p.cold.median(),
+            p.improving.median(),
             if i + 1 < perfs.len() { "," } else { "" },
         ));
     }
@@ -907,8 +726,10 @@ fn grid4_improving_json(perfs: &[ImprovingGrid4Perf], indent: &str) -> String {
         "{indent}  ],\n{indent}  \"suite\": {{\"points\": {points}, \
          \"cold_evals\": {cold_evals}, \"improving_evals\": {improving_evals}, \
          \"seed_wins\": {seed_wins}, \"improved_points\": {improved}, \
-         \"cold_seconds\": {cold:.6}, \"improving_seconds\": {improving:.6}, \
-         \"all_dominate\": {all_dominate}}}\n{indent}}}",
+         \"repeats\": {}, {}, {}, \"all_dominate\": {all_dominate}}}\n{indent}}}",
+        cold.0.len(),
+        cold.json("cold_seconds"),
+        improving.json("improving_seconds"),
     ));
     out
 }
@@ -921,7 +742,7 @@ fn grid4_refine_json(perfs: &[Grid4Refine], indent: &str, prev_refined: Option<f
     let virtual_points: u64 = perfs.iter().map(|p| p.stats.virtual_points).sum();
     let evaluated: usize = perfs.iter().map(|p| p.stats.evaluated).sum();
     let certified: usize = perfs.iter().map(|p| p.stats.corners_certified).sum();
-    let seconds: f64 = perfs.iter().map(|p| p.refined_seconds).sum();
+    let refined = Samples::suite(perfs.iter().map(|p| &p.refined));
     let all_consistent = perfs.iter().all(|p| p.frontier_consistent);
     let mut out = format!("{{\n{indent}  \"apps\": [\n");
     for (i, p) in perfs.iter().enumerate() {
@@ -942,26 +763,34 @@ fn grid4_refine_json(perfs: &[Grid4Refine], indent: &str, prev_refined: Option<f
             p.stats.corners_certified,
             p.waves,
             p.frontier_consistent,
-            p.refined_seconds,
+            p.refined.median(),
             if i + 1 < perfs.len() { "," } else { "" },
         ));
     }
-    let prev = prev_refined
-        .map(|prev| {
-            format!(
-                "\"prev_refined_seconds\": {prev:.6}, \"wall_speedup_vs_prev\": {:.2}, ",
-                prev / seconds.max(f64::MIN_POSITIVE)
-            )
-        })
-        .unwrap_or_default();
     out.push_str(&format!(
         "{indent}  ],\n{indent}  \"suite\": {{\"virtual_points\": {virtual_points}, \
          \"evaluated\": {evaluated}, \"eval_ratio\": {:.4}, \
-         \"corners_certified\": {certified}, \"refined_seconds\": {seconds:.6}, \
-         {prev}\"all_consistent\": {all_consistent}}}\n{indent}}}",
+         \"corners_certified\": {certified}, \"repeats\": {}, {}, \
+         {}\"all_consistent\": {all_consistent}}}\n{indent}}}",
         evaluated as f64 / (virtual_points.max(1)) as f64,
+        refined.0.len(),
+        refined.json("refined_seconds"),
+        prev_json("refined", prev_refined, refined.median()),
     ));
     out
+}
+
+/// The before/after trajectory fields of one suite time:
+/// `"prev_<key>_seconds"` (the prior tracked document's value) and
+/// `"wall_speedup_vs_prev"`; empty when the prior value is unknown.
+fn prev_json(key: &str, prev: Option<f64>, now: f64) -> String {
+    prev.map(|prev| {
+        format!(
+            "\"prev_{key}_seconds\": {prev:.6}, \"wall_speedup_vs_prev\": {:.2}, ",
+            prev / now.max(f64::MIN_POSITIVE)
+        )
+    })
+    .unwrap_or_default()
 }
 
 /// Renders one objective's [`Grid4Perf`] rows as a JSON object (apps +
@@ -969,8 +798,8 @@ fn grid4_refine_json(perfs: &[Grid4Refine], indent: &str, prev_refined: Option<f
 /// `prev_pruned` is the prior tracked document's suite pruned wall time,
 /// when known — the before/after trajectory hook.
 fn grid4_objective_json(perfs: &[Grid4Perf], indent: &str, prev_pruned: Option<f64>) -> String {
-    let exhaustive: f64 = perfs.iter().map(|p| p.exhaustive_seconds).sum();
-    let pruned: f64 = perfs.iter().map(|p| p.pruned_seconds).sum();
+    let exhaustive = Samples::suite(perfs.iter().map(|p| &p.exhaustive));
+    let pruned = Samples::suite(perfs.iter().map(|p| &p.pruned));
     let candidates: usize = perfs.iter().map(|p| p.stats.candidates).sum();
     let evaluated: usize = perfs.iter().map(|p| p.stats.evaluated).sum();
     let skipped: usize = perfs.iter().map(|p| p.stats.skipped()).sum();
@@ -994,8 +823,8 @@ fn grid4_objective_json(perfs: &[Grid4Perf], indent: &str, prev_pruned: Option<f
             p.stats.evaluated,
             p.stats.skipped_saturated,
             p.stats.skip_ratio(),
-            p.exhaustive_seconds,
-            p.pruned_seconds,
+            p.exhaustive.median(),
+            p.pruned.median(),
             p.speedup(),
             p.frontier_identical,
             p.points_identical,
@@ -1013,25 +842,30 @@ fn grid4_objective_json(perfs: &[Grid4Perf], indent: &str, prev_pruned: Option<f
             )
         })
         .unwrap_or_default();
-    let prev = prev_pruned
-        .map(|prev| {
-            format!(
-                "\"prev_pruned_seconds\": {prev:.6}, \"wall_speedup_vs_prev\": {:.2}, ",
-                prev / pruned.max(f64::MIN_POSITIVE)
-            )
-        })
-        .unwrap_or_default();
     out.push_str(&format!(
         "{indent}  ],\n{indent}  \"suite\": {{\"candidates\": {candidates}, \
          \"evaluated\": {evaluated}, \"skipped\": {skipped}, \"skip_ratio\": {:.3}, \
-         \"exhaustive_seconds\": {exhaustive:.6}, \"pruned_seconds\": {pruned:.6}, \
-         \"speedup\": {:.2}, {suite_allocs}{prev}\
+         \"repeats\": {}, {}, {}, \"speedup\": {:.2}, {suite_allocs}{}\
          \"all_identical\": {all_identical}}}\n{indent}}}",
         skipped as f64 / candidates.max(1) as f64,
-        exhaustive / pruned.max(f64::MIN_POSITIVE),
+        pruned.0.len(),
+        exhaustive.json("exhaustive_seconds"),
+        pruned.json("pruned_seconds"),
+        exhaustive.median() / pruned.median().max(f64::MIN_POSITIVE),
+        prev_json("pruned", prev_pruned, pruned.median()),
     ));
     out
 }
+
+/// What a reader of `BENCH_grid4.json` must know before comparing it
+/// with documents written before the exhaustive engine moved onto the
+/// certified loop.
+const GRID4_NOTE: &str = "Suite times are medians over `repeats` whole-suite runs, with \
+     their interquartile range under `<key>_iqr`; earlier documents summed per-app best-of-N \
+     or single samples. The exhaustive reference (`exhaustive_seconds`, and `cold_seconds` \
+     under `improving`) used to run on one thread (`parallel: false`) and now runs on the \
+     certified loop's helper pool, so those times and the improving-vs-cold timing cannot be \
+     compared with earlier documents.";
 
 /// Renders the cycles- and energy-objective [`Grid4Perf`] rows plus the
 /// per-objective [`ImprovingGrid4Perf`] mode comparison and the
@@ -1043,7 +877,8 @@ fn grid4_objective_json(perfs: &[Grid4Perf], indent: &str, prev_pruned: Option<f
 /// `prev_cycles`, `prev_energy` and `prev_refined` are the prior
 /// document's suite wall times (cycles/pruned, energy/pruned and
 /// refine); the `machine` header names the checkout and thread count the
-/// timings come from.
+/// timings come from, and `note` how to compare them with older
+/// documents.
 pub fn grid4_perf_json(
     cycles: &[Grid4Perf],
     energy: &[Grid4Perf],
@@ -1054,6 +889,7 @@ pub fn grid4_perf_json(
 ) -> String {
     format!(
         "{{\n  \"bench\": \"grid_sweep_l1_l2_l3_pruned\",\n  \"machine\": {},\n  \
+         \"note\": \"{GRID4_NOTE}\",\n  \
          \"objectives\": {{\n    \
          \"cycles\": {{\n      \"pruned\": {},\n      \"improving\": {}\n    }},\n    \
          \"energy\": {{\n      \"pruned\": {},\n      \"improving\": {}\n    }}\n  }},\n  \
@@ -1082,132 +918,6 @@ pub fn machine_json() -> String {
         .unwrap_or_else(|| "unknown".to_string());
     let nproc = std::thread::available_parallelism().map_or(1, usize::from);
     format!("{{\"commit\": \"{commit}\", \"nproc\": {nproc}}}")
-}
-
-/// Shared-context vs per-point-rebuild timings for one application's
-/// L1×L2 grid sweep.
-///
-/// *Rebuild* evaluates every grid point with a standalone
-/// [`Mhla::new`]`.run()` — the reuse analysis, program facts, TE caches
-/// and move space re-derived per point (what a naive N-D generalization
-/// of the seed sweep would do). *Shared* is
-/// [`mhla_core::explore::try_sweep_grid_run`]: one `ExplorationContext`,
-/// cheap per-platform views, warm-started parallel chunks.
-#[derive(Clone, PartialEq, Debug)]
-pub struct GridPerf {
-    /// Application name.
-    pub app: String,
-    /// Grid points evaluated per sweep.
-    pub points: usize,
-    /// Best-of-`repeats` wall time of the per-point-rebuild path, seconds.
-    pub rebuild_seconds: f64,
-    /// Best-of-`repeats` wall time of the shared-context path, seconds.
-    pub shared_seconds: f64,
-    /// Whether both paths produced bit-identical results at every point.
-    pub points_identical: bool,
-}
-
-impl GridPerf {
-    /// rebuild / shared wall-time ratio.
-    pub fn speedup(&self) -> f64 {
-        self.rebuild_seconds / self.shared_seconds.max(f64::MIN_POSITIVE)
-    }
-}
-
-/// Measures shared-context vs per-point-rebuild L1×L2 grid sweeps over
-/// [`sweep_suite`], best of `repeats` runs per path.
-pub fn measure_grid_perf(repeats: usize) -> Vec<GridPerf> {
-    use mhla_core::explore::{default_axes, try_sweep_grid_run, SweepOptions};
-    use mhla_core::MhlaConfig;
-    use mhla_hierarchy::LayerId;
-
-    let platform = Platform::three_level_default();
-    let axes = default_axes(&platform);
-    let config = MhlaConfig::default();
-    sweep_suite()
-        .iter()
-        .map(|app| {
-            let mut rebuild_s = f64::INFINITY;
-            let mut shared_s = f64::INFINITY;
-            let mut rebuild: Vec<mhla_core::MhlaResult> = Vec::new();
-            let mut shared = None;
-            for _ in 0..repeats.max(1) {
-                let t = std::time::Instant::now();
-                rebuild = {
-                    let mut out = Vec::new();
-                    for &l2 in &axes[0].capacities {
-                        for &l1 in &axes[1].capacities {
-                            let pf = platform
-                                .with_layer_capacities(&[(LayerId(1), l2), (LayerId(2), l1)]);
-                            out.push(Mhla::new(&app.program, &pf, config.clone()).run());
-                        }
-                    }
-                    out
-                };
-                rebuild_s = rebuild_s.min(t.elapsed().as_secs_f64());
-                let t = std::time::Instant::now();
-                shared = Some(
-                    try_sweep_grid_run(
-                        &app.program,
-                        &platform,
-                        &axes,
-                        &config,
-                        &SweepOptions::default(),
-                    )
-                    .expect("the built-in grid sweeps cleanly")
-                    .sweep,
-                );
-                shared_s = shared_s.min(t.elapsed().as_secs_f64());
-            }
-            let shared = shared.expect("ran");
-            let points_identical = shared.points.len() == rebuild.len()
-                && shared
-                    .points
-                    .iter()
-                    .zip(&rebuild)
-                    .all(|(a, b)| &a.result == b);
-            GridPerf {
-                app: app.name().to_string(),
-                points: shared.points.len(),
-                rebuild_seconds: rebuild_s,
-                shared_seconds: shared_s,
-                points_identical,
-            }
-        })
-        .collect()
-}
-
-/// Renders [`GridPerf`] rows as the `BENCH_grid.json` document tracked at
-/// the workspace root.
-pub fn grid_perf_json(perfs: &[GridPerf]) -> String {
-    let rebuild: f64 = perfs.iter().map(|p| p.rebuild_seconds).sum();
-    let shared: f64 = perfs.iter().map(|p| p.shared_seconds).sum();
-    let points: usize = perfs.iter().map(|p| p.points).sum();
-    let all_identical = perfs.iter().all(|p| p.points_identical);
-    let mut out = String::from("{\n  \"bench\": \"grid_sweep_l1_l2\",\n  \"apps\": [\n");
-    for (i, p) in perfs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"points\": {}, \"rebuild_seconds\": {:.6}, \
-             \"shared_seconds\": {:.6}, \"speedup\": {:.2}, \"points_identical\": {}}}{}\n",
-            p.app,
-            p.points,
-            p.rebuild_seconds,
-            p.shared_seconds,
-            p.speedup(),
-            p.points_identical,
-            if i + 1 < perfs.len() { "," } else { "" },
-        ));
-    }
-    out.push_str(&format!(
-        "  ],\n  \"suite\": {{\"points\": {points}, \"rebuild_seconds\": {rebuild:.6}, \
-         \"shared_seconds\": {shared:.6}, \"speedup\": {:.2}, \
-         \"points_per_second_rebuild\": {:.0}, \"points_per_second_shared\": {:.0}, \
-         \"all_identical\": {all_identical}}}\n}}\n",
-        rebuild / shared.max(f64::MIN_POSITIVE),
-        points as f64 / rebuild.max(f64::MIN_POSITIVE),
-        points as f64 / shared.max(f64::MIN_POSITIVE),
-    ));
-    out
 }
 
 /// Writes `content` to `results/<name>` relative to the workspace root,
@@ -1257,32 +967,17 @@ mod tests {
 
     #[test]
     fn env_parsing_rejects_malformed_values() {
-        use mhla_core::explore::SweepOptions;
-        // Pure parsers — no process-global env mutation (set_var racing a
+        // Pure parser — no process-global env mutation (set_var racing a
         // concurrent getenv in a sibling test would be UB on glibc).
-        assert_eq!(
-            parse_sweep_options(None, None).unwrap(),
-            SweepOptions::default()
-        );
-        assert!(parse_sweep_parallel(None).unwrap());
-
-        assert!(!parse_sweep_options(Some("0"), None).unwrap().parallel);
-        assert!(parse_sweep_options(Some("1"), None).unwrap().parallel);
-        let budgeted = parse_sweep_options(None, Some("5")).unwrap();
-        assert_eq!(budgeted.budget.max_evals, Some(5));
-
+        assert_eq!(parse_sweep_max_evals(None).unwrap(), None);
+        assert_eq!(parse_sweep_max_evals(Some("5")).unwrap(), Some(5));
         for bad in ["zero", "-1", "0", "", "4x"] {
-            let err = parse_sweep_options(None, Some(bad)).unwrap_err();
+            let err = parse_sweep_max_evals(Some(bad)).unwrap_err();
             assert!(
                 matches!(err, mhla_core::MhlaError::InvalidOptions { .. }),
                 "{err}"
             );
             assert!(err.to_string().contains("MHLA_SWEEP_MAX_EVALS"), "{err}");
-        }
-        for bad in ["2", "yes", "", "true"] {
-            let err = parse_sweep_parallel(Some(bad)).unwrap_err();
-            assert!(err.to_string().contains("MHLA_SWEEP_PARALLEL"), "{err}");
-            assert!(parse_sweep_options(Some(bad), None).is_err());
         }
     }
 

@@ -377,8 +377,8 @@ pub fn enumerate_moves(model: &CostModel<'_>, config: &MhlaConfig) -> MoveSet {
 /// The returned outcome is the best-scoring leg, with ties resolved
 /// toward the cold leg first and then toward the earliest seed, so the
 /// result is deterministic and *provably scores no worse than the cold
-/// search* — the dominance guarantee the warm-started and improving
-/// sweeps build on ([`SearchMode::Improving`](crate::explore::SearchMode)).
+/// search* — the dominance guarantee the improving sweeps build on
+/// ([`SearchMode::Improving`](crate::explore::SearchMode)).
 /// [`SearchStats`] reports how the capacity constraints bound the cold
 /// leg and which seed (if any) won. With an empty or all-duplicate seed
 /// list this is exactly the cold search ([`greedy`], one leg).

@@ -252,8 +252,9 @@ impl RunStats {
     }
 
     /// The conservative default for paths that do not track constraints
-    /// (exhaustive search, the frozen reference flow): never saturated.
-    fn unknown() -> Self {
+    /// (exhaustive search, the frozen reference flow, replayed points of
+    /// an exhaustive grid run): never saturated.
+    pub(crate) fn unknown() -> Self {
         RunStats {
             constrained_layers: u64::MAX,
             gain_margin_rates: Vec::new(),
@@ -401,8 +402,8 @@ impl<'a> Mhla<'a> {
     }
 
     /// [`run`](Mhla::run), optionally warm-starting the greedy search from
-    /// a known-feasible assignment (the capacity sweep passes the previous
-    /// point's solution), over an optional pre-enumerated move space, with
+    /// a known-feasible assignment (for example a smaller capacity's
+    /// solution), over an optional pre-enumerated move space, with
     /// every evaluation scratch buffer drawn from `ws` — the per-thread
     /// workspace the sweep engines and the serve worker pool reuse across
     /// points/requests. Additionally reports how the layer capacities
@@ -416,9 +417,11 @@ impl<'a> Mhla<'a> {
     /// Greedy is a local search — continuing from a smaller capacity's
     /// fixed point can get trapped above the cold solution (per-access
     /// energy/latency rescale with capacity, so move gains shift between
-    /// points) — and this guarantee makes the warm-started sweep never
-    /// worse than, and in practice identical to, a cold sweep. Warm starts
-    /// apply only to the greedy strategy; exhaustive search ignores them.
+    /// points) — and this guarantee makes a warm-started run never score
+    /// worse than the cold one. It can score better (on 4-level stacks a
+    /// warm leg sometimes wins), which is why the sweeps' cold mode passes
+    /// no warm start. Warm starts apply only to the greedy strategy;
+    /// exhaustive search ignores them.
     ///
     /// The move space is capacity-independent, so a capacity sweep
     /// enumerates it once ([`assign::enumerate_moves`]) and shares it

@@ -38,32 +38,31 @@
 //!
 //! Every engine runs on a shared [`ExplorationContext`]: the reuse
 //! analysis, program facts, TE caches and candidate-move space are
-//! computed once per program; each point only pays for its search. The
-//! exhaustive engine processes points in fixed-size chunks scheduled
-//! across threads with `rayon`, and within a chunk each point
-//! warm-starts the greedy search from its predecessor along the
-//! innermost axis. The pruned and refined engines search the points of
-//! one rank level of their certified loop at the same time, on the
-//! calling thread and helper threads of their own.
+//! computed once per program; each point only pays for its search. Every
+//! engine is one certified loop (the refinement scheduler): the refined
+//! engine runs it deeper than the grid, the pruned engine at depth 0, and
+//! the exhaustive engine at depth 0 with its saturation certificates off,
+//! so that it searches every point. The loop searches the points of one
+//! rank level at the same time, on the calling thread and helper threads
+//! of its own.
 //!
 //! [`sweep_cold`] keeps the frozen pre-optimization reference path:
 //! strictly sequential, every point re-analyzed and searched from scratch.
-//! The `bench` binary and the equivalence tests compare the paths; their
-//! Pareto fronts must be identical.
+//! The equivalence tests compare the paths; their Pareto fronts must be
+//! identical.
 //!
 //! # One engine, two search modes
 //!
 //! All the grid engines run through one shared engine (internal
 //! `SweepEngine`): axis cleaning, the lexicographic
 //! Cartesian point order, per-point platform construction and evaluation,
-//! and the result assembly are written once; the families differ only in
-//! their *scheduler* (warm-started chunks, the sequential improving loop,
-//! or the certified refinement loop). The engine is parameterized by a
-//! [`SearchMode`]:
+//! the certified loop and the result assembly are written once; the
+//! families differ only in the loop's depth and whether its certificates
+//! arm. The engine is parameterized by a [`SearchMode`]:
 //!
-//! * [`SearchMode::Cold`] — the frozen semantics every entry point
-//!   defaults to: results are bit-identical to the pre-engine sweeps
-//!   (and, for the pruned path, to standalone [`Mhla::run`]s).
+//! * [`SearchMode::Cold`] — what every entry point defaults to: each
+//!   searched point is bit-identical to a standalone [`Mhla::run`] on the
+//!   same platform, in every engine.
 //! * [`SearchMode::Improving`] — each point's search is a *portfolio*
 //!   seeded from the committed results of its grid neighbors along every
 //!   axis ([`SeedCache`]), with the cold leg always included: every
@@ -84,12 +83,10 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
-
-use rayon::prelude::*;
 
 use mhla_hierarchy::{
     energy::{sram_access_cycles, sram_write_pj},
@@ -173,10 +170,9 @@ pub struct ExploreBudget {
     /// a resumed prior run, are free). Deterministic: the same inputs stop
     /// at the same point on every machine.
     pub max_evals: Option<usize>,
-    /// Hard wall-clock deadline. Checked between point evaluations; an
-    /// in-flight evaluation is never aborted, so the sweep can overshoot
-    /// by roughly one point (one per thread under the exhaustive engine's
-    /// parallel chunks).
+    /// Hard wall-clock deadline. Checked before each search; an in-flight
+    /// search is never aborted, so the sweep can overshoot by roughly one
+    /// point (a budgeted run searches one point at a time).
     pub deadline: Option<Instant>,
     /// Cooperative cancellation: raise the flag from another thread and
     /// the sweep stops at the next check, returning the committed prefix.
@@ -217,13 +213,6 @@ impl ExploreBudget {
                 return Some(StopCause::MaxEvals);
             }
         }
-        self.stop_timed()
-    }
-
-    /// The wall-clock half of [`stop`](Self::stop) — what the parallel
-    /// scheduler's tasks poll between points (`max_evals` is enforced
-    /// there by deterministic truncation instead).
-    fn stop_timed(&self) -> Option<StopCause> {
         if let Some(cancel) = &self.cancel {
             if cancel.load(Ordering::Relaxed) {
                 return Some(StopCause::Cancelled);
@@ -235,12 +224,6 @@ impl ExploreBudget {
             }
         }
         None
-    }
-
-    /// Whether any wall-clock limit is set (the parallel scheduler only
-    /// polls the clock when one is).
-    fn is_timed(&self) -> bool {
-        self.deadline.is_some() || self.cancel.is_some()
     }
 }
 
@@ -256,42 +239,6 @@ impl PartialEq for ExploreBudget {
                 (Some(a), Some(b)) => Arc::ptr_eq(a, b),
                 _ => false,
             }
-    }
-}
-
-/// The stop cause a parallel scheduler's tasks agree on: the first task
-/// to observe a deadline/cancellation records it here; everyone else
-/// winds down. (`0` = none, `1` = deadline, `2` = cancelled.)
-struct TripFlag(AtomicU8);
-
-impl TripFlag {
-    fn new() -> Self {
-        TripFlag(AtomicU8::new(0))
-    }
-
-    fn tripped(&self) -> bool {
-        self.0.load(Ordering::Relaxed) != 0
-    }
-
-    fn trip(&self, cause: StopCause) {
-        let code = match cause {
-            StopCause::Deadline => 1,
-            StopCause::Cancelled => 2,
-            // MaxEvals is enforced by deterministic truncation, never
-            // through the trip flag.
-            StopCause::MaxEvals => return,
-        };
-        let _ = self
-            .0
-            .compare_exchange(0, code, Ordering::Relaxed, Ordering::Relaxed);
-    }
-
-    fn cause(&self) -> Option<StopCause> {
-        match self.0.load(Ordering::Relaxed) {
-            1 => Some(StopCause::Deadline),
-            2 => Some(StopCause::Cancelled),
-            _ => None,
-        }
     }
 }
 
@@ -432,25 +379,14 @@ pub fn default_axes(platform: &Platform) -> Vec<GridAxis> {
     }
 }
 
-/// Number of consecutive capacity points one parallel task of the
-/// exhaustive engine processes.
-///
-/// Within a chunk, points after the first warm-start from their
-/// predecessor; chunks are independent, so this is also the granularity of
-/// the `rayon` fan-out. Fixed (instead of `capacities / threads`) so sweep
-/// results never depend on the machine's core count.
-const SWEEP_CHUNK: usize = 4;
-
 /// How each point of a sweep seeds its search — the engine parameter the
 /// unified sweep engine dispatches on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SearchMode {
-    /// The frozen semantics every existing entry point defaults to:
-    /// bit-identical to the pre-engine sweeps. The exhaustive scheduler
-    /// runs warm-started chunks whose results are the classic warm/cold
-    /// portfolio; the pruned scheduler evaluates every point cold
-    /// (standalone-identical — the semantics its losslessness proof and
-    /// the equivalence suites rely on).
+    /// The default: every searched point runs the cold greedy search, so
+    /// its result is bit-identical to a standalone [`Mhla::run`] on the
+    /// same platform in every engine — the semantics the pruned engine's
+    /// losslessness proof and the equivalence suites rely on.
     #[default]
     Cold,
     /// The *improving* mode: each point's search is a warm-start
@@ -466,9 +402,8 @@ pub enum SearchMode {
     /// `tests/improving_sweep.rs` and the randomized-program proptests
     /// enforce it). Points run strictly sequentially in lexicographic
     /// order (a point's seeds are its committed predecessors), so
-    /// results are deterministic and independent of
-    /// [`SweepOptions::parallel`], which only tunes the cold exhaustive
-    /// scheduler. Warm seeds are a greedy-search construct;
+    /// results are deterministic and independent of the core count.
+    /// Warm seeds are a greedy-search construct;
     /// non-greedy strategies ignore them and this mode equals
     /// [`Cold`](SearchMode::Cold).
     Improving,
@@ -488,45 +423,28 @@ pub enum SeedOrigin {
     LexPredecessor,
 }
 
-/// Tuning knobs for [`try_sweep_with`] and the exhaustive grid engine
+/// Options of [`try_sweep_with`] and the exhaustive grid engine
 /// ([`try_sweep_grid_run`]).
 ///
-/// **Determinism guarantee:** the exhaustive engine's warm-start chunks
-/// have a fixed length — never derived from the machine's core count —
-/// and each point's result is the warm/cold search *portfolio* (the cold
-/// search always runs; the warm result is kept only when strictly
-/// better). Sweep results are therefore identical for every
-/// `parallel`/`warm_start` combination and on any thread fan-out; only
-/// wall time changes.
-#[derive(Clone, PartialEq, Debug)]
+/// **Determinism guarantee:** the engine searches every point, and each
+/// point's result depends only on the point and — in
+/// [`SearchMode::Improving`] — on the points before it in lexicographic
+/// order. The schedule (rank levels on the calling thread and its
+/// helpers, or one point per step) and the core count change only wall
+/// time.
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct SweepOptions {
-    /// Warm-start each point (within a chunk) from its predecessor's
-    /// assignment along the innermost axis. Applies to the greedy strategy
-    /// only, in [`SearchMode::Cold`] (the improving mode has its own
-    /// neighbor seeding and ignores this).
+    /// Unused: no code reads this field, and its value changes nothing —
+    /// in [`SearchMode::Cold`] every point runs the cold search. It
+    /// remains only so that struct literals which still set it compile.
     pub warm_start: bool,
-    /// Process chunks of capacities on a thread pool. (In
-    /// [`SearchMode::Improving`] points run strictly sequentially and
-    /// this is ignored.)
-    pub parallel: bool,
-    /// The search mode (default [`SearchMode::Cold`] — the frozen,
-    /// bit-identical semantics).
+    /// The search mode (default [`SearchMode::Cold`]: every point
+    /// bit-identical to a standalone [`Mhla::run`]).
     pub mode: SearchMode,
     /// The exploration budget (default unlimited). On exhaustion the
     /// sweep stops at a fully-committed lexicographic prefix and reports
     /// it through [`GridSweepRun::status`] — see [`ExploreBudget`].
     pub budget: ExploreBudget,
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            warm_start: true,
-            parallel: true,
-            mode: SearchMode::Cold,
-            budget: ExploreBudget::default(),
-        }
-    }
 }
 
 /// The pre-optimization reference sweep: strictly sequential, the reuse
@@ -567,12 +485,12 @@ pub struct SweepRun {
 
 /// Sweeps scratchpad capacities, resizing `layer` of `platform` to each of
 /// `capacities` (sorted and deduped) and running the full MHLA flow.
-/// Production path: shared reuse analysis, warm starts, parallel chunks
-/// (see [`SweepOptions`]).
+/// Production path: shared reuse analysis and move space (see
+/// [`SweepOptions`]).
 ///
 /// Implemented as the 1-axis degenerate case of [`try_sweep_grid_run`],
 /// so the 1-D and N-D sweeps share one execution path: identical context
-/// sharing, chunking and warm-start behavior by construction.
+/// sharing and scheduling by construction.
 ///
 /// # Errors
 ///
@@ -778,10 +696,8 @@ pub struct GridSweepRun {
     /// construction (the portfolio keeps cold on ties).
     pub seed_wins: usize,
     /// Per point (lexicographic order): where the winning seed came from
-    /// ([`SeedOrigin`]), `None` where the cold leg won. In
-    /// [`SearchMode::Cold`] with warm-started chunks, a warm-chain
-    /// override is reported as [`SeedOrigin::Axis`] of the innermost axis
-    /// (the chain dimension).
+    /// ([`SeedOrigin`]), `None` where the cold leg won — so always `None`
+    /// in [`SearchMode::Cold`], which runs no warm leg.
     pub winners: Vec<Option<SeedOrigin>>,
     /// Points of the full Cartesian product (what a complete run
     /// evaluates).
@@ -830,20 +746,22 @@ impl GridSweepRun {
 ///
 /// Validates the program ([`Program::validate`]), the platform, the
 /// configuration and the axes up front, then runs the budget-aware
-/// scheduler for the selected [`SearchMode`]. Production path: one
-/// shared [`ExplorationContext`] (reuse analysis, program facts, TE
-/// caches, move space computed once), the innermost axis processed in
-/// warm-started chunks, chunks scheduled across threads (see
-/// [`SweepOptions`]). In [`SearchMode::Cold`] each point's result is
-/// bit-identical to a cold standalone [`Mhla::run`] on the same platform
-/// (the portfolio search prefers the cold result on ties), and a 1-axis
-/// grid is exactly [`try_sweep_with`] — both asserted by the equivalence
-/// tests.
+/// certified loop of [`try_sweep_grid_pruned_with`] with its saturation
+/// certificates off, so that every point is searched. Production path:
+/// one shared [`ExplorationContext`] (reuse analysis, program facts, TE
+/// caches, move space computed once); a cold run without a budget
+/// searches one rank level at a time on the calling thread and helper
+/// threads, any other run one point at a time in lexicographic order (see
+/// the pruned sweep's *One certified loop*). In [`SearchMode::Cold`] each
+/// point's result is bit-identical to a cold standalone [`Mhla::run`] on
+/// the same platform, and a 1-axis grid is exactly [`try_sweep_with`] —
+/// both asserted by the equivalence tests.
 ///
 /// # Errors
 ///
 /// As [`try_sweep_with`], plus [`MhlaError::InvalidOptions`] when two
-/// axes name the same layer. Budget exhaustion is *not* an error — the
+/// axes name the same layer or the grid has more points than a `u64`
+/// holds. Budget exhaustion is *not* an error — the
 /// run comes back `Ok` with [`SweepStatus::Stopped`] and a certified
 /// partial frontier (see [`GridSweepRun::status`]); use
 /// [`GridSweepRun::require_complete`] to promote a stop into a typed
@@ -861,7 +779,7 @@ pub fn try_sweep_grid_run(
     // caches, candidate moves — is computed once here and borrowed by
     // every point.
     let ctx = ExplorationContext::new(program, platform, config.clone());
-    run_in(&ctx, platform, axes, opts)
+    exhaustive_grid(&ctx, platform, axes, opts, None)
 }
 
 /// [`try_sweep_grid_run`] over a caller-provided [`ExplorationContext`] —
@@ -889,40 +807,34 @@ pub fn try_sweep_grid_run_in(
 ) -> Result<GridSweepRun, MhlaError> {
     error::validate_run_ingress(ctx.program(), platform, ctx.config())?;
     error::validate_axes(platform, axes)?;
-    run_in(ctx, platform, axes, opts)
+    exhaustive_grid(ctx, platform, axes, opts, None)
 }
 
-/// The shared tail of [`try_sweep_grid_run`] / [`try_sweep_grid_run_in`]:
-/// axes already validated, context in hand — clean the axes, shortcut the
-/// empty grid, run the mode's scheduler.
-fn run_in(
+/// The shared tail of the exhaustive entry points, ingress validated and
+/// context in hand: the certified loop at depth 0 with its saturation
+/// certificates off, mapped onto the exhaustive bookkeeping. With the
+/// certificates off every point is committed and no run stats are read,
+/// so a `prior` replays its points (and winners) alone.
+fn exhaustive_grid(
     ctx: &ExplorationContext<'_>,
     platform: &Platform,
     axes: &[GridAxis],
     opts: &SweepOptions,
+    prior: Option<Replay<'_>>,
 ) -> Result<GridSweepRun, MhlaError> {
-    let layers: Vec<LayerId> = axes.iter().map(|a| a.layer).collect();
-    let axis_caps: Vec<Vec<u64>> = axes
-        .iter()
-        .map(|a| clean_capacities(&a.capacities))
-        .collect();
-    if axis_caps.is_empty() || axis_caps.iter().any(Vec::is_empty) {
-        return Ok(GridSweepRun {
-            sweep: GridSweep {
-                layers,
-                points: Vec::new(),
-            },
-            evals: 0,
-            seed_wins: 0,
-            winners: Vec::new(),
-            candidates: 0,
-            status: SweepStatus::Complete,
-        });
-    }
-    let engine = SweepEngine::new(ctx, platform, &layers, &axis_caps);
-    Ok(match opts.mode {
-        SearchMode::Cold => engine.run_chunked(opts, 0),
-        SearchMode::Improving => engine.run_lex(&opts.budget, 0, &[]),
+    let depth_0 = RefineOptions {
+        depth: 0,
+        mode: opts.mode,
+        budget: opts.budget.clone(),
+    };
+    let (run, winners) = certified_grid(ctx, platform, axes, &depth_0, false, prior)?;
+    Ok(GridSweepRun {
+        evals: run.search_legs,
+        seed_wins: run.seed_wins,
+        winners,
+        candidates: usize::try_from(run.stats.virtual_points).unwrap_or(usize::MAX),
+        status: run.status,
+        sweep: run.sweep,
     })
 }
 
@@ -935,14 +847,12 @@ fn run_in(
 /// prior run used (checked where cheaply possible). Resuming a
 /// [`SweepStatus::Complete`] run returns it unchanged.
 ///
-/// In [`SearchMode::Improving`] the continuation replays the committed
-/// seed state, so the merged run — including its
-/// [`evals`](GridSweepRun::evals)/[`winners`](GridSweepRun::winners)
-/// bookkeeping — is bit-identical to the uninterrupted run. In
-/// [`SearchMode::Cold`] the merged *points* (and therefore all
-/// frontiers) are bit-identical, but warm chains restart at the resume
-/// boundary, so the leg/winner bookkeeping of the boundary chunk may
-/// differ from an uninterrupted run's.
+/// The continuation replays the prior's points in place (in
+/// [`SearchMode::Improving`] they seed their successors exactly as they
+/// did), so the merged run — points, [`evals`](GridSweepRun::evals),
+/// [`seed_wins`](GridSweepRun::seed_wins) and
+/// [`winners`](GridSweepRun::winners) — is bit-identical to the
+/// uninterrupted run in both modes.
 ///
 /// # Errors
 ///
@@ -968,32 +878,23 @@ pub fn try_sweep_grid_resume(
         .iter()
         .map(|a| clean_capacities(&a.capacities))
         .collect();
-    let ctx = ExplorationContext::new(program, platform, config.clone());
-    let engine = SweepEngine::new(&ctx, platform, &layers, &axis_caps);
     check_resume_prefix(
         &layers,
-        &engine.order,
+        &cartesian(&axis_caps),
         &prior.sweep.layers,
         prior.sweep.points.iter().map(|p| p.capacities.as_slice()),
         prior.sweep.points.len(),
         start,
     )?;
-    let cont = match opts.mode {
-        SearchMode::Cold => engine.run_chunked(opts, start),
-        SearchMode::Improving => engine.run_lex(&opts.budget, start, &prior.sweep.points),
+    let replay = Replay {
+        points: &prior.sweep.points,
+        run_stats: &[],
+        winners: &prior.winners,
+        search_legs: prior.evals,
+        seed_wins: prior.seed_wins,
     };
-    let mut points = prior.sweep.points.clone();
-    points.extend(cont.sweep.points);
-    let mut winners = prior.winners.clone();
-    winners.extend(cont.winners);
-    Ok(GridSweepRun {
-        sweep: GridSweep { layers, points },
-        evals: prior.evals + cont.evals,
-        seed_wins: prior.seed_wins + cont.seed_wins,
-        winners,
-        candidates: cont.candidates,
-        status: cont.status,
-    })
+    let ctx = ExplorationContext::new(program, platform, config.clone());
+    exhaustive_grid(&ctx, platform, axes, opts, Some(replay))
 }
 
 /// The shared sanity check of the resume entry points: the prior run
@@ -1035,36 +936,30 @@ fn check_resume_prefix<'p>(
     Ok(())
 }
 
-/// The shared sweep engine: one implementation of axis handling, the
-/// lexicographic Cartesian point order, per-point platform construction
-/// and search evaluation, and result assembly — used by every grid
-/// engine ([`try_sweep_grid_run`] through the chunked or lexicographic
-/// scheduler, [`try_sweep_grid_pruned_with`] and
-/// [`try_sweep_grid_refined_with`] through the certified refinement
-/// scheduler). The schedulers differ in *when* points run and what seeds
-/// they see; everything a point *is* lives here.
+/// The shared sweep engine: one implementation of per-point platform
+/// construction and search evaluation, the certified loop and result
+/// assembly — used by every grid engine ([`try_sweep_grid_run`],
+/// [`try_sweep_grid_pruned_with`] and [`try_sweep_grid_refined_with`]).
+/// The engines differ in the loop's depth and certificates; everything a
+/// point *is* lives here.
 struct SweepEngine<'e> {
     ctx: &'e ExplorationContext<'e>,
     platform: &'e Platform,
     layers: &'e [LayerId],
+    /// The loop's (fine) axes, cleaned.
     axis_caps: &'e [Vec<u64>],
-    /// The full Cartesian product, lexicographic (last axis fastest).
-    order: Vec<Vec<u64>>,
 }
 
 /// Per-thread evaluation scratch of the sweep engines: one working
 /// [`Platform`] resized *in place* per grid point (instead of a fresh
 /// platform build per point) and one [`EvalWorkspace`] reused across
-/// every point the thread evaluates. Three kinds of thread evaluate
-/// points, and each reuses its scratch for as long as it lives:
+/// every point the thread evaluates. Two kinds of thread evaluate points,
+/// and each reuses its scratch for as long as it lives:
 ///
-/// * the exhaustive engine's `rayon` chunk threads: the vendored stand-in
-///   spawns scoped threads on every parallel call (it runs inline on the
-///   caller only with one core or one task), so reuse spans one call's
-///   chunk of tasks;
-/// * the pruned and refined sweeps' caller and the exploration's helper
-///   threads ([`Helpers`]), which live for one exploration;
-/// * `mhla serve`'s worker threads, which persist across requests.
+/// * an exploration's calling thread — among them `mhla serve`'s worker
+///   threads, which persist across requests;
+/// * the exploration's helper threads ([`Helpers`]), which live for one
+///   exploration.
 ///
 /// The working platform's layer *names* go stale (in-place resizing
 /// skips the allocating rename) — by design: nothing in the evaluation
@@ -1117,34 +1012,16 @@ impl EngineScratch {
 }
 
 thread_local! {
-    /// One [`EngineScratch`] per evaluation thread: `rayon` chunk threads
-    /// (one parallel call each), an exploration's helpers (one
-    /// exploration each) and serve workers (the server's lifetime) — see
-    /// [`EngineScratch`].
+    /// One [`EngineScratch`] per evaluation thread: an exploration's
+    /// caller (a serve worker for the server's lifetime) and its helpers
+    /// (one exploration each) — see [`EngineScratch`].
     static ENGINE_SCRATCH: RefCell<EngineScratch> = RefCell::new(EngineScratch {
         platform: None,
         ws: EvalWorkspace::new(),
     });
 }
 
-impl<'e> SweepEngine<'e> {
-    /// Builds the engine over cleaned (sorted, deduped, non-empty) axes.
-    fn new(
-        ctx: &'e ExplorationContext<'e>,
-        platform: &'e Platform,
-        layers: &'e [LayerId],
-        axis_caps: &'e [Vec<u64>],
-    ) -> Self {
-        let order = cartesian(axis_caps);
-        SweepEngine {
-            ctx,
-            platform,
-            layers,
-            axis_caps,
-            order,
-        }
-    }
-
+impl SweepEngine<'_> {
     /// One point's cold search — the certified scheduler's evaluation in
     /// [`SearchMode::Cold`]. Runs on the thread's [`EngineScratch`]:
     /// in-place platform resize, reused workspace.
@@ -1166,7 +1043,7 @@ impl<'e> SweepEngine<'e> {
         caps: &[u64],
         cache: &SeedCache,
         prev: Option<&[u64]>,
-    ) -> (MhlaResult, RunStats, Option<SeedOrigin>) {
+    ) -> Searched {
         ENGINE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             let (pf, ws) = scratch.point(self, caps);
@@ -1232,258 +1109,6 @@ impl<'e> SweepEngine<'e> {
             }
         }
         seeds
-    }
-
-    /// One warm-chain chunk of [`Self::run_chunked`]: the points
-    /// `base..base+caps.len()` of the grid under a fixed `prefix` of the
-    /// outer axes, clipped to `span` and the trip flag. The whole chunk
-    /// runs under a single borrow of the thread's [`EngineScratch`] —
-    /// the capacity buffer is reused across points and the warm seed is
-    /// borrowed from the previous point's result instead of cloned.
-    /// Identical decisions to the per-point path: same clipping, same
-    /// warm chain, same trip polling between points.
-    fn eval_batch(
-        &self,
-        base: usize,
-        prefix: &[u64],
-        caps: &[u64],
-        opts: &SweepOptions,
-        span: std::ops::Range<usize>,
-        trip: &TripFlag,
-    ) -> Vec<(usize, GridPoint, usize, Option<SeedOrigin>)> {
-        let budget = &opts.budget;
-        let timed = budget.is_timed();
-        // A warm-chain override is attributed to the chain's axis.
-        let chain_axis = self.axis_caps.len() - 1;
-        ENGINE_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let mut out: Vec<(usize, GridPoint, usize, Option<SeedOrigin>)> =
-                Vec::with_capacity(caps.len());
-            let mut capacities: Vec<u64> = Vec::with_capacity(prefix.len() + 1);
-            for (k, &cap) in caps.iter().enumerate() {
-                let idx = base + k;
-                if idx < span.start {
-                    continue; // already committed by the prior run
-                }
-                if idx >= span.end || (timed && trip.tripped()) {
-                    break;
-                }
-                capacities.clear();
-                capacities.extend_from_slice(prefix);
-                capacities.push(cap);
-                let (pf, ws) = scratch.point(self, &capacities);
-                let warm = if opts.warm_start {
-                    out.last().map(|(_, p, _, _)| &p.result.assignment)
-                } else {
-                    None
-                };
-                let (result, stats) = Mhla::with_context(self.ctx, pf).run_with_stats_in(
-                    warm,
-                    Some(self.ctx.moves()),
-                    ws,
-                );
-                let winner = stats.winning_seed.map(|_| SeedOrigin::Axis(chain_axis));
-                out.push((
-                    idx,
-                    GridPoint {
-                        capacities: capacities.clone(),
-                        result,
-                    },
-                    stats.search_legs,
-                    winner,
-                ));
-                if timed {
-                    if let Some(cause) = budget.stop_timed() {
-                        trip.trip(cause);
-                        break;
-                    }
-                }
-            }
-            out
-        })
-    }
-
-    /// An empty run over this engine's grid with the given status — what
-    /// the schedulers return when the budget stops them before the first
-    /// point.
-    fn empty_run(&self, status: SweepStatus) -> GridSweepRun {
-        GridSweepRun {
-            sweep: GridSweep {
-                layers: self.layers.to_vec(),
-                points: Vec::new(),
-            },
-            evals: 0,
-            seed_wins: 0,
-            winners: Vec::new(),
-            candidates: self.order.len(),
-            status,
-        }
-    }
-
-    /// The cold exhaustive scheduler: the last axis is the warm-start
-    /// dimension — a task is one chunk of it under one fixed prefix of
-    /// the outer axes. Tasks are independent, so their parallel schedule
-    /// cannot affect results. Bit-identical to the pre-engine
-    /// exhaustive grid sweep by construction.
-    ///
-    /// Covers the lexicographic range from `start` (0 on a fresh run, the
-    /// resume cursor on a continuation) and returns only the new points.
-    /// `max_evals` is enforced by deterministic truncation of the range;
-    /// deadline/cancellation by a shared trip flag the tasks poll between
-    /// points — either way only the longest committed lexicographic run
-    /// from `start` is returned, so the result is always a certified
-    /// prefix. Skipping and re-chunking never change point *results*
-    /// (each is the warm/cold portfolio, chunk-invariant by the
-    /// determinism guarantee of [`SweepOptions`]); only the leg/winner
-    /// bookkeeping of a resume's boundary chunk can differ from an
-    /// uninterrupted run's.
-    fn run_chunked(&self, opts: &SweepOptions, start: usize) -> GridSweepRun {
-        let total = self.order.len();
-        let budget = &opts.budget;
-        if start >= total {
-            return self.empty_run(SweepStatus::Complete);
-        }
-        // Preset stops: an exhausted eval budget, a raised flag, a past
-        // deadline — return the empty continuation without evaluating.
-        if let Some(cause) = budget.stop(0) {
-            return self.empty_run(SweepStatus::Stopped {
-                cause,
-                next_lex: start,
-            });
-        }
-        let end = budget
-            .max_evals
-            .map_or(total, |m| total.min(start.saturating_add(m)));
-
-        let (outer, innermost) = self.axis_caps.split_at(self.axis_caps.len() - 1);
-        let innermost = &innermost[0];
-        let n_in = innermost.len();
-        let prefixes = cartesian(outer);
-        let chunk = SWEEP_CHUNK.min(n_in);
-        let tasks: Vec<(usize, &[u64], &[u64])> = prefixes
-            .iter()
-            .enumerate()
-            .flat_map(|(pi, p)| {
-                innermost
-                    .chunks(chunk)
-                    .enumerate()
-                    .map(move |(ci, c)| (pi * n_in + ci * chunk, p.as_slice(), c))
-            })
-            .filter(|&(base, _, c)| base + c.len() > start && base < end)
-            .collect();
-        let trip = TripFlag::new();
-
-        let run_task =
-            |task: &(usize, &[u64], &[u64])| -> Vec<(usize, GridPoint, usize, Option<SeedOrigin>)> {
-                let &(base, prefix, caps) = task;
-                self.eval_batch(base, prefix, caps, opts, start..end, &trip)
-            };
-
-        type TaskPoint = (usize, GridPoint, usize, Option<SeedOrigin>);
-        let per_task: Vec<Vec<TaskPoint>> = if opts.parallel {
-            tasks.par_iter().map(run_task).collect()
-        } else {
-            tasks.iter().map(run_task).collect()
-        };
-        // Commit the longest contiguous lexicographic run from `start`;
-        // anything a tripped task left beyond a gap is discarded (only
-        // deadline/cancel trips can create gaps — `max_evals` truncation
-        // is exact).
-        let mut sweep = GridSweep {
-            layers: self.layers.to_vec(),
-            points: Vec::with_capacity(end - start),
-        };
-        let (mut evals, mut seed_wins) = (0usize, 0usize);
-        let mut winners = Vec::with_capacity(end - start);
-        let mut next_lex = start;
-        'commit: for task_points in per_task {
-            for (idx, point, legs, winner) in task_points {
-                if idx != next_lex {
-                    break 'commit;
-                }
-                evals += legs;
-                seed_wins += usize::from(winner.is_some());
-                winners.push(winner);
-                sweep.points.push(point);
-                next_lex += 1;
-            }
-        }
-        let status = if next_lex >= total {
-            SweepStatus::Complete
-        } else if next_lex >= end {
-            SweepStatus::Stopped {
-                cause: StopCause::MaxEvals,
-                next_lex,
-            }
-        } else {
-            // Short of the range end: a task tripped on the clock or the
-            // flag (the flag records the first observed cause).
-            SweepStatus::Stopped {
-                cause: trip.cause().unwrap_or(StopCause::Deadline),
-                next_lex,
-            }
-        };
-        GridSweepRun {
-            sweep,
-            evals,
-            seed_wins,
-            winners,
-            candidates: total,
-            status,
-        }
-    }
-
-    /// The improving scheduler: strictly sequential in lexicographic
-    /// order, each point's portfolio seeded from the committed results
-    /// of its predecessors ([`gather_seeds`](Self::gather_seeds)). The
-    /// lex-predecessor seed is what carries search state across
-    /// outer-axis steps — the warm-start effect first observed in PR 3's
-    /// prototype (strict improvements over the cold search on 4-level
-    /// stacks) that this mode makes a first-class, dominance-guaranteed
-    /// semantics.
-    /// Covers the lexicographic range from `start`, replaying the seed
-    /// state of the committed `prior` points first, and returns only the
-    /// new points. Because this scheduler is strictly sequential, a
-    /// resumed run re-enters exactly the state the uninterrupted run had
-    /// at `start` — the merged result (points *and* bookkeeping) is
-    /// bit-identical to the uninterrupted one.
-    fn run_lex(&self, budget: &ExploreBudget, start: usize, prior: &[GridPoint]) -> GridSweepRun {
-        let mut cache = SeedCache::new();
-        for p in prior {
-            cache.commit(&p.capacities, p.result.assignment.clone());
-        }
-        let mut prev: Option<Vec<u64>> = prior.last().map(|p| p.capacities.clone());
-        let mut points = Vec::with_capacity(self.order.len() - start.min(self.order.len()));
-        let mut winners = Vec::with_capacity(points.capacity());
-        let (mut evals, mut seed_wins) = (0usize, 0usize);
-        let mut status = SweepStatus::Complete;
-        for (i, caps) in self.order.iter().enumerate().skip(start) {
-            if let Some(cause) = budget.stop(points.len()) {
-                status = SweepStatus::Stopped { cause, next_lex: i };
-                break;
-            }
-            let (result, stats, winner) = self.evaluate_improving(caps, &cache, prev.as_deref());
-            evals += stats.search_legs;
-            seed_wins += usize::from(winner.is_some());
-            winners.push(winner);
-            cache.commit(caps, result.assignment.clone());
-            prev = Some(caps.clone());
-            points.push(GridPoint {
-                capacities: caps.clone(),
-                result,
-            });
-        }
-        GridSweepRun {
-            sweep: GridSweep {
-                layers: self.layers.to_vec(),
-                points,
-            },
-            evals,
-            seed_wins,
-            winners,
-            candidates: self.order.len(),
-            status,
-        }
     }
 }
 
@@ -1809,6 +1434,7 @@ pub fn try_sweep_grid_pruned_resume(
     let replay = Replay {
         points: &prior.sweep.points,
         run_stats: &prior.checkpoint.run_stats,
+        winners: &[],
         search_legs: prior.search_legs,
         seed_wins: prior.seed_wins,
     };
@@ -1992,15 +1618,26 @@ struct RefineCheckpoint {
     run_stats: Vec<RunStats>,
 }
 
-/// The committed state of a stopped pruned or refined run that its
-/// resume replays: the points with their aligned [`RunStats`], plus the
-/// search counters already paid for.
+/// The committed state of a stopped run that its resume replays: the
+/// points, plus the search counters already paid for.
 struct Replay<'p> {
     points: &'p [GridPoint],
+    /// Aligned with `points`; empty for an exhaustive prior, whose loop
+    /// reads no run stats (its points replay as [`RunStats::unknown`],
+    /// which certifies nothing).
     run_stats: &'p [RunStats],
+    /// Aligned with `points`; empty for a pruned or refined prior, whose
+    /// winners are not kept.
+    winners: &'p [Option<SeedOrigin>],
     search_legs: usize,
     seed_wins: usize,
 }
+
+/// One point's search outcome as the certified loop commits it: the
+/// result, its run stats and the grid seed whose leg won (`None` when the
+/// cold leg won, and for refined corners, whose seeds are not grid
+/// neighbours).
+type Searched = (MhlaResult, RunStats, Option<SeedOrigin>);
 
 /// The refined (virtual fine) axis for one coarse axis: every coarse
 /// point plus up to `2^depth - 1` integer midpoints per adjacent pair,
@@ -2397,11 +2034,11 @@ enum RefineSeeds<'m> {
 
 /// The mutable committed state of one refinement run, threaded through
 /// the batches and keyed by packed lattice keys ([`Lattice`]).
-/// `points` and `run_stats` stay aligned index for index; the
-/// lexicographic sort happens once at assembly.
+/// `points`, `run_stats` and `winners` stay aligned index for index;
+/// the lexicographic sort happens once at assembly.
 struct RefineState {
     /// Committed results of a resumed prior run, replayed for free.
-    replay: HashMap<u64, (MhlaResult, RunStats)>,
+    replay: HashMap<u64, Searched>,
     /// Improving-mode committed assignments.
     seeds: SeedCache,
     /// Improving-mode lex-predecessor pointer (phase 0 only).
@@ -2411,6 +2048,7 @@ struct RefineState {
     masks: MaskBoxes,
     points: Vec<GridPoint>,
     run_stats: Vec<RunStats>,
+    winners: Vec<Option<SeedOrigin>>,
     /// Keys committed or certified (corner dedup across cells).
     /// Certification only depends on committed state, which only grows,
     /// so both are permanent.
@@ -2430,14 +2068,20 @@ impl RefineState {
         let mut replay = HashMap::new();
         let (mut search_legs, mut seed_wins) = (0, 0);
         if let Some(p) = prior {
-            for (pt, run) in p.points.iter().zip(p.run_stats) {
+            for (i, pt) in p.points.iter().enumerate() {
                 let idx: Vec<usize> = pt
                     .capacities
                     .iter()
                     .zip(lat.fine)
                     .map(|(&c, axis)| axis.partition_point(|&x| x < c))
                     .collect();
-                replay.insert(lat.key(&idx), (pt.result.clone(), run.clone()));
+                let run = p
+                    .run_stats
+                    .get(i)
+                    .cloned()
+                    .unwrap_or_else(RunStats::unknown);
+                let winner = p.winners.get(i).copied().flatten();
+                replay.insert(lat.key(&idx), (pt.result.clone(), run, winner));
             }
             (search_legs, seed_wins) = (p.search_legs, p.seed_wins);
         }
@@ -2448,6 +2092,7 @@ impl RefineState {
             masks: MaskBoxes::new(lat),
             points: Vec::new(),
             run_stats: Vec::new(),
+            winners: Vec::new(),
             decided: HashSet::new(),
             corners_certified: 0,
             fresh: 0,
@@ -2456,20 +2101,20 @@ impl RefineState {
         }
     }
 
-    /// Commits the point `key` with its search outcome; `search` is
-    /// `Some(seed_win)` for a fresh search and `None` for a replayed
-    /// prior result.
+    /// Commits the point `key` with its search outcome — a `fresh` search,
+    /// or a replayed prior result.
     fn commit(
         &mut self,
         rf: &Refinement<'_>,
         key: u64,
         caps: Vec<u64>,
-        (result, run): (MhlaResult, RunStats),
-        search: Option<bool>,
+        (result, run, winner): Searched,
+        fresh: bool,
     ) {
-        if let Some(seed_win) = search {
+        if fresh {
+            self.fresh += 1;
             self.search_legs += run.search_legs;
-            self.seed_wins += usize::from(seed_win);
+            self.seed_wins += usize::from(run.winning_seed.is_some());
         }
         if rf.saturation_armed && run.tracked && run.cold_result_kept {
             let mut q = vec![0; caps.len()];
@@ -2483,6 +2128,7 @@ impl RefineState {
         }
         self.decided.insert(key);
         self.run_stats.push(run);
+        self.winners.push(winner);
         self.points.push(GridPoint {
             capacities: caps,
             result,
@@ -2830,7 +2476,7 @@ impl<'e> SweepEngine<'e> {
                 let (key, parent) = batch[p];
                 debug_assert!(!st.decided.contains(&key), "batch points are undecided");
                 if let Some(replayed) = st.replay.remove(&key) {
-                    st.commit(rf, key, lat.caps(key), replayed, None);
+                    st.commit(rf, key, lat.caps(key), replayed, false);
                     continue;
                 }
                 if st.point_certified(rf, &idx[p * n..(p + 1) * n]) {
@@ -2844,7 +2490,7 @@ impl<'e> SweepEngine<'e> {
                 }
                 queued.push((key, parent));
             }
-            let outcomes: Vec<(MhlaResult, RunStats, bool)> = if rf.improving {
+            let outcomes: Vec<Searched> = if rf.improving {
                 queued
                     .iter()
                     .map(|&(key, parent)| self.search_improving(rf, key, parent, seeds_from, st))
@@ -2852,12 +2498,11 @@ impl<'e> SweepEngine<'e> {
             } else {
                 pool.run(queued.iter().map(|&(key, _)| key).collect())
                     .into_iter()
-                    .map(|(result, run)| (result, run, false))
+                    .map(|(result, run)| (result, run, None))
                     .collect()
             };
-            for (&(key, _), (result, run, seed_win)) in queued.iter().zip(outcomes) {
-                st.fresh += 1;
-                st.commit(rf, key, lat.caps(key), (result, run), Some(seed_win));
+            for (&(key, _), searched) in queued.iter().zip(outcomes) {
+                st.commit(rf, key, lat.caps(key), searched, true);
             }
         }
         None
@@ -2866,7 +2511,6 @@ impl<'e> SweepEngine<'e> {
     /// One improving-mode search of the point `key`, generated by cell
     /// `parent`: seeded from the committed grid neighbors in phase 0, from
     /// the generating cell's committed corners in a refinement wave.
-    /// Returns the result, its run stats and whether a seed won.
     fn search_improving(
         &self,
         rf: &Refinement<'_>,
@@ -2874,37 +2518,33 @@ impl<'e> SweepEngine<'e> {
         parent: usize,
         seeds_from: &RefineSeeds<'_>,
         st: &RefineState,
-    ) -> (MhlaResult, RunStats, bool) {
+    ) -> Searched {
         let caps = rf.lattice.caps(key);
         match seeds_from {
             RefineSeeds::Grid => {
-                let (result, run, winner) =
-                    self.evaluate_improving(&caps, &st.seeds, st.last_committed.as_deref());
-                (result, run, winner.is_some())
+                self.evaluate_improving(&caps, &st.seeds, st.last_committed.as_deref())
             }
             RefineSeeds::Corners(cells) => {
                 let corners = cells.corner_caps(parent, &rf.lattice);
                 let refs = st.seeds.corner_seeds(&corners, &caps);
                 let (result, run) = self.evaluate_with_seed_refs(&caps, &refs);
-                let seed_win = run.winning_seed.is_some();
-                (result, run, seed_win)
+                (result, run, None)
             }
         }
     }
 
     /// The adaptive refinement scheduler (the body of
     /// [`try_sweep_grid_refined_with`], and at depth 0 of
-    /// [`try_sweep_grid_pruned_with`]): phase 0 decides the coarse
-    /// lattice, then refinement waves classify every open cell against
-    /// the state committed *before* the wave — saturation certificate
-    /// first, split second — and decide the new child corners as one
-    /// ascending batch.
+    /// [`try_sweep_grid_pruned_with`] and — with `certify` off —
+    /// [`try_sweep_grid_run`]): phase 0 decides the coarse lattice, then
+    /// refinement waves classify every open cell against the state
+    /// committed *before* the wave — saturation certificate first, split
+    /// second — and decide the new child corners as one ascending batch.
     ///
     /// The engine's `axis_caps` are the *fine* axes (improving-mode
     /// neighbor seeds resolve on them); `coarse_axes` are the caller's
-    /// cleaned coarse axes. `self.order` is unused — the fine lattice is
-    /// never materialized; points are packed lattice keys until they are
-    /// searched or committed.
+    /// cleaned coarse axes. The fine lattice is never materialized; points
+    /// are packed lattice keys until they are searched or committed.
     ///
     /// With a `prior` run, its committed points replay for free at the
     /// positions the uninterrupted schedule evaluated them, so the
@@ -2912,18 +2552,20 @@ impl<'e> SweepEngine<'e> {
     /// is bit-identical to the uninterrupted run's.
     ///
     /// The exploration's cold searches run on the caller and on helper
-    /// threads ([`Helpers`]) that live as long as this call.
+    /// threads ([`Helpers`]) that live as long as this call. Returns the
+    /// run and, aligned with its points, each point's winning grid seed.
     fn run_refined(
         &self,
         coarse_axes: &[Vec<u64>],
         opts: &RefineOptions,
+        certify: bool,
         prior: Option<Replay<'_>>,
-    ) -> RefinedGridSweep {
+    ) -> (RefinedGridSweep, Vec<Option<SeedOrigin>>) {
         let config = self.ctx.config();
         let rf = Refinement {
             lattice: Lattice::new(self.axis_caps, self.layers, coarse_axes),
             improving: opts.mode == SearchMode::Improving,
-            saturation_armed: config.strategy == SearchStrategy::Greedy,
+            saturation_armed: certify && config.strategy == SearchStrategy::Greedy,
             energy_weight: config.objective.energy_weight(),
         };
         let search = |key: u64| self.evaluate(&rf.lattice.caps(key));
@@ -2939,7 +2581,7 @@ impl<'e> SweepEngine<'e> {
         opts: &RefineOptions,
         prior: Option<Replay<'_>>,
         pool: &mut Helpers<'_, '_, u64, (MhlaResult, RunStats)>,
-    ) -> RefinedGridSweep {
+    ) -> (RefinedGridSweep, Vec<Option<SeedOrigin>>) {
         let lat = &rf.lattice;
         let n = lat.fine.len();
         let mut st = RefineState::new(rf, prior);
@@ -3060,28 +2702,33 @@ impl<'e> SweepEngine<'e> {
         self.assemble_refined(st, stats, waves, status)
     }
 
-    /// Final assembly: points (and their aligned [`RunStats`]) sorted
-    /// lexicographically so the result — like every grid sweep — is
-    /// independent of the commit schedule, checkpoint kept only on a
-    /// stop.
+    /// Final assembly: points (and their aligned [`RunStats`] and
+    /// winners) sorted lexicographically so the result — like every grid
+    /// sweep — is independent of the commit schedule, checkpoint kept
+    /// only on a stop.
     fn assemble_refined(
         &self,
         st: RefineState,
         mut stats: RefineStats,
         waves: usize,
         status: SweepStatus,
-    ) -> RefinedGridSweep {
+    ) -> (RefinedGridSweep, Vec<Option<SeedOrigin>>) {
         stats.evaluated = st.points.len();
         stats.corners_certified = st.corners_certified;
-        let mut zipped: Vec<(GridPoint, RunStats)> =
-            st.points.into_iter().zip(st.run_stats).collect();
-        zipped.sort_by(|a, b| a.0.capacities.cmp(&b.0.capacities));
-        let (points, run_stats): (Vec<GridPoint>, Vec<RunStats>) = zipped.into_iter().unzip();
+        let mut zipped: Vec<((GridPoint, RunStats), Option<SeedOrigin>)> = st
+            .points
+            .into_iter()
+            .zip(st.run_stats)
+            .zip(st.winners)
+            .collect();
+        zipped.sort_by(|a, b| a.0 .0.capacities.cmp(&b.0 .0.capacities));
+        let ((points, run_stats), winners): ((Vec<GridPoint>, Vec<RunStats>), Vec<_>) =
+            zipped.into_iter().unzip();
         let checkpoint = match status {
             SweepStatus::Complete => RefineCheckpoint::default(),
             SweepStatus::Stopped { .. } => RefineCheckpoint { run_stats },
         };
-        RefinedGridSweep {
+        let run = RefinedGridSweep {
             sweep: GridSweep {
                 layers: self.layers.to_vec(),
                 points,
@@ -3092,7 +2739,8 @@ impl<'e> SweepEngine<'e> {
             seed_wins: st.seed_wins,
             status,
             checkpoint,
-        }
+        };
+        (run, winners)
     }
 }
 
@@ -3204,6 +2852,7 @@ pub fn try_sweep_grid_refined_resume(
     let replay = Replay {
         points: &prior.sweep.points,
         run_stats: &prior.checkpoint.run_stats,
+        winners: &[],
         search_legs: prior.search_legs,
         seed_wins: prior.seed_wins,
     };
@@ -3211,9 +2860,7 @@ pub fn try_sweep_grid_refined_resume(
 }
 
 /// The shared body of the pruned and refined entry points, ingress
-/// already validated: clean the axes, shortcut the empty grid, check a
-/// resumed prior's points against the lattice, and run the certified
-/// refinement scheduler `opts.depth` levels deep.
+/// already validated: [`certified_grid`] with the certificates armed.
 fn refine_grid(
     program: &Program,
     platform: &Platform,
@@ -3222,13 +2869,31 @@ fn refine_grid(
     opts: &RefineOptions,
     prior: Option<Replay<'_>>,
 ) -> Result<RefinedGridSweep, MhlaError> {
+    let ctx = ExplorationContext::new(program, platform, config.clone());
+    certified_grid(&ctx, platform, axes, opts, true, prior).map(|(run, _)| run)
+}
+
+/// The shared body of every grid engine, ingress validated and context
+/// in hand: clean the axes, shortcut the empty grid, check a resumed
+/// prior's points against the lattice, and run the certified refinement
+/// scheduler `opts.depth` levels deep — its saturation certificates
+/// armed only when `certify` is set. Returns the run and each point's
+/// winning grid seed (see [`SweepEngine::run_refined`]).
+fn certified_grid(
+    ctx: &ExplorationContext<'_>,
+    platform: &Platform,
+    axes: &[GridAxis],
+    opts: &RefineOptions,
+    certify: bool,
+    prior: Option<Replay<'_>>,
+) -> Result<(RefinedGridSweep, Vec<Option<SeedOrigin>>), MhlaError> {
     let layers: Vec<LayerId> = axes.iter().map(|a| a.layer).collect();
     let coarse: Vec<Vec<u64>> = axes
         .iter()
         .map(|a| clean_capacities(&a.capacities))
         .collect();
     if coarse.is_empty() || coarse.iter().any(Vec::is_empty) {
-        return Ok(RefinedGridSweep {
+        let empty = RefinedGridSweep {
             sweep: GridSweep {
                 layers,
                 points: Vec::new(),
@@ -3239,7 +2904,8 @@ fn refine_grid(
             seed_wins: 0,
             status: SweepStatus::Complete,
             checkpoint: RefineCheckpoint::default(),
-        });
+        };
+        return Ok((empty, Vec::new()));
     }
     let fine = fine_axes(&coarse, opts.depth)?;
     for p in prior.iter().flat_map(|prior| prior.points) {
@@ -3254,18 +2920,13 @@ fn refine_grid(
             });
         }
     }
-    let ctx = ExplorationContext::new(program, platform, config.clone());
-    // Built literally, not through `SweepEngine::new`: the fine lattice's
-    // Cartesian product is deliberately never materialized (it is the
-    // *virtual* lattice — at depth 16 it would not fit in memory).
     let engine = SweepEngine {
-        ctx: &ctx,
+        ctx,
         platform,
         layers: &layers,
         axis_caps: &fine,
-        order: Vec::new(),
     };
-    Ok(engine.run_refined(&coarse, opts, prior))
+    Ok(engine.run_refined(&coarse, opts, certify, prior))
 }
 
 #[cfg(test)]
@@ -3466,18 +3127,9 @@ mod tests {
             GridAxis::new(LayerId(2), vec![64u64, 256, 512]),
         ];
         let config = MhlaConfig::default();
-        let cold = try_sweep_grid_run(
-            &p,
-            &pf,
-            &axes,
-            &config,
-            &SweepOptions {
-                warm_start: false,
-                ..SweepOptions::default()
-            },
-        )
-        .unwrap()
-        .sweep;
+        let cold = try_sweep_grid_run(&p, &pf, &axes, &config, &SweepOptions::default())
+            .unwrap()
+            .sweep;
         let run = try_sweep_grid_run(
             &p,
             &pf,
@@ -3517,16 +3169,19 @@ mod tests {
             GridAxis::new(LayerId(2), vec![64u64, 256, 512]),
         ];
         let config = MhlaConfig::default();
-        let improving = |parallel| SweepOptions {
+        // Improving runs take one point per step with or without a
+        // budget; a budget that is never reached must not change the run.
+        let improving = |budget| SweepOptions {
             mode: SearchMode::Improving,
-            parallel,
+            budget,
             ..SweepOptions::default()
         };
-        let reference = try_sweep_grid_run(&p, &pf, &axes, &config, &improving(true)).unwrap();
-        for parallel in [false, true] {
-            let other = try_sweep_grid_run(&p, &pf, &axes, &config, &improving(parallel)).unwrap();
-            assert_eq!(reference, other, "parallel={parallel}");
-        }
+        let unbudgeted = improving(ExploreBudget::unlimited());
+        let reference = try_sweep_grid_run(&p, &pf, &axes, &config, &unbudgeted).unwrap();
+        let stepped = improving(ExploreBudget::max_evals(usize::MAX));
+        let other = try_sweep_grid_run(&p, &pf, &axes, &config, &stepped).unwrap();
+        assert!(reference.status.is_complete());
+        assert_eq!(reference, other);
     }
 
     #[test]

@@ -466,15 +466,7 @@ mod tests {
             GridAxis::new(mhla_hierarchy::LayerId(2), vec![64u64, 128]),
         ];
         let config = MhlaConfig::default();
-        let cold = grid(
-            &p,
-            &pf,
-            &axes,
-            &SweepOptions {
-                warm_start: false,
-                ..SweepOptions::default()
-            },
-        );
+        let cold = grid(&p, &pf, &axes, &SweepOptions::default());
         let improving = grid(
             &p,
             &pf,

@@ -10,8 +10,9 @@
 //!   `BufReader`, so read timeouts never lose partial lines), pushes jobs
 //!   onto the **bounded queue** and writes the responses back;
 //! * a fixed **worker pool** drains the queue through
-//!   [`Service::handle_line`] — the sweep inside then fans out further
-//!   over the engine's own rayon pool.
+//!   [`Service::handle_line`] — the sweep inside runs on the worker:
+//!   every served sweep carries the shared cancel flag, and the engine
+//!   searches a budgeted sweep one point at a time.
 //!
 //! A full queue is answered immediately with a typed `queue_full` error
 //! (the queue never blocks ingress), and an over-long line with

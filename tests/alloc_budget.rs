@@ -29,7 +29,7 @@ use mhla::hierarchy::{LayerId, Platform};
 static COUNTING_ALLOC: mhla_alloc_counter::CountingAlloc = mhla_alloc_counter::CountingAlloc::new();
 
 /// Pinned whole-sweep allocation events per evaluated point (suite
-/// average, sequential mode, second pass). Measured ~109 on this
+/// average, all on the calling thread, second pass). Measured ~109 on this
 /// codebase; the headroom absorbs allocator/platform noise, not
 /// regressions — a per-candidate allocation in the greedy loop costs
 /// thousands per point.
@@ -40,12 +40,10 @@ fn steady_state_sweep_allocations_stay_under_budget() {
     let caps = default_capacities();
     let platform = Platform::embedded_default(1024);
     let config = MhlaConfig::default();
-    // Sequential: every point runs on this thread, so the second pass
-    // reuses one warmed EngineScratch for the whole suite.
-    let opts = SweepOptions {
-        parallel: false,
-        ..SweepOptions::default()
-    };
+    // A one-axis sweep's rank levels hold one point each, so every point
+    // runs on this thread and the second pass reuses one warmed
+    // EngineScratch for the whole suite.
+    let opts = SweepOptions::default();
     let apps = mhla_apps::all_apps();
     for app in &apps {
         try_sweep_with(&app.program, &platform, LayerId(1), &caps, &config, &opts)

@@ -1,18 +1,19 @@
 //! The multi-layer grid sweep must be *exactly* the composition of
 //! standalone runs — the PR acceptance bar:
 //!
-//! * every grid point on `Platform::three_level` is bit-identical to a
-//!   cold standalone `Mhla::run` on the same platform (same assignment,
-//!   same cost breakdowns including the floating-point energy fields,
-//!   same TE schedule);
+//! * every grid point on the three- and four-level platforms, under every
+//!   objective, is bit-identical to a cold standalone `Mhla::run` on the
+//!   same platform (same assignment, same cost breakdowns including the
+//!   floating-point energy fields, same TE schedule);
 //! * on two-layer platforms a 1-axis grid degenerates to exactly the
 //!   1-D sweep's output (`try_sweep_with`) — same points, same Pareto
 //!   fronts — on all nine applications.
 
 use mhla::core::explore::{
-    default_capacities, try_sweep_grid_run, try_sweep_with, GridAxis, GridSweep, SweepOptions,
+    default_axes, default_capacities, try_sweep_grid_run, try_sweep_with, ExploreBudget, GridAxis,
+    GridSweep, SweepOptions,
 };
-use mhla::core::{Mhla, MhlaConfig};
+use mhla::core::{Mhla, MhlaConfig, Objective};
 use mhla::hierarchy::{LayerId, Platform};
 use mhla::ir::Program;
 
@@ -31,30 +32,77 @@ fn run_grid(
 
 #[test]
 fn grid_points_are_bit_identical_to_standalone_runs_on_three_level() {
-    let platform = Platform::three_level_default();
-    let axes = [
+    // A 6-point three-level grid under the default objective, plus the
+    // standard three- and four-level grids (`default_axes`: 15 and 90
+    // points) under every objective kind — 2,835 points over the nine
+    // apps. Every divergence is collected, so a failure lists them all.
+    let three = Platform::three_level_default();
+    let four = Platform::four_level_default();
+    let small = vec![
         GridAxis::new(LayerId(1), vec![2048u64, 8192, 32768]),
         GridAxis::new(LayerId(2), vec![256u64, 1024]),
     ];
-    let config = MhlaConfig::default();
-    for app in mhla_apps::all_apps() {
-        let grid = run_grid(&app.program, &platform, &axes, &SweepOptions::default());
-        assert_eq!(grid.points.len(), 6, "{}", app.name());
-        for point in &grid.points {
-            let pf = platform.with_layer_capacities(&[
-                (LayerId(1), point.capacities[0]),
-                (LayerId(2), point.capacities[1]),
-            ]);
-            let standalone = Mhla::new(&app.program, &pf, config.clone()).run();
-            assert_eq!(
-                point.result,
-                standalone,
-                "{} at {:?}: grid point diverges from a standalone run",
-                app.name(),
-                point.capacities
-            );
+    let weighted = Objective::Weighted {
+        energy_weight: 1.0,
+        cycle_weight: 1.0,
+    };
+    let mut cases = vec![(&three, small, Objective::default())];
+    for platform in [&three, &four] {
+        for objective in [Objective::Cycles, Objective::Energy, weighted] {
+            cases.push((platform, default_axes(platform), objective));
         }
     }
+    let mut diverged = Vec::new();
+    let mut checked = 0usize;
+    for app in mhla_apps::all_apps() {
+        for (platform, axes, objective) in &cases {
+            let config = MhlaConfig {
+                objective: *objective,
+                ..MhlaConfig::default()
+            };
+            let grid = try_sweep_grid_run(
+                &app.program,
+                platform,
+                axes,
+                &config,
+                &SweepOptions::default(),
+            )
+            .expect("valid grid")
+            .sweep;
+            let expected: usize = axes.iter().map(|a| a.capacities.len()).product();
+            assert_eq!(grid.points.len(), expected, "{}", app.name());
+            for point in &grid.points {
+                let resized: Vec<(LayerId, u64)> = axes
+                    .iter()
+                    .zip(&point.capacities)
+                    .map(|(a, &c)| (a.layer, c))
+                    .collect();
+                let pf = platform.with_layer_capacities(&resized);
+                let standalone = Mhla::new(&app.program, &pf, config.clone()).run();
+                checked += 1;
+                if point.result != standalone {
+                    diverged.push(format!(
+                        "{} ({} layers, {objective:?}) at {:?}: {} -> {} cycles, \
+                         {} -> {} pJ",
+                        app.name(),
+                        platform.layer_count(),
+                        point.capacities,
+                        standalone.mhla_te_cycles(),
+                        point.result.mhla_te_cycles(),
+                        standalone.mhla_energy_pj(),
+                        point.result.mhla_energy_pj(),
+                    ));
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 9 * (6 + 3 * (15 + 90)));
+    assert!(
+        diverged.is_empty(),
+        "{} grid points diverge from a standalone run (standalone -> grid):\n{}",
+        diverged.len(),
+        diverged.join("\n")
+    );
 }
 
 #[test]
@@ -91,28 +139,27 @@ fn single_axis_grid_degenerates_to_the_sweep_on_all_apps() {
 
 #[test]
 fn grid_options_do_not_change_results() {
-    // Warm starts and the thread fan-out are pure wall-time knobs: the
-    // grid's points are identical under every combination, so results
-    // never depend on the machine's core count.
+    // The schedule is a pure wall-time choice: the unbudgeted run (rank
+    // levels, searched on the caller and its helpers) and the
+    // one-point-per-step run that any budget selects — even one that is
+    // never reached — return the same run, so results never depend on
+    // the machine's core count.
     let platform = Platform::three_level_default();
     let axes = [
         GridAxis::new(LayerId(1), vec![2048u64, 8192, 32768]),
         GridAxis::new(LayerId(2), vec![128u64, 512, 2048]),
     ];
+    let config = MhlaConfig::default();
     let app = mhla_apps::video_encoder::app();
-    let reference = run_grid(&app.program, &platform, &axes, &SweepOptions::default());
-    for warm_start in [false, true] {
-        for parallel in [false, true] {
-            let opts = SweepOptions {
-                warm_start,
-                parallel,
-                ..SweepOptions::default()
-            };
-            let g = run_grid(&app.program, &platform, &axes, &opts);
-            assert_eq!(g.points.len(), reference.points.len());
-            for (a, b) in g.points.iter().zip(&reference.points) {
-                assert_eq!(a.result, b.result, "{opts:?}");
-            }
-        }
-    }
+    let run = |budget| {
+        let opts = SweepOptions {
+            budget,
+            ..SweepOptions::default()
+        };
+        try_sweep_grid_run(&app.program, &platform, &axes, &config, &opts).expect("valid grid")
+    };
+    let pooled = run(ExploreBudget::unlimited());
+    assert!(pooled.status.is_complete());
+    assert_eq!(pooled.sweep.points.len(), 9);
+    assert_eq!(pooled, run(ExploreBudget::max_evals(usize::MAX)));
 }

@@ -38,10 +38,7 @@ const OBJECTIVES: [Objective; 3] = [
 ];
 
 fn cold_opts() -> SweepOptions {
-    SweepOptions {
-        warm_start: false,
-        ..SweepOptions::default()
-    }
+    SweepOptions::default()
 }
 
 fn improving_opts() -> SweepOptions {

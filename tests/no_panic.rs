@@ -256,7 +256,7 @@ proptest! {
     /// Contract 2, cold mode: a `max_evals` budget commits exactly the
     /// first `k` lex points, bit-identical to the unbudgeted run's
     /// prefix; the partial frontier is the frontier of that prefix; and
-    /// resuming reproduces the full sweep.
+    /// resuming reproduces the full run, bookkeeping included.
     #[test]
     fn cold_budget_stops_on_certified_prefix_and_resumes(
         spec in program_specs(),
@@ -294,8 +294,7 @@ proptest! {
 
         let resumed =
             try_sweep_grid_resume(&program, &platform, &axes, &config, &opts, &partial).unwrap();
-        prop_assert!(resumed.status.is_complete());
-        prop_assert_eq!(&resumed.sweep, &full.sweep);
+        prop_assert_eq!(&resumed, &full, "cold resume must be bit-identical");
     }
 
     /// Contract 2, improving mode (strictly sequential): the budgeted

@@ -71,7 +71,7 @@ proptest! {
                 &platform,
                 &axes,
                 &config,
-                &SweepOptions { warm_start: false, ..SweepOptions::default() },
+                &SweepOptions::default(),
             )
             .expect("valid grid")
             .sweep;
@@ -123,7 +123,7 @@ proptest! {
                 &platform,
                 &axes,
                 &config,
-                &SweepOptions { warm_start: false, ..SweepOptions::default() },
+                &SweepOptions::default(),
             )
             .expect("valid grid")
             .sweep;
@@ -195,7 +195,7 @@ proptest! {
                 &platform,
                 &fine_axes,
                 &config,
-                &SweepOptions { warm_start: false, ..SweepOptions::default() },
+                &SweepOptions::default(),
             )
             .expect("valid grid")
             .sweep;
@@ -292,9 +292,9 @@ proptest! {
     /// One `EvalWorkspace` reused across every point, objective and mode
     /// — the sweep engines' steady-state discipline — ≡ a fresh workspace
     /// per evaluation, bit for bit, results *and* stats, on random
-    /// programs. Covers the Cold path (`run_with_stats_in`, warm-chained
-    /// like the sweep's warm-start) and the Improving-style seeded
-    /// portfolio (`run_with_seeds_in` over all previously found
+    /// programs. Covers the single-seed path (`run_with_stats_in`, each
+    /// point warm-started from the previous one) and the Improving-style
+    /// seeded portfolio (`run_with_seeds_in` over all previously found
     /// assignments).
     #[test]
     fn workspace_reuse_equals_fresh_on_random_programs(spec in program_specs()) {

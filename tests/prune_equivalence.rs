@@ -52,10 +52,7 @@ fn exhaustive(app: &mhla_apps::Application, axes: &[GridAxis], config: &MhlaConf
         &Platform::four_level_default(),
         axes,
         config,
-        &SweepOptions {
-            warm_start: false,
-            ..SweepOptions::default()
-        },
+        &SweepOptions::default(),
     )
     .expect("valid grid")
     .sweep

@@ -79,10 +79,7 @@ fn exhaustive_fine(
         platform,
         &fine_axes,
         config,
-        &SweepOptions {
-            warm_start: false,
-            ..SweepOptions::default()
-        },
+        &SweepOptions::default(),
     )
     .expect("valid grid")
     .sweep

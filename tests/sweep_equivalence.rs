@@ -1,9 +1,11 @@
-//! The warm-started parallel sweep must match the cold sequential
-//! reference sweep — identical Pareto fronts (the PR acceptance bar) and,
-//! stronger, identical (cycles, energy) at every capacity point — on the
-//! full application suite.
+//! The production sweep must match the cold sequential reference sweep —
+//! identical Pareto fronts (the PR acceptance bar) and, stronger,
+//! identical (cycles, energy) at every capacity point — on the full
+//! application suite.
 
-use mhla::core::explore::{default_capacities, sweep_cold, try_sweep_with, Sweep, SweepOptions};
+use mhla::core::explore::{
+    default_capacities, sweep_cold, try_sweep_with, ExploreBudget, Sweep, SweepOptions,
+};
 use mhla::core::{EvalWorkspace, ExplorationContext, Mhla, MhlaConfig};
 use mhla::hierarchy::{LayerId, Platform};
 use mhla::ir::Program;
@@ -60,27 +62,26 @@ fn warm_parallel_sweep_matches_cold_sequential_on_all_apps() {
 
 #[test]
 fn sweep_options_do_not_change_results() {
-    // Every combination of warm-start / parallel produces the same points
-    // (determinism does not depend on the core count).
+    // The unbudgeted sweep (rank levels, searched on the caller and its
+    // helpers) and the one-point-per-step sweep that any budget selects
+    // return the same run (determinism does not depend on the core
+    // count).
     let caps = default_capacities();
     let platform = Platform::embedded_default(1024);
+    let config = MhlaConfig::default();
     let app = mhla_apps::video_encoder::app();
-    let reference = fast_sweep(&app.program, &platform, &caps, &SweepOptions::default());
-    for warm_start in [false, true] {
-        for parallel in [false, true] {
-            let opts = SweepOptions {
-                warm_start,
-                parallel,
-                ..SweepOptions::default()
-            };
-            let s = fast_sweep(&app.program, &platform, &caps, &opts);
-            assert_eq!(s.points.len(), reference.points.len());
-            for (a, b) in s.points.iter().zip(&reference.points) {
-                assert_eq!(a.cycles(), b.cycles(), "{opts:?}");
-                assert_eq!(a.energy_pj(), b.energy_pj(), "{opts:?}");
-            }
-        }
-    }
+    let run = |budget| {
+        let opts = SweepOptions {
+            budget,
+            ..SweepOptions::default()
+        };
+        try_sweep_with(&app.program, &platform, LayerId(1), &caps, &config, &opts)
+            .expect("valid sweep")
+    };
+    let pooled = run(ExploreBudget::unlimited());
+    assert!(pooled.status.is_complete());
+    assert_eq!(pooled.sweep.points.len(), caps.len());
+    assert_eq!(pooled, run(ExploreBudget::max_evals(usize::MAX)));
 }
 
 #[test]
