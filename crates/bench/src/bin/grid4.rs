@@ -209,7 +209,7 @@ fn budget_smoke(budget: ExploreBudget) -> Result<(), MhlaError> {
             partial.stats.candidates,
         ),
         SweepStatus::Stopped { cause, next_lex } => println!(
-            "budget smoke [{}]: status Stopped({cause:?}) at lex cursor {next_lex} — \
+            "budget smoke [{}]: status Stopped({cause:?}) with {next_lex} points decided — \
              {} evaluated of {} candidates, partial cycle frontier {} point(s)",
             app.name(),
             partial.stats.evaluated,

@@ -390,9 +390,9 @@ fn status_note(status: &SweepStatus) -> Option<String> {
                 StopCause::Cancelled => "cancelled",
             };
             Some(format!(
-                "note: {cause} — certified partial frontier up to lexicographic \
-                 index {next_lex} (re-run with `--resume` or a larger `--max-evals` \
-                 to continue)"
+                "note: {cause} — certified partial frontier over the {next_lex} \
+                 grid points decided (re-run with `--resume` or a larger \
+                 `--max-evals` to continue)"
             ))
         }
     }
@@ -647,7 +647,7 @@ fn cmd_submit(f: &Flags) -> Result<(), CliError> {
             if let ServedStatus::Stopped { cause, next_lex } = &frontier.status {
                 eprintln!(
                     "note: served sweep stopped ({cause}) — certified partial frontier \
-                     up to lexicographic index {next_lex} (resubmit with a larger \
+                     over the {next_lex} grid points decided (resubmit with a larger \
                      `--max-evals` to continue)"
                 );
             }

@@ -326,13 +326,6 @@ pub struct SearchStats {
     pub legs: usize,
 }
 
-impl SearchStats {
-    /// Whether a warm-started leg overrode the cold result.
-    pub fn warm_overrode(&self) -> bool {
-        self.winning_seed.is_some()
-    }
-}
-
 /// The enumerated candidate-move space of one (program, reuse, config).
 ///
 /// Depends on the program structure, the reuse analysis and the *shape* of
@@ -655,8 +648,9 @@ fn greedy_search(
 /// [`CostModel::evaluate`] + capacity check for every candidate move.
 ///
 /// Kept as the *oracle* implementation: [`greedy`] must produce the same
-/// outcome (see the equivalence tests), and the `bench` binary uses this
-/// path to measure how much the incremental evaluator buys.
+/// outcome. The equivalence tests compare against it (`sweep_cold` in
+/// `tests/sweep_equivalence.rs` runs it through
+/// [`Mhla::run_reference`](crate::Mhla::run_reference)).
 pub fn greedy_oracle(model: &CostModel<'_>, config: &MhlaConfig) -> SearchOutcome {
     let no_buffers = HashMap::new();
     let mut current = Assignment::baseline(model.program().array_count(), config.policy);

@@ -577,21 +577,12 @@ impl<'a> CostModel<'a> {
         }
     }
 
-    /// The whole-assignment energy sensitivity: per layer, the sum of
-    /// every array's [`ArrayContribution::energy_sensitivity`] — how many
-    /// write-energy units the assignment's total energy moves per unit of
-    /// the layer's write-energy delta. Used by the driver to record a
-    /// decision margin for the baseline-fallback comparison.
-    pub fn assignment_energy_sensitivity(&self, assignment: &Assignment) -> Vec<f64> {
-        let mut sens = Vec::new();
-        self.assignment_energy_sensitivity_into(assignment, &mut IncPool::default(), &mut sens);
-        sens
-    }
-
-    /// [`assignment_energy_sensitivity`](CostModel::assignment_energy_sensitivity)
-    /// accumulating into `out` through pooled scratch — the
-    /// allocation-free variant of the driver's baseline-fallback margin
-    /// computation. Bit-identical (same per-array summation order).
+    /// The whole-assignment energy sensitivity, written into `out` through
+    /// pooled scratch: per layer, the sum of every array's
+    /// [`ArrayContribution::energy_sensitivity`] — how many write-energy
+    /// units the assignment's total energy moves per unit of the layer's
+    /// write-energy delta. Used by the driver to record a decision margin
+    /// for the baseline-fallback comparison; allocation-free.
     pub(crate) fn assignment_energy_sensitivity_into(
         &self,
         assignment: &Assignment,
@@ -1293,19 +1284,10 @@ impl<'m, 'a> IncrementalCost<'m, 'a> {
         self.probe_events(array, &trial).ok()
     }
 
-    /// [`onchip_required_with`](IncrementalCost::onchip_required_with) with
-    /// the trial residents already computed.
-    pub fn onchip_required_with_residents(
-        &self,
-        array: ArrayId,
-        trial: &[(LayerId, Resident)],
-    ) -> Option<u64> {
-        self.probe_required(array, trial).ok()
-    }
-
-    /// [`onchip_required_with_residents`](Self::onchip_required_with_residents)
-    /// reporting the *first overflowing layer* (in platform order) and the
-    /// bytes the trial state needed there on failure. The greedy search
+    /// [`onchip_required_with`](Self::onchip_required_with) over trial
+    /// residents already computed, reporting the *first overflowing layer*
+    /// (in platform order) and the bytes the trial state needed there on
+    /// failure. The greedy search
     /// records these: a run whose failed probes all stopped at layers a
     /// grid sweep does not grow reproduces identically on the grown
     /// platform — the per-layer saturation argument of the pruned grid

@@ -480,9 +480,9 @@ impl<'a> Mhla<'a> {
     /// candidate move with the full [`CostModel::evaluate`] oracle
     /// ([`assign::greedy_oracle`]) instead of the incremental evaluator.
     ///
-    /// Produces the same result as [`run`](Mhla::run) (asserted by the
-    /// equivalence tests); kept so the `bench` binary can measure what
-    /// the incremental evaluator buys.
+    /// Produces the same result as [`run`](Mhla::run); kept as the oracle
+    /// the equivalence tests compare against (`sweep_cold` in
+    /// `tests/sweep_equivalence.rs`).
     pub fn run_reference(&self) -> MhlaResult {
         let model = self.cost_model();
         let outcome = match self.config.strategy {

@@ -57,7 +57,7 @@ pub enum MhlaError {
     },
     /// An exploration budget ([`ExploreBudget`](crate::explore::ExploreBudget))
     /// ran out before the sweep covered the grid. The partial result is
-    /// still a certified frontier over its committed lex prefix.
+    /// still a certified frontier over the points it decided.
     BudgetExhausted {
         /// What ran out ([`StopCause::MaxEvals`] or
         /// [`StopCause::Deadline`]).

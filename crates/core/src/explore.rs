@@ -105,7 +105,7 @@ use crate::workspace::EvalWorkspace;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StopCause {
     /// [`ExploreBudget::max_evals`] committed evaluations were reached.
-    /// The only *deterministic* stop: the committed prefix is a pure
+    /// The only *deterministic* stop: the decided points are a pure
     /// function of the inputs, independent of wall time and scheduling.
     MaxEvals,
     /// [`ExploreBudget::deadline`] passed.
@@ -116,11 +116,19 @@ pub enum StopCause {
 
 /// How far a (possibly budgeted) sweep got.
 ///
-/// `Stopped` carries everything needed to resume deterministically: the
-/// first lexicographic grid index **not** decided yet. Every point before
-/// `next_lex` is fully committed (evaluated, or — in the pruned sweep —
-/// skip-finalized), so the partial result's Pareto accessors select a
-/// *certified* frontier: provably the exact front of the decided prefix.
+/// A stopped grid or pruned sweep has decided a *down-set* of its grid:
+/// every point componentwise below a decided point is decided too. A cold
+/// run decides whole rank levels (points of equal fine-index sum) in
+/// ascending order and the budget cuts one level at a key-order position,
+/// so it stops with the lower levels plus a key-order prefix of one
+/// level; an improving run stops on a lexicographic prefix. The refined
+/// sweep decides its coarse grid and then each wave's new cell corners
+/// the same way, one batch at a time, and stops inside one batch. Each
+/// decided point is committed (searched, or replayed from a resumed
+/// prior) or — in the pruned and refined sweeps — certified dominated by
+/// a committed point below it, so the partial result's Pareto accessors
+/// select a *certified* frontier: provably the exact front of the decided
+/// points.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SweepStatus {
     /// The whole grid was covered.
@@ -130,9 +138,12 @@ pub enum SweepStatus {
     Stopped {
         /// What stopped the sweep.
         cause: StopCause,
-        /// First lexicographic grid index not yet decided — pass the run
-        /// back to the matching `try_*_resume` entry point to continue
-        /// from exactly here.
+        /// The number of points decided (the refined sweep counts its
+        /// committed points; see each result's `status`). Only in
+        /// [`SearchMode::Improving`] on the grid and pruned sweeps is it
+        /// also the first lexicographic grid index not decided. Pass the
+        /// run back to the matching `try_*_resume` entry point to
+        /// continue from exactly here.
         next_lex: usize,
     },
 }
@@ -143,7 +154,7 @@ impl SweepStatus {
         matches!(self, SweepStatus::Complete)
     }
 
-    /// The resume cursor of a stopped sweep (`None` when complete).
+    /// The decided-point count of a stopped sweep (`None` when complete).
     pub fn next_lex(&self) -> Option<usize> {
         match *self {
             SweepStatus::Complete => None,
@@ -156,26 +167,30 @@ impl SweepStatus {
 /// [`SweepOptions::budget`] / [`PruneOptions::budget`]. All three limits
 /// are optional and combine; the default is unlimited.
 ///
-/// On exhaustion the sweep does **not** error: it stops at a
-/// fully-committed lexicographic prefix and returns its result with
+/// The budget is checked for each point as the certified loop queues it
+/// for a search, so a stop cuts a rank level at a key-order position. The
+/// points already queued are searched and committed before the sweep
+/// returns. On exhaustion the sweep does **not** error: it stops on a
+/// decided down-set of the grid and returns its result with
 /// [`SweepStatus::Stopped`] — a certified partial frontier plus the
-/// resume cursor. Callers that need an all-or-nothing answer use
-/// [`GridSweepRun::require_complete`] /
-/// [`PrunedGridSweep::require_complete`] to turn a stop into a typed
+/// decided count. Callers that need an all-or-nothing answer use
+/// [`GridSweepRun::require_complete`] to turn a stop into a typed
 /// [`MhlaError`].
 #[derive(Clone, Debug, Default)]
 pub struct ExploreBudget {
     /// Maximum points *searched* in this call (points the pruned and
     /// refined sweeps certify without a search, and points replayed from
     /// a resumed prior run, are free). Deterministic: the same inputs stop
-    /// at the same point on every machine.
+    /// at the same point on every machine, cutting a rank level at a
+    /// fixed key-order position.
     pub max_evals: Option<usize>,
-    /// Hard wall-clock deadline. Checked before each search; an in-flight
-    /// search is never aborted, so the sweep can overshoot by roughly one
-    /// point (a budgeted run searches one point at a time).
+    /// Hard wall-clock deadline. Checked as each point is queued for a
+    /// search; queued and in-flight searches are never aborted, so the
+    /// sweep can overshoot by one rank level's searches (one search in
+    /// [`SearchMode::Improving`]).
     pub deadline: Option<Instant>,
     /// Cooperative cancellation: raise the flag from another thread and
-    /// the sweep stops at the next check, returning the committed prefix.
+    /// the sweep stops at the next check, returning the decided points.
     pub cancel: Option<Arc<AtomicBool>>,
 }
 
@@ -197,11 +212,6 @@ impl ExploreBudget {
             max_evals: Some(n),
             ..ExploreBudget::default()
         }
-    }
-
-    /// Whether no limit is set at all.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_evals.is_none() && self.deadline.is_none() && self.cancel.is_none()
     }
 
     /// Whether the budget stops further evaluations after `committed`
@@ -429,9 +439,7 @@ pub enum SeedOrigin {
 /// **Determinism guarantee:** the engine searches every point, and each
 /// point's result depends only on the point and — in
 /// [`SearchMode::Improving`] — on the points before it in lexicographic
-/// order. The schedule (rank levels on the calling thread and its
-/// helpers, or one point per step) and the core count change only wall
-/// time.
+/// order. The core count changes only wall time.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct SweepOptions {
     /// Unused: no code reads this field, and its value changes nothing —
@@ -442,8 +450,8 @@ pub struct SweepOptions {
     /// bit-identical to a standalone [`Mhla::run`]).
     pub mode: SearchMode,
     /// The exploration budget (default unlimited). On exhaustion the
-    /// sweep stops at a fully-committed lexicographic prefix and reports
-    /// it through [`GridSweepRun::status`] — see [`ExploreBudget`].
+    /// sweep stops on a decided down-set of the grid and reports it
+    /// through [`GridSweepRun::status`] — see [`ExploreBudget`].
     pub budget: ExploreBudget,
 }
 
@@ -534,6 +542,13 @@ fn clean_capacities(capacities: &[u64]) -> Vec<u64> {
     caps.sort_unstable();
     caps.dedup();
     caps
+}
+
+/// Every axis's capacities, cleaned ([`clean_capacities`]).
+fn clean_axes(axes: &[GridAxis]) -> Vec<Vec<u64>> {
+    axes.iter()
+        .map(|a| clean_capacities(&a.capacities))
+        .collect()
 }
 
 /// One axis of a layer-size grid sweep: the on-chip layer to resize and
@@ -661,25 +676,6 @@ fn grid_tie(p: &GridPoint) -> (u64, &[u64]) {
     (p.total_capacity(), &p.capacities)
 }
 
-/// Cartesian product of the outer axes, lexicographic. An empty axis list
-/// yields one empty prefix (the 1-axis degenerate case).
-fn cartesian(axes: &[Vec<u64>]) -> Vec<Vec<u64>> {
-    let mut out = vec![Vec::new()];
-    for axis in axes {
-        out = out
-            .iter()
-            .flat_map(|prefix| {
-                axis.iter().map(move |&c| {
-                    let mut p = prefix.clone();
-                    p.push(c);
-                    p
-                })
-            })
-            .collect();
-    }
-    out
-}
-
 /// Result of [`try_sweep_grid_run`]: the grid sweep plus the engine's
 /// per-mode bookkeeping — the data the `grid4` bench's mode columns and
 /// the improving-vs-cold comparisons are built from.
@@ -703,12 +699,12 @@ pub struct GridSweepRun {
     /// evaluates).
     pub candidates: usize,
     /// How far the sweep got. Always [`SweepStatus::Complete`] under an
-    /// unlimited [`SweepOptions::budget`]; when `Stopped`, the points are
-    /// the fully-committed lexicographic prefix `order[..next_lex]` —
-    /// the sweep's Pareto accessors then select the *certified* partial
-    /// frontier of exactly that prefix, and
-    /// [`try_sweep_grid_resume`] continues from `next_lex`
-    /// deterministically.
+    /// unlimited [`SweepOptions::budget`]; when `Stopped`, the `next_lex`
+    /// points are the decided down-set of the grid — whole rank levels
+    /// plus a key-order prefix of one level in [`SearchMode::Cold`], a
+    /// lexicographic prefix in [`SearchMode::Improving`] — so the sweep's
+    /// Pareto accessors select the *certified* partial frontier of exactly
+    /// that set, and [`try_sweep_grid_resume`] continues deterministically.
     pub status: SweepStatus,
 }
 
@@ -749,10 +745,10 @@ impl GridSweepRun {
 /// certified loop of [`try_sweep_grid_pruned_with`] with its saturation
 /// certificates off, so that every point is searched. Production path:
 /// one shared [`ExplorationContext`] (reuse analysis, program facts, TE
-/// caches, move space computed once); a cold run without a budget
-/// searches one rank level at a time on the calling thread and helper
-/// threads, any other run one point at a time in lexicographic order (see
-/// the pruned sweep's *One certified loop*). In [`SearchMode::Cold`] each
+/// caches, move space computed once); a cold run searches one rank level
+/// at a time on the calling thread and helper threads, an improving run
+/// one point at a time in lexicographic order (see the pruned sweep's
+/// *One certified loop*). In [`SearchMode::Cold`] each
 /// point's result is bit-identical to a cold standalone [`Mhla::run`] on
 /// the same platform, and a 1-axis grid is exactly [`try_sweep_with`] —
 /// both asserted by the equivalence tests.
@@ -838,27 +834,29 @@ fn exhaustive_grid(
     })
 }
 
-/// Resumes a stopped [`try_sweep_grid_run`] from its recorded cursor and
-/// returns the *merged* run (prior points plus the continuation), again
-/// budget-aware: `opts.budget` bounds the continuation, so repeated
-/// resumes cover the grid in installments.
+/// Resumes a stopped [`try_sweep_grid_run`] and returns the *merged* run
+/// (prior points plus the continuation), again budget-aware:
+/// `opts.budget` bounds the continuation, so repeated resumes cover the
+/// grid in installments.
 ///
 /// Must be called with the same program/platform/axes/config/options the
 /// prior run used (checked where cheaply possible). Resuming a
 /// [`SweepStatus::Complete`] run returns it unchanged.
 ///
-/// The continuation replays the prior's points in place (in
-/// [`SearchMode::Improving`] they seed their successors exactly as they
-/// did), so the merged run — points, [`evals`](GridSweepRun::evals),
-/// [`seed_wins`](GridSweepRun::seed_wins) and
-/// [`winners`](GridSweepRun::winners) — is bit-identical to the
+/// The continuation re-runs the schedule with the prior's points replayed
+/// in place (in [`SearchMode::Improving`] they seed their successors
+/// exactly as they did), so the merged run — points,
+/// [`evals`](GridSweepRun::evals), [`seed_wins`](GridSweepRun::seed_wins)
+/// and [`winners`](GridSweepRun::winners) — is bit-identical to the
 /// uninterrupted run in both modes.
 ///
 /// # Errors
 ///
-/// As [`try_sweep_grid_run`], plus [`MhlaError::InvalidOptions`] when `prior`
-/// does not match the given axes (different layers, or points that are
-/// not the expected lexicographic prefix).
+/// As [`try_sweep_grid_run`], plus [`MhlaError::InvalidOptions`] when
+/// `prior` does not fit the given axes: other layers, counts that
+/// disagree with its points or the grid, or a point that is off the grid,
+/// listed twice, or not among the points the schedule decides before its
+/// first fresh search.
 pub fn try_sweep_grid_resume(
     program: &Program,
     platform: &Platform,
@@ -869,23 +867,18 @@ pub fn try_sweep_grid_resume(
 ) -> Result<GridSweepRun, MhlaError> {
     error::validate_run_ingress(program, platform, config)?;
     error::validate_axes(platform, axes)?;
-    let start = match prior.status {
+    let next_lex = match prior.status {
         SweepStatus::Complete => return Ok(prior.clone()),
         SweepStatus::Stopped { next_lex, .. } => next_lex,
     };
-    let layers: Vec<LayerId> = axes.iter().map(|a| a.layer).collect();
-    let axis_caps: Vec<Vec<u64>> = axes
-        .iter()
-        .map(|a| clean_capacities(&a.capacities))
-        .collect();
-    check_resume_prefix(
-        &layers,
-        &cartesian(&axis_caps),
-        &prior.sweep.layers,
-        prior.sweep.points.iter().map(|p| p.capacities.as_slice()),
-        prior.sweep.points.len(),
-        start,
-    )?;
+    check_prior_layers(axes, &prior.sweep.layers)?;
+    let points = prior.sweep.points.len();
+    if next_lex != points
+        || prior.winners.len() != points
+        || lattice_points(&clean_axes(axes), 0) != Some(prior.candidates as u64)
+    {
+        return Err(bad_prior("the prior run's counts do not match this grid"));
+    }
     let replay = Replay {
         points: &prior.sweep.points,
         run_stats: &[],
@@ -897,41 +890,19 @@ pub fn try_sweep_grid_resume(
     exhaustive_grid(&ctx, platform, axes, opts, Some(replay))
 }
 
-/// The shared sanity check of the resume entry points: the prior run
-/// must have been produced on the same grid (same layers) and its points
-/// must sit where the recorded cursor says they do.
-fn check_resume_prefix<'p>(
-    layers: &[LayerId],
-    order: &[Vec<u64>],
-    prior_layers: &[LayerId],
-    prior_points: impl Iterator<Item = &'p [u64]>,
-    prior_count: usize,
-    next_lex: usize,
-) -> Result<(), MhlaError> {
-    if prior_layers != layers {
-        return Err(MhlaError::InvalidOptions {
-            what: "resume: the prior run swept different layers".into(),
-        });
+/// [`MhlaError::InvalidOptions`] for a resume whose prior run does not fit
+/// the grid it is resumed on.
+fn bad_prior(why: &str) -> MhlaError {
+    MhlaError::InvalidOptions {
+        what: format!("resume: {why}"),
     }
-    if next_lex > order.len() || prior_count > next_lex {
-        return Err(MhlaError::InvalidOptions {
-            what: format!(
-                "resume: cursor {next_lex} / {} points do not fit a {}-point grid",
-                prior_count,
-                order.len()
-            ),
-        });
-    }
-    // The evaluated points are a lexicographic subsequence of the decided
-    // prefix (the pruned sweep skips some of it), so one merge walk
-    // verifies membership in linear time.
-    let mut cursor = order[..next_lex].iter();
-    for caps in prior_points {
-        if !cursor.any(|o| o == caps) {
-            return Err(MhlaError::InvalidOptions {
-                what: "resume: a prior point is not on the grid's decided prefix".into(),
-            });
-        }
+}
+
+/// The layer check every resume entry makes: the prior run swept the
+/// same layers, in the same axis order.
+fn check_prior_layers(axes: &[GridAxis], prior_layers: &[LayerId]) -> Result<(), MhlaError> {
+    if prior_layers.iter().ne(axes.iter().map(|a| &a.layer)) {
+        return Err(bad_prior("the prior run swept different layers"));
     }
     Ok(())
 }
@@ -1162,12 +1133,12 @@ pub struct PrunedGridSweep {
     /// Points whose committed result came from a warm seed instead of the
     /// cold leg — always `0` in [`SearchMode::Cold`].
     pub seed_wins: usize,
-    /// How far the sweep got. When `Stopped`, every point before
-    /// `next_lex` is *decided* — evaluated or skipped against committed
-    /// evaluations inside the prefix — so `next_lex` is
+    /// How far the sweep got. When `Stopped`, the run decided a down-set
+    /// of the grid (see [`SweepStatus`]) — each point evaluated, or
+    /// skipped against a committed evaluation below it — so `next_lex` is
     /// `stats.evaluated + stats.skipped()` and the losslessness argument
-    /// applies to the prefix verbatim: the result's Pareto accessors
-    /// select the certified frontier of the decided prefix, and
+    /// applies to the decided set verbatim: the result's Pareto accessors
+    /// select the certified frontier of that set, and
     /// [`try_sweep_grid_pruned_resume`] continues deterministically.
     pub status: SweepStatus,
     /// Resume state of a stopped run (empty when
@@ -1177,34 +1148,10 @@ pub struct PrunedGridSweep {
 }
 
 impl PrunedGridSweep {
-    /// The run if it completed, a typed error if it was interrupted —
-    /// for callers that need an all-or-nothing answer.
-    ///
-    /// # Errors
-    ///
-    /// [`MhlaError::BudgetExhausted`] / [`MhlaError::Cancelled`].
-    pub fn require_complete(self) -> Result<Self, MhlaError> {
-        match self.status {
-            SweepStatus::Complete => Ok(self),
-            SweepStatus::Stopped {
-                cause: StopCause::Cancelled,
-                ..
-            } => Err(MhlaError::Cancelled {
-                committed: self.stats.evaluated,
-                total: self.stats.candidates,
-            }),
-            SweepStatus::Stopped { cause, .. } => Err(MhlaError::BudgetExhausted {
-                cause,
-                committed: self.stats.evaluated,
-                total: self.stats.candidates,
-            }),
-        }
-    }
-
     /// The pruned view of a depth-0 refinement: its lattice is the grid,
     /// its certified corners are the skipped points, and — every decided
-    /// point being committed or certified, in lexicographic order — a
-    /// stop's cursor is the decided count.
+    /// point being committed or certified — a stop's cursor is the
+    /// decided count.
     fn from_depth_0(run: RefinedGridSweep) -> Self {
         let s = run.stats;
         let status = match run.status {
@@ -1242,9 +1189,9 @@ pub struct PruneOptions {
     /// [`try_sweep_grid_pruned_with`]'s *Improving mode* section.
     pub mode: SearchMode,
     /// The exploration budget (default unlimited): `max_evals` bounds
-    /// searches — prune skips are free — and the stop lands on a
-    /// fully-decided lexicographic prefix, so the partial frontier stays
-    /// certified (see [`PrunedGridSweep::status`]).
+    /// searches — prune skips are free — and the stop lands on a decided
+    /// down-set of the grid, so the partial frontier stays certified (see
+    /// [`PrunedGridSweep::status`]).
     pub budget: ExploreBudget,
 }
 
@@ -1322,16 +1269,24 @@ impl PruneOptions {
 /// step's points against the committed state, search the others, commit
 /// the results in key order. Points of equal fine-index sum — one *rank
 /// level* — are mutually incomparable, so none certifies another. A cold
-/// run with an unlimited budget takes one rank level per step, levels
-/// ascending, and searches the level's points at the same time on the
-/// calling thread and up to `available_parallelism() - 1` helper
-/// threads. The helpers live for one call; they start once the caller
-/// has spent 1 ms alone on searches a helper could have taken, so small
-/// grids never pay for them. Every other run — [`SearchMode::Improving`],
-/// or any [`ExploreBudget`], even `max_evals(usize::MAX)` — takes one
-/// point per step in lexicographic order, so a budget stops on a decided
-/// lexicographic prefix ([`SweepStatus::next_lex`]). Points, statistics
-/// and frontiers are the same for every schedule and core count.
+/// run takes one rank level per step, levels ascending, and searches the
+/// level's points at the same time on the calling thread and up to
+/// `available_parallelism() - 1` helper threads. The helpers live for one
+/// call; they start once the caller has spent 1 ms alone on searches a
+/// helper could have taken, so small grids never pay for them.
+/// [`SearchMode::Improving`] takes one point per step in lexicographic
+/// order, because a point's seeds are the points committed before it.
+///
+/// The budget is checked for each point as a step queues it for a
+/// search, and the points already queued are searched and committed
+/// before the stop returns. A stopped cold run has therefore decided the
+/// lower rank levels plus a key-order prefix of one level — `max_evals`
+/// cuts that level at a fixed position, and a deadline or a cancel flag
+/// usually stops before the next level's searches start. That set is
+/// down-closed: it holds everything componentwise below each of its
+/// points, so its certificates are exactly those of the uninterrupted
+/// run, and a resume that replays it re-derives the same state. Points,
+/// statistics and frontiers are the same for every core count.
 ///
 /// Measured back to back on one 2-core machine (release build, parent
 /// commit first; the one-point-per-step loop before, rank levels after):
@@ -1362,9 +1317,7 @@ impl PruneOptions {
 /// As [`try_sweep_grid_run`], plus [`MhlaError::InvalidOptions`] for a
 /// grid with more points than a `u64` holds. Budget exhaustion is *not*
 /// an error — the run comes back `Ok` with [`SweepStatus::Stopped`] and a
-/// certified partial frontier (see [`PrunedGridSweep::status`]); use
-/// [`PrunedGridSweep::require_complete`] to promote a stop into a typed
-/// error.
+/// certified partial frontier (see [`PrunedGridSweep::status`]).
 pub fn try_sweep_grid_pruned_with(
     program: &Program,
     platform: &Platform,
@@ -1377,11 +1330,10 @@ pub fn try_sweep_grid_pruned_with(
     prune_grid(program, platform, axes, config, opts, None)
 }
 
-/// Resumes a stopped [`try_sweep_grid_pruned_with`] from its recorded
-/// cursor and returns the *merged* run, again budget-aware. Must be
-/// called with the same program/platform/axes/config/options the prior
-/// run used (checked where cheaply possible); resuming a complete run
-/// returns it unchanged.
+/// Resumes a stopped [`try_sweep_grid_pruned_with`] and returns the
+/// *merged* run, again budget-aware. Must be called with the same
+/// program/platform/axes/config/options the prior run used (checked where
+/// cheaply possible); resuming a complete run returns it unchanged.
 ///
 /// The deterministic scheduler re-runs from the start with the prior
 /// run's committed points replayed for free (the budget counts fresh
@@ -1392,7 +1344,8 @@ pub fn try_sweep_grid_pruned_with(
 /// # Errors
 ///
 /// As [`try_sweep_grid_pruned_with`], plus [`MhlaError::InvalidOptions`]
-/// when `prior` does not match the given axes.
+/// when `prior` does not fit the given axes (as
+/// [`try_sweep_grid_resume`], with [`PruneStats`] as its counts).
 pub fn try_sweep_grid_pruned_resume(
     program: &Program,
     platform: &Platform,
@@ -1407,29 +1360,14 @@ pub fn try_sweep_grid_pruned_resume(
         SweepStatus::Complete => return Ok(prior.clone()),
         SweepStatus::Stopped { next_lex, .. } => next_lex,
     };
-    let layers: Vec<LayerId> = axes.iter().map(|a| a.layer).collect();
-    let axis_caps: Vec<Vec<u64>> = axes
-        .iter()
-        .map(|a| clean_capacities(&a.capacities))
-        .collect();
-    let order = cartesian(&axis_caps);
-    check_resume_prefix(
-        &layers,
-        &order,
-        &prior.sweep.layers,
-        prior.sweep.points.iter().map(|p| p.capacities.as_slice()),
-        prior.sweep.points.len(),
-        next_lex,
-    )?;
+    check_prior_layers(axes, &prior.sweep.layers)?;
     let stats = prior.stats;
-    if stats.candidates != order.len()
+    if lattice_points(&clean_axes(axes), 0) != Some(stats.candidates as u64)
         || stats.evaluated != prior.sweep.points.len()
         || stats.evaluated + stats.skipped() != next_lex
         || prior.checkpoint.run_stats.len() != prior.sweep.points.len()
     {
-        return Err(MhlaError::InvalidOptions {
-            what: "resume: the prior run's bookkeeping does not match this grid".into(),
-        });
+        return Err(bad_prior("the prior run's counts do not match this grid"));
     }
     let replay = Replay {
         points: &prior.sweep.points,
@@ -1485,8 +1423,8 @@ pub struct RefineOptions {
     /// The exploration budget (default unlimited): `max_evals` bounds
     /// *fresh* searches in this call — points replayed from a resumed
     /// prior run and points certified without a search are free — and
-    /// the stop lands before a search, every earlier point of its batch
-    /// decided, resumable via [`try_sweep_grid_refined_resume`].
+    /// the stop lands between searches, inside one batch of the loop (see
+    /// [`SweepStatus`]), resumable via [`try_sweep_grid_refined_resume`].
     pub budget: ExploreBudget,
 }
 
@@ -1582,33 +1520,6 @@ pub struct RefinedGridSweep {
     checkpoint: RefineCheckpoint,
 }
 
-impl RefinedGridSweep {
-    /// The run if it completed, a typed error if it was interrupted —
-    /// for callers that need an all-or-nothing answer.
-    ///
-    /// # Errors
-    ///
-    /// [`MhlaError::BudgetExhausted`] / [`MhlaError::Cancelled`].
-    pub fn require_complete(self) -> Result<Self, MhlaError> {
-        let total = usize::try_from(self.stats.virtual_points).unwrap_or(usize::MAX);
-        match self.status {
-            SweepStatus::Complete => Ok(self),
-            SweepStatus::Stopped {
-                cause: StopCause::Cancelled,
-                ..
-            } => Err(MhlaError::Cancelled {
-                committed: self.stats.evaluated,
-                total,
-            }),
-            SweepStatus::Stopped { cause, .. } => Err(MhlaError::BudgetExhausted {
-                cause,
-                committed: self.stats.evaluated,
-                total,
-            }),
-        }
-    }
-}
-
 /// What a stopped refinement carries to resume exactly: each committed
 /// point's [`RunStats`] (the saturation certificates need the constraint
 /// masks and rejection floors; everything else is rebuilt by re-running
@@ -1681,15 +1592,21 @@ fn refine_axis_len(coarse: &[u64], depth: usize) -> u64 {
     })
 }
 
+/// Points of the depth-`depth` refinement lattice over the cleaned
+/// `coarse` axes (the grid itself at depth 0), counted without building
+/// it; `None` when they overflow a `u64`.
+fn lattice_points(coarse: &[Vec<u64>], depth: usize) -> Option<u64> {
+    coarse.iter().try_fold(1u64, |total, axis| {
+        total.checked_mul(refine_axis_len(axis, depth))
+    })
+}
+
 /// The refined axes of a refinement over the cleaned `coarse` axes, or
 /// [`MhlaError::InvalidOptions`] when their lattice has more points than
 /// a `u64` holds (the scheduler packs lattice points into `u64` keys) —
 /// checked before anything is built.
 fn fine_axes(coarse: &[Vec<u64>], depth: usize) -> Result<Vec<Vec<u64>>, MhlaError> {
-    let points = coarse.iter().try_fold(1u64, |total, axis| {
-        total.checked_mul(refine_axis_len(axis, depth))
-    });
-    if points.is_none() {
+    if lattice_points(coarse, depth).is_none() {
         return Err(MhlaError::InvalidOptions {
             what: format!("the depth-{depth} refinement lattice has more than u64::MAX points"),
         });
@@ -1743,12 +1660,18 @@ impl<'a> Lattice<'a> {
         self.fine.iter().map(|a| a.len() as u64).product()
     }
 
-    /// The key of the point at fine indices `idx`.
-    fn key(&self, idx: &[usize]) -> u64 {
-        idx.iter()
+    /// The key of the capacity vector `caps`, or `None` when it is not a
+    /// lattice point.
+    fn key_of(&self, caps: &[u64]) -> Option<u64> {
+        if caps.len() != self.fine.len() {
+            return None;
+        }
+        caps.iter()
+            .zip(self.fine)
             .zip(&self.strides)
-            .map(|(&i, &s)| i as u64 * s)
-            .sum()
+            .try_fold(0, |key, ((c, axis), &s)| {
+                Some(key + axis.binary_search(c).ok()? as u64 * s)
+            })
     }
 
     /// Unpacks `key` into per-axis fine indices.
@@ -2063,29 +1986,34 @@ struct RefineState {
 }
 
 impl RefineState {
-    fn new(rf: &Refinement<'_>, prior: Option<Replay<'_>>) -> Self {
+    /// The state a run starts from: empty, or a resumed `prior`'s points
+    /// waiting to be replayed. A prior point off the lattice, or listed
+    /// twice, makes the prior invalid.
+    fn new(rf: &Refinement<'_>, prior: Option<Replay<'_>>) -> Result<Self, MhlaError> {
         let lat = &rf.lattice;
         let mut replay = HashMap::new();
         let (mut search_legs, mut seed_wins) = (0, 0);
         if let Some(p) = prior {
             for (i, pt) in p.points.iter().enumerate() {
-                let idx: Vec<usize> = pt
-                    .capacities
-                    .iter()
-                    .zip(lat.fine)
-                    .map(|(&c, axis)| axis.partition_point(|&x| x < c))
-                    .collect();
+                let key = lat
+                    .key_of(&pt.capacities)
+                    .ok_or_else(|| bad_prior("a prior point is off this lattice"))?;
                 let run = p
                     .run_stats
                     .get(i)
                     .cloned()
                     .unwrap_or_else(RunStats::unknown);
                 let winner = p.winners.get(i).copied().flatten();
-                replay.insert(lat.key(&idx), (pt.result.clone(), run, winner));
+                if replay
+                    .insert(key, (pt.result.clone(), run, winner))
+                    .is_some()
+                {
+                    return Err(bad_prior("a prior point is listed twice"));
+                }
             }
             (search_legs, seed_wins) = (p.search_legs, p.seed_wins);
         }
-        RefineState {
+        Ok(RefineState {
             replay,
             seeds: SeedCache::new(),
             last_committed: None,
@@ -2098,7 +2026,7 @@ impl RefineState {
             fresh: 0,
             seed_wins,
             search_legs,
-        }
+        })
     }
 
     /// Commits the point `key` with its search outcome — a `fresh` search,
@@ -2424,16 +2352,22 @@ impl<'e> SweepEngine<'e> {
     /// A certificate only reads committed points componentwise below the
     /// point, and points of equal fine-index sum (one *rank level*) are
     /// mutually incomparable, so any order that decides a point after its
-    /// whole down-set decides it identically. A cold run with an
-    /// unlimited budget therefore takes one rank level per step — levels
-    /// ascending, keys ascending inside a level — and its searches run
-    /// concurrently. Every other run takes one point per step in key
-    /// order: an improving search reads the seeds committed before it,
-    /// and a budget stops on a key-order prefix. Returns `Some(cause)`
-    /// when the budget, which counts fresh searches only, stops the batch
-    /// before a search: everything decided so far is final, the rest of
-    /// the batch is undecided. Either way the loop never searches a point
-    /// the committed state already certifies.
+    /// whole down-set decides it identically. A cold run therefore takes
+    /// one rank level per step — levels ascending, keys ascending inside a
+    /// level — and its searches run concurrently. An improving run takes
+    /// one point per step in key order: its search reads the seeds
+    /// committed before it.
+    ///
+    /// The budget, which counts fresh searches only, is checked for each
+    /// point as it is queued. When it stops, the queued points are still
+    /// searched and committed, and `Ok(Some(cause))` returns: the lower
+    /// levels and a key-order prefix of one level are decided, the rest of
+    /// the batch is not. Either way the loop never searches a point the
+    /// committed state already certifies.
+    ///
+    /// A resumed prior's points all come up before the first fresh
+    /// search of a resume; one that comes up later makes the prior
+    /// invalid ([`MhlaError::InvalidOptions`]).
     fn refine_eval_batch(
         &self,
         rf: &Refinement<'_>,
@@ -2442,7 +2376,7 @@ impl<'e> SweepEngine<'e> {
         budget: &ExploreBudget,
         st: &mut RefineState,
         pool: &mut Helpers<'_, '_, u64, (MhlaResult, RunStats)>,
-    ) -> Option<StopCause> {
+    ) -> Result<Option<StopCause>, MhlaError> {
         let lat = &rf.lattice;
         let n = lat.fine.len();
         // Every point's fine indices, unpacked once.
@@ -2450,7 +2384,7 @@ impl<'e> SweepEngine<'e> {
         for (&(key, _), at) in batch.iter().zip(idx.chunks_exact_mut(n)) {
             lat.unpack(key, at);
         }
-        let by_level = !rf.improving && budget.is_unlimited();
+        let by_level = !rf.improving;
         let rank: Vec<usize> = idx
             .chunks_exact(n)
             .map(|at| if by_level { at.iter().sum() } else { 0 })
@@ -2470,12 +2404,16 @@ impl<'e> SweepEngine<'e> {
             next[r] += 1;
         }
         let mut queued: Vec<(u64, usize)> = Vec::new();
+        let mut stop = None;
         for step in order.chunk_by(|&a, &b| by_level && rank[a] == rank[b]) {
             queued.clear();
             for &p in step {
                 let (key, parent) = batch[p];
                 debug_assert!(!st.decided.contains(&key), "batch points are undecided");
                 if let Some(replayed) = st.replay.remove(&key) {
+                    if st.fresh > 0 || !queued.is_empty() {
+                        return Err(late_prior_point());
+                    }
                     st.commit(rf, key, lat.caps(key), replayed, false);
                     continue;
                 }
@@ -2484,9 +2422,9 @@ impl<'e> SweepEngine<'e> {
                     st.corners_certified += 1;
                     continue;
                 }
-                // Only one-point steps can stop: rank levels run unbudgeted.
-                if let Some(cause) = budget.stop(st.fresh) {
-                    return Some(cause);
+                stop = budget.stop(st.fresh + queued.len());
+                if stop.is_some() {
+                    break;
                 }
                 queued.push((key, parent));
             }
@@ -2504,8 +2442,11 @@ impl<'e> SweepEngine<'e> {
             for (&(key, _), searched) in queued.iter().zip(outcomes) {
                 st.commit(rf, key, lat.caps(key), searched, true);
             }
+            if stop.is_some() {
+                break;
+            }
         }
-        None
+        Ok(stop)
     }
 
     /// One improving-mode search of the point `key`, generated by cell
@@ -2549,7 +2490,9 @@ impl<'e> SweepEngine<'e> {
     /// With a `prior` run, its committed points replay for free at the
     /// positions the uninterrupted schedule evaluated them, so the
     /// continuation re-derives the identical state and the merged result
-    /// is bit-identical to the uninterrupted run's.
+    /// is bit-identical to the uninterrupted run's. A prior whose points
+    /// are not exactly those the schedule decides before its first fresh
+    /// search is refused with [`MhlaError::InvalidOptions`].
     ///
     /// The exploration's cold searches run on the caller and on helper
     /// threads ([`Helpers`]) that live as long as this call. Returns the
@@ -2560,7 +2503,7 @@ impl<'e> SweepEngine<'e> {
         opts: &RefineOptions,
         certify: bool,
         prior: Option<Replay<'_>>,
-    ) -> (RefinedGridSweep, Vec<Option<SeedOrigin>>) {
+    ) -> Result<(RefinedGridSweep, Vec<Option<SeedOrigin>>), MhlaError> {
         let config = self.ctx.config();
         let rf = Refinement {
             lattice: Lattice::new(self.axis_caps, self.layers, coarse_axes),
@@ -2581,10 +2524,10 @@ impl<'e> SweepEngine<'e> {
         opts: &RefineOptions,
         prior: Option<Replay<'_>>,
         pool: &mut Helpers<'_, '_, u64, (MhlaResult, RunStats)>,
-    ) -> (RefinedGridSweep, Vec<Option<SeedOrigin>>) {
+    ) -> Result<(RefinedGridSweep, Vec<Option<SeedOrigin>>), MhlaError> {
         let lat = &rf.lattice;
         let n = lat.fine.len();
-        let mut st = RefineState::new(rf, prior);
+        let mut st = RefineState::new(rf, prior)?;
         let mut stats = RefineStats {
             virtual_points: lat.points(),
             ..RefineStats::default()
@@ -2596,7 +2539,7 @@ impl<'e> SweepEngine<'e> {
         lat.for_each_key(&lat.coarse, &mut |key| coarse.push((key, 0)));
         stats.coarse_points = coarse.len();
         if let Some(cause) =
-            self.refine_eval_batch(rf, &coarse, &RefineSeeds::Grid, &opts.budget, &mut st, pool)
+            self.refine_eval_batch(rf, &coarse, &RefineSeeds::Grid, &opts.budget, &mut st, pool)?
         {
             let next_lex = st.points.len();
             return self.assemble_refined(
@@ -2691,7 +2634,7 @@ impl<'e> SweepEngine<'e> {
                 &opts.budget,
                 &mut st,
                 pool,
-            ) {
+            )? {
                 let next_lex = st.points.len();
                 status = SweepStatus::Stopped { cause, next_lex };
                 break;
@@ -2705,14 +2648,18 @@ impl<'e> SweepEngine<'e> {
     /// Final assembly: points (and their aligned [`RunStats`] and
     /// winners) sorted lexicographically so the result — like every grid
     /// sweep — is independent of the commit schedule, checkpoint kept
-    /// only on a stop.
+    /// only on a stop. A resumed prior point that never came up makes the
+    /// prior invalid.
     fn assemble_refined(
         &self,
         st: RefineState,
         mut stats: RefineStats,
         waves: usize,
         status: SweepStatus,
-    ) -> (RefinedGridSweep, Vec<Option<SeedOrigin>>) {
+    ) -> Result<(RefinedGridSweep, Vec<Option<SeedOrigin>>), MhlaError> {
+        if !st.replay.is_empty() {
+            return Err(late_prior_point());
+        }
         stats.evaluated = st.points.len();
         stats.corners_certified = st.corners_certified;
         let mut zipped: Vec<((GridPoint, RunStats), Option<SeedOrigin>)> = st
@@ -2740,7 +2687,7 @@ impl<'e> SweepEngine<'e> {
             status,
             checkpoint,
         };
-        (run, winners)
+        Ok((run, winners))
     }
 }
 
@@ -2764,8 +2711,8 @@ impl<'e> SweepEngine<'e> {
 /// decided against everything committed before it — certified when a
 /// committed run's box contains it, searched and committed otherwise — so
 /// no search lands on a point the committed state already certifies. A
-/// cold, unbudgeted batch is decided one rank level at a time, with the
-/// level's searches running concurrently; other runs step through it one
+/// cold batch is decided one rank level at a time, with the level's
+/// searches running concurrently; an improving run steps through it one
 /// point at a time in ascending key order (see
 /// [`try_sweep_grid_pruned_with`]'s *One certified loop*, which is this
 /// scheduler at depth 0, where the lattice is the grid itself).
@@ -2790,9 +2737,7 @@ impl<'e> SweepEngine<'e> {
 /// out-of-range subdivision depth (depth 0 is
 /// [`try_sweep_grid_pruned_with`]) or a fine lattice with more points
 /// than a `u64` holds. Budget exhaustion is *not* an error — the run
-/// comes back `Ok` with [`SweepStatus::Stopped`]; use
-/// [`RefinedGridSweep::require_complete`] to promote a stop into a typed
-/// error.
+/// comes back `Ok` with [`SweepStatus::Stopped`].
 pub fn try_sweep_grid_refined_with(
     program: &Program,
     platform: &Platform,
@@ -2820,8 +2765,9 @@ pub fn try_sweep_grid_refined_with(
 /// # Errors
 ///
 /// As [`try_sweep_grid_refined_with`], plus
-/// [`MhlaError::InvalidOptions`] when `prior` does not match the given
-/// axes and depth.
+/// [`MhlaError::InvalidOptions`] when `prior` does not fit the given axes
+/// and depth (as [`try_sweep_grid_resume`], with [`RefineStats`] as its
+/// counts).
 pub fn try_sweep_grid_refined_resume(
     program: &Program,
     platform: &Platform,
@@ -2837,17 +2783,18 @@ pub fn try_sweep_grid_refined_resume(
         SweepStatus::Complete => return Ok(prior.clone()),
         SweepStatus::Stopped { next_lex, .. } => next_lex,
     };
-    if prior.sweep.layers.iter().ne(axes.iter().map(|a| &a.layer)) {
-        return Err(MhlaError::InvalidOptions {
-            what: "resume: the prior run's axis layers do not match".into(),
-        });
-    }
-    if next_lex != prior.sweep.points.len()
-        || prior.checkpoint.run_stats.len() != prior.sweep.points.len()
+    check_prior_layers(axes, &prior.sweep.layers)?;
+    let (stats, points) = (prior.stats, prior.sweep.points.len());
+    let coarse = clean_axes(axes);
+    if lattice_points(&coarse, opts.depth) != Some(stats.virtual_points)
+        || lattice_points(&coarse, 0) != Some(stats.coarse_points as u64)
+        || stats.evaluated != points
+        || next_lex != points
+        || prior.checkpoint.run_stats.len() != points
     {
-        return Err(MhlaError::InvalidOptions {
-            what: "resume: the prior run's bookkeeping does not match its points".into(),
-        });
+        return Err(bad_prior(
+            "the prior run's counts do not match this lattice",
+        ));
     }
     let replay = Replay {
         points: &prior.sweep.points,
@@ -2873,12 +2820,19 @@ fn refine_grid(
     certified_grid(&ctx, platform, axes, opts, true, prior).map(|(run, _)| run)
 }
 
+/// The error of a resume whose prior holds a point that the schedule
+/// never reaches, or reaches only after its first fresh search: such a
+/// prior is not a run this grid stopped.
+fn late_prior_point() -> MhlaError {
+    bad_prior("a prior point is not among those the run decides before its first search")
+}
+
 /// The shared body of every grid engine, ingress validated and context
-/// in hand: clean the axes, shortcut the empty grid, check a resumed
-/// prior's points against the lattice, and run the certified refinement
-/// scheduler `opts.depth` levels deep — its saturation certificates
-/// armed only when `certify` is set. Returns the run and each point's
-/// winning grid seed (see [`SweepEngine::run_refined`]).
+/// in hand: clean the axes, shortcut the empty grid, and run the
+/// certified refinement scheduler `opts.depth` levels deep — its
+/// saturation certificates armed only when `certify` is set. Returns the
+/// run and each point's winning grid seed (see
+/// [`SweepEngine::run_refined`]).
 fn certified_grid(
     ctx: &ExplorationContext<'_>,
     platform: &Platform,
@@ -2888,10 +2842,7 @@ fn certified_grid(
     prior: Option<Replay<'_>>,
 ) -> Result<(RefinedGridSweep, Vec<Option<SeedOrigin>>), MhlaError> {
     let layers: Vec<LayerId> = axes.iter().map(|a| a.layer).collect();
-    let coarse: Vec<Vec<u64>> = axes
-        .iter()
-        .map(|a| clean_capacities(&a.capacities))
-        .collect();
+    let coarse = clean_axes(axes);
     if coarse.is_empty() || coarse.iter().any(Vec::is_empty) {
         let empty = RefinedGridSweep {
             sweep: GridSweep {
@@ -2908,25 +2859,13 @@ fn certified_grid(
         return Ok((empty, Vec::new()));
     }
     let fine = fine_axes(&coarse, opts.depth)?;
-    for p in prior.iter().flat_map(|prior| prior.points) {
-        let on_lattice = p.capacities.len() == fine.len()
-            && p.capacities
-                .iter()
-                .zip(&fine)
-                .all(|(c, axis)| axis.binary_search(c).is_ok());
-        if !on_lattice {
-            return Err(MhlaError::InvalidOptions {
-                what: "resume: a prior point is off this refinement lattice".into(),
-            });
-        }
-    }
     let engine = SweepEngine {
         ctx,
         platform,
         layers: &layers,
         axis_caps: &fine,
     };
-    Ok(engine.run_refined(&coarse, opts, certify, prior))
+    engine.run_refined(&coarse, opts, certify, prior)
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@ use mhla_ir::Program;
 use mhla_reuse::ReuseAnalysis;
 
 use crate::driver::MhlaResult;
-use crate::explore::{GridSweep, RefinedGridSweep, Sweep};
+use crate::explore::{GridSweep, Sweep};
 use crate::pareto;
 use crate::types::Objective;
 
@@ -99,11 +99,10 @@ pub fn describe(program: &Program, reuse: &ReuseAnalysis, r: &MhlaResult) -> Str
 }
 
 /// CSV of a capacity sweep: `capacity,cycles_baseline,cycles_mhla,
-/// cycles_mhla_te,cycles_ideal,energy_baseline_pj,energy_mhla_pj`.
+/// cycles_mhla_te,cycles_ideal,energy_baseline_pj,energy_mhla_pj` — the
+/// cost columns are the ones [`grid_csv`] writes.
 pub fn sweep_csv(s: &Sweep) -> String {
-    let mut out = String::from(
-        "capacity,cycles_baseline,cycles_mhla,cycles_mhla_te,cycles_ideal,energy_baseline_pj,energy_mhla_pj\n",
-    );
+    let mut out = format!("capacity,{}\n", COST_COLUMNS.join(","));
     for p in &s.points {
         let _ = writeln!(
             out,
@@ -229,34 +228,6 @@ pub fn grid_frontier(g: &GridSweep) -> String {
         );
     }
     out
-}
-
-/// Renders one adaptive-refinement summary row: the virtual fine
-/// lattice's size, how little of it was actually searched, and the
-/// certificate ledger that closed the rest.
-///
-/// ```text
-/// application     virtual     evals   ratio     closed  certified
-/// me               173745      3108   1.79%       1034      10213
-/// ```
-pub fn refine_row(name: &str, r: &RefinedGridSweep) -> String {
-    let s = &r.stats;
-    format!(
-        "{name:<18} {:>9} {:>9} {:>6.2}% {:>10} {:>10}",
-        s.virtual_points,
-        s.evaluated,
-        100.0 * s.eval_ratio(),
-        s.cells_closed_mask,
-        s.corners_certified
-    )
-}
-
-/// Header matching [`refine_row`].
-pub fn refine_header() -> String {
-    format!(
-        "{:<18} {:>9} {:>9} {:>7} {:>10} {:>10}",
-        "application", "virtual", "evals", "ratio", "closed", "certified"
-    )
 }
 
 /// `(capacities…, objective score)` coordinates of a grid's points at the

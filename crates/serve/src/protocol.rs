@@ -510,11 +510,12 @@ pub fn result_body(run: &GridSweepRun, program_fp: u128, platform_fp: u128) -> S
 pub enum ServedStatus {
     /// The whole grid was covered.
     Complete,
-    /// The budget ran out first; the points are a certified prefix.
+    /// The budget ran out first; the points are the decided down-set of
+    /// the grid, with a certified frontier.
     Stopped {
         /// The wire cause (`"max_evals"`, `"deadline"`, `"cancelled"`).
         cause: String,
-        /// First lexicographic index not decided.
+        /// Grid points decided ([`mhla_core::explore::SweepStatus`]).
         next_lex: u64,
     },
 }
@@ -548,7 +549,7 @@ pub struct ServedFrontier {
     pub platform_fp: String,
     /// The swept layer per axis.
     pub layers: Vec<LayerId>,
-    /// Points evaluated (a lexicographic prefix when stopped).
+    /// Points evaluated (the decided down-set of the grid when stopped).
     pub points: Vec<ServedPoint>,
     /// Indices of the (capacities, cycles) Pareto surface.
     pub pareto_cycles: Vec<u64>,

@@ -10,9 +10,11 @@
 //!   `BufReader`, so read timeouts never lose partial lines), pushes jobs
 //!   onto the **bounded queue** and writes the responses back;
 //! * a fixed **worker pool** drains the queue through
-//!   [`Service::handle_line`] — the sweep inside runs on the worker:
-//!   every served sweep carries the shared cancel flag, and the engine
-//!   searches a budgeted sweep one point at a time.
+//!   [`Service::handle_line`] — the sweep inside runs on the worker,
+//!   under the shared cancel flag that every served sweep carries; a
+//!   cold sweep searches each rank level on the worker plus helper
+//!   threads of its own, which start only once the sweep has spent 1 ms
+//!   alone on searches a helper could have taken.
 //!
 //! A full queue is answered immediately with a typed `queue_full` error
 //! (the queue never blocks ingress), and an over-long line with

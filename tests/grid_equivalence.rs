@@ -9,9 +9,12 @@
 //!   1-D sweep's output (`try_sweep_with`) — same points, same Pareto
 //!   fronts — on all nine applications.
 
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
+
 use mhla::core::explore::{
-    default_axes, default_capacities, try_sweep_grid_run, try_sweep_with, ExploreBudget, GridAxis,
-    GridSweep, SweepOptions,
+    default_axes, default_capacities, try_sweep_grid_resume, try_sweep_grid_run, try_sweep_with,
+    ExploreBudget, GridAxis, GridSweep, StopCause, SweepOptions, SweepStatus,
 };
 use mhla::core::{Mhla, MhlaConfig, Objective};
 use mhla::hierarchy::{LayerId, Platform};
@@ -139,11 +142,10 @@ fn single_axis_grid_degenerates_to_the_sweep_on_all_apps() {
 
 #[test]
 fn grid_options_do_not_change_results() {
-    // The schedule is a pure wall-time choice: the unbudgeted run (rank
-    // levels, searched on the caller and its helpers) and the
-    // one-point-per-step run that any budget selects — even one that is
-    // never reached — return the same run, so results never depend on
-    // the machine's core count.
+    // Budgets change where a run stops, never what it finds: a cancel
+    // flag that is never raised returns the unbudgeted run, and every
+    // `max_evals` stop — on this 3×3 grid (rank levels of 1, 2, 3, 2 and 1
+    // points) most cut a level partway — resumes to it field for field.
     let platform = Platform::three_level_default();
     let axes = [
         GridAxis::new(LayerId(1), vec![2048u64, 8192, 32768]),
@@ -158,8 +160,30 @@ fn grid_options_do_not_change_results() {
         };
         try_sweep_grid_run(&app.program, &platform, &axes, &config, &opts).expect("valid grid")
     };
-    let pooled = run(ExploreBudget::unlimited());
-    assert!(pooled.status.is_complete());
-    assert_eq!(pooled.sweep.points.len(), 9);
-    assert_eq!(pooled, run(ExploreBudget::max_evals(usize::MAX)));
+    let full = run(ExploreBudget::unlimited());
+    assert!(full.status.is_complete());
+    assert_eq!(full.sweep.points.len(), 9);
+    let never_raised = ExploreBudget {
+        cancel: Some(Arc::new(AtomicBool::new(false))),
+        ..ExploreBudget::default()
+    };
+    assert_eq!(run(never_raised), full);
+    for k in 0..9 {
+        let stopped = run(ExploreBudget::max_evals(k));
+        let stop = SweepStatus::Stopped {
+            cause: StopCause::MaxEvals,
+            next_lex: k,
+        };
+        assert_eq!(stopped.status, stop);
+        let resumed = try_sweep_grid_resume(
+            &app.program,
+            &platform,
+            &axes,
+            &config,
+            &SweepOptions::default(),
+            &stopped,
+        )
+        .expect("valid prior");
+        assert_eq!(resumed, full, "resumed from max_evals({k})");
+    }
 }

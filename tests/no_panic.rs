@@ -9,10 +9,14 @@
 //!
 //! 2. **Certified partial frontiers under budgets.** An interrupted sweep
 //!    (`ExploreBudget::max_evals`, a preset cancel flag, or an expired
-//!    deadline) stops at a fully-committed lexicographic prefix: its
-//!    points are bit-identical to the unbudgeted run's prefix, its Pareto
-//!    accessors select exactly the frontier of that prefix, and resuming
-//!    from the partial result reproduces the full, unbudgeted sweep.
+//!    deadline) stops on a decided down-set of the grid — on these 3×2
+//!    grids, rank-level order and lexicographic order agree, so it is a
+//!    lexicographic prefix: its points are bit-identical to the
+//!    unbudgeted run's prefix, its Pareto accessors select exactly the
+//!    frontier of that prefix, and resuming from the partial result
+//!    reproduces the full, unbudgeted sweep. A prior that is not a stopped
+//!    run of the grid it is resumed on is refused with `InvalidOptions`,
+//!    never a panic.
 //!
 //! 3. **No panic on malformed serialized programs.** The `serdes` ingress
 //!    (`program_from_json`) must reject malformed, truncated and
@@ -39,9 +43,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mhla::core::explore::{
-    try_sweep_grid_pruned_resume, try_sweep_grid_pruned_with, try_sweep_grid_resume,
-    try_sweep_grid_run, try_sweep_with, ExploreBudget, GridAxis, GridSweep, PruneOptions,
-    SearchMode, StopCause, SweepOptions, SweepStatus,
+    default_axes, try_sweep_grid_pruned_resume, try_sweep_grid_pruned_with,
+    try_sweep_grid_refined_resume, try_sweep_grid_refined_with, try_sweep_grid_resume,
+    try_sweep_grid_run, try_sweep_with, ExploreBudget, GridAxis, GridSweep, GridSweepRun,
+    PruneOptions, PrunedGridSweep, RefineOptions, RefinedGridSweep, SearchMode, StopCause,
+    SweepOptions, SweepStatus,
 };
 use mhla::core::multitask::try_partition_scratchpad;
 use mhla::core::{Mhla, MhlaConfig, MhlaError};
@@ -254,9 +260,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Contract 2, cold mode: a `max_evals` budget commits exactly the
-    /// first `k` lex points, bit-identical to the unbudgeted run's
-    /// prefix; the partial frontier is the frontier of that prefix; and
-    /// resuming reproduces the full run, bookkeeping included.
+    /// first `k` points in (rank, key) order — on this grid the first `k`
+    /// lex points — bit-identical to the unbudgeted run's prefix; the
+    /// partial frontier is the frontier of that prefix; and resuming
+    /// reproduces the full run, bookkeeping included.
     #[test]
     fn cold_budget_stops_on_certified_prefix_and_resumes(
         spec in program_specs(),
@@ -359,8 +366,9 @@ proptest! {
 
         if let SweepStatus::Stopped { next_lex, .. } = partial.status {
             // The exhaustive (unpruned, cold) grid is the certificate
-            // oracle: its lex prefix of the decided points must have the
-            // same Pareto surfaces as the pruned partial result.
+            // oracle: its prefix of the decided points (on this grid a lex
+            // prefix) must have the same Pareto surfaces as the pruned
+            // partial result.
             let exhaustive =
                 try_sweep_grid_run(&program, &platform, &axes, &config, &SweepOptions::default())
                     .unwrap();
@@ -482,6 +490,167 @@ proptest! {
         let full = try_sweep_grid_run(&program, &platform, &axes, &config, &opts).unwrap();
         prop_assert_eq!(&resumed.sweep, &full.sweep);
     }
+}
+
+/// Requires `resume`, run under `catch_unwind`, to refuse `prior` with a
+/// typed `InvalidOptions` once `edit` has changed it — any panic or
+/// acceptance fails the test.
+fn refuses<P: Clone, T>(
+    what: &str,
+    prior: &P,
+    edit: impl FnOnce(&mut P),
+    resume: impl FnOnce(&P) -> Result<T, MhlaError>,
+) {
+    let mut p = prior.clone();
+    edit(&mut p);
+    match catch_unwind(AssertUnwindSafe(|| resume(&p))) {
+        Err(_) => panic!("{what}: the resume panicked"),
+        Ok(Ok(_)) => panic!("{what}: the resume accepted the prior"),
+        Ok(Err(MhlaError::InvalidOptions { .. })) => {}
+        Ok(Err(e)) => panic!("{what}: refused with the wrong class: {e}"),
+    }
+}
+
+/// A labelled edit that turns a stopped run into a prior no resume may
+/// accept.
+type Edit<P> = (&'static str, fn(&mut P));
+
+/// A stopped status with its decided count moved by `by`.
+fn shifted(status: SweepStatus, by: isize) -> SweepStatus {
+    match status {
+        SweepStatus::Stopped { cause, next_lex } => SweepStatus::Stopped {
+            cause,
+            next_lex: next_lex.saturating_add_signed(by),
+        },
+        SweepStatus::Complete => panic!("the prior must be a stopped run"),
+    }
+}
+
+/// Contract 2, the resume entries: each refuses, with `InvalidOptions`
+/// and never a panic, a prior that is not a stopped run of the grid it is
+/// resumed on — one from other layers, one with a point off the lattice
+/// or listed twice, an exhaustive run with a middle point cut out, and
+/// runs whose counts were edited.
+#[test]
+fn resume_entries_refuse_priors_that_do_not_fit() {
+    let app = mhla_apps::wavelet::app();
+    let program = &app.program;
+    let platform = Platform::four_level_default();
+    let axes = default_axes(&platform);
+    let config = MhlaConfig::default();
+    let budget = ExploreBudget::max_evals(4);
+    let (grid_opts, prune_opts) = (SweepOptions::default(), PruneOptions::default());
+    let refine_opts = RefineOptions::default().depth(1);
+
+    let grid = try_sweep_grid_run(
+        program,
+        &platform,
+        &axes,
+        &config,
+        &SweepOptions {
+            budget: budget.clone(),
+            ..SweepOptions::default()
+        },
+    )
+    .unwrap();
+    let pruned = try_sweep_grid_pruned_with(
+        program,
+        &platform,
+        &axes,
+        &config,
+        &prune_opts.clone().budget(budget.clone()),
+    )
+    .unwrap();
+    let refined = try_sweep_grid_refined_with(
+        program,
+        &platform,
+        &axes,
+        &config,
+        &refine_opts.clone().budget(budget),
+    )
+    .unwrap();
+    let resume_grid = |prior: &GridSweepRun| {
+        try_sweep_grid_resume(program, &platform, &axes, &config, &grid_opts, prior)
+    };
+    let resume_pruned = |prior: &PrunedGridSweep| {
+        try_sweep_grid_pruned_resume(program, &platform, &axes, &config, &prune_opts, prior)
+    };
+    let resume_refined = |prior: &RefinedGridSweep| {
+        try_sweep_grid_refined_resume(program, &platform, &axes, &config, &refine_opts, prior)
+    };
+    // The unedited priors are stopped runs, and they resume.
+    assert_eq!(grid.sweep.points.len(), 4);
+    assert_eq!(pruned.stats.evaluated, 4);
+    assert_eq!(refined.stats.evaluated, 4);
+    assert!(resume_grid(&grid).unwrap().status.is_complete());
+    assert!(resume_pruned(&pruned).unwrap().status.is_complete());
+    assert!(resume_refined(&refined).unwrap().status.is_complete());
+
+    // Priors from other layers, with a point off the lattice (257 B lies
+    // on no L1 axis, coarse or fine), or with edited counts; an exhaustive
+    // run with a point listed twice, or with a middle point removed and
+    // its cursor adjusted: its counts agree, but the resume reaches the
+    // removed point — a fresh search — before two of the points it must
+    // replay.
+    let hole: fn(&mut GridSweepRun) = |p| {
+        p.sweep.points.remove(1);
+        p.winners.remove(1);
+        p.status = shifted(p.status, -1);
+    };
+    let grid_edits: [Edit<GridSweepRun>; 6] = [
+        ("other layers", |p| p.sweep.layers.reverse()),
+        ("off-lattice point", |p| {
+            p.sweep.points[1].capacities[2] = 257
+        }),
+        ("point listed twice", |p| {
+            p.sweep.points[1] = p.sweep.points[0].clone()
+        }),
+        ("middle point removed", hole),
+        ("next_lex edited", |p| p.status = shifted(p.status, 1)),
+        ("candidates edited", |p| p.candidates += 1),
+    ];
+    for (what, edit) in grid_edits {
+        refuses(&format!("grid, {what}"), &grid, edit, resume_grid);
+    }
+    let pruned_edits: [Edit<PrunedGridSweep>; 6] = [
+        ("other layers", |p| p.sweep.layers.reverse()),
+        ("off-lattice point", |p| {
+            p.sweep.points[1].capacities[2] = 257
+        }),
+        ("next_lex edited", |p| p.status = shifted(p.status, 1)),
+        ("evaluated edited", |p| p.stats.evaluated += 1),
+        ("skipped edited", |p| p.stats.skipped_saturated += 1),
+        ("candidates edited", |p| p.stats.candidates += 1),
+    ];
+    for (what, edit) in pruned_edits {
+        refuses(&format!("pruned, {what}"), &pruned, edit, resume_pruned);
+    }
+    let refined_edits: [Edit<RefinedGridSweep>; 6] = [
+        ("other layers", |p| p.sweep.layers.reverse()),
+        ("off-lattice point", |p| {
+            p.sweep.points[1].capacities[2] = 257
+        }),
+        ("next_lex edited", |p| p.status = shifted(p.status, 1)),
+        ("evaluated edited", |p| p.stats.evaluated += 1),
+        ("virtual points edited", |p| p.stats.virtual_points += 1),
+        ("coarse points edited", |p| p.stats.coarse_points += 1),
+    ];
+    for (what, edit) in refined_edits {
+        refuses(&format!("refined, {what}"), &refined, edit, resume_refined);
+    }
+
+    // Under a zero budget the resume of the run with a hole stops at the
+    // removed point's search, so the points after it are never reached.
+    let no_search = SweepOptions {
+        budget: ExploreBudget::max_evals(0),
+        ..SweepOptions::default()
+    };
+    refuses(
+        "grid, middle point removed, zero budget",
+        &grid,
+        hole,
+        |p| try_sweep_grid_resume(program, &platform, &axes, &config, &no_search, p),
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -11,15 +11,18 @@
 //!   frontiers are bit-identical to the exhaustive sweep of the
 //!   materialized fine lattice, under all three objectives, and a
 //!   budget-interrupted refinement resumed to completion equals the
-//!   uninterrupted run bit for bit, and the unbudgeted refinement (rank
-//!   levels searched concurrently) equals the key-order loop a budget
-//!   selects, field for field;
+//!   uninterrupted run bit for bit — from every `max_evals` cut, most of
+//!   them partway through a rank level — and a cancel flag that is never
+//!   raised changes nothing;
 //! * a context-backed run (`Mhla::with_context`) is bit-identical to a
 //!   fresh standalone run at every platform point, under all three
 //!   objectives.
 //!
 //! CI runs this suite with a fixed `PROPTEST_SEED` as the generator smoke
 //! step; locally the (deterministic, per-test-name) default seed applies.
+
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
 use mhla::core::explore::{
     refine_axis, try_sweep_grid_pruned_with, try_sweep_grid_refined_resume,
@@ -262,30 +265,49 @@ proptest! {
         }
     }
 
-    /// Rank-level steps ≡ key-order steps on random programs: the
-    /// unbudgeted refinement takes one rank level per step and searches
-    /// its points concurrently, while `max_evals(usize::MAX)` — a budget
-    /// never reached — takes one point per step in key order. Both decide
-    /// every point identically, under all three objectives.
+    /// Budget stops resume to the unbudgeted run on random programs: a
+    /// cold refinement takes rank levels whatever its budget, so a cancel
+    /// flag that is never raised changes nothing, and every `max_evals`
+    /// cut — between levels or partway through one — resumes to the
+    /// unbudgeted run field for field, under all three objectives.
     #[test]
-    fn rank_level_refinement_equals_key_order_on_random_programs(spec in program_specs()) {
+    fn refined_budget_stops_resume_to_the_unbudgeted_run_on_random_programs(
+        spec in program_specs(),
+    ) {
         let program = spec.build();
         let platform = Platform::three_level(1024, 256);
         let axes = small_axes();
         let opts = RefineOptions::default().depth(1);
-        let key_order = opts.clone().budget(ExploreBudget::max_evals(usize::MAX));
+        let never_raised = opts.clone().budget(ExploreBudget {
+            cancel: Some(Arc::new(AtomicBool::new(false))),
+            ..ExploreBudget::default()
+        });
         for objective in OBJECTIVES {
             let config = MhlaConfig { objective, ..MhlaConfig::default() };
-            let pooled = try_sweep_grid_refined_with(&program, &platform, &axes, &config, &opts)
+            let full = try_sweep_grid_refined_with(&program, &platform, &axes, &config, &opts)
                 .expect("valid grid");
-            let keyed = try_sweep_grid_refined_with(&program, &platform, &axes, &config, &key_order)
+            let flagged =
+                try_sweep_grid_refined_with(&program, &platform, &axes, &config, &never_raised)
+                    .expect("valid grid");
+            prop_assert_eq!(&flagged, &full, "never-raised cancel flag under {:?}", objective);
+            for k in 0..full.stats.evaluated {
+                let stopped = try_sweep_grid_refined_with(
+                    &program,
+                    &platform,
+                    &axes,
+                    &config,
+                    &opts.clone().budget(ExploreBudget::max_evals(k)),
+                )
                 .expect("valid grid");
-            prop_assert_eq!(&pooled.sweep, &keyed.sweep, "sweep under {:?}", objective);
-            prop_assert_eq!(pooled.stats, keyed.stats, "stats under {:?}", objective);
-            prop_assert_eq!(pooled.search_legs, keyed.search_legs, "legs under {:?}", objective);
-            prop_assert_eq!(pooled.seed_wins, keyed.seed_wins, "seed wins under {:?}", objective);
-            prop_assert_eq!(pooled.waves, keyed.waves, "waves under {:?}", objective);
-            prop_assert_eq!(pooled.status, keyed.status, "status under {:?}", objective);
+                prop_assert_eq!(stopped.stats.evaluated, k, "max_evals({}) under {:?}", k, objective);
+                let resumed =
+                    try_sweep_grid_refined_resume(&program, &platform, &axes, &config, &opts, &stopped)
+                        .expect("valid prior");
+                prop_assert_eq!(
+                    &resumed, &full,
+                    "resume from max_evals({}) under {:?}", k, objective
+                );
+            }
         }
     }
 

@@ -17,15 +17,21 @@
 //!   evaluated points, skips and search legs is pinned under the cycles
 //!   and energy objectives, and no search is thrown away (one cold search
 //!   leg per evaluated point);
-//! * the schedule does not matter: the unbudgeted sweep, which searches
-//!   each rank level of the grid concurrently, equals the one-point-per-step
-//!   key-order loop a budget selects, field for field;
+//! * budgets do not matter: a cold budget cuts a rank level at a
+//!   key-order position, so `max_evals(k)` commits exactly the first `k`
+//!   points the unbudgeted run searches in (rank, key) order, and every
+//!   stopped run resumes to the unbudgeted run field for field, as does a
+//!   run under a cancel flag that is never raised;
 //! * disarming conditions degrade to exhaustive, never to a wrong
 //!   frontier.
 
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
+
 use mhla::core::explore::{
-    default_axes, try_sweep_grid_pruned_with, try_sweep_grid_run, ExploreBudget, GridAxis,
-    GridSweep, PruneOptions, PrunedGridSweep, SweepOptions,
+    default_axes, try_sweep_grid_pruned_resume, try_sweep_grid_pruned_with, try_sweep_grid_resume,
+    try_sweep_grid_run, ExploreBudget, GridAxis, GridPoint, GridSweep, PruneOptions,
+    PrunedGridSweep, StopCause, SweepOptions, SweepStatus,
 };
 use mhla::core::{Mhla, MhlaConfig, Objective, SearchStrategy};
 use mhla::hierarchy::{LayerId, Platform};
@@ -225,15 +231,53 @@ fn pruned_ledger_is_pinned_on_all_nine_apps() {
     }
 }
 
+/// A grid point's place in a cold run's schedule: its rank level (the
+/// sum of its indices on the sorted axes), then its capacities (the key
+/// order inside a level).
+fn rank_key(axes: &[GridAxis], caps: &[u64]) -> (usize, Vec<u64>) {
+    let rank = axes
+        .iter()
+        .zip(caps)
+        .map(|(axis, c)| {
+            let mut sorted = axis.capacities.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            sorted.iter().position(|x| x == c).expect("a grid capacity")
+        })
+        .sum();
+    (rank, caps.to_vec())
+}
+
+/// The points' places in a cold run's schedule, in that order.
+fn schedule(axes: &[GridAxis], points: &[GridPoint]) -> Vec<(usize, Vec<u64>)> {
+    let mut order: Vec<_> = points
+        .iter()
+        .map(|p| rank_key(axes, &p.capacities))
+        .collect();
+    order.sort();
+    order
+}
+
+/// The budgets that stop a run with searches `order` partway through a
+/// rank level: `k` where the `k`-th and `k + 1`-th searches share a level.
+fn mid_level_cuts(order: &[(usize, Vec<u64>)]) -> Vec<usize> {
+    (1..order.len())
+        .filter(|&k| order[k - 1].0 == order[k].0)
+        .collect()
+}
+
 #[test]
-fn rank_level_steps_equal_key_order_steps_on_all_nine_apps() {
-    // Unbudgeted, the certified loop takes one rank level per step and
-    // searches its points concurrently. `max_evals(usize::MAX)` is a
-    // budget, never reached, so the same loop takes one point per step in
-    // key order. Both schedules decide every point identically.
+fn budget_stops_resume_to_the_unbudgeted_run_on_all_nine_apps() {
+    // Every cold run takes rank levels, whatever its budget. A cancel flag
+    // that is never raised (the budget a served request carries) changes
+    // nothing, and a `max_evals` stop partway through a rank level resumes
+    // to the unbudgeted run, field for field.
     let platform = Platform::four_level_default();
     let axes = default_axes(&platform);
-    let key_order = PruneOptions::default().budget(ExploreBudget::max_evals(usize::MAX));
+    let never_raised = PruneOptions::default().budget(ExploreBudget {
+        cancel: Some(Arc::new(AtomicBool::new(false))),
+        ..ExploreBudget::default()
+    });
     let objectives = [
         Objective::Cycles,
         Objective::Energy,
@@ -242,6 +286,7 @@ fn rank_level_steps_equal_key_order_steps_on_all_nine_apps() {
             cycle_weight: 0.5,
         },
     ];
+    let mut cut = 0;
     for objective in objectives {
         let config = MhlaConfig {
             objective,
@@ -249,18 +294,131 @@ fn rank_level_steps_equal_key_order_steps_on_all_nine_apps() {
         };
         for app in mhla_apps::all_apps() {
             let name = format!("{} {objective:?}", app.name());
-            let pooled = run_pruned(&app.program, &platform, &axes, &config);
-            let keyed =
-                try_sweep_grid_pruned_with(&app.program, &platform, &axes, &config, &key_order)
+            let full = run_pruned(&app.program, &platform, &axes, &config);
+            let flagged =
+                try_sweep_grid_pruned_with(&app.program, &platform, &axes, &config, &never_raised)
                     .expect("valid grid");
-            assert_eq!(pooled.sweep, keyed.sweep, "{name}: sweep");
-            assert_eq!(pooled.stats, keyed.stats, "{name}: stats");
-            assert_eq!(pooled.search_legs, keyed.search_legs, "{name}: legs");
-            assert_eq!(pooled.seed_wins, keyed.seed_wins, "{name}: seed wins");
-            assert_eq!(pooled.waves, keyed.waves, "{name}: waves");
-            assert_eq!(pooled.status, keyed.status, "{name}: status");
+            assert_eq!(flagged, full, "{name}: never-raised cancel flag");
+            let cuts = mid_level_cuts(&schedule(&axes, &full.sweep.points));
+            let Some(&k) = cuts.get(cuts.len() / 2) else {
+                continue;
+            };
+            cut += 1;
+            let budgeted = PruneOptions::default().budget(ExploreBudget::max_evals(k));
+            let stopped =
+                try_sweep_grid_pruned_with(&app.program, &platform, &axes, &config, &budgeted)
+                    .expect("valid grid");
+            assert_eq!(stopped.stats.evaluated, k, "{name}: max_evals({k})");
+            let resumed = try_sweep_grid_pruned_resume(
+                &app.program,
+                &platform,
+                &axes,
+                &config,
+                &PruneOptions::default(),
+                &stopped,
+            )
+            .expect("valid prior");
+            assert_eq!(resumed, full, "{name}: resumed from max_evals({k})");
         }
     }
+    assert!(
+        cut >= 20,
+        "only {cut} of 27 runs have a level with two searches"
+    );
+}
+
+#[test]
+fn cold_max_evals_commits_the_first_searches_in_rank_key_order() {
+    // On the four-level grid, rank-level order and lexicographic order
+    // differ. A cold `max_evals(k)` budget must commit exactly the first
+    // `k` points the unbudgeted run searches in (rank, key) order — in the
+    // exhaustive engine and in the pruned one, whose certified points cost
+    // nothing — and its resume must equal the unbudgeted run.
+    let platform = Platform::four_level_default();
+    let axes = default_axes(&platform);
+    let config = MhlaConfig::default();
+    let app = mhla_apps::wavelet::app();
+    let program = &app.program;
+    let sorted = |order: &[(usize, Vec<u64>)]| {
+        let mut caps: Vec<Vec<u64>> = order.iter().map(|(_, c)| c.clone()).collect();
+        caps.sort();
+        caps
+    };
+    let caps_of = |points: &[GridPoint]| -> Vec<Vec<u64>> {
+        points.iter().map(|p| p.capacities.clone()).collect()
+    };
+    let mut differs_from_lex = false;
+
+    let full = try_sweep_grid_run(program, &platform, &axes, &config, &SweepOptions::default())
+        .expect("valid grid");
+    // The exhaustive engine searches every point: its schedule is the grid's.
+    let whole = schedule(&axes, &full.sweep.points);
+    let cuts = mid_level_cuts(&whole);
+    for &k in &[cuts[0], cuts[cuts.len() / 2], cuts[cuts.len() - 1]] {
+        let opts = SweepOptions {
+            budget: ExploreBudget::max_evals(k),
+            ..SweepOptions::default()
+        };
+        let stopped =
+            try_sweep_grid_run(program, &platform, &axes, &config, &opts).expect("valid grid");
+        let stop = SweepStatus::Stopped {
+            cause: StopCause::MaxEvals,
+            next_lex: k,
+        };
+        assert_eq!(stopped.status, stop, "exhaustive max_evals({k})");
+        assert_eq!(
+            caps_of(&stopped.sweep.points),
+            sorted(&whole[..k]),
+            "exhaustive k={k}"
+        );
+        differs_from_lex |= caps_of(&stopped.sweep.points) != caps_of(&full.sweep.points[..k]);
+        let resumed = try_sweep_grid_resume(
+            program,
+            &platform,
+            &axes,
+            &config,
+            &SweepOptions::default(),
+            &stopped,
+        )
+        .expect("valid prior");
+        assert_eq!(resumed, full, "exhaustive resumed from max_evals({k})");
+    }
+
+    let full = run_pruned(program, &platform, &axes, &config);
+    let searched = schedule(&axes, &full.sweep.points);
+    let cuts = mid_level_cuts(&searched);
+    for &k in &[cuts[0], cuts[cuts.len() / 2], cuts[cuts.len() - 1]] {
+        let budgeted = PruneOptions::default().budget(ExploreBudget::max_evals(k));
+        let stopped = try_sweep_grid_pruned_with(program, &platform, &axes, &config, &budgeted)
+            .expect("valid grid");
+        // Decided: every grid point scheduled before the next search.
+        let decided = whole.iter().take_while(|p| **p < searched[k]).count();
+        let stop = SweepStatus::Stopped {
+            cause: StopCause::MaxEvals,
+            next_lex: decided,
+        };
+        assert_eq!(stopped.status, stop, "pruned max_evals({k})");
+        assert_eq!(
+            caps_of(&stopped.sweep.points),
+            sorted(&searched[..k]),
+            "pruned k={k}"
+        );
+        differs_from_lex |= caps_of(&stopped.sweep.points) != caps_of(&full.sweep.points[..k]);
+        let resumed = try_sweep_grid_pruned_resume(
+            program,
+            &platform,
+            &axes,
+            &config,
+            &PruneOptions::default(),
+            &stopped,
+        )
+        .expect("valid prior");
+        assert_eq!(resumed, full, "pruned resumed from max_evals({k})");
+    }
+    assert!(
+        differs_from_lex,
+        "no budget told rank order from lexicographic order"
+    );
 }
 
 #[test]

@@ -3,8 +3,12 @@
 //! identical (cycles, energy) at every capacity point — on the full
 //! application suite.
 
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
+
 use mhla::core::explore::{
-    default_capacities, sweep_cold, try_sweep_with, ExploreBudget, Sweep, SweepOptions,
+    default_capacities, sweep_cold, try_sweep_grid_resume, try_sweep_grid_run, try_sweep_with,
+    ExploreBudget, GridAxis, StopCause, Sweep, SweepOptions, SweepStatus,
 };
 use mhla::core::{EvalWorkspace, ExplorationContext, Mhla, MhlaConfig};
 use mhla::hierarchy::{LayerId, Platform};
@@ -62,10 +66,11 @@ fn warm_parallel_sweep_matches_cold_sequential_on_all_apps() {
 
 #[test]
 fn sweep_options_do_not_change_results() {
-    // The unbudgeted sweep (rank levels, searched on the caller and its
-    // helpers) and the one-point-per-step sweep that any budget selects
-    // return the same run (determinism does not depend on the core
-    // count).
+    // Budgets change where a sweep stops, never what it finds. On one
+    // axis every rank level is one point, so `max_evals(k)` stops on the
+    // first `k` capacities; a cancel flag that is never raised returns the
+    // unbudgeted sweep, and every stop of the same one-axis grid resumes
+    // to it point for point.
     let caps = default_capacities();
     let platform = Platform::embedded_default(1024);
     let config = MhlaConfig::default();
@@ -78,10 +83,53 @@ fn sweep_options_do_not_change_results() {
         try_sweep_with(&app.program, &platform, LayerId(1), &caps, &config, &opts)
             .expect("valid sweep")
     };
-    let pooled = run(ExploreBudget::unlimited());
-    assert!(pooled.status.is_complete());
-    assert_eq!(pooled.sweep.points.len(), caps.len());
-    assert_eq!(pooled, run(ExploreBudget::max_evals(usize::MAX)));
+    let full = run(ExploreBudget::unlimited());
+    assert!(full.status.is_complete());
+    assert_eq!(full.sweep.points.len(), caps.len());
+    let never_raised = ExploreBudget {
+        cancel: Some(Arc::new(AtomicBool::new(false))),
+        ..ExploreBudget::default()
+    };
+    assert_eq!(run(never_raised), full);
+    let axes = [GridAxis::new(LayerId(1), caps.clone())];
+    for k in 0..caps.len() {
+        let stopped = run(ExploreBudget::max_evals(k));
+        let stop = SweepStatus::Stopped {
+            cause: StopCause::MaxEvals,
+            next_lex: k,
+        };
+        assert_eq!(stopped.status, stop);
+        assert_eq!(stopped.sweep.points[..], full.sweep.points[..k]);
+        let opts = SweepOptions {
+            budget: ExploreBudget::max_evals(k),
+            ..SweepOptions::default()
+        };
+        let grid =
+            try_sweep_grid_run(&app.program, &platform, &axes, &config, &opts).expect("valid grid");
+        let resumed = try_sweep_grid_resume(
+            &app.program,
+            &platform,
+            &axes,
+            &config,
+            &SweepOptions::default(),
+            &grid,
+        )
+        .expect("valid prior");
+        assert!(resumed.status.is_complete());
+        let points: Vec<_> = resumed
+            .sweep
+            .points
+            .iter()
+            .map(|p| (p.capacities.clone(), &p.result))
+            .collect();
+        let expected: Vec<_> = full
+            .sweep
+            .points
+            .iter()
+            .map(|p| (vec![p.capacity], &p.result))
+            .collect();
+        assert_eq!(points, expected, "resumed from max_evals({k})");
+    }
 }
 
 #[test]
