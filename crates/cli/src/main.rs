@@ -8,9 +8,9 @@
 //!   presets) to the versioned JSON format,
 //! * `mhla analyze` — run MHLA once and print the full assignment report,
 //! * `mhla report` — the one-line performance + energy figures,
-//! * `mhla sweep` — a one-layer capacity sweep, CSV out,
 //! * `mhla grid` — a multi-layer grid sweep with Pareto frontier, CSV out,
-//!   honoring `--max-evals` budgets and the engine's resume machinery.
+//!   honoring `--max-evals` budgets and the engine's resume machinery,
+//! * `mhla sweep` — the same on one axis: a one-layer capacity sweep.
 //!
 //! Following the subcommand/report split (run once, emit the existing
 //! report formats), the binary is a thin shell: every input crosses the
@@ -23,8 +23,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use mhla_core::explore::{
-    default_axes, default_capacities, try_sweep_grid_resume, try_sweep_grid_run, try_sweep_with,
-    ExploreBudget, GridAxis, GridSweepRun, SearchMode, StopCause, SweepOptions, SweepStatus,
+    default_axes, default_capacities, try_sweep_grid_resume, try_sweep_grid_run, ExploreBudget,
+    GridAxis, GridSweepRun, SearchMode, StopCause, SweepOptions, SweepStatus,
 };
 use mhla_core::{report, Mhla, MhlaConfig, MhlaError};
 use mhla_hierarchy::serdes::{platform_from_json, platform_to_json, platform_value};
@@ -41,7 +41,8 @@ USAGE:
     mhla analyze (--input PROG.json | --app NAME) [--platform P]
     mhla report  (--input PROG.json | --app NAME) [--platform P]
     mhla sweep   (--input PROG.json | --app NAME) [--platform P]
-                 [--layer N] [--capacities C1,C2,..] [--max-evals N] [--out FILE]
+                 [--layer N] [--capacities C1,C2,..] [--mode cold|improving]
+                 [--max-evals N] [--resume] [--out FILE]
     mhla grid    (--input PROG.json | --app NAME) [--platform P]
                  [--axes SPEC] [--mode cold|improving] [--max-evals N]
                  [--resume] [--out FILE]
@@ -60,9 +61,13 @@ PLATFORM (--platform):
 AXES (--axes), grid and submit:
     LAYER:CAP,CAP,..[;LAYER:CAP,..]  e.g.  1:16384,32768;2:1024,2048
     Defaults to the standard grid of the platform's layer count.
+`sweep` is the grid on the one axis --layer (default: the closest on-chip
+layer) over --capacities (default: 128 B to 128 KiB, powers of two); its
+CSV names the capacity column after the layer, e.g. `capacity_M1`.
 
 Budgeted runs (--max-evals) stop early with a certified partial frontier;
-`grid --resume` continues a stopped sweep to completion in one invocation.
+`sweep`/`grid --resume` continues a stopped sweep to completion in one
+invocation.
 
 `mhla serve` runs the batch exploration server (default address
 127.0.0.1:7744) with a content-addressed result cache; `mhla submit`
@@ -467,45 +472,44 @@ fn cmd_report(f: &Flags) -> Result<(), CliError> {
     outln(&report::energy_row(program.name(), &result))
 }
 
-/// `mhla sweep`: a one-layer capacity sweep; CSV to `--out` or stdout.
+/// `mhla sweep`: the grid on one axis — `--layer` (default: the closest
+/// on-chip layer) over `--capacities` (default: [`default_capacities`]).
 fn cmd_sweep(f: &Flags) -> Result<(), CliError> {
     let program = load_program(f)?;
     let platform = load_platform(f)?;
     let layer = f.layer.map_or_else(|| platform.closest(), LayerId);
     let capacities = f.capacities.clone().unwrap_or_else(default_capacities);
-    let opts = sweep_options(f)?;
-    let run = try_sweep_with(
-        &program,
-        &platform,
-        layer,
-        &capacities,
-        &MhlaConfig::default(),
-        &opts,
-    )?;
-    emit(&report::sweep_csv(&run.sweep), f.out.as_ref())?;
-    if let Some(note) = status_note(&run.status) {
-        eprintln!("{note}");
-    }
-    Ok(())
+    explore(f, &program, &platform, &[GridAxis::new(layer, capacities)])
 }
 
-/// `mhla grid`: a multi-layer grid sweep. CSV goes to `--out` (with the
-/// Pareto frontier table on stdout) or to stdout alone; `--max-evals`
-/// bounds the run and `--resume` drives the engine's resume machinery to
-/// finish a stopped sweep in the same invocation.
+/// `mhla grid`: a multi-layer grid sweep over `--axes` (default: the
+/// platform's standard grid).
 fn cmd_grid(f: &Flags) -> Result<(), CliError> {
     let program = load_program(f)?;
     let platform = load_platform(f)?;
     let axes = grid_axes(f, &platform)?;
+    explore(f, &program, &platform, &axes)
+}
+
+/// The exploration behind `sweep` and `grid`. CSV goes to `--out` (with
+/// the Pareto frontier table on stdout) or to stdout alone; `--max-evals`
+/// bounds the run and `--resume` drives the engine's resume machinery to
+/// finish a stopped sweep in the same invocation.
+fn explore(
+    f: &Flags,
+    program: &Program,
+    platform: &Platform,
+    axes: &[GridAxis],
+) -> Result<(), CliError> {
     let opts = sweep_options(f)?;
     let config = MhlaConfig::default();
-    let mut run: GridSweepRun = try_sweep_grid_run(&program, &platform, &axes, &config, &opts)?;
+    let mut run: GridSweepRun = try_sweep_grid_run(program, platform, axes, &config, &opts)?;
     if !run.status.is_complete() && f.resume {
         let unlimited = SweepOptions {
             budget: ExploreBudget::unlimited(),
             ..opts
         };
-        run = try_sweep_grid_resume(&program, &platform, &axes, &config, &unlimited, &run)?;
+        run = try_sweep_grid_resume(program, platform, axes, &config, &unlimited, &run)?;
     }
     if f.out.is_some() {
         out(&report::grid_frontier(&run.sweep))?;

@@ -7,7 +7,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use mhla_core::explore::{try_sweep_grid_run, try_sweep_with, GridAxis, SweepOptions};
+use mhla_core::explore::{try_sweep_grid_run, GridAxis, SweepOptions};
 use mhla_core::{report, MhlaConfig};
 use mhla_hierarchy::{LayerId, Platform};
 use mhla_ir::serdes::program_from_json;
@@ -131,19 +131,42 @@ fn sweep_over_serialized_app_is_bit_identical_to_in_process_sweep() {
     ]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
 
+    // `mhla sweep` is the one-axis grid on the closest layer.
     let app = mhla_apps::fir_bank::app();
     let platform = Platform::embedded_default(16 * 1024);
-    let expected = try_sweep_with(
+    let expected = try_sweep_grid_run(
         &app.program,
         &platform,
-        platform.closest(),
-        &[512, 1024, 2048],
+        &[GridAxis::new(platform.closest(), vec![512, 1024, 2048])],
         &MhlaConfig::default(),
         &SweepOptions::default(),
     )
-    .expect("valid sweep")
+    .expect("valid grid")
     .sweep;
-    assert_eq!(stdout(&out), report::sweep_csv(&expected));
+    let csv = stdout(&out);
+    assert_eq!(csv, report::grid_csv(&expected));
+    assert!(csv.starts_with("capacity_M1,cycles_baseline,"), "{csv}");
+}
+
+/// The stopped, budget + `--resume` and unbudgeted runs of one
+/// exploration, as `mhla <args>`: the stopped run writes fewer rows and
+/// says so on stderr; the resumed run finishes in the same invocation and
+/// prints the unbudgeted run's bytes.
+fn assert_budget_stops_and_resume_completes(args: &[&str]) {
+    let with = |extra: &[&str]| {
+        let out = mhla(&[args, extra].concat());
+        assert!(out.status.success(), "{args:?} {extra:?}: {}", stderr(&out));
+        out
+    };
+    let stopped = with(&["--max-evals", "2"]);
+    assert!(stderr(&stopped).contains("budget exhausted"), "{args:?}");
+    let resumed = with(&["--max-evals", "2", "--resume"]);
+    let full = with(&[]);
+    assert_eq!(stdout(&resumed), stdout(&full), "{args:?}");
+    assert!(
+        stdout(&full).lines().count() > stdout(&stopped).lines().count(),
+        "{args:?}"
+    );
 }
 
 #[test]
@@ -156,51 +179,17 @@ fn budgeted_grid_stops_and_resume_completes() {
     );
     let prog = dir.join("fir_bank.prog.json");
     let prog = prog.to_str().expect("utf-8 path");
-    let axes = "1:512,1024,2048,4096";
-
-    // Budgeted: certified partial prefix + a resume hint on stderr.
-    let stopped = mhla(&[
-        "grid",
-        "--input",
-        prog,
-        "--platform",
-        "embedded",
-        "--axes",
-        axes,
-        "--max-evals",
-        "2",
-    ]);
-    assert!(stopped.status.success(), "stderr: {}", stderr(&stopped));
-    assert!(stderr(&stopped).contains("budget exhausted"));
-    let stopped_lines = stdout(&stopped).lines().count();
-
-    // Budgeted + --resume: same invocation finishes the sweep and matches
-    // the unbudgeted run byte for byte.
-    let resumed = mhla(&[
-        "grid",
-        "--input",
-        prog,
-        "--platform",
-        "embedded",
-        "--axes",
-        axes,
-        "--max-evals",
-        "2",
-        "--resume",
-    ]);
-    assert!(resumed.status.success(), "stderr: {}", stderr(&resumed));
-    let full = mhla(&[
-        "grid",
-        "--input",
-        prog,
-        "--platform",
-        "embedded",
-        "--axes",
-        axes,
-    ]);
-    assert!(full.status.success(), "stderr: {}", stderr(&full));
-    assert_eq!(stdout(&resumed), stdout(&full));
-    assert!(stdout(&full).lines().count() > stopped_lines);
+    let common = ["--input", prog, "--platform", "embedded"];
+    let grid = ["grid", "--axes", "1:512,1024,2048,4096"];
+    assert_budget_stops_and_resume_completes(&[&grid[..], &common[..]].concat());
+    let sweep = [
+        "sweep",
+        "--layer",
+        "1",
+        "--capacities",
+        "512,1024,2048,4096",
+    ];
+    assert_budget_stops_and_resume_completes(&[&sweep[..], &common[..]].concat());
 }
 
 #[test]

@@ -12,8 +12,8 @@
 //! [`Mhla`](crate::Mhla) / [`CostModel`] / [`te::plan`](crate::te::plan)
 //! cheap per-platform views: a sweep point borrows the context instead of
 //! re-deriving the facts, so the per-point cost collapses to the search
-//! itself. The 1-D capacity sweep and the N-dimensional grid sweep in
-//! [`explore`](crate::explore) are both built on it.
+//! itself. Every grid sweep in [`explore`](crate::explore), the one-axis
+//! capacity sweep included, is built on it.
 
 use mhla_hierarchy::Platform;
 use mhla_ir::{AccessKind, LoopId, Program, ProgramInfo, StmtId, Timeline};

@@ -17,19 +17,16 @@ use std::fmt;
 use mhla_hierarchy::{LayerKind, Platform};
 use mhla_ir::{Program, ValidateError};
 
-use crate::explore::{GridAxis, StopCause};
+use crate::explore::GridAxis;
 use crate::types::{MhlaConfig, Objective};
 
 /// Everything that can go wrong at the engine boundary.
 ///
-/// The first four variants are *ingress* rejections (the input can never
-/// be processed); [`BudgetExhausted`](MhlaError::BudgetExhausted) and
-/// [`Cancelled`](MhlaError::Cancelled) are *interruption* reports — the
-/// sweeps themselves return `Ok` with a partial result
-/// ([`SweepStatus::Stopped`](crate::explore::SweepStatus)), and these
-/// variants surface through the strict
-/// [`require_complete`](crate::explore::GridSweepRun::require_complete)
-/// accessors for callers that need an all-or-nothing answer.
+/// Every variant is an *ingress* rejection: the input can never be
+/// processed. Running out of an exploration budget is not an error — the
+/// sweeps return `Ok` with a certified partial result
+/// ([`SweepStatus::Stopped`](crate::explore::SweepStatus)) that their
+/// `try_*_resume` entries continue.
 #[derive(Clone, PartialEq, Debug)]
 #[non_exhaustive]
 pub enum MhlaError {
@@ -55,25 +52,6 @@ pub enum MhlaError {
         /// Human-readable diagnosis.
         what: String,
     },
-    /// An exploration budget ([`ExploreBudget`](crate::explore::ExploreBudget))
-    /// ran out before the sweep covered the grid. The partial result is
-    /// still a certified frontier over the points it decided.
-    BudgetExhausted {
-        /// What ran out ([`StopCause::MaxEvals`] or
-        /// [`StopCause::Deadline`]).
-        cause: StopCause,
-        /// Grid points committed before the stop.
-        committed: usize,
-        /// Points of the full Cartesian product.
-        total: usize,
-    },
-    /// The sweep's cancellation flag was raised.
-    Cancelled {
-        /// Grid points committed before the stop.
-        committed: usize,
-        /// Points of the full Cartesian product.
-        total: usize,
-    },
 }
 
 impl fmt::Display for MhlaError {
@@ -83,20 +61,6 @@ impl fmt::Display for MhlaError {
             MhlaError::InvalidOptions { what } => write!(f, "invalid options: {what}"),
             MhlaError::InvalidObjective { what } => write!(f, "invalid objective: {what}"),
             MhlaError::InfeasiblePoint { what } => write!(f, "infeasible point: {what}"),
-            MhlaError::BudgetExhausted {
-                cause,
-                committed,
-                total,
-            } => write!(
-                f,
-                "exploration budget exhausted ({cause:?}) after {committed} of {total} points"
-            ),
-            MhlaError::Cancelled { committed, total } => {
-                write!(
-                    f,
-                    "exploration cancelled after {committed} of {total} points"
-                )
-            }
         }
     }
 }
@@ -409,11 +373,5 @@ mod tests {
         let e = MhlaError::from(ValidateError::DuplicateArrayName { name: "x".into() });
         assert!(e.to_string().contains("invalid program"));
         assert!(std::error::Error::source(&e).is_some());
-        let b = MhlaError::BudgetExhausted {
-            cause: StopCause::MaxEvals,
-            committed: 3,
-            total: 9,
-        };
-        assert!(b.to_string().contains("3 of 9"), "{b}");
     }
 }

@@ -6,15 +6,14 @@
 //! fallible entry per job; each validates its ingress and returns a typed
 //! [`MhlaError`] instead of panicking:
 //!
-//! * [`try_sweep_with`] — the 1-D capacity sweep: one scratchpad layer
-//!   resized over a range, both MHLA steps run at every size,
-//!   Pareto-optimal (capacity, cycles) and (capacity, energy) points kept.
 //! * [`try_sweep_grid_run`] — the exhaustive N-dimensional grid: every
 //!   on-chip layer gets its own capacity axis ([`GridAxis`]) and the full
 //!   Cartesian product is evaluated — the *joint* sizing of a multi-layer
 //!   hierarchy (e.g. L1×L2 on [`Platform::three_level`]), whose
 //!   interesting trade-offs single-axis sweeps cannot see. Pareto
-//!   filtering generalizes to dominance over the capacity vector.
+//!   filtering generalizes to dominance over the capacity vector. The 1-D
+//!   capacity sweep (one scratchpad layer resized over a range, e.g.
+//!   [`default_capacities`]) is this grid on one axis.
 //!   [`try_sweep_grid_run_in`] is the same engine over a caller-owned
 //!   [`ExplorationContext`] (the batch server's miss path).
 //! * [`try_sweep_grid_pruned_with`] — the sub-exhaustive production path
@@ -46,10 +45,10 @@
 //! rank level at the same time, on the calling thread and helper threads
 //! of its own.
 //!
-//! [`sweep_cold`] keeps the frozen pre-optimization reference path:
-//! strictly sequential, every point re-analyzed and searched from scratch.
-//! The equivalence tests compare the paths; their Pareto fronts must be
-//! identical.
+//! [`sweep_cold`] keeps the frozen pre-optimization reference path for
+//! the one-axis grid: strictly sequential, every point re-analyzed and
+//! searched from scratch. The equivalence tests compare the paths; their
+//! points and Pareto fronts must be identical.
 //!
 //! # One engine, two search modes
 //!
@@ -74,9 +73,9 @@
 //!   `full_search_me`), which is exactly why the cold mode must stay
 //!   frozen and this mode is opt-in.
 //!
-//! Pareto filtering is shared between [`Sweep`] and [`GridSweep`] through
-//! [`pareto::front`] — the sort-based sweep that replaced the seed's
-//! all-pairs dominance scan.
+//! Every [`GridSweep`] Pareto accessor filters through [`pareto::front`]
+//! — the sort-based sweep that replaced the seed's all-pairs dominance
+//! scan.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -173,9 +172,7 @@ impl SweepStatus {
 /// returns. On exhaustion the sweep does **not** error: it stops on a
 /// decided down-set of the grid and returns its result with
 /// [`SweepStatus::Stopped`] — a certified partial frontier plus the
-/// decided count. Callers that need an all-or-nothing answer use
-/// [`GridSweepRun::require_complete`] to turn a stop into a typed
-/// [`MhlaError`].
+/// decided count, which the matching `try_*_resume` entry continues.
 #[derive(Clone, Debug, Default)]
 pub struct ExploreBudget {
     /// Maximum points *searched* in this call (points the pruned and
@@ -252,96 +249,8 @@ impl PartialEq for ExploreBudget {
     }
 }
 
-/// One point of the capacity sweep.
-#[derive(Clone, PartialEq, Debug)]
-pub struct SweepPoint {
-    /// On-chip scratchpad capacity of this point, bytes.
-    pub capacity: u64,
-    /// The full MHLA result at this capacity.
-    pub result: MhlaResult,
-}
-
-impl SweepPoint {
-    /// Static MHLA+TE cycles at this point.
-    pub fn cycles(&self) -> u64 {
-        self.result.mhla_te_cycles()
-    }
-
-    /// Memory energy at this point, picojoule.
-    pub fn energy_pj(&self) -> f64 {
-        self.result.mhla_energy_pj()
-    }
-}
-
-/// Result of a 1-D sweep ([`try_sweep_with`]): all evaluated points in
-/// ascending capacity order.
-#[derive(Clone, PartialEq, Debug)]
-pub struct Sweep {
-    /// Evaluated points, ascending capacity.
-    pub points: Vec<SweepPoint>,
-}
-
-impl Sweep {
-    /// Indices of the Pareto-optimal (capacity, cycles) points: no other
-    /// point has both smaller-or-equal capacity and strictly fewer cycles.
-    pub fn pareto_cycles(&self) -> Vec<usize> {
-        surface_front(&self.points, |p| vec![p.capacity as f64, p.cycles() as f64])
-    }
-
-    /// Indices of the Pareto-optimal (capacity, energy) points.
-    pub fn pareto_energy(&self) -> Vec<usize> {
-        surface_front(&self.points, |p| vec![p.capacity as f64, p.energy_pj()])
-    }
-
-    /// The point with the fewest cycles (ties: smallest capacity).
-    pub fn best_cycles(&self) -> Option<&SweepPoint> {
-        surface_best(
-            &self.points,
-            |a, b| a.cycles().cmp(&b.cycles()),
-            |p| (p.capacity, EMPTY),
-        )
-    }
-
-    /// The point with the least energy (ties: smallest capacity).
-    pub fn best_energy(&self) -> Option<&SweepPoint> {
-        surface_best(
-            &self.points,
-            |a, b| a.energy_pj().total_cmp(&b.energy_pj()),
-            |p| (p.capacity, EMPTY),
-        )
-    }
-}
-
-/// Empty lexicographic tie-break for 1-D sweep points (their capacities
-/// are unique after dedup, so the total-capacity key already decides).
-const EMPTY: &[u64] = &[];
-
-/// The shared Pareto filter behind every `pareto_*` accessor of [`Sweep`]
-/// and [`GridSweep`]: keep a point iff no other point has every projected
-/// coordinate (capacities…, objective) smaller-or-equal without being the
-/// exact same point — one implementation over the sort-based
-/// [`pareto::front`], parameterized only by the coordinate projection.
-fn surface_front<P>(points: &[P], coords: impl Fn(&P) -> Vec<f64>) -> Vec<usize> {
-    let coords: Vec<Vec<f64>> = points.iter().map(coords).collect();
-    pareto::front(&coords)
-}
-
-/// The shared selector behind every `best_*` accessor: the point winning
-/// the objective comparison (a comparator, so cycle counts stay exact
-/// `u64` comparisons while energies compare as `f64`), ties broken by the
-/// (total capacity, lexicographic capacity vector) key — the first such
-/// point wins, matching the pre-dedup per-type implementations.
-fn surface_best<'p, P>(
-    points: &'p [P],
-    value: impl Fn(&P, &P) -> std::cmp::Ordering,
-    tie: impl for<'a> Fn(&'a P) -> (u64, &'a [u64]),
-) -> Option<&'p P> {
-    points
-        .iter()
-        .min_by(|a, b| value(a, b).then_with(|| tie(a).cmp(&tie(b))))
-}
-
-/// Default capacity grid: powers of two from 128 B to 128 KiB.
+/// Default capacities of a one-axis grid: powers of two from 128 B to
+/// 128 KiB (what `mhla sweep` visits unless given `--capacities`).
 pub fn default_capacities() -> Vec<u64> {
     (7..=17).map(|e| 1u64 << e).collect()
 }
@@ -433,8 +342,8 @@ pub enum SeedOrigin {
     LexPredecessor,
 }
 
-/// Options of [`try_sweep_with`] and the exhaustive grid engine
-/// ([`try_sweep_grid_run`]).
+/// Options of the exhaustive grid engine ([`try_sweep_grid_run`], any
+/// number of axes — one for a 1-D capacity sweep).
 ///
 /// **Determinism guarantee:** the engine searches every point, and each
 /// point's result depends only on the point and — in
@@ -455,86 +364,36 @@ pub struct SweepOptions {
     pub budget: ExploreBudget,
 }
 
-/// The pre-optimization reference sweep: strictly sequential, the reuse
-/// analysis re-derived at every point, every candidate move re-priced with
-/// the full `evaluate` oracle, no warm starts — the seed implementation,
-/// frozen. Kept for validation and benchmarking; [`try_sweep_with`] must
-/// yield identical Pareto fronts (see the equivalence tests).
+/// The pre-optimization reference for the one-axis grid: `layer` of
+/// `platform` resized to each of `capacities` (sorted and deduped),
+/// strictly sequentially, the reuse analysis re-derived at every point,
+/// every candidate move re-priced with the full `evaluate` oracle, no warm
+/// starts — the seed implementation, frozen. Kept for validation: the cold
+/// [`try_sweep_grid_run`] on the same single [`GridAxis`] must yield
+/// identical points and Pareto fronts (see the equivalence tests).
 pub fn sweep_cold(
     program: &Program,
     platform: &Platform,
     layer: LayerId,
     capacities: &[u64],
     config: &MhlaConfig,
-) -> Sweep {
+) -> GridSweep {
     let caps = clean_capacities(capacities);
     let points = caps
         .into_iter()
         .map(|capacity| {
             let pf = platform.with_layer_capacity(layer, capacity);
             let result = Mhla::new(program, &pf, config.clone()).run_reference();
-            SweepPoint { capacity, result }
+            GridPoint {
+                capacities: vec![capacity],
+                result,
+            }
         })
         .collect();
-    Sweep { points }
-}
-
-/// Result of [`try_sweep_with`]: the 1-D sweep plus how far it got (a
-/// budgeted sweep can stop early — see [`SweepStatus`]).
-#[derive(Clone, PartialEq, Debug)]
-pub struct SweepRun {
-    /// The evaluated points (a lexicographic — here: ascending-capacity —
-    /// prefix of the full sweep when [`status`](Self::status) is
-    /// [`SweepStatus::Stopped`]).
-    pub sweep: Sweep,
-    /// Whether the sweep covered every capacity.
-    pub status: SweepStatus,
-}
-
-/// Sweeps scratchpad capacities, resizing `layer` of `platform` to each of
-/// `capacities` (sorted and deduped) and running the full MHLA flow.
-/// Production path: shared reuse analysis and move space (see
-/// [`SweepOptions`]).
-///
-/// Implemented as the 1-axis degenerate case of [`try_sweep_grid_run`],
-/// so the 1-D and N-D sweeps share one execution path: identical context
-/// sharing and scheduling by construction.
-///
-/// # Errors
-///
-/// [`MhlaError::InvalidProgram`] / [`InvalidOptions`](MhlaError::InvalidOptions) /
-/// [`InvalidObjective`](MhlaError::InvalidObjective) on bad ingress,
-/// [`MhlaError::InfeasiblePoint`] on an impossible sweep axis (the
-/// off-chip layer, a layer out of range, a zero capacity). Budget
-/// exhaustion is *not* an error — it is reported through
-/// [`SweepRun::status`].
-pub fn try_sweep_with(
-    program: &Program,
-    platform: &Platform,
-    layer: LayerId,
-    capacities: &[u64],
-    config: &MhlaConfig,
-    opts: &SweepOptions,
-) -> Result<SweepRun, MhlaError> {
-    let axis = GridAxis {
-        layer,
-        capacities: capacities.to_vec(),
-    };
-    let run = try_sweep_grid_run(program, platform, &[axis], config, opts)?;
-    Ok(SweepRun {
-        sweep: Sweep {
-            points: run
-                .sweep
-                .points
-                .into_iter()
-                .map(|p| SweepPoint {
-                    capacity: p.capacities[0],
-                    result: p.result,
-                })
-                .collect(),
-        },
-        status: run.status,
-    })
+    GridSweep {
+        layers: vec![layer],
+        points,
+    }
 }
 
 fn clean_capacities(capacities: &[u64]) -> Vec<u64> {
@@ -620,19 +479,18 @@ pub struct GridSweep {
 impl GridSweep {
     /// Indices of the Pareto surface over (capacity vector, cycles): a
     /// point survives iff no other point dominates it — capacities all ≤,
-    /// cycles ≤, and at least one strictly smaller. On a 1-axis grid this
-    /// is exactly [`Sweep::pareto_cycles`]. (Capacity vectors in a grid
-    /// are unique, so the 1-axis case degenerates to "keep iff the
-    /// objective strictly improves on everything at smaller capacity" —
-    /// asserted by the grid equivalence tests. `pareto::front_quadratic`
-    /// keeps the seed's all-pairs scan as the test oracle.)
+    /// cycles ≤, and at least one strictly smaller. (Capacity vectors in a
+    /// grid are unique, so on a one-axis grid this degenerates to "keep iff
+    /// the objective strictly improves on everything at smaller capacity".
+    /// `pareto::front_quadratic` keeps the seed's all-pairs scan as the
+    /// test oracle.)
     pub fn pareto_cycles(&self) -> Vec<usize> {
-        surface_front(&self.points, |p| grid_coords(p, p.cycles() as f64))
+        self.front(|p| p.cycles() as f64)
     }
 
     /// Indices of the Pareto surface over (capacity vector, energy).
     pub fn pareto_energy(&self) -> Vec<usize> {
-        surface_front(&self.points, |p| grid_coords(p, p.energy_pj()))
+        self.front(GridPoint::energy_pj)
     }
 
     /// Indices of the Pareto surface over (capacity vector, objective
@@ -642,38 +500,50 @@ impl GridSweep {
     /// (Time Extensions are a separate heuristic that a better step-1
     /// score does not bound).
     pub fn pareto_objective(&self, objective: &Objective) -> Vec<usize> {
-        surface_front(&self.points, |p| {
-            grid_coords(p, p.objective_score(objective))
-        })
+        self.front(|p| p.objective_score(objective))
     }
 
     /// The point with the fewest cycles (ties: smallest total capacity,
     /// then lexicographically smallest vector).
     pub fn best_cycles(&self) -> Option<&GridPoint> {
-        surface_best(&self.points, |a, b| a.cycles().cmp(&b.cycles()), grid_tie)
+        self.best(|a, b| a.cycles().cmp(&b.cycles()))
     }
 
     /// The point with the least energy (ties as
     /// [`best_cycles`](Self::best_cycles)).
     pub fn best_energy(&self) -> Option<&GridPoint> {
-        surface_best(
-            &self.points,
-            |a, b| a.energy_pj().total_cmp(&b.energy_pj()),
-            grid_tie,
-        )
+        self.best(|a, b| a.energy_pj().total_cmp(&b.energy_pj()))
     }
-}
 
-/// A grid point's (capacities…, objective) projection for [`surface_front`].
-fn grid_coords(p: &GridPoint, objective: f64) -> Vec<f64> {
-    let mut c: Vec<f64> = p.capacities.iter().map(|&c| c as f64).collect();
-    c.push(objective);
-    c
-}
+    /// The filter behind every `pareto_*` accessor: [`pareto::front`] over
+    /// each point's (capacities…, objective) coordinates.
+    fn front(&self, objective: impl Fn(&GridPoint) -> f64) -> Vec<usize> {
+        let coords: Vec<Vec<f64>> = self
+            .points
+            .iter()
+            .map(|p| {
+                let mut c: Vec<f64> = p.capacities.iter().map(|&c| c as f64).collect();
+                c.push(objective(p));
+                c
+            })
+            .collect();
+        pareto::front(&coords)
+    }
 
-/// A grid point's tie-break key for [`surface_best`].
-fn grid_tie(p: &GridPoint) -> (u64, &[u64]) {
-    (p.total_capacity(), &p.capacities)
+    /// The selector behind every `best_*` accessor: the first point winning
+    /// the objective comparison (a comparator, so cycle counts stay exact
+    /// `u64` comparisons while energies compare as `f64`), ties broken by
+    /// (total capacity, capacity vector).
+    fn best(
+        &self,
+        value: impl Fn(&GridPoint, &GridPoint) -> std::cmp::Ordering,
+    ) -> Option<&GridPoint> {
+        self.points.iter().min_by(|a, b| {
+            value(a, b).then_with(|| {
+                (a.total_capacity(), &a.capacities).cmp(&(b.total_capacity(), &b.capacities))
+            })
+        })
+    }
 }
 
 /// Result of [`try_sweep_grid_run`]: the grid sweep plus the engine's
@@ -708,32 +578,6 @@ pub struct GridSweepRun {
     pub status: SweepStatus,
 }
 
-impl GridSweepRun {
-    /// The run if it completed, a typed error if it was interrupted —
-    /// for callers that need an all-or-nothing answer.
-    ///
-    /// # Errors
-    ///
-    /// [`MhlaError::BudgetExhausted`] / [`MhlaError::Cancelled`].
-    pub fn require_complete(self) -> Result<Self, MhlaError> {
-        match self.status {
-            SweepStatus::Complete => Ok(self),
-            SweepStatus::Stopped {
-                cause: StopCause::Cancelled,
-                ..
-            } => Err(MhlaError::Cancelled {
-                committed: self.sweep.points.len(),
-                total: self.candidates,
-            }),
-            SweepStatus::Stopped { cause, .. } => Err(MhlaError::BudgetExhausted {
-                cause,
-                committed: self.sweep.points.len(),
-                total: self.candidates,
-            }),
-        }
-    }
-}
-
 /// Sweeps an N-dimensional layer-size grid exhaustively: for every point
 /// of the Cartesian product of the axes' capacities (each axis sorted and
 /// deduped), resizes the named layers of `platform` and runs the full
@@ -748,20 +592,22 @@ impl GridSweepRun {
 /// caches, move space computed once); a cold run searches one rank level
 /// at a time on the calling thread and helper threads, an improving run
 /// one point at a time in lexicographic order (see the pruned sweep's
-/// *One certified loop*). In [`SearchMode::Cold`] each
-/// point's result is bit-identical to a cold standalone [`Mhla::run`] on
-/// the same platform, and a 1-axis grid is exactly [`try_sweep_with`] —
-/// both asserted by the equivalence tests.
+/// *One certified loop*). In [`SearchMode::Cold`] each point's result is
+/// bit-identical to a cold standalone [`Mhla::run`] on the same platform
+/// (asserted by the equivalence tests). One axis is the 1-D capacity
+/// sweep, `mhla sweep`.
 ///
 /// # Errors
 ///
-/// As [`try_sweep_with`], plus [`MhlaError::InvalidOptions`] when two
-/// axes name the same layer or the grid has more points than a `u64`
-/// holds. Budget exhaustion is *not* an error — the
-/// run comes back `Ok` with [`SweepStatus::Stopped`] and a certified
-/// partial frontier (see [`GridSweepRun::status`]); use
-/// [`GridSweepRun::require_complete`] to promote a stop into a typed
-/// error.
+/// [`MhlaError::InvalidProgram`] / [`InvalidOptions`](MhlaError::InvalidOptions) /
+/// [`InvalidObjective`](MhlaError::InvalidObjective) on bad ingress,
+/// [`MhlaError::InfeasiblePoint`] on an impossible axis (the off-chip
+/// layer, a layer out of range, a zero capacity), and
+/// [`MhlaError::InvalidOptions`] when two axes name the same layer or the
+/// grid has more points than a `u64` holds. Budget exhaustion is *not* an
+/// error — the run comes back `Ok` with [`SweepStatus::Stopped`] and a
+/// certified partial frontier (see [`GridSweepRun::status`]), which
+/// [`try_sweep_grid_resume`] continues.
 pub fn try_sweep_grid_run(
     program: &Program,
     platform: &Platform,
@@ -2891,20 +2737,17 @@ mod tests {
         b.finish()
     }
 
-    /// The default-options 1-D sweep of layer 1.
-    fn sweep_1d(p: &Program, pf: &Platform, caps: &[u64]) -> Sweep {
-        let (config, opts) = (MhlaConfig::default(), SweepOptions::default());
-        try_sweep_with(p, pf, LayerId(1), caps, &config, &opts)
-            .unwrap()
-            .sweep
-    }
-
     /// The default-options exhaustive grid sweep.
     fn grid(p: &Program, pf: &Platform, axes: &[GridAxis]) -> GridSweep {
         let (config, opts) = (MhlaConfig::default(), SweepOptions::default());
         try_sweep_grid_run(p, pf, axes, &config, &opts)
             .unwrap()
             .sweep
+    }
+
+    /// The default-options 1-D sweep of layer 1: the grid on one axis.
+    fn sweep_1d(p: &Program, pf: &Platform, caps: &[u64]) -> GridSweep {
+        grid(p, pf, &[GridAxis::new(LayerId(1), caps)])
     }
 
     #[test]
@@ -2916,7 +2759,7 @@ mod tests {
         assert_eq!(s.points.len(), caps.len());
         // Capacities ascend.
         for w in s.points.windows(2) {
-            assert!(w[0].capacity < w[1].capacity);
+            assert!(w[0].capacities < w[1].capacities);
         }
         // The Pareto front is non-empty, ascending in capacity and strictly
         // descending in cycles.
@@ -2992,22 +2835,6 @@ mod tests {
             let cold = crate::Mhla::new(&p, &standalone, MhlaConfig::default()).run();
             assert_eq!(point.result, cold, "at {:?}", point.capacities);
         }
-    }
-
-    #[test]
-    fn single_axis_grid_is_exactly_the_sweep() {
-        let p = blocked();
-        let pf = Platform::embedded_default(1024);
-        let caps: Vec<u64> = vec![64, 128, 512, 2048];
-        let s = sweep_1d(&p, &pf, &caps);
-        let g = grid(&p, &pf, &[GridAxis::new(LayerId(1), caps)]);
-        assert_eq!(g.points.len(), s.points.len());
-        for (gp, sp) in g.points.iter().zip(&s.points) {
-            assert_eq!(gp.capacities, vec![sp.capacity]);
-            assert_eq!(gp.result, sp.result);
-        }
-        assert_eq!(g.pareto_cycles(), s.pareto_cycles());
-        assert_eq!(g.pareto_energy(), s.pareto_energy());
     }
 
     #[test]
@@ -3264,14 +3091,8 @@ mod tests {
         )
         .unwrap();
         let surface = |run: &RefinedGridSweep| -> Vec<Vec<f64>> {
-            run.sweep
-                .pareto_objective(&config.objective)
-                .into_iter()
-                .map(|i| {
-                    let pt = &run.sweep.points[i];
-                    grid_coords(pt, pt.objective_score(&config.objective))
-                })
-                .collect()
+            let front = run.sweep.pareto_objective(&config.objective);
+            crate::report::objective_coords(&run.sweep, &front, &config.objective)
         };
         assert!(
             pareto::front_dominates(&surface(&improving), &surface(&cold)),

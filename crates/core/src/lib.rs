@@ -33,9 +33,10 @@
 //!   sweeps use;
 //! * exploration ([`explore`]), which sweeps on-chip capacities and
 //!   produces the Pareto trade-off points the paper's Figures 2 and 3 are
-//!   drawn from: [`explore::try_sweep_with`] (1-D),
-//!   [`explore::try_sweep_grid_run`] / [`explore::try_sweep_grid_run_in`]
-//!   (exhaustive grid), [`explore::try_sweep_grid_pruned_with`] (lossless
+//!   drawn from: [`explore::try_sweep_grid_run`] /
+//!   [`explore::try_sweep_grid_run_in`] (exhaustive grid; one
+//!   [`explore::GridAxis`] is the 1-D capacity sweep),
+//!   [`explore::try_sweep_grid_pruned_with`] (lossless
 //!   pruning), [`explore::try_sweep_grid_refined_with`] (certified
 //!   refinement), each with a `try_*_resume` for budget-stopped runs, over
 //!   [`explore::default_axes`] unless the caller names its own axes;

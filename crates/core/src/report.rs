@@ -2,11 +2,12 @@
 
 use std::fmt::Write as _;
 
+use mhla_hierarchy::LayerId;
 use mhla_ir::Program;
 use mhla_reuse::ReuseAnalysis;
 
 use crate::driver::MhlaResult;
-use crate::explore::{GridSweep, Sweep};
+use crate::explore::GridSweep;
 use crate::pareto;
 use crate::types::Objective;
 
@@ -98,28 +99,7 @@ pub fn describe(program: &Program, reuse: &ReuseAnalysis, r: &MhlaResult) -> Str
     out
 }
 
-/// CSV of a capacity sweep: `capacity,cycles_baseline,cycles_mhla,
-/// cycles_mhla_te,cycles_ideal,energy_baseline_pj,energy_mhla_pj` — the
-/// cost columns are the ones [`grid_csv`] writes.
-pub fn sweep_csv(s: &Sweep) -> String {
-    let mut out = format!("capacity,{}\n", COST_COLUMNS.join(","));
-    for p in &s.points {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{:.1},{:.1}",
-            p.capacity,
-            p.result.baseline_cycles(),
-            p.result.mhla_cycles(),
-            p.result.mhla_te_cycles(),
-            p.result.ideal_cycles(),
-            p.result.baseline_energy_pj(),
-            p.result.mhla_energy_pj()
-        );
-    }
-    out
-}
-
-/// The fixed cost columns shared by [`sweep_csv`] and [`grid_csv`].
+/// The cost columns of [`capacity_csv`], after the capacity columns.
 const COST_COLUMNS: [&str; 6] = [
     "cycles_baseline",
     "cycles_mhla",
@@ -139,52 +119,68 @@ fn csv_field(s: &str) -> String {
     }
 }
 
-/// CSV of a grid sweep: one capacity column per axis (named after the
-/// resized layer), then the same cost columns as [`sweep_csv`].
-///
-/// Every row is assembled field-by-field against the header, so the
-/// column count can never silently drift from the axis count when grids
-/// grow new dimensions, and axis labels are CSV-escaped.
+/// The one CSV format of an exploration, whether its points are in
+/// process ([`grid_csv`]) or came back from `mhla serve`: one capacity
+/// column per axis, `capacity_<layer>` (CSV-escaped), then the cost
+/// columns `cycles_baseline`, `cycles_mhla`, `cycles_mhla_te`,
+/// `cycles_ideal`, `energy_baseline_pj` and `energy_mhla_pj`, energies in
+/// picojoule with one decimal. Each row is a point's capacity vector, its
+/// four cycle counts and its two energies in that column order, written
+/// as given.
+pub fn capacity_csv<'a>(
+    layers: &[LayerId],
+    rows: impl IntoIterator<Item = (&'a [u64], [u64; 4], [f64; 2])>,
+) -> String {
+    let mut out = String::new();
+    for l in layers {
+        let _ = write!(out, "{},", csv_field(&format!("capacity_{l}")));
+    }
+    out.push_str(&COST_COLUMNS.join(","));
+    out.push('\n');
+    for (capacities, [baseline, mhla, mhla_te, ideal], [energy_baseline, energy_mhla]) in rows {
+        for c in capacities {
+            let _ = write!(out, "{c},");
+        }
+        let _ = writeln!(
+            out,
+            "{baseline},{mhla},{mhla_te},{ideal},{energy_baseline:.1},{energy_mhla:.1}"
+        );
+    }
+    out
+}
+
+/// CSV of a grid sweep in the [`capacity_csv`] format — one capacity
+/// column per axis, so a one-axis grid (`mhla sweep`) writes
+/// `capacity_<layer>` too.
 ///
 /// # Panics
 ///
 /// Panics if a point's capacity vector does not match the axis count —
 /// such a `GridSweep` is malformed.
 pub fn grid_csv(g: &GridSweep) -> String {
-    let header: Vec<String> = g
-        .layers
-        .iter()
-        .map(|l| csv_field(&format!("capacity_{l}")))
-        .chain(COST_COLUMNS.iter().map(|c| c.to_string()))
-        .collect();
-    let mut out = header.join(",");
-    out.push('\n');
-    for p in &g.points {
-        assert_eq!(
-            p.capacities.len(),
-            g.layers.len(),
-            "grid point has {} capacities for {} axes",
-            p.capacities.len(),
-            g.layers.len()
-        );
-        let row: Vec<String> = p
-            .capacities
-            .iter()
-            .map(|c| c.to_string())
-            .chain([
-                p.result.baseline_cycles().to_string(),
-                p.result.mhla_cycles().to_string(),
-                p.result.mhla_te_cycles().to_string(),
-                p.result.ideal_cycles().to_string(),
-                format!("{:.1}", p.result.baseline_energy_pj()),
-                format!("{:.1}", p.result.mhla_energy_pj()),
-            ])
-            .collect();
-        debug_assert_eq!(row.len(), header.len());
-        out.push_str(&row.join(","));
-        out.push('\n');
-    }
-    out
+    capacity_csv(
+        &g.layers,
+        g.points.iter().map(|p| {
+            assert_eq!(
+                p.capacities.len(),
+                g.layers.len(),
+                "grid point has {} capacities for {} axes",
+                p.capacities.len(),
+                g.layers.len()
+            );
+            let r = &p.result;
+            (
+                &p.capacities[..],
+                [
+                    r.baseline_cycles(),
+                    r.mhla_cycles(),
+                    r.mhla_te_cycles(),
+                    r.ideal_cycles(),
+                ],
+                [r.baseline_energy_pj(), r.mhla_energy_pj()],
+            )
+        }),
+    )
 }
 
 /// Renders a grid sweep's Pareto frontier as a table: one row per point on
@@ -470,22 +466,18 @@ mod tests {
     }
 
     #[test]
-    fn sweep_csv_has_one_line_per_point_plus_header() {
+    fn one_axis_grid_csv_has_one_line_per_point_plus_header() {
         let (p, _, _) = result();
         let pf = Platform::embedded_default(256);
-        let s = crate::explore::try_sweep_with(
+        let g = grid(
             &p,
             &pf,
-            mhla_hierarchy::LayerId(1),
-            &[64, 128],
-            &MhlaConfig::default(),
+            &[GridAxis::new(mhla_hierarchy::LayerId(1), vec![64u64, 128])],
             &SweepOptions::default(),
-        )
-        .unwrap()
-        .sweep;
-        let csv = sweep_csv(&s);
+        );
+        let csv = grid_csv(&g);
         assert_eq!(csv.lines().count(), 3);
-        assert!(csv.starts_with("capacity,"));
+        assert!(csv.starts_with("capacity_M1,cycles_baseline,"), "{csv}");
     }
 
     use mhla_ir::Program;

@@ -29,15 +29,15 @@
 //! with `"cached"` present on explore responses only. The `result` body
 //! of an explore is rendered **once**, server-side, and cached verbatim —
 //! a cache hit is byte-identical to the cold response body by
-//! construction. Every failure, from a syntax error to an exhausted
-//! budget promoted by the client, maps to a typed error class
-//! ([`error_class`]); the server never answers a request with a dropped
-//! connection or a panic.
+//! construction. Every failure, from a syntax error to a degenerate axis,
+//! maps to a typed error class ([`error_class`]); an exhausted budget is
+//! not a failure but a `"stopped"` status on the result. The server never
+//! answers a request with a dropped connection or a panic.
 
 use std::fmt;
 
 use mhla_core::explore::{GridAxis, GridSweepRun, SearchMode, StopCause, SweepStatus};
-use mhla_core::{MhlaError, Objective};
+use mhla_core::{report, MhlaError, Objective};
 use mhla_hierarchy::serdes::platform_from_value;
 use mhla_hierarchy::{LayerId, Platform};
 use mhla_ir::serdes::{field, opt_field, program_from_value, Json, SerdesError};
@@ -100,8 +100,6 @@ pub fn error_class(e: &MhlaError) -> &'static str {
         MhlaError::InvalidOptions { .. } => "invalid_options",
         MhlaError::InvalidObjective { .. } => "invalid_objective",
         MhlaError::InfeasiblePoint { .. } => "infeasible_point",
-        MhlaError::BudgetExhausted { .. } => "budget_exhausted",
-        MhlaError::Cancelled { .. } => "cancelled",
         // `MhlaError` is non_exhaustive; future variants report generically.
         _ => "engine",
     }
@@ -712,37 +710,25 @@ fn parse_frontier(v: &Json) -> Result<ServedFrontier, SerdesError> {
 
 impl ServedFrontier {
     /// Renders the served points as the exact CSV `mhla grid` emits for
-    /// the same sweep — byte-identical header and rows (energies carry
-    /// the engine's `f64`s through the shortest-round-trip wire encoding,
-    /// so the `{:.1}` formatting reproduces exactly).
+    /// the same sweep: both go through [`report::capacity_csv`], and the
+    /// energies carry the engine's `f64`s through the shortest-round-trip
+    /// wire encoding, so the bytes match.
     pub fn grid_csv(&self) -> String {
-        use std::fmt::Write as _;
-        let header: Vec<String> = self
-            .layers
-            .iter()
-            .map(|l| format!("capacity_{l}"))
-            .chain([
-                "cycles_baseline".to_string(),
-                "cycles_mhla".to_string(),
-                "cycles_mhla_te".to_string(),
-                "cycles_ideal".to_string(),
-                "energy_baseline_pj".to_string(),
-                "energy_mhla_pj".to_string(),
-            ])
-            .collect();
-        let mut out = header.join(",");
-        out.push('\n');
-        for p in &self.points {
-            let mut row: Vec<String> = p.capacities.iter().map(|c| c.to_string()).collect();
-            row.push(p.cycles_baseline.to_string());
-            row.push(p.cycles_mhla.to_string());
-            row.push(p.cycles_mhla_te.to_string());
-            row.push(p.cycles_ideal.to_string());
-            row.push(format!("{:.1}", p.energy_baseline_pj));
-            row.push(format!("{:.1}", p.energy_mhla_pj));
-            let _ = writeln!(out, "{}", row.join(","));
-        }
-        out
+        report::capacity_csv(
+            &self.layers,
+            self.points.iter().map(|p| {
+                (
+                    &p.capacities[..],
+                    [
+                        p.cycles_baseline,
+                        p.cycles_mhla,
+                        p.cycles_mhla_te,
+                        p.cycles_ideal,
+                    ],
+                    [p.energy_baseline_pj, p.energy_mhla_pj],
+                )
+            }),
+        )
     }
 }
 

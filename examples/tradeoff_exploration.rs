@@ -5,21 +5,21 @@
 //!
 //! Run with `cargo run --release --example tradeoff_exploration`.
 
-use mhla::core::explore::{default_capacities, try_sweep_with, SweepOptions};
+use mhla::core::explore::{default_capacities, try_sweep_grid_run, GridAxis, SweepOptions};
 use mhla::core::{report, MhlaConfig};
 use mhla::hierarchy::{LayerId, Platform};
 
 fn main() {
     let app = mhla_apps::cavity_detect::app();
     let platform = Platform::embedded_default(1024);
-    let caps = default_capacities();
+    // A capacity sweep is the exploration grid on one axis.
+    let axis = GridAxis::new(LayerId(1), default_capacities());
 
     println!("capacity sweep for `{}`:\n", app.name());
-    let s = try_sweep_with(
+    let s = try_sweep_grid_run(
         &app.program,
         &platform,
-        LayerId(1),
-        &caps,
+        &[axis],
         &MhlaConfig::default(),
         &SweepOptions::default(),
     )
@@ -35,7 +35,7 @@ fn main() {
     for (i, p) in s.points.iter().enumerate() {
         println!(
             "{:>10} {:>14} {:>14.2} {:>12} {:>8}",
-            p.capacity,
+            p.capacities[0],
             p.cycles(),
             p.energy_pj() / 1e6,
             if front_c.contains(&i) { "*" } else { "" },
@@ -46,9 +46,9 @@ fn main() {
     let best = s.best_cycles().expect("non-empty sweep");
     println!(
         "\nbest performance point: {} B scratchpad ({} cycles)",
-        best.capacity,
+        best.capacities[0],
         best.cycles()
     );
     println!("\nCSV (paste into a plotting tool):");
-    print!("{}", report::sweep_csv(&s));
+    print!("{}", report::grid_csv(&s));
 }

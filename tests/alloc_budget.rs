@@ -21,7 +21,7 @@
 
 #![cfg(feature = "alloc-counter")]
 
-use mhla::core::explore::{default_capacities, try_sweep_with, SweepOptions};
+use mhla::core::explore::{default_capacities, try_sweep_grid_run, GridAxis, SweepOptions};
 use mhla::core::MhlaConfig;
 use mhla::hierarchy::{LayerId, Platform};
 
@@ -40,20 +40,20 @@ fn steady_state_sweep_allocations_stay_under_budget() {
     let caps = default_capacities();
     let platform = Platform::embedded_default(1024);
     let config = MhlaConfig::default();
-    // A one-axis sweep's rank levels hold one point each, so every point
+    // A one-axis grid's rank levels hold one point each, so every point
     // runs on this thread and the second pass reuses one warmed
     // EngineScratch for the whole suite.
     let opts = SweepOptions::default();
+    let axes = [GridAxis::new(LayerId(1), caps)];
     let apps = mhla_apps::all_apps();
     for app in &apps {
-        try_sweep_with(&app.program, &platform, LayerId(1), &caps, &config, &opts)
-            .expect("valid sweep");
+        try_sweep_grid_run(&app.program, &platform, &axes, &config, &opts).expect("valid sweep");
     }
     let mut total_allocs = 0u64;
     let mut total_points = 0usize;
     for app in &apps {
         let (run, allocs, _) = mhla_alloc_counter::allocations_during(|| {
-            try_sweep_with(&app.program, &platform, LayerId(1), &caps, &config, &opts)
+            try_sweep_grid_run(&app.program, &platform, &axes, &config, &opts)
         });
         total_allocs += allocs;
         total_points += run.expect("valid sweep").sweep.points.len();

@@ -3,7 +3,7 @@
 //! the measured values (platform constants may be retuned) but narrow
 //! enough that a broken analysis or scheduler fails loudly.
 
-use mhla::core::explore::{default_capacities, try_sweep_with, SweepOptions};
+use mhla::core::explore::{default_capacities, try_sweep_grid_run, GridAxis, SweepOptions};
 use mhla::core::MhlaConfig;
 use mhla::hierarchy::{LayerId, Platform};
 use mhla_bench::{evaluate_app, te_ablation_point_frac};
@@ -92,11 +92,10 @@ fn energy_savings_are_significant_on_every_app() {
 fn exploration_finds_a_nontrivial_pareto_front() {
     let app = mhla_apps::cavity_detect::app();
     let platform = Platform::embedded_default(1024);
-    let s = try_sweep_with(
+    let s = try_sweep_grid_run(
         &app.program,
         &platform,
-        LayerId(1),
-        &default_capacities(),
+        &[GridAxis::new(LayerId(1), default_capacities())],
         &MhlaConfig::default(),
         &SweepOptions::default(),
     )
@@ -111,7 +110,7 @@ fn exploration_finds_a_nontrivial_pareto_front() {
     // The front actually trades capacity for cycles.
     let first = &s.points[front[0]];
     let last = &s.points[*front.last().unwrap()];
-    assert!(last.capacity > first.capacity);
+    assert!(last.capacities > first.capacities);
     assert!(
         (first.cycles() as f64) > 1.1 * last.cycles() as f64,
         "the extra capacity buys less than 10% cycles"

@@ -1,29 +1,35 @@
-//! The production sweep must match the cold sequential reference sweep —
-//! identical Pareto fronts (the PR acceptance bar) and, stronger,
-//! identical (cycles, energy) at every capacity point — on the full
-//! application suite.
+//! The production sweep — the exhaustive grid on one axis — must match
+//! the cold sequential reference sweep: identical Pareto fronts (the PR
+//! acceptance bar) and, stronger, identical (cycles, energy) at every
+//! capacity point — on the full application suite.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use mhla::core::explore::{
-    default_capacities, sweep_cold, try_sweep_grid_resume, try_sweep_grid_run, try_sweep_with,
-    ExploreBudget, GridAxis, StopCause, Sweep, SweepOptions, SweepStatus,
+    default_capacities, sweep_cold, try_sweep_grid_resume, try_sweep_grid_run, ExploreBudget,
+    GridAxis, GridSweep, StopCause, SweepOptions, SweepStatus,
 };
 use mhla::core::{EvalWorkspace, ExplorationContext, Mhla, MhlaConfig};
 use mhla::hierarchy::{LayerId, Platform};
 use mhla::ir::Program;
 
-/// The production 1-D sweep of layer 1 under `opts`.
-fn fast_sweep(program: &Program, platform: &Platform, caps: &[u64], opts: &SweepOptions) -> Sweep {
+/// The production 1-D sweep of layer 1 under `opts`: the one-axis grid.
+fn fast_sweep(
+    program: &Program,
+    platform: &Platform,
+    caps: &[u64],
+    opts: &SweepOptions,
+) -> GridSweep {
     let config = MhlaConfig::default();
-    try_sweep_with(program, platform, LayerId(1), caps, &config, opts)
+    let axis = GridAxis::new(LayerId(1), caps);
+    try_sweep_grid_run(program, platform, &[axis], &config, opts)
         .expect("valid sweep")
         .sweep
 }
 
 #[test]
-fn warm_parallel_sweep_matches_cold_sequential_on_all_apps() {
+fn one_axis_grid_matches_the_cold_sequential_sweep_on_all_apps() {
     let caps = default_capacities();
     let platform = Platform::embedded_default(1024);
     let config = MhlaConfig::default();
@@ -43,22 +49,23 @@ fn warm_parallel_sweep_matches_cold_sequential_on_all_apps() {
             "{}: energy Pareto fronts diverge",
             app.name()
         );
+        assert_eq!(cold.layers, fast.layers, "{}", app.name());
         assert_eq!(cold.points.len(), fast.points.len(), "{}", app.name());
         for (c, f) in cold.points.iter().zip(&fast.points) {
-            assert_eq!(c.capacity, f.capacity, "{}", app.name());
+            assert_eq!(c.capacities, f.capacities, "{}", app.name());
             assert_eq!(
                 c.cycles(),
                 f.cycles(),
-                "{} at {} B: cycles diverge",
+                "{} at {:?} B: cycles diverge",
                 app.name(),
-                c.capacity
+                c.capacities
             );
             assert_eq!(
                 c.energy_pj(),
                 f.energy_pj(),
-                "{} at {} B: energy diverges",
+                "{} at {:?} B: energy diverges",
                 app.name(),
-                c.capacity
+                c.capacities
             );
         }
     }
@@ -69,19 +76,18 @@ fn sweep_options_do_not_change_results() {
     // Budgets change where a sweep stops, never what it finds. On one
     // axis every rank level is one point, so `max_evals(k)` stops on the
     // first `k` capacities; a cancel flag that is never raised returns the
-    // unbudgeted sweep, and every stop of the same one-axis grid resumes
-    // to it point for point.
+    // unbudgeted sweep, and every stop resumes to it field for field.
     let caps = default_capacities();
     let platform = Platform::embedded_default(1024);
     let config = MhlaConfig::default();
     let app = mhla_apps::video_encoder::app();
+    let axes = [GridAxis::new(LayerId(1), caps.clone())];
     let run = |budget| {
         let opts = SweepOptions {
             budget,
             ..SweepOptions::default()
         };
-        try_sweep_with(&app.program, &platform, LayerId(1), &caps, &config, &opts)
-            .expect("valid sweep")
+        try_sweep_grid_run(&app.program, &platform, &axes, &config, &opts).expect("valid sweep")
     };
     let full = run(ExploreBudget::unlimited());
     assert!(full.status.is_complete());
@@ -91,7 +97,6 @@ fn sweep_options_do_not_change_results() {
         ..ExploreBudget::default()
     };
     assert_eq!(run(never_raised), full);
-    let axes = [GridAxis::new(LayerId(1), caps.clone())];
     for k in 0..caps.len() {
         let stopped = run(ExploreBudget::max_evals(k));
         let stop = SweepStatus::Stopped {
@@ -100,35 +105,16 @@ fn sweep_options_do_not_change_results() {
         };
         assert_eq!(stopped.status, stop);
         assert_eq!(stopped.sweep.points[..], full.sweep.points[..k]);
-        let opts = SweepOptions {
-            budget: ExploreBudget::max_evals(k),
-            ..SweepOptions::default()
-        };
-        let grid =
-            try_sweep_grid_run(&app.program, &platform, &axes, &config, &opts).expect("valid grid");
         let resumed = try_sweep_grid_resume(
             &app.program,
             &platform,
             &axes,
             &config,
             &SweepOptions::default(),
-            &grid,
+            &stopped,
         )
         .expect("valid prior");
-        assert!(resumed.status.is_complete());
-        let points: Vec<_> = resumed
-            .sweep
-            .points
-            .iter()
-            .map(|p| (p.capacities.clone(), &p.result))
-            .collect();
-        let expected: Vec<_> = full
-            .sweep
-            .points
-            .iter()
-            .map(|p| (vec![p.capacity], &p.result))
-            .collect();
-        assert_eq!(points, expected, "resumed from max_evals({k})");
+        assert_eq!(resumed, full, "resumed from max_evals({k})");
     }
 }
 
@@ -179,5 +165,5 @@ fn sweep_handles_degenerate_capacity_lists() {
     assert!(empty.points.is_empty());
     let dup = fast_sweep(&app.program, &platform, &[256, 256, 512], &opts);
     assert_eq!(dup.points.len(), 2);
-    assert!(dup.points[0].capacity < dup.points[1].capacity);
+    assert!(dup.points[0].capacities < dup.points[1].capacities);
 }
