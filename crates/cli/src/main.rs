@@ -10,12 +10,19 @@
 //! * `mhla report` — the one-line performance + energy figures,
 //! * `mhla grid` — a multi-layer grid sweep with Pareto frontier, CSV out,
 //!   honoring `--max-evals` budgets and the engine's resume machinery,
-//! * `mhla sweep` — the same on one axis: a one-layer capacity sweep.
+//! * `mhla sweep` — the same on one axis: a one-layer capacity sweep,
+//! * `mhla serve` / `submit` / `status` / `shutdown` — the batch
+//!   exploration server and its client.
 //!
 //! Following the subcommand/report split (run once, emit the existing
-//! report formats), the binary is a thin shell: every input crosses the
-//! typed `MhlaError` ingress, so corrupted or malformed files exit with
-//! code 2 and `error: …` on stderr — never a panic.
+//! report formats), the binary is a thin shell. Each subcommand takes the
+//! flags its USAGE line lists and refuses any other. `grid`, `sweep` and
+//! `submit` turn their flags into the server's `explore` request line and
+//! parse it with the server's own parser (`Request::parse`), so a local
+//! run and a served run of the same flags read the same inputs; `analyze`
+//! and `report` load their program and platform the same way. Every
+//! input crosses a typed ingress, so corrupted or malformed files exit
+//! with code 2 and `error: …` on stderr — never a panic.
 
 use std::fmt;
 use std::fs;
@@ -23,15 +30,15 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use mhla_core::explore::{
-    default_axes, default_capacities, try_sweep_grid_resume, try_sweep_grid_run, ExploreBudget,
-    GridAxis, GridSweepRun, SearchMode, StopCause, SweepOptions, SweepStatus,
+    default_capacities, try_sweep_grid_resume, try_sweep_grid_run, ExploreBudget, GridAxis,
+    SweepOptions,
 };
 use mhla_core::{report, Mhla, MhlaConfig, MhlaError};
-use mhla_hierarchy::serdes::{platform_from_json, platform_to_json, platform_value};
+use mhla_hierarchy::serdes::platform_to_json;
 use mhla_hierarchy::{LayerId, Platform};
-use mhla_ir::serdes::{program_from_json, program_to_json, program_value, Json};
-use mhla_ir::Program;
-use mhla_serve::{Client, Response, ServedStatus, ServerOptions};
+use mhla_ir::serdes::{program_to_json, program_value, Json};
+use mhla_serve::protocol::{axes_value, platform_preset, ExploreRequest};
+use mhla_serve::{Client, ErrorBody, Request, Response, ServedStatus, ServerOptions};
 
 const USAGE: &str = "\
 mhla — MHLA (DATE 2005) exploration over serialized programs
@@ -54,6 +61,8 @@ USAGE:
     mhla shutdown [--addr A]
     mhla help
 
+A flag that a subcommand's line above does not list is an error.
+
 PLATFORM (--platform):
     three-level (default) | four-level | embedded[:BYTES] | no-dma[:BYTES],
     or a path to a platform JSON file (see `mhla export`).
@@ -72,8 +81,10 @@ invocation.
 `mhla serve` runs the batch exploration server (default address
 127.0.0.1:7744) with a content-addressed result cache; `mhla submit`
 sends one exploration to it and reconstructs the exact `mhla grid` CSV
-from the response. `mhla status` prints the server's cache and engine
-counters; `mhla shutdown` drains it gracefully.
+from the response. `grid` and `submit` build the same request from the
+same flags, so both check them alike before any work or network I/O.
+`mhla status` prints the server's cache and engine counters; `mhla
+shutdown` drains it gracefully.
 Exit codes: 0 success, 2 on any error (typed message on stderr).
 ";
 
@@ -97,8 +108,11 @@ enum CliError {
         addr: String,
         source: std::io::Error,
     },
+    /// The protocol's request parser refused the exploration the flags
+    /// describe, before any work or network I/O.
+    Request(ErrorBody),
     /// The server answered with a typed error response.
-    Server(mhla_serve::ErrorBody),
+    Server(ErrorBody),
     /// Writing to stdout failed (closed pipe downstream, disk full, …).
     Stdout(std::io::Error),
 }
@@ -109,6 +123,7 @@ impl fmt::Display for CliError {
             CliError::Usage(what) => write!(f, "{what} (run `mhla help` for usage)"),
             CliError::Io { path, source } => write!(f, "{}: {source}", path.display()),
             CliError::Engine(e) => write!(f, "{e}"),
+            CliError::Request(e) => write!(f, "{e}"),
             CliError::Net { addr, source } => write!(f, "{addr}: {source}"),
             CliError::Server(e) => write!(f, "server: {e}"),
             CliError::Stdout(source) => write!(f, "stdout: {source}"),
@@ -160,23 +175,52 @@ fn main() -> ExitCode {
     }
 }
 
+/// Every subcommand, its handler and the flags it takes: exactly those
+/// its USAGE line lists.
+type Command = (
+    &'static str,
+    fn(&Flags) -> Result<(), CliError>,
+    &'static str,
+);
+
+const COMMANDS: [Command; 10] = [
+    ("help", cmd_help, ""),
+    ("export", cmd_export, "--dir"),
+    ("analyze", cmd_analyze, "--input --app --platform"),
+    ("report", cmd_report, "--input --app --platform"),
+    (
+        "sweep",
+        cmd_sweep,
+        "--input --app --platform --layer --capacities --mode --max-evals --resume --out",
+    ),
+    (
+        "grid",
+        cmd_grid,
+        "--input --app --platform --axes --mode --max-evals --resume --out",
+    ),
+    ("serve", cmd_serve, "--addr --workers --queue --cache-bytes"),
+    (
+        "submit",
+        cmd_submit,
+        "--input --app --platform --axes --mode --objective --max-evals --timeout-ms \
+         --addr --out",
+    ),
+    ("status", cmd_status, "--addr"),
+    ("shutdown", cmd_shutdown, "--addr"),
+];
+
 fn run(args: &[String]) -> Result<(), CliError> {
     let (cmd, rest) = match args.split_first() {
         Some((cmd, rest)) => (cmd.as_str(), rest),
         None => return Err(CliError::Usage("missing subcommand".into())),
     };
-    match cmd {
-        "help" | "--help" | "-h" => out(USAGE),
-        "export" => cmd_export(&Flags::parse(rest)?),
-        "analyze" => cmd_analyze(&Flags::parse(rest)?),
-        "report" => cmd_report(&Flags::parse(rest)?),
-        "sweep" => cmd_sweep(&Flags::parse(rest)?),
-        "grid" => cmd_grid(&Flags::parse(rest)?),
-        "serve" => cmd_serve(&Flags::parse(rest)?),
-        "submit" => cmd_submit(&Flags::parse(rest)?),
-        "status" => cmd_status(&Flags::parse(rest)?),
-        "shutdown" => cmd_shutdown(&Flags::parse(rest)?),
-        other => Err(CliError::Usage(format!("unknown subcommand `{other}`"))),
+    let cmd = match cmd {
+        "--help" | "-h" => "help",
+        cmd => cmd,
+    };
+    match COMMANDS.iter().find(|(name, ..)| *name == cmd) {
+        Some((_, handler, allowed)) => handler(&Flags::parse(cmd, rest, allowed)?),
+        None => Err(CliError::Usage(format!("unknown subcommand `{cmd}`"))),
     }
 }
 
@@ -184,6 +228,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
 // Flag parsing
 // ---------------------------------------------------------------------------
 
+/// The flags of one invocation. The exploration flags the protocol
+/// checks (`--mode`, `--objective`, `--max-evals`, `--timeout-ms`) stay
+/// text until [`explore_line`] puts them on the wire.
 #[derive(Default)]
 struct Flags {
     input: Option<PathBuf>,
@@ -192,7 +239,7 @@ struct Flags {
     layer: Option<usize>,
     capacities: Option<Vec<u64>>,
     axes: Option<String>,
-    max_evals: Option<usize>,
+    max_evals: Option<String>,
     mode: Option<String>,
     out: Option<PathBuf>,
     dir: Option<PathBuf>,
@@ -201,16 +248,23 @@ struct Flags {
     workers: Option<usize>,
     queue: Option<usize>,
     cache_bytes: Option<usize>,
-    timeout_ms: Option<u64>,
+    timeout_ms: Option<String>,
     objective: Option<String>,
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, CliError> {
+    /// Reads the flags of `mhla <cmd>`, refusing any flag not among the
+    /// space-separated `allowed`.
+    fn parse(cmd: &str, args: &[String], allowed: &str) -> Result<Flags, CliError> {
         let mut f = Flags::default();
         let mut i = 0;
         while i < args.len() {
             let flag = args[i].as_str();
+            if !allowed.split_whitespace().any(|a| a == flag) {
+                return Err(CliError::Usage(format!(
+                    "`mhla {cmd}` does not take `{flag}`"
+                )));
+            }
             match flag {
                 "--input" => f.input = Some(PathBuf::from(value(args, &mut i)?)),
                 "--app" => f.app = Some(value(args, &mut i)?.to_string()),
@@ -218,7 +272,7 @@ impl Flags {
                 "--layer" => f.layer = Some(parse_number(value(args, &mut i)?, flag)?),
                 "--capacities" => f.capacities = Some(parse_u64_list(value(args, &mut i)?, flag)?),
                 "--axes" => f.axes = Some(value(args, &mut i)?.to_string()),
-                "--max-evals" => f.max_evals = Some(parse_number(value(args, &mut i)?, flag)?),
+                "--max-evals" => f.max_evals = Some(value(args, &mut i)?.to_string()),
                 "--mode" => f.mode = Some(value(args, &mut i)?.to_string()),
                 "--out" => f.out = Some(PathBuf::from(value(args, &mut i)?)),
                 "--dir" => f.dir = Some(PathBuf::from(value(args, &mut i)?)),
@@ -227,7 +281,7 @@ impl Flags {
                 "--workers" => f.workers = Some(parse_number(value(args, &mut i)?, flag)?),
                 "--queue" => f.queue = Some(parse_number(value(args, &mut i)?, flag)?),
                 "--cache-bytes" => f.cache_bytes = Some(parse_number(value(args, &mut i)?, flag)?),
-                "--timeout-ms" => f.timeout_ms = Some(parse_number(value(args, &mut i)?, flag)?),
+                "--timeout-ms" => f.timeout_ms = Some(value(args, &mut i)?.to_string()),
                 "--objective" => f.objective = Some(value(args, &mut i)?.to_string()),
                 other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
             }
@@ -257,7 +311,7 @@ fn parse_u64_list(text: &str, flag: &str) -> Result<Vec<u64>, CliError> {
 }
 
 // ---------------------------------------------------------------------------
-// Input loading
+// The explore request
 // ---------------------------------------------------------------------------
 
 fn read_file(path: &Path) -> Result<String, CliError> {
@@ -274,15 +328,59 @@ fn write_file(path: &Path, text: &str) -> Result<(), CliError> {
     })
 }
 
-/// Loads the program named by `--input` (serialized JSON) or `--app`
-/// (built-in). Serialized programs cross the typed validate ingress.
-fn load_program(f: &Flags) -> Result<Program, CliError> {
+/// The `explore` request line the flags describe — what `submit` sends
+/// and what `grid`, `sweep`, `analyze` and `report` parse in process.
+/// The program document (`--input`, or the serialized `--app` built-in)
+/// and a platform file go in inline, a platform preset by its name,
+/// `--axes` as the wire array; `--mode`, `--objective`, `--max-evals` and
+/// `--timeout-ms` go in as given, for the protocol to check.
+fn explore_line(f: &Flags) -> Result<String, CliError> {
+    let mut fields = vec![
+        ("op".to_string(), Json::Str("explore".into())),
+        ("program".to_string(), program_doc(f)?),
+    ];
+    if let Some(spec) = &f.platform {
+        fields.push(("platform".into(), platform_doc(spec)?));
+    }
+    if let Some(spec) = &f.axes {
+        fields.push(("axes".into(), axes_value(&parse_axes(spec)?)));
+    }
+    for (key, text) in [("objective", &f.objective), ("mode", &f.mode)] {
+        if let Some(text) = text {
+            fields.push((key.into(), Json::Str(text.clone())));
+        }
+    }
+    for (key, text) in [("max_evals", &f.max_evals), ("timeout_ms", &f.timeout_ms)] {
+        if let Some(text) = text {
+            // A number goes in as one; anything else as a string, which
+            // the protocol refuses with a typed error.
+            let number = match Json::parse(text) {
+                Ok(n @ Json::Num(_)) => n,
+                _ => Json::Str(text.clone()),
+            };
+            fields.push((key.into(), number));
+        }
+    }
+    Ok(Json::Obj(fields).render_compact())
+}
+
+/// Parses an explore line with the server's own parser.
+fn parse_request(line: &str) -> Result<ExploreRequest, CliError> {
+    match Request::parse(line).map_err(CliError::Request)? {
+        Request::Explore(req) => Ok(*req),
+        _ => Err(CliError::Usage("not an explore request".into())),
+    }
+}
+
+/// The program of `--input` (its JSON document) or `--app` (a built-in,
+/// serialized).
+fn program_doc(f: &Flags) -> Result<Json, CliError> {
     match (&f.input, &f.app) {
-        (Some(path), None) => Ok(program_from_json(&read_file(path)?)?),
+        (Some(path), None) => Ok(Json::parse(&read_file(path)?)?),
         (None, Some(name)) => mhla_apps::all_apps()
             .into_iter()
             .find(|a| a.name() == name)
-            .map(|a| a.program)
+            .map(|a| program_value(&a.program))
             .ok_or_else(|| {
                 let known: Vec<String> = mhla_apps::all_apps()
                     .iter()
@@ -299,65 +397,12 @@ fn load_program(f: &Flags) -> Result<Program, CliError> {
     }
 }
 
-/// Resolves `--platform`: a preset name or a serialized platform file.
-fn load_platform(f: &Flags) -> Result<Platform, CliError> {
-    let spec = f.platform.as_deref().unwrap_or("three-level");
-    match spec {
-        "three-level" => Ok(Platform::three_level_default()),
-        "four-level" => Ok(Platform::four_level_default()),
-        "embedded" => Ok(Platform::embedded_default(16 * 1024)),
-        "no-dma" => Ok(Platform::without_dma(16 * 1024)),
-        _ => {
-            if let Some(bytes) = spec.strip_prefix("embedded:") {
-                return Ok(Platform::embedded_default(parse_capacity(bytes)?));
-            }
-            if let Some(bytes) = spec.strip_prefix("no-dma:") {
-                return Ok(Platform::without_dma(parse_capacity(bytes)?));
-            }
-            Ok(platform_from_json(&read_file(Path::new(spec))?)?)
-        }
+/// `--platform`: a preset by its name, else a platform JSON file.
+fn platform_doc(spec: &str) -> Result<Json, CliError> {
+    if platform_preset(spec).is_some() {
+        return Ok(Json::Str(spec.to_string()));
     }
-}
-
-fn parse_capacity(text: &str) -> Result<u64, CliError> {
-    let bytes: u64 = parse_number(text, "--platform")?;
-    if bytes == 0 {
-        return Err(CliError::Usage(
-            "`--platform`: scratchpad capacity must be positive".into(),
-        ));
-    }
-    Ok(bytes)
-}
-
-/// Builds the sweep options shared by `sweep` and `grid` from the flags.
-fn sweep_options(f: &Flags) -> Result<SweepOptions, CliError> {
-    let mut opts = SweepOptions::default();
-    if let Some(n) = f.max_evals {
-        if n == 0 {
-            return Err(CliError::Usage("`--max-evals` must be positive".into()));
-        }
-        opts.budget = ExploreBudget::max_evals(n);
-    }
-    match f.mode.as_deref() {
-        None | Some("cold") => {}
-        Some("improving") => opts.mode = SearchMode::Improving,
-        Some(other) => {
-            return Err(CliError::Usage(format!(
-                "unknown mode `{other}` (expected `cold` or `improving`)"
-            )))
-        }
-    }
-    Ok(opts)
-}
-
-/// The grid axes: an explicit `--axes` spec, or the standard grid for the
-/// platform's depth ([`default_axes`], matching the in-process sweep
-/// suites).
-fn grid_axes(f: &Flags, platform: &Platform) -> Result<Vec<GridAxis>, CliError> {
-    match &f.axes {
-        Some(spec) => parse_axes(spec),
-        None => Ok(default_axes(platform)),
-    }
+    Ok(Json::parse(&read_file(Path::new(spec))?)?)
 }
 
 fn parse_axes(spec: &str) -> Result<Vec<GridAxis>, CliError> {
@@ -385,27 +430,31 @@ fn emit(text: &str, dest: Option<&PathBuf>) -> Result<(), CliError> {
     }
 }
 
-fn status_note(status: &SweepStatus) -> Option<String> {
-    match status {
-        SweepStatus::Complete => None,
-        SweepStatus::Stopped { cause, next_lex } => {
-            let cause = match cause {
-                StopCause::MaxEvals => "evaluation budget exhausted",
-                StopCause::Deadline => "deadline reached",
-                StopCause::Cancelled => "cancelled",
-            };
-            Some(format!(
-                "note: {cause} — certified partial frontier over the {next_lex} \
-                 grid points decided (re-run with `--resume` or a larger \
-                 `--max-evals` to continue)"
-            ))
-        }
-    }
+/// The stderr note of a stopped exploration, run here or served.
+fn stop_note(status: &ServedStatus) -> Option<String> {
+    let ServedStatus::Stopped { cause, next_lex } = status else {
+        return None;
+    };
+    let why = match cause.as_str() {
+        "max_evals" => "evaluation budget exhausted",
+        "deadline" => "deadline reached",
+        _ => "cancelled",
+    };
+    Some(format!(
+        "note: sweep stopped ({cause}), {why} — certified partial frontier over \
+         the {next_lex} grid points decided (continue with a larger `--max-evals`, \
+         or `--resume` on `grid` and `sweep`)"
+    ))
 }
 
 // ---------------------------------------------------------------------------
 // Subcommands
 // ---------------------------------------------------------------------------
+
+/// `mhla help`: the usage text.
+fn cmd_help(_: &Flags) -> Result<(), CliError> {
+    out(USAGE)
+}
 
 /// `mhla export`: the nine built-in applications plus platform presets, in
 /// the versioned JSON format — the seed corpus for everything that accepts
@@ -444,8 +493,9 @@ fn cmd_export(f: &Flags) -> Result<(), CliError> {
 /// `mhla analyze`: one full MHLA run, human-readable — the platform, the
 /// per-array assignment, and the performance/energy rows.
 fn cmd_analyze(f: &Flags) -> Result<(), CliError> {
-    let program = load_program(f)?;
-    let platform = load_platform(f)?;
+    let ExploreRequest {
+        program, platform, ..
+    } = parse_request(&explore_line(f)?)?;
     let mhla = Mhla::try_new(&program, &platform, MhlaConfig::default())?;
     let result = mhla.try_run()?;
     outln(&platform.to_string())?;
@@ -462,8 +512,9 @@ fn cmd_analyze(f: &Flags) -> Result<(), CliError> {
 /// `mhla report`: just the figures (performance + energy rows), for
 /// scripting over many programs.
 fn cmd_report(f: &Flags) -> Result<(), CliError> {
-    let program = load_program(f)?;
-    let platform = load_platform(f)?;
+    let ExploreRequest {
+        program, platform, ..
+    } = parse_request(&explore_line(f)?)?;
     let mhla = Mhla::try_new(&program, &platform, MhlaConfig::default())?;
     let result = mhla.try_run()?;
     outln(&report::performance_header())?;
@@ -475,41 +526,35 @@ fn cmd_report(f: &Flags) -> Result<(), CliError> {
 /// `mhla sweep`: the grid on one axis — `--layer` (default: the closest
 /// on-chip layer) over `--capacities` (default: [`default_capacities`]).
 fn cmd_sweep(f: &Flags) -> Result<(), CliError> {
-    let program = load_program(f)?;
-    let platform = load_platform(f)?;
-    let layer = f.layer.map_or_else(|| platform.closest(), LayerId);
+    let mut req = parse_request(&explore_line(f)?)?;
+    let layer = f.layer.map_or_else(|| req.platform.closest(), LayerId);
     let capacities = f.capacities.clone().unwrap_or_else(default_capacities);
-    explore(f, &program, &platform, &[GridAxis::new(layer, capacities)])
+    req.axes = Some(vec![GridAxis::new(layer, capacities)]);
+    explore(f, &req)
 }
 
 /// `mhla grid`: a multi-layer grid sweep over `--axes` (default: the
 /// platform's standard grid).
 fn cmd_grid(f: &Flags) -> Result<(), CliError> {
-    let program = load_program(f)?;
-    let platform = load_platform(f)?;
-    let axes = grid_axes(f, &platform)?;
-    explore(f, &program, &platform, &axes)
+    explore(f, &parse_request(&explore_line(f)?)?)
 }
 
-/// The exploration behind `sweep` and `grid`. CSV goes to `--out` (with
-/// the Pareto frontier table on stdout) or to stdout alone; `--max-evals`
-/// bounds the run and `--resume` drives the engine's resume machinery to
-/// finish a stopped sweep in the same invocation.
-fn explore(
-    f: &Flags,
-    program: &Program,
-    platform: &Platform,
-    axes: &[GridAxis],
-) -> Result<(), CliError> {
-    let opts = sweep_options(f)?;
-    let config = MhlaConfig::default();
-    let mut run: GridSweepRun = try_sweep_grid_run(program, platform, axes, &config, &opts)?;
+/// The exploration behind `sweep` and `grid`, run in process exactly as
+/// a server runs the request ([`ExploreRequest::engine_inputs`]). CSV
+/// goes to `--out` (with the Pareto frontier table on stdout) or to
+/// stdout alone; `--max-evals` bounds the run and `--resume` drives the
+/// engine's resume machinery to finish a stopped sweep in the same
+/// invocation.
+fn explore(f: &Flags, req: &ExploreRequest) -> Result<(), CliError> {
+    let (program, platform) = (&req.program, &req.platform);
+    let (config, axes, opts) = req.engine_inputs(None);
+    let mut run = try_sweep_grid_run(program, platform, &axes, &config, &opts)?;
     if !run.status.is_complete() && f.resume {
         let unlimited = SweepOptions {
             budget: ExploreBudget::unlimited(),
             ..opts
         };
-        run = try_sweep_grid_resume(program, platform, axes, &config, &unlimited, &run)?;
+        run = try_sweep_grid_resume(program, platform, &axes, &config, &unlimited, &run)?;
     }
     if f.out.is_some() {
         out(&report::grid_frontier(&run.sweep))?;
@@ -520,7 +565,7 @@ fn explore(
         ))?;
     }
     emit(&report::grid_csv(&run.sweep), f.out.as_ref())?;
-    if let Some(note) = status_note(&run.status) {
+    if let Some(note) = stop_note(&ServedStatus::from(&run.status)) {
         eprintln!("{note}");
     }
     Ok(())
@@ -568,75 +613,13 @@ fn cmd_serve(f: &Flags) -> Result<(), CliError> {
     .map_err(net_err(&addr))
 }
 
-/// Builds the `explore` request line `submit` sends.
-fn submit_request(f: &Flags, program: &Program, platform: &Platform) -> Result<String, CliError> {
-    let mut fields = vec![
-        ("op".to_string(), Json::Str("explore".into())),
-        ("program".to_string(), program_value(program)),
-        ("platform".to_string(), platform_value(platform)),
-    ];
-    if let Some(spec) = &f.axes {
-        let axes = parse_axes(spec)?;
-        fields.push((
-            "axes".to_string(),
-            Json::Arr(
-                axes.iter()
-                    .map(|a| {
-                        Json::Obj(vec![
-                            ("layer".into(), Json::from_u64(a.layer.0 as u64)),
-                            (
-                                "capacities".into(),
-                                Json::Arr(
-                                    a.capacities.iter().map(|&c| Json::from_u64(c)).collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-    }
-    match f.objective.as_deref() {
-        None => {}
-        Some(o @ ("cycles" | "energy")) => {
-            fields.push(("objective".to_string(), Json::Str(o.into())));
-        }
-        Some(other) => {
-            return Err(CliError::Usage(format!(
-                "unknown objective `{other}` (expected `cycles` or `energy`)"
-            )))
-        }
-    }
-    match f.mode.as_deref() {
-        None => {}
-        Some(m @ ("cold" | "improving")) => {
-            fields.push(("mode".to_string(), Json::Str(m.into())));
-        }
-        Some(other) => {
-            return Err(CliError::Usage(format!(
-                "unknown mode `{other}` (expected `cold` or `improving`)"
-            )))
-        }
-    }
-    if let Some(n) = f.max_evals {
-        if n == 0 {
-            return Err(CliError::Usage("`--max-evals` must be positive".into()));
-        }
-        fields.push(("max_evals".to_string(), Json::from_u64(n as u64)));
-    }
-    if let Some(ms) = f.timeout_ms {
-        fields.push(("timeout_ms".to_string(), Json::from_u64(ms)));
-    }
-    Ok(Json::Obj(fields).render_compact())
-}
-
 /// `mhla submit`: one exploration against a running server; the response
-/// is rendered back into the exact `mhla grid` CSV.
+/// is rendered back into the exact `mhla grid` CSV. The request line is
+/// parsed here first, so bad input exits before any network I/O.
 fn cmd_submit(f: &Flags) -> Result<(), CliError> {
-    let program = load_program(f)?;
-    let platform = load_platform(f)?;
+    let line = explore_line(f)?;
+    parse_request(&line)?;
     let addr = server_addr(f);
-    let line = submit_request(f, &program, &platform)?;
     let mut client = Client::connect(addr.as_str()).map_err(net_err(&addr))?;
     let response = client.roundtrip(&line).map_err(net_err(&addr))?;
     match Response::parse(&response).map_err(MhlaError::from)? {
@@ -648,12 +631,8 @@ fn cmd_submit(f: &Flags) -> Result<(), CliError> {
                 frontier.candidates
             );
             emit(&frontier.grid_csv(), f.out.as_ref())?;
-            if let ServedStatus::Stopped { cause, next_lex } = &frontier.status {
-                eprintln!(
-                    "note: served sweep stopped ({cause}) — certified partial frontier \
-                     over the {next_lex} grid points decided (resubmit with a larger \
-                     `--max-evals` to continue)"
-                );
+            if let Some(note) = stop_note(&frontier.status) {
+                eprintln!("{note}");
             }
             Ok(())
         }

@@ -242,6 +242,48 @@ fn usage_errors_exit_2() {
         &["sweep", "--input", "a.json", "--app", "fir_bank"][..],
         &["grid", "--app", "fir_bank", "--axes", "nonsense"][..],
         &["grid", "--app", "fir_bank", "--max-evals"][..],
+        // Flags another subcommand takes are refused, not ignored.
+        &[
+            "sweep",
+            "--app",
+            "fir_bank",
+            "--platform",
+            "embedded",
+            "--axes",
+            "1:512",
+        ][..],
+        &[
+            "grid",
+            "--app",
+            "fir_bank",
+            "--platform",
+            "embedded",
+            "--layer",
+            "1",
+            "--capacities",
+            "512",
+        ][..],
+        &[
+            "sweep",
+            "--app",
+            "fir_bank",
+            "--platform",
+            "embedded",
+            "--objective",
+            "energy",
+        ][..],
+        &[
+            "analyze",
+            "--app",
+            "fir_bank",
+            "--max-evals",
+            "3",
+            "--resume",
+            "--axes",
+            "bogus",
+        ][..],
+        &["export", "--dir", "D", "--app", "fir_bank"][..],
+        &["submit", "--app", "fir_bank", "--resume"][..],
     ] {
         let out = mhla(args);
         assert_eq!(out.status.code(), Some(2), "args: {args:?}");

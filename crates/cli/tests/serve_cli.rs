@@ -175,6 +175,148 @@ fn submit_matches_grid_resubmit_hits_cache_and_shutdown_drains() {
     assert!(status.success(), "serve must drain to exit 0, got {status}");
 }
 
+/// The first `note:` line of a run's stderr.
+fn note(out: &Output) -> Option<String> {
+    stderr(out)
+        .lines()
+        .find(|l| l.starts_with("note:"))
+        .map(str::to_string)
+}
+
+#[test]
+fn submit_matches_grid_in_improving_mode_and_when_stopped() {
+    let dir = scratch("modes");
+    let (mut server, addr) = start_server();
+    for (name, extra) in [
+        ("improving", ["--mode", "improving"]),
+        ("stopped", ["--max-evals", "3"]),
+    ] {
+        let run = |cmd: &str, csv: &PathBuf, more: &[&str]| {
+            let common = [
+                "--app",
+                "fir_bank",
+                "--platform",
+                "three-level",
+                "--axes",
+                AXES,
+            ];
+            let out_flag = ["--out", csv.to_str().expect("utf-8 path")];
+            let out = mhla(&[&[cmd][..], &common, &extra, more, &out_flag].concat());
+            assert!(out.status.success(), "{cmd} {name}: {}", stderr(&out));
+            out
+        };
+        let grid_csv = dir.join(format!("{name}-grid.csv"));
+        let grid = run("grid", &grid_csv, &[]);
+        let served_csv = dir.join(format!("{name}-served.csv"));
+        let served = run("submit", &served_csv, &["--addr", &addr]);
+        assert_eq!(
+            fs::read_to_string(&served_csv).expect("served csv"),
+            fs::read_to_string(&grid_csv).expect("grid csv"),
+            "{name}: served CSV must be bit-identical to `mhla grid`"
+        );
+        // One note renders a stop, local or served.
+        assert_eq!(note(&served), note(&grid), "{name}");
+        assert_eq!(note(&grid).is_some(), name == "stopped", "{name}");
+    }
+    let out = mhla(&["shutdown", "--addr", &addr]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    wait_exit(&mut server.0, Duration::from_secs(30));
+}
+
+/// Each subcommand's flags, read off the USAGE lines of `mhla help`.
+fn usage_flags() -> Vec<(String, Vec<String>)> {
+    let help = stdout(&mhla(&["help"]));
+    let mut commands: Vec<(String, Vec<String>)> = Vec::new();
+    for line in help
+        .lines()
+        .skip_while(|l| *l != "USAGE:")
+        .skip(1)
+        .take_while(|l| !l.trim().is_empty())
+    {
+        let mut words = line.split_whitespace();
+        if words.next() == Some("mhla") {
+            let cmd = words.next().expect("a subcommand after `mhla`");
+            commands.push((cmd.to_string(), Vec::new()));
+        }
+        let flags = &mut commands.last_mut().expect("a `mhla` line first").1;
+        flags.extend(
+            line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|w| w.starts_with("--"))
+                .map(str::to_string),
+        );
+    }
+    commands
+}
+
+#[test]
+fn every_flag_in_a_usage_line_is_accepted() {
+    let dir = scratch("usage");
+    let d = dir.to_str().expect("utf-8 path");
+    assert!(mhla(&["export", "--dir", d]).status.success());
+    let prog = dir.join("fir_bank.prog.json");
+    let csv = dir.join("out.csv");
+    let (mut server, addr) = start_server();
+    let usage = usage_flags();
+    for cmd in ["analyze", "report", "sweep", "grid", "submit"] {
+        let (_, flags) = usage
+            .iter()
+            .find(|(c, _)| c == cmd)
+            .unwrap_or_else(|| panic!("no USAGE line for {cmd}"));
+        assert!(flags.iter().any(|f| f == "--platform"), "{cmd}: {flags:?}");
+        // `--input` and `--app` are alternatives: one run with each.
+        for skip in ["--app", "--input"] {
+            let mut args = vec![cmd.to_string()];
+            for flag in flags.iter().filter(|f| *f != skip) {
+                let value = match flag.as_str() {
+                    "--input" => prog.to_str().expect("utf-8 path"),
+                    "--app" => "fir_bank",
+                    "--platform" => "three-level",
+                    "--layer" => "1",
+                    "--capacities" => "1024,2048",
+                    "--axes" => "1:1024,2048;2:128",
+                    "--mode" => "improving",
+                    "--objective" => "energy",
+                    "--max-evals" => "1",
+                    "--timeout-ms" => "60000",
+                    "--addr" => &addr,
+                    "--out" => csv.to_str().expect("utf-8 path"),
+                    "--resume" => "",
+                    other => panic!("no test value for `{cmd} {other}`"),
+                };
+                args.push(flag.clone());
+                if !value.is_empty() {
+                    args.push(value.to_string());
+                }
+            }
+            let args: Vec<&str> = args.iter().map(String::as_str).collect();
+            let out = mhla(&args);
+            assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        }
+    }
+    let out = mhla(&["shutdown", "--addr", &addr]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    wait_exit(&mut server.0, Duration::from_secs(30));
+}
+
+#[test]
+fn flags_a_usage_line_does_not_list_are_refused() {
+    let usage = usage_flags();
+    let mut every: Vec<&String> = usage.iter().flat_map(|(_, flags)| flags).collect();
+    every.sort();
+    every.dedup();
+    for (cmd, flags) in &usage {
+        for flag in every.iter().filter(|f| !flags.contains(f)) {
+            let out = mhla(&[cmd, flag, "1"]);
+            assert_eq!(out.status.code(), Some(2), "{cmd} {flag}");
+            assert!(
+                stderr(&out).starts_with(&format!("error: `mhla {cmd}` does not take `{flag}`")),
+                "{cmd} {flag}: {}",
+                stderr(&out)
+            );
+        }
+    }
+}
+
 #[test]
 fn budgeted_submit_reports_the_certified_partial_frontier() {
     let (mut server, addr) = start_server();

@@ -8,7 +8,6 @@ use mhla_reuse::ReuseAnalysis;
 
 use crate::driver::MhlaResult;
 use crate::explore::GridSweep;
-use crate::pareto;
 use crate::types::Objective;
 
 /// Renders the paper's four Figure-2 bars for one application as text.
@@ -228,7 +227,8 @@ pub fn grid_frontier(g: &GridSweep) -> String {
 
 /// `(capacities…, objective score)` coordinates of a grid's points at the
 /// given indices — the representation the frontier-dominance utilities
-/// ([`pareto::front_dominates`] / [`pareto::front_deltas`]) consume.
+/// ([`front_dominates`](crate::pareto::front_dominates) /
+/// [`front_deltas`](crate::pareto::front_deltas)) consume.
 pub fn objective_coords(g: &GridSweep, indices: &[usize], objective: &Objective) -> Vec<Vec<f64>> {
     indices
         .iter()
@@ -239,72 +239,6 @@ pub fn objective_coords(g: &GridSweep, indices: &[usize], objective: &Objective)
             c
         })
         .collect()
-}
-
-/// Renders the improving-vs-cold comparison of two sweeps of the *same*
-/// grid (same axes, same lexicographic point order — e.g.
-/// [`try_sweep_grid_run`](crate::explore::try_sweep_grid_run) in both
-/// [`SearchMode`](crate::explore::SearchMode)s): one row per strictly
-/// improved point (capacities, cold and improving objective score, the
-/// relative improvement), then a summary line with the objective-frontier
-/// dominance verdict.
-///
-/// ```text
-/// M1 [B]   M2 [B]   M3 [B]             cold      improving    delta
-/// 16384    2048     256            345678.0       341002.0    1.35%
-/// 12 of 90 points strictly improved; frontier dominates-or-equals: yes
-/// ```
-///
-/// # Panics
-///
-/// Panics if the two sweeps do not cover the same points in the same
-/// order — comparing different grids is meaningless.
-pub fn improving_delta_table(
-    cold: &GridSweep,
-    improving: &GridSweep,
-    objective: &Objective,
-) -> String {
-    assert_eq!(
-        cold.points.len(),
-        improving.points.len(),
-        "improving_delta_table: grids differ in size"
-    );
-    let mut out = String::new();
-    for l in &cold.layers {
-        let _ = write!(out, "{:<9}", format!("{l} [B]"));
-    }
-    let _ = writeln!(out, "{:>16} {:>14} {:>8}", "cold", "improving", "delta");
-    let mut improved = 0usize;
-    for (c, i) in cold.points.iter().zip(&improving.points) {
-        assert_eq!(
-            c.capacities, i.capacities,
-            "improving_delta_table: grids differ in point order"
-        );
-        let (sc, si) = (c.objective_score(objective), i.objective_score(objective));
-        if si >= sc {
-            continue;
-        }
-        improved += 1;
-        for cap in &c.capacities {
-            let _ = write!(out, "{cap:<9}");
-        }
-        let _ = writeln!(
-            out,
-            "{sc:>16.1} {si:>14.1} {:>7.2}%",
-            100.0 * (1.0 - si / sc)
-        );
-    }
-    let dominates = pareto::front_dominates(
-        &objective_coords(improving, &improving.pareto_objective(objective), objective),
-        &objective_coords(cold, &cold.pareto_objective(objective), objective),
-    );
-    let _ = writeln!(
-        out,
-        "{improved} of {} points strictly improved; frontier dominates-or-equals: {}",
-        cold.points.len(),
-        if dominates { "yes" } else { "NO" }
-    );
-    out
 }
 
 #[cfg(test)]
@@ -421,40 +355,6 @@ mod tests {
             rows += 1;
         }
         assert_eq!(rows, g.points.len());
-    }
-
-    #[test]
-    fn improving_delta_table_reports_improvements_and_dominance() {
-        use crate::explore::SearchMode;
-        let (p, _, _) = result();
-        let pf = mhla_hierarchy::Platform::three_level(1024, 128);
-        let axes = [
-            GridAxis::new(mhla_hierarchy::LayerId(1), vec![256u64, 1024]),
-            GridAxis::new(mhla_hierarchy::LayerId(2), vec![64u64, 128]),
-        ];
-        let config = MhlaConfig::default();
-        let cold = grid(&p, &pf, &axes, &SweepOptions::default());
-        let improving = grid(
-            &p,
-            &pf,
-            &axes,
-            &SweepOptions {
-                mode: SearchMode::Improving,
-                ..SweepOptions::default()
-            },
-        );
-        let table = improving_delta_table(&cold, &improving, &config.objective);
-        assert!(
-            table.contains("M1 [B]") && table.contains("improving"),
-            "{table}"
-        );
-        assert!(
-            table.contains("frontier dominates-or-equals: yes"),
-            "{table}"
-        );
-        // An identical pair trivially dominates with zero improvements.
-        let self_table = improving_delta_table(&cold, &cold, &config.objective);
-        assert!(self_table.contains("0 of 4 points"), "{self_table}");
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   bodies keyed by (program fingerprint, platform fingerprint,
 //!   canonical options), LRU-evicted under a byte budget;
 //! * [`protocol`] — the NDJSON wire format: request parsing (total — any
-//!   ingress maps to a typed error, never a panic), result-body and
+//!   ingress maps to a typed error, never a panic; the one parser of
+//!   exploration inputs, which the CLI's `grid`, `sweep` and `submit` run
+//!   too), the request → engine-inputs mapping, result-body and
 //!   error rendering, client-side result parsing and the exact
 //!   `mhla grid` CSV reconstruction;
 //! * [`service`] — one request line in, one response line out, no

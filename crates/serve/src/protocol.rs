@@ -18,8 +18,12 @@
 //!
 //! Everything after `"program"` is optional: the platform defaults to the
 //! `three-level` preset, the axes to the standard grid of the platform's
-//! depth (as `mhla grid` does), the objective to cycles, the mode to
-//! cold, the budget to unlimited. Responses are
+//! depth, the objective to cycles, the mode to cold, the budget to
+//! unlimited. [`Request::parse`] is the one parser of these inputs: `mhla
+//! grid`, `sweep` and `submit` build this same line from their flags and
+//! parse it too, and [`ExploreRequest::engine_inputs`] maps a parsed
+//! request to the engine's inputs for a served miss and a local run
+//! alike. Responses are
 //!
 //! ```json
 //! {"ok":true,"cached":false,"result":{…}}
@@ -35,9 +39,15 @@
 //! answers a request with a dropped connection or a panic.
 
 use std::fmt;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use mhla_core::explore::{GridAxis, GridSweepRun, SearchMode, StopCause, SweepStatus};
-use mhla_core::{report, MhlaError, Objective};
+use mhla_core::explore::{
+    default_axes, ExploreBudget, GridAxis, GridSweepRun, SearchMode, StopCause, SweepOptions,
+    SweepStatus,
+};
+use mhla_core::{report, MhlaConfig, MhlaError, Objective};
 use mhla_hierarchy::serdes::platform_from_value;
 use mhla_hierarchy::{LayerId, Platform};
 use mhla_ir::serdes::{field, opt_field, program_from_value, Json, SerdesError};
@@ -135,6 +145,40 @@ pub struct ExploreRequest {
     pub timeout_ms: Option<u64>,
 }
 
+impl ExploreRequest {
+    /// How the engine runs this request — the one mapping behind a served
+    /// miss and `mhla grid`/`sweep`: the configuration under the request's
+    /// objective, its axes (else the standard grid of the platform's
+    /// depth, [`default_axes`]) and sweep options in its mode, budgeted by
+    /// `max_evals`, a deadline `timeout_ms` from now and `cancel`.
+    pub fn engine_inputs(
+        &self,
+        cancel: Option<Arc<AtomicBool>>,
+    ) -> (MhlaConfig, Vec<GridAxis>, SweepOptions) {
+        let config = MhlaConfig {
+            objective: self.objective,
+            ..MhlaConfig::default()
+        };
+        let axes = self
+            .axes
+            .clone()
+            .unwrap_or_else(|| default_axes(&self.platform));
+        let budget = ExploreBudget {
+            max_evals: self.max_evals,
+            deadline: self
+                .timeout_ms
+                .map(|ms| Instant::now() + Duration::from_millis(ms)),
+            cancel,
+        };
+        let opts = SweepOptions {
+            mode: self.mode,
+            budget,
+            ..SweepOptions::default()
+        };
+        (config, axes, opts)
+    }
+}
+
 impl Request {
     /// Parses one request line. Total: any input — malformed JSON, a
     /// corrupt embedded document, an unknown op — comes back as a typed
@@ -182,16 +226,7 @@ fn parse_explore(fields: &[(String, Json)]) -> Result<ExploreRequest, ErrorBody>
     };
     let mode = match opt_field(fields, "mode") {
         None => SearchMode::Cold,
-        Some(v) => match v.as_str("explore \"mode\"") {
-            Ok("cold") => SearchMode::Cold,
-            Ok("improving") => SearchMode::Improving,
-            Ok(other) => {
-                return Err(ErrorBody::bad_request(format!(
-                    "unknown mode \"{other}\" (expected cold or improving)"
-                )))
-            }
-            Err(e) => return Err(ErrorBody::bad_request(e.to_string())),
-        },
+        Some(v) => parse_mode(v)?,
     };
     let max_evals = match opt_field(fields, "max_evals") {
         None => None,
@@ -225,37 +260,43 @@ fn parse_explore(fields: &[(String, Json)]) -> Result<ExploreRequest, ErrorBody>
     })
 }
 
-/// Resolves the `"platform"` field: a preset name (the CLI's `--platform`
-/// vocabulary) or an inline `mhla.platform` document.
-pub fn platform_from_spec(v: &Json) -> Result<Platform, ErrorBody> {
-    if let Json::Str(spec) = v {
-        return match spec.as_str() {
-            "three-level" => Ok(Platform::three_level_default()),
-            "four-level" => Ok(Platform::four_level_default()),
-            "embedded" => Ok(Platform::embedded_default(16 * 1024)),
-            "no-dma" => Ok(Platform::without_dma(16 * 1024)),
-            other => {
-                if let Some(bytes) = other.strip_prefix("embedded:") {
-                    return Ok(Platform::embedded_default(parse_preset_bytes(bytes)?));
-                }
-                if let Some(bytes) = other.strip_prefix("no-dma:") {
-                    return Ok(Platform::without_dma(parse_preset_bytes(bytes)?));
-                }
-                Err(ErrorBody::bad_request(format!(
-                    "unknown platform preset \"{other}\""
-                )))
-            }
-        };
+/// Resolves the `"platform"` field: a preset name or an inline
+/// `mhla.platform` document.
+fn platform_from_spec(v: &Json) -> Result<Platform, ErrorBody> {
+    match v {
+        Json::Str(spec) => platform_preset(spec).unwrap_or_else(|| {
+            Err(ErrorBody::bad_request(format!(
+                "unknown platform preset \"{spec}\""
+            )))
+        }),
+        doc => Ok(platform_from_value(doc)?),
     }
-    Ok(platform_from_value(v)?)
 }
 
-fn parse_preset_bytes(text: &str) -> Result<u64, ErrorBody> {
-    match text.parse::<u64>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(ErrorBody::bad_request(format!(
-            "platform preset: invalid capacity \"{text}\""
-        ))),
+/// The platform presets — `three-level`, `four-level`,
+/// `embedded[:BYTES]` and `no-dma[:BYTES]` (16 KiB scratchpad by
+/// default) — shared by the wire's `"platform"` and the CLI's
+/// `--platform`. `None` when `spec` names no preset; a preset with a bad
+/// capacity is an error.
+pub fn platform_preset(spec: &str) -> Option<Result<Platform, ErrorBody>> {
+    let (name, bytes) = spec
+        .split_once(':')
+        .map_or((spec, None), |(n, b)| (n, Some(b)));
+    let sized = |make: fn(u64) -> Platform| match bytes {
+        None => Ok(make(16 * 1024)),
+        Some(text) => match text.parse::<u64>() {
+            Ok(n) if n > 0 => Ok(make(n)),
+            _ => Err(ErrorBody::bad_request(format!(
+                "platform preset: invalid capacity \"{text}\""
+            ))),
+        },
+    };
+    match (name, bytes) {
+        ("three-level", None) => Some(Ok(Platform::three_level_default())),
+        ("four-level", None) => Some(Ok(Platform::four_level_default())),
+        ("embedded", _) => Some(sized(Platform::embedded_default)),
+        ("no-dma", _) => Some(sized(Platform::without_dma)),
+        _ => None,
     }
 }
 
@@ -286,6 +327,17 @@ fn parse_axes(v: &Json) -> Result<Vec<GridAxis>, ErrorBody> {
         axes.push(inner);
     }
     Ok(axes)
+}
+
+fn parse_mode(v: &Json) -> Result<SearchMode, ErrorBody> {
+    match v.as_str("explore \"mode\"") {
+        Ok("cold") => Ok(SearchMode::Cold),
+        Ok("improving") => Ok(SearchMode::Improving),
+        Ok(other) => Err(ErrorBody::bad_request(format!(
+            "unknown mode \"{other}\" (expected cold or improving)"
+        ))),
+        Err(e) => Err(ErrorBody::bad_request(e.to_string())),
+    }
 }
 
 fn parse_objective(v: &Json) -> Result<Objective, ErrorBody> {
@@ -343,28 +395,38 @@ pub fn canonical_options(objective: &Objective, mode: SearchMode, axes: &[GridAx
         }
         .into(),
     );
-    let axes = Json::Arr(
+    let axes: Vec<GridAxis> = axes
+        .iter()
+        .map(|a| {
+            let mut caps = a.capacities.clone();
+            caps.sort_unstable();
+            caps.dedup();
+            GridAxis::new(a.layer, caps)
+        })
+        .collect();
+    Json::Obj(vec![
+        ("objective".into(), objective),
+        ("mode".into(), mode),
+        ("axes".into(), axes_value(&axes)),
+    ])
+    .render_compact()
+}
+
+/// The wire form of grid axes, `[{"layer":1,"capacities":[…]},…]`.
+pub fn axes_value(axes: &[GridAxis]) -> Json {
+    Json::Arr(
         axes.iter()
             .map(|a| {
-                let mut caps = a.capacities.clone();
-                caps.sort_unstable();
-                caps.dedup();
                 Json::Obj(vec![
                     ("layer".into(), Json::from_u64(a.layer.0 as u64)),
                     (
                         "capacities".into(),
-                        Json::Arr(caps.into_iter().map(Json::from_u64).collect()),
+                        Json::Arr(a.capacities.iter().map(|&c| Json::from_u64(c)).collect()),
                     ),
                 ])
             })
             .collect(),
-    );
-    Json::Obj(vec![
-        ("objective".into(), objective),
-        ("mode".into(), mode),
-        ("axes".into(), axes),
-    ])
-    .render_compact()
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -401,21 +463,11 @@ pub fn error_line(error: &ErrorBody) -> String {
 /// keyed on. Rendered once and cached verbatim — hits are byte-identical
 /// to the cold body.
 pub fn result_body(run: &GridSweepRun, program_fp: u128, platform_fp: u128) -> String {
-    let status = match run.status {
-        SweepStatus::Complete => Json::Str("complete".into()),
-        SweepStatus::Stopped { cause, next_lex } => Json::Obj(vec![
-            (
-                "cause".into(),
-                Json::Str(
-                    match cause {
-                        StopCause::MaxEvals => "max_evals",
-                        StopCause::Deadline => "deadline",
-                        StopCause::Cancelled => "cancelled",
-                    }
-                    .into(),
-                ),
-            ),
-            ("next_lex".into(), Json::from_u64(next_lex as u64)),
+    let status = match ServedStatus::from(&run.status) {
+        ServedStatus::Complete => Json::Str("complete".into()),
+        ServedStatus::Stopped { cause, next_lex } => Json::Obj(vec![
+            ("cause".into(), Json::Str(cause)),
+            ("next_lex".into(), Json::from_u64(next_lex)),
         ]),
     };
     let points = run
@@ -516,6 +568,24 @@ pub enum ServedStatus {
         /// Grid points decided ([`mhla_core::explore::SweepStatus`]).
         next_lex: u64,
     },
+}
+
+impl From<&SweepStatus> for ServedStatus {
+    /// The wire form of an engine status: the cause by its wire name.
+    fn from(status: &SweepStatus) -> Self {
+        match *status {
+            SweepStatus::Complete => ServedStatus::Complete,
+            SweepStatus::Stopped { cause, next_lex } => ServedStatus::Stopped {
+                cause: match cause {
+                    StopCause::MaxEvals => "max_evals",
+                    StopCause::Deadline => "deadline",
+                    StopCause::Cancelled => "cancelled",
+                }
+                .into(),
+                next_lex: next_lex as u64,
+            },
+        }
+    }
 }
 
 /// One served grid point: the capacity vector plus the six cost figures.
@@ -662,6 +732,15 @@ fn parse_frontier(v: &Json) -> Result<ServedFrontier, SerdesError> {
             .enumerate()
             .map(|(j, c)| c.as_u64(&format!("{what}.capacities[{j}]")))
             .collect::<Result<Vec<u64>, SerdesError>>()?;
+        if capacities.len() != layers.len() {
+            return Err(SerdesError::Schema {
+                what: format!(
+                    "{what}.capacities: {} capacities for {} layers",
+                    capacities.len(),
+                    layers.len()
+                ),
+            });
+        }
         points.push(ServedPoint {
             capacities,
             cycles_baseline: field(po, "cycles_baseline", &what)?
@@ -691,6 +770,26 @@ fn parse_frontier(v: &Json) -> Result<ServedFrontier, SerdesError> {
             })
         }
     };
+    // The body must agree with itself: `grid_csv` writes one column per
+    // layer, and readers index points by the Pareto sets.
+    let evaluated = field(o, "evaluated", "result")?.as_u64("result.evaluated")?;
+    if evaluated != points.len() as u64 {
+        return Err(SerdesError::Schema {
+            what: format!("result.evaluated: {evaluated}, but {} points", points.len()),
+        });
+    }
+    let pareto_cycles = u64_list("pareto_cycles")?;
+    let pareto_energy = u64_list("pareto_energy")?;
+    for (key, indices) in [
+        ("pareto_cycles", &pareto_cycles),
+        ("pareto_energy", &pareto_energy),
+    ] {
+        if let Some(i) = indices.iter().find(|&&i| i >= evaluated) {
+            return Err(SerdesError::Schema {
+                what: format!("result.{key}: index {i} of {evaluated} points"),
+            });
+        }
+    }
     Ok(ServedFrontier {
         program_fp: field(o, "program_fp", "result")?
             .as_str("result.program_fp")?
@@ -700,8 +799,8 @@ fn parse_frontier(v: &Json) -> Result<ServedFrontier, SerdesError> {
             .to_string(),
         layers,
         points,
-        pareto_cycles: u64_list("pareto_cycles")?,
-        pareto_energy: u64_list("pareto_energy")?,
+        pareto_cycles,
+        pareto_energy,
         candidates: field(o, "candidates", "result")?.as_u64("result.candidates")?,
         evals: field(o, "evals", "result")?.as_u64("result.evals")?,
         status,
@@ -796,5 +895,45 @@ mod tests {
         assert_eq!(p.layer_count(), 2);
         assert!(platform_from_spec(&Json::Str("warp-core".into())).is_err());
         assert!(platform_from_spec(&Json::Str("embedded:0".into())).is_err());
+    }
+
+    #[test]
+    fn served_results_must_agree_with_themselves() {
+        let point = |caps: &str| {
+            format!(
+                "{{\"capacities\":[{caps}],\"cycles_baseline\":9,\"cycles_mhla\":8,\
+                 \"cycles_mhla_te\":7,\"cycles_ideal\":6,\"energy_baseline_pj\":2.5,\
+                 \"energy_mhla_pj\":1.5}}"
+            )
+        };
+        let line = |points: &[String], pareto_cycles: &str, evaluated: usize| {
+            format!(
+                "{{\"ok\":true,\"cached\":false,\"result\":{{\"program_fp\":\"a\",\
+                 \"platform_fp\":\"b\",\"layers\":[1],\"evaluated\":{evaluated},\
+                 \"candidates\":2,\"evals\":2,\"status\":\"complete\",\"points\":[{}],\
+                 \"pareto_cycles\":[{pareto_cycles}],\"pareto_energy\":[0]}}}}",
+                points.join(",")
+            )
+        };
+        let good = [point("512"), point("1024")];
+        assert!(matches!(
+            Response::parse(&line(&good, "0,1", 2)),
+            Ok(Response::Frontier { .. })
+        ));
+        let ragged = [point("512,1024,2048"), point("")];
+        for bad in [
+            // All three faults at once, then each alone: three capacities
+            // and none under one layer, a Pareto index past the two
+            // points, and `evaluated` disagreeing with the point list.
+            line(&ragged, "7", 5),
+            line(&ragged, "0", 2),
+            line(&good, "7", 2),
+            line(&good, "0", 5),
+        ] {
+            assert!(
+                matches!(Response::parse(&bad), Err(SerdesError::Schema { .. })),
+                "{bad}"
+            );
+        }
     }
 }

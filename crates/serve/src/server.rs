@@ -86,7 +86,6 @@ impl Server {
         let addr = listener.local_addr()?;
         let service = Arc::new(Service::new(ServiceOptions {
             cache_bytes: opts.cache_bytes,
-            ..ServiceOptions::default()
         }));
 
         let (tx, rx) = mpsc::sync_channel::<Job>(opts.queue.max(1));

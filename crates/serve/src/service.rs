@@ -20,11 +20,10 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
-use mhla_core::explore::{default_axes, try_sweep_grid_run_in, ExploreBudget, SweepOptions};
+use mhla_core::explore::try_sweep_grid_run_in;
 use mhla_core::fingerprint::{platform_fingerprint, program_fingerprint};
-use mhla_core::{ExplorationContext, MhlaConfig};
+use mhla_core::ExplorationContext;
 use mhla_ir::serdes::Json;
 use mhla_ir::Program;
 use mhla_reuse::ReuseAnalysis;
@@ -39,18 +38,18 @@ use crate::protocol::{
 pub struct ServiceOptions {
     /// Byte budget of the result cache.
     pub cache_bytes: usize,
-    /// Entry cap of the per-program analysis cache.
-    pub analysis_entries: usize,
 }
 
 impl Default for ServiceOptions {
     fn default() -> Self {
         ServiceOptions {
             cache_bytes: 64 * 1024 * 1024,
-            analysis_entries: 32,
         }
     }
 }
+
+/// Entry cap of the per-program analysis cache.
+const ANALYSIS_ENTRIES: usize = 32;
 
 /// One cached program analysis: the owned program (the engine borrows
 /// it for the exploration context) plus its reuse analysis.
@@ -122,7 +121,7 @@ impl Service {
     pub fn new(opts: ServiceOptions) -> Self {
         Service {
             cache: Mutex::new(ResultCache::new(opts.cache_bytes)),
-            analyses: Mutex::new(AnalysisCache::new(opts.analysis_entries)),
+            analyses: Mutex::new(AnalysisCache::new(ANALYSIS_ENTRIES)),
             cancel: Arc::new(AtomicBool::new(false)),
             draining: AtomicBool::new(false),
             requests: AtomicU64::new(0),
@@ -173,10 +172,7 @@ impl Service {
         }
         let program_fp = program_fingerprint(&req.program);
         let platform_fp = platform_fingerprint(&req.platform);
-        let axes = match req.axes {
-            Some(axes) => axes,
-            None => default_axes(&req.platform),
-        };
+        let (config, axes, opts) = req.engine_inputs(Some(Arc::clone(&self.cancel)));
         let key = CacheKey {
             program_fp,
             platform_fp,
@@ -187,22 +183,6 @@ impl Service {
         }
 
         let analysis = self.analysis_for(program_fp, req.program);
-        let config = MhlaConfig {
-            objective: req.objective,
-            ..MhlaConfig::default()
-        };
-        let budget = ExploreBudget {
-            max_evals: req.max_evals,
-            deadline: req
-                .timeout_ms
-                .map(|ms| Instant::now() + Duration::from_millis(ms)),
-            cancel: Some(Arc::clone(&self.cancel)),
-        };
-        let opts = SweepOptions {
-            mode: req.mode,
-            budget,
-            ..SweepOptions::default()
-        };
         let ctx = ExplorationContext::with_reuse(
             &analysis.program,
             &req.platform,

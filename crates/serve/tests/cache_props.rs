@@ -147,7 +147,6 @@ proptest! {
         let first_body_len = oracle_bodies[0].len();
         let service = Service::new(ServiceOptions {
             cache_bytes: first_body_len + first_body_len / 2,
-            ..ServiceOptions::default()
         });
         for &i in &order {
             let response = service.handle_line(&lines[i]);
@@ -214,7 +213,6 @@ fn alternating_keys_in_one_body_cache_stay_correct() {
 
     let service = Service::new(ServiceOptions {
         cache_bytes: body_a.len() + 64,
-        ..ServiceOptions::default()
     });
     for _ in 0..3 {
         assert_eq!(split_ok(&service.handle_line(&line_a)).1, body_a);
