@@ -8,8 +8,9 @@
 //!   estimates): out-of-the-box baseline, MHLA step 1, MHLA + TE, and the
 //!   zero-wait ideal;
 //! * [`fig2_fig3_suite`] — the full nine-application table;
-//! * [`te_ablation_point`] — TE benefit as a function of available compute
-//!   (the §3 claim: "up to 33%, if there are a lot of processing loops");
+//! * [`te_ablation_point_frac`] — TE benefit as a function of available
+//!   compute (the §3 claim: "up to 33%, if there are a lot of processing
+//!   loops");
 //! * capacity sweeps reuse [`mhla_core::explore`] directly.
 //!
 //! The binaries (`fig2_performance`, `fig3_energy`, `tradeoff_curves`,
@@ -164,12 +165,14 @@ pub fn fig2_fig3_suite() -> Vec<AppFigures> {
 /// makes transfers easier to hide (hiding fraction rises) but a smaller
 /// share of the execution (relative boost falls) — the paper's "up to
 /// 33%, if there are a lot of processing loops" lives at the crossover.
-pub fn te_ablation_point(app: &Application, compute_scale: u64) -> AppFigures {
+#[cfg(test)]
+fn te_ablation_point(app: &Application, compute_scale: u64) -> AppFigures {
     te_ablation_point_frac(app, compute_scale, 1)
 }
 
-/// [`te_ablation_point`] with a rational scale `mul/div`, so the sweep can
-/// also visit the transfer-bound side (e.g. 1/4 of the original compute).
+/// One point of the TE ablation with the statement compute cycles scaled
+/// by the rational `mul/div`, so the sweep can also visit the
+/// transfer-bound side (e.g. 1/4 of the original compute).
 pub fn te_ablation_point_frac(app: &Application, mul: u64, div: u64) -> AppFigures {
     let mut program = app.program.clone();
     scale_compute(&mut program, mul, div.max(1));
@@ -228,7 +231,7 @@ fn rebuild_with(program: &mhla_ir::Program, f: impl Fn(u64) -> u64) -> mhla_ir::
 
 /// The eight-application sweep benchmark suite: [`mhla_apps::all_apps`]
 /// minus the ninth (`lpc_voice`), mirroring the trade-off figures.
-pub fn sweep_suite() -> Vec<Application> {
+fn sweep_suite() -> Vec<Application> {
     let mut apps = mhla_apps::all_apps();
     apps.retain(|a| a.name() != "lpc_voice");
     assert_eq!(apps.len(), 8, "sweep suite must stay at eight apps");
@@ -387,9 +390,9 @@ pub fn grid_frontier_points(
         .collect()
 }
 
-/// Measures exhaustive vs pruned four-level grid sweeps over
-/// [`sweep_suite`] under `config`, `repeats` runs per path, verifying
-/// frontier and per-point identity. The `grid4` binary measures the
+/// Measures exhaustive vs pruned four-level grid sweeps over the
+/// eight-app `sweep_suite` under `config`, `repeats` runs per path,
+/// verifying frontier and per-point identity. The `grid4` binary measures the
 /// cycles and the energy objective; under energy the gain-bound
 /// saturation rule (instead of the cycles-only one) drives the pruning.
 pub fn measure_grid4_perf(repeats: usize, config: &mhla_core::MhlaConfig) -> Vec<Grid4Perf> {
@@ -473,10 +476,10 @@ pub struct Grid4Refine {
     pub refined: Samples,
 }
 
-/// Measures the adaptive refinement over [`sweep_suite`] at the default
-/// depth ([`mhla_core::explore::REFINE_DEPTH`]) under the given config,
-/// `repeats` runs per app, checking per-app frontier consistency against
-/// the pruned coarse sweep.
+/// Measures the adaptive refinement over the eight-app `sweep_suite` at
+/// the default depth ([`mhla_core::explore::REFINE_DEPTH`]) under the
+/// given config, `repeats` runs per app, checking per-app frontier
+/// consistency against the pruned coarse sweep.
 pub fn measure_grid4_refine(repeats: usize, config: &mhla_core::MhlaConfig) -> Vec<Grid4Refine> {
     use mhla_core::explore::{
         default_axes, try_sweep_grid_pruned_with, try_sweep_grid_refined_with, PruneOptions,
@@ -593,14 +596,15 @@ pub struct ImprovingGrid4Perf {
     /// Wall times of the cold sweep (rank levels on every core), one per
     /// repetition.
     pub cold: Samples,
-    /// Wall times of the improving sweep (one point at a time: its seeds
-    /// are its predecessors), one per repetition.
+    /// Wall times of the improving sweep (rank levels on every core, each
+    /// search carrying its committed neighbours' seeds), one per
+    /// repetition.
     pub improving: Samples,
 }
 
-/// Measures cold-vs-improving four-level grid sweeps over [`sweep_suite`]
-/// under an explicit [`MhlaConfig`], `repeats` runs per mode, verifying
-/// the dominance guarantee per app.
+/// Measures cold-vs-improving four-level grid sweeps over the eight-app
+/// `sweep_suite` under an explicit [`MhlaConfig`], `repeats` runs per
+/// mode, verifying the dominance guarantee per app.
 ///
 /// [`MhlaConfig`]: mhla_core::MhlaConfig
 pub fn measure_grid4_improving(
@@ -906,7 +910,7 @@ pub fn grid4_perf_json(
 /// The checkout and machine a `BENCH_*.json` document was measured on:
 /// `{"commit": "<git describe --always --dirty>", "nproc": <threads>}`,
 /// with `"unknown"` outside a git checkout.
-pub fn machine_json() -> String {
+fn machine_json() -> String {
     let commit = std::process::Command::new("git")
         .args(["describe", "--always", "--dirty"])
         .output()

@@ -4,7 +4,8 @@
 //! stderr — never a panic.
 
 use std::fs;
-use std::path::PathBuf;
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use mhla_core::explore::{try_sweep_grid_run, GridAxis, SweepOptions};
@@ -27,12 +28,32 @@ fn stderr(out: &Output) -> String {
     String::from_utf8(out.stderr.clone()).expect("utf-8 stderr")
 }
 
-/// A per-test scratch directory under the target-adjacent temp dir.
-fn scratch(test: &str) -> PathBuf {
+/// A per-test scratch directory under the target-adjacent temp dir,
+/// removed when the test passes; a failing test leaves it in place for
+/// inspection.
+struct Scratch(PathBuf);
+
+impl Deref for Scratch {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+}
+
+fn scratch(test: &str) -> Scratch {
     let dir = std::env::temp_dir().join(format!("mhla-cli-{}-{test}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
+    Scratch(dir)
 }
 
 #[test]

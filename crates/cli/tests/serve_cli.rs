@@ -5,7 +5,8 @@
 
 use std::fs;
 use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
@@ -24,11 +25,32 @@ fn stdout(out: &Output) -> String {
     String::from_utf8(out.stdout.clone()).expect("utf-8 stdout")
 }
 
-fn scratch(test: &str) -> PathBuf {
+/// A per-test scratch directory under the target-adjacent temp dir,
+/// removed when the test passes; a failing test leaves it in place for
+/// inspection.
+struct Scratch(PathBuf);
+
+impl Deref for Scratch {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+}
+
+fn scratch(test: &str) -> Scratch {
     let dir = std::env::temp_dir().join(format!("mhla-serve-cli-{}-{test}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
+    Scratch(dir)
 }
 
 /// A spawned `mhla serve`, killed on drop if a test fails before the

@@ -269,95 +269,6 @@ impl<'p> ExplorationContext<'p> {
     }
 }
 
-/// Committed per-point assignments of an improving sweep, keyed by the
-/// grid capacity vector — the warm-seed store of
-/// [`SearchMode::Improving`](crate::explore::SearchMode).
-///
-/// The sweep engine commits each evaluated point's winning assignment
-/// here; a later point looks up its *grid neighbors* — the points with
-/// exactly one axis moved back to its previous capacity — and hands them
-/// to the seeded search portfolio
-/// ([`Mhla::run_with_seeds_in`](crate::Mhla::run_with_seeds_in)). Neighbors sit
-/// at componentwise-smaller capacities, so their assignments stay
-/// feasible as layers grow, and they are lexicographically earlier, so a
-/// lexicographic commit order guarantees they are present (or were
-/// deliberately skipped) by lookup time.
-#[derive(Default, Debug)]
-pub struct SeedCache {
-    map: std::collections::HashMap<Vec<u64>, crate::types::Assignment>,
-}
-
-impl SeedCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        SeedCache::default()
-    }
-
-    /// Commits the winning assignment of one evaluated grid point.
-    pub fn commit(&mut self, caps: &[u64], assignment: crate::types::Assignment) {
-        self.map.insert(caps.to_vec(), assignment);
-    }
-
-    /// The committed assignment at exactly `caps`, if any.
-    pub fn get(&self, caps: &[u64]) -> Option<&crate::types::Assignment> {
-        self.map.get(caps)
-    }
-
-    /// The committed seeds of `caps`' grid neighbors: for each axis whose
-    /// capacity is not the axis minimum, the point with that axis moved
-    /// to its previous capacity (per `axes`, the sorted per-axis capacity
-    /// lists). Returns `(axis, assignment)` pairs in axis order; axes
-    /// whose neighbor was never committed (skipped, or not yet evaluated)
-    /// are absent.
-    pub fn neighbor_seeds<'s>(
-        &'s self,
-        caps: &[u64],
-        axes: &[Vec<u64>],
-    ) -> Vec<(usize, &'s crate::types::Assignment)> {
-        let mut out = Vec::new();
-        let mut key = caps.to_vec();
-        for (axis, grid) in axes.iter().enumerate() {
-            let Some(pos) = grid.iter().position(|&c| c == caps[axis]) else {
-                continue;
-            };
-            if pos == 0 {
-                continue;
-            }
-            key[axis] = grid[pos - 1];
-            if let Some(seed) = self.map.get(&key) {
-                out.push((axis, seed));
-            }
-            key[axis] = caps[axis];
-        }
-        out
-    }
-
-    /// The committed assignments among `corners` that sit componentwise
-    /// at-or-below `caps` — the refinement scheduler's per-cell seed
-    /// lookup (a child point is seeded from its generating cell's already
-    /// evaluated corners). Deduplicated, in `corners` order; corners above
-    /// `caps` on any axis are excluded (their assignments need capacity
-    /// the seeded point may not have).
-    pub fn corner_seeds<'s>(
-        &'s self,
-        corners: &[Vec<u64>],
-        caps: &[u64],
-    ) -> Vec<&'s crate::types::Assignment> {
-        let mut out: Vec<&crate::types::Assignment> = Vec::new();
-        for corner in corners {
-            if corner.len() != caps.len() || corner.iter().zip(caps).any(|(c, p)| c > p) {
-                continue;
-            }
-            if let Some(seed) = self.map.get(corner) {
-                if !out.contains(&seed) {
-                    out.push(seed);
-                }
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,28 +317,6 @@ mod tests {
         let a = Assignment::baseline(p.array_count(), Default::default());
         assert_eq!(fresh.evaluate(&a), shared.evaluate(&a));
         assert_eq!(fresh.transfer_streams(&a), shared.transfer_streams(&a));
-    }
-
-    #[test]
-    fn seed_cache_finds_axis_neighbors() {
-        let axes = vec![vec![128u64, 256, 512], vec![64u64, 128]];
-        let mut cache = SeedCache::new();
-        let a = Assignment::baseline(1, Default::default());
-        let mut b = Assignment::baseline(1, Default::default());
-        b.set_home(mhla_ir::ArrayId::from_index(0), LayerId(1));
-        cache.commit(&[128, 128], a.clone());
-        cache.commit(&[256, 64], b.clone());
-        // [256, 128]'s neighbors: axis 0 back to [128, 128] (committed as
-        // `a`), axis 1 back to [256, 64] (committed as `b`).
-        let seeds = cache.neighbor_seeds(&[256, 128], &axes);
-        assert_eq!(seeds.len(), 2);
-        assert_eq!((seeds[0].0, seeds[0].1), (0, &a));
-        assert_eq!((seeds[1].0, seeds[1].1), (1, &b));
-        // The grid minimum has no neighbors at all; neighbors that were
-        // never committed are simply absent.
-        assert!(cache.neighbor_seeds(&[128, 64], &axes).is_empty());
-        assert!(cache.neighbor_seeds(&[512, 128], &axes).is_empty());
-        assert_eq!(cache.get(&[128, 128]), Some(&a));
     }
 
     #[test]

@@ -63,8 +63,8 @@
 //!   searched point is bit-identical to a standalone [`Mhla::run`] on the
 //!   same platform, in every engine.
 //! * [`SearchMode::Improving`] — each point's search is a *portfolio*
-//!   seeded from the committed results of its grid neighbors along every
-//!   axis ([`SeedCache`]), with the cold leg always included: every
+//!   seeded from the committed results of its grid neighbors one step
+//!   down every axis, with the cold leg always included: every
 //!   point's outcome provably scores no worse than its cold counterpart
 //!   under the configured objective, and the objective Pareto frontier
 //!   ([`GridSweep::pareto_objective`]) dominates-or-equals the cold one
@@ -93,7 +93,7 @@ use mhla_hierarchy::{
 };
 use mhla_ir::Program;
 
-use crate::context::{ExplorationContext, SeedCache};
+use crate::context::ExplorationContext;
 use crate::driver::{Mhla, MhlaResult, RunStats};
 use crate::error::{self, MhlaError};
 use crate::pareto;
@@ -116,13 +116,13 @@ pub enum StopCause {
 /// How far a (possibly budgeted) sweep got.
 ///
 /// A stopped grid or pruned sweep has decided a *down-set* of its grid:
-/// every point componentwise below a decided point is decided too. A cold
-/// run decides whole rank levels (points of equal fine-index sum) in
-/// ascending order and the budget cuts one level at a key-order position,
-/// so it stops with the lower levels plus a key-order prefix of one
-/// level; an improving run stops on a lexicographic prefix. The refined
-/// sweep decides its coarse grid and then each wave's new cell corners
-/// the same way, one batch at a time, and stops inside one batch. Each
+/// every point componentwise below a decided point is decided too. Every
+/// run, cold or improving, decides whole rank levels (points of equal
+/// fine-index sum) in ascending order and the budget cuts one level at a
+/// key-order position, so it stops with the lower levels plus a key-order
+/// prefix of one level. The refined sweep decides its coarse grid and
+/// then each wave's new cell corners the same way, one batch at a time,
+/// and stops inside one batch. Each
 /// decided point is committed (searched, or replayed from a resumed
 /// prior) or — in the pruned and refined sweeps — certified dominated by
 /// a committed point below it, so the partial result's Pareto accessors
@@ -138,11 +138,10 @@ pub enum SweepStatus {
         /// What stopped the sweep.
         cause: StopCause,
         /// The number of points decided (the refined sweep counts its
-        /// committed points; see each result's `status`). Only in
-        /// [`SearchMode::Improving`] on the grid and pruned sweeps is it
-        /// also the first lexicographic grid index not decided. Pass the
-        /// run back to the matching `try_*_resume` entry point to
-        /// continue from exactly here.
+        /// committed points; see each result's `status`). It is a count,
+        /// not a grid index: the decided points are a down-set, not a
+        /// lexicographic prefix. Pass the run back to the matching
+        /// `try_*_resume` entry point to continue from exactly here.
         next_lex: usize,
     },
 }
@@ -183,8 +182,7 @@ pub struct ExploreBudget {
     pub max_evals: Option<usize>,
     /// Hard wall-clock deadline. Checked as each point is queued for a
     /// search; queued and in-flight searches are never aborted, so the
-    /// sweep can overshoot by one rank level's searches (one search in
-    /// [`SearchMode::Improving`]).
+    /// sweep can overshoot by one rank level's searches.
     pub deadline: Option<Instant>,
     /// Cooperative cancellation: raise the flag from another thread and
     /// the sweep stops at the next check, returning the decided points.
@@ -310,21 +308,18 @@ pub enum SearchMode {
     Cold,
     /// The *improving* mode: each point's search is a warm-start
     /// portfolio seeded from the committed results of its grid neighbors
-    /// along every axis (the [`SeedCache`]) plus the lexicographically
-    /// previous committed point when its assignment still fits
-    /// ([`SeedOrigin::LexPredecessor`] — the seed that carries search
-    /// state across outer-axis steps), with the cold leg always included
-    /// and preferred on ties. Each point's outcome therefore provably
-    /// scores no worse than its cold counterpart under the configured
-    /// objective — frontiers are allowed to dominate, never to trail,
-    /// the cold ones (`pareto::front_dominates` is the machine check;
-    /// `tests/improving_sweep.rs` and the randomized-program proptests
-    /// enforce it). Points run strictly sequentially in lexicographic
-    /// order (a point's seeds are its committed predecessors), so
-    /// results are deterministic and independent of the core count.
-    /// Warm seeds are a greedy-search construct;
-    /// non-greedy strategies ignore them and this mode equals
-    /// [`Cold`](SearchMode::Cold).
+    /// one step down every axis, in axis order, with the cold leg always
+    /// included and preferred on ties. Each point's outcome therefore
+    /// provably scores no worse than its cold counterpart under the
+    /// configured objective — frontiers are allowed to dominate, never to
+    /// trail, the cold ones (`pareto::front_dominates` is the machine
+    /// check; `tests/improving_sweep.rs` and the randomized-program
+    /// proptests enforce it). A point's seeds sit componentwise below it,
+    /// so they are committed in an earlier rank level: points run in rank
+    /// levels on the shared helper pool, as in cold mode, and results are
+    /// deterministic and independent of the core count. Warm seeds are a
+    /// greedy-search construct; non-greedy strategies ignore them and
+    /// this mode equals [`Cold`](SearchMode::Cold).
     Improving,
 }
 
@@ -335,11 +330,6 @@ pub enum SeedOrigin {
     /// sweep's axis list): the point with exactly that axis moved back to
     /// its previous capacity. Always feasible — capacities only grew.
     Axis(usize),
-    /// The lexicographically previous committed point. At an
-    /// innermost-axis reset this sits at a *larger* innermost capacity
-    /// than the current point, so it is only offered when its assignment
-    /// passes the point's capacity check.
-    LexPredecessor,
 }
 
 /// Options of the exhaustive grid engine ([`try_sweep_grid_run`], any
@@ -347,8 +337,8 @@ pub enum SeedOrigin {
 ///
 /// **Determinism guarantee:** the engine searches every point, and each
 /// point's result depends only on the point and — in
-/// [`SearchMode::Improving`] — on the points before it in lexicographic
-/// order. The core count changes only wall time.
+/// [`SearchMode::Improving`] — on the points below it. The core count
+/// changes only wall time.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct SweepOptions {
     /// Unused: no code reads this field, and its value changes nothing —
@@ -571,10 +561,10 @@ pub struct GridSweepRun {
     /// How far the sweep got. Always [`SweepStatus::Complete`] under an
     /// unlimited [`SweepOptions::budget`]; when `Stopped`, the `next_lex`
     /// points are the decided down-set of the grid — whole rank levels
-    /// plus a key-order prefix of one level in [`SearchMode::Cold`], a
-    /// lexicographic prefix in [`SearchMode::Improving`] — so the sweep's
-    /// Pareto accessors select the *certified* partial frontier of exactly
-    /// that set, and [`try_sweep_grid_resume`] continues deterministically.
+    /// plus a key-order prefix of one level, in either [`SearchMode`] —
+    /// so the sweep's Pareto accessors select the *certified* partial
+    /// frontier of exactly that set, and [`try_sweep_grid_resume`]
+    /// continues deterministically.
     pub status: SweepStatus,
 }
 
@@ -589,10 +579,10 @@ pub struct GridSweepRun {
 /// certified loop of [`try_sweep_grid_pruned_with`] with its saturation
 /// certificates off, so that every point is searched. Production path:
 /// one shared [`ExplorationContext`] (reuse analysis, program facts, TE
-/// caches, move space computed once); a cold run searches one rank level
-/// at a time on the calling thread and helper threads, an improving run
-/// one point at a time in lexicographic order (see the pruned sweep's
-/// *One certified loop*). In [`SearchMode::Cold`] each point's result is
+/// caches, move space computed once); every run, cold or improving,
+/// searches one rank level at a time on the calling thread and helper
+/// threads (see the pruned sweep's *One certified loop*). In
+/// [`SearchMode::Cold`] each point's result is
 /// bit-identical to a cold standalone [`Mhla::run`] on the same platform
 /// (asserted by the equivalence tests). One axis is the 1-D capacity
 /// sweep, `mhla sweep`.
@@ -839,93 +829,25 @@ thread_local! {
 }
 
 impl SweepEngine<'_> {
-    /// One point's cold search — the certified scheduler's evaluation in
-    /// [`SearchMode::Cold`]. Runs on the thread's [`EngineScratch`]:
-    /// in-place platform resize, reused workspace.
-    fn evaluate(&self, caps: &[u64]) -> (MhlaResult, RunStats) {
+    /// One point's search: the portfolio of the cold leg and one warm leg
+    /// per distinct seed ([`Mhla::run_with_seeds_in`]) — the cold search
+    /// alone when `seeds` is empty, as it always is in
+    /// [`SearchMode::Cold`]. Returns the result, the run stats and the
+    /// origin of the winning seed, if it has one. Runs on the thread's
+    /// [`EngineScratch`]: in-place platform resize, reused workspace.
+    fn evaluate(&self, caps: &[u64], seeds: &[Seed]) -> Searched {
         ENGINE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             let (pf, ws) = scratch.point(self, caps);
-            Mhla::with_context(self.ctx, pf).run_with_stats_in(None, Some(self.ctx.moves()), ws)
-        })
-    }
-
-    /// One point's improving-mode search: the seeded portfolio over the
-    /// seeds gathered from `cache` (axis neighbors plus the gated lex
-    /// predecessor `prev`). Returns the result, the run stats, and the
-    /// origin of the winning seed (if any). Runs on the thread's
-    /// [`EngineScratch`], like [`Self::evaluate`].
-    fn evaluate_improving(
-        &self,
-        caps: &[u64],
-        cache: &SeedCache,
-        prev: Option<&[u64]>,
-    ) -> Searched {
-        ENGINE_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let (pf, ws) = scratch.point(self, caps);
-            let seeds = self.gather_seeds(pf, caps, cache, prev);
-            let refs: Vec<&Assignment> = seeds.iter().map(|&(_, a)| a).collect();
+            let refs: Vec<&Assignment> = seeds.iter().map(|(_, a)| a).collect();
             let (result, stats) = Mhla::with_context(self.ctx, pf).run_with_seeds_in(
                 &refs,
                 Some(self.ctx.moves()),
                 ws,
             );
-            let winner = stats.winning_seed.map(|k| seeds[k].0);
+            let winner = stats.winning_seed.and_then(|k| seeds[k].0);
             (result, stats, winner)
         })
-    }
-
-    /// One point's search seeded with an explicit assignment list — the
-    /// refinement corner branch, whose seeds come from parent corners
-    /// rather than the grid seed cache. Runs on the thread's
-    /// [`EngineScratch`], like [`Self::evaluate`].
-    fn evaluate_with_seed_refs(
-        &self,
-        caps: &[u64],
-        refs: &[&Assignment],
-    ) -> (MhlaResult, RunStats) {
-        ENGINE_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let (pf, ws) = scratch.point(self, caps);
-            Mhla::with_context(self.ctx, pf).run_with_seeds_in(refs, Some(self.ctx.moves()), ws)
-        })
-    }
-
-    /// Gathers one point's improving-mode seed list: the committed axis
-    /// neighbors (feasible by monotonicity — capacities only grew) plus
-    /// the lexicographically previous committed point (`prev`), gated by
-    /// a capacity check when it is not componentwise smaller (an
-    /// innermost-axis reset leaves it at a larger innermost capacity).
-    /// Seeds whose assignment duplicates an earlier one cost no extra
-    /// search leg (the portfolio dedups), so the occasional overlap
-    /// between the two kinds is free.
-    fn gather_seeds<'c>(
-        &self,
-        pf: &Platform,
-        caps: &[u64],
-        cache: &'c SeedCache,
-        prev: Option<&[u64]>,
-    ) -> Vec<(SeedOrigin, &'c Assignment)> {
-        let mut seeds: Vec<(SeedOrigin, &Assignment)> = cache
-            .neighbor_seeds(caps, self.axis_caps)
-            .into_iter()
-            .map(|(axis, a)| (SeedOrigin::Axis(axis), a))
-            .collect();
-        if let Some(prev_caps) = prev {
-            if let Some(seed) = cache.get(prev_caps) {
-                let feasible = prev_caps.iter().zip(caps).all(|(a, b)| a <= b)
-                    || self
-                        .ctx
-                        .cost_model(pf)
-                        .check_capacity(seed, &std::collections::HashMap::new())
-                        .is_ok();
-                if feasible {
-                    seeds.push((SeedOrigin::LexPredecessor, seed));
-                }
-            }
-        }
-        seeds
     }
 }
 
@@ -1114,18 +1036,18 @@ impl PruneOptions {
 /// The loop runs in *steps* of three phases: replay or certify the
 /// step's points against the committed state, search the others, commit
 /// the results in key order. Points of equal fine-index sum — one *rank
-/// level* — are mutually incomparable, so none certifies another. A cold
-/// run takes one rank level per step, levels ascending, and searches the
-/// level's points at the same time on the calling thread and up to
-/// `available_parallelism() - 1` helper threads. The helpers live for one
-/// call; they start once the caller has spent 1 ms alone on searches a
-/// helper could have taken, so small grids never pay for them.
-/// [`SearchMode::Improving`] takes one point per step in lexicographic
-/// order, because a point's seeds are the points committed before it.
+/// level* — are mutually incomparable, so none certifies another, and
+/// none seeds another in [`SearchMode::Improving`], whose seeds sit one
+/// step down an axis. Every run takes one rank level per step, levels
+/// ascending, and searches the level's points at the same time on the
+/// calling thread and up to `available_parallelism() - 1` helper threads;
+/// each improving search carries its seeds with it. The helpers live for
+/// one call; they start once the caller has spent 1 ms alone on searches
+/// a helper could have taken, so small grids never pay for them.
 ///
 /// The budget is checked for each point as a step queues it for a
 /// search, and the points already queued are searched and committed
-/// before the stop returns. A stopped cold run has therefore decided the
+/// before the stop returns. A stopped run has therefore decided the
 /// lower rank levels plus a key-order prefix of one level — `max_evals`
 /// cuts that level at a fixed position, and a deadline or a cancel flag
 /// usually stops before the next level's searches start. That set is
@@ -1261,10 +1183,12 @@ pub struct RefineOptions {
     /// The search mode (default [`SearchMode::Cold`], the canonical
     /// exhaustive-equivalence semantics). Under [`SearchMode::Improving`]
     /// each evaluated corner runs the seeded portfolio — phase-0 points
-    /// seed like the improving grid sweep, refined corners seed from
-    /// their parent cell's committed corner assignments — and the
-    /// guarantee weakens to objective-surface dominance, exactly as in
-    /// the pruned sweep's improving mode.
+    /// seed from their committed neighbours one *coarse* step down each
+    /// axis, exactly like the improving pruned sweep (so the two agree at
+    /// every coarse point), refined corners from their parent cell's
+    /// committed corner assignments — and the guarantee weakens to
+    /// objective-surface dominance, exactly as in the pruned sweep's
+    /// improving mode.
     pub mode: SearchMode,
     /// The exploration budget (default unlimited): `max_evals` bounds
     /// *fresh* searches in this call — points replayed from a resumed
@@ -1395,6 +1319,14 @@ struct Replay<'p> {
 /// cold leg won, and for refined corners, whose seeds are not grid
 /// neighbours).
 type Searched = (MhlaResult, RunStats, Option<SeedOrigin>);
+
+/// One warm seed of an improving-mode search: a committed assignment and,
+/// for a grid neighbour, its axis (`None` for a refined corner).
+type Seed = (Option<SeedOrigin>, Assignment);
+
+/// One search of the certified loop as the helper pool runs it: the
+/// point's lattice key and the seeds it owns — none in cold mode.
+type Job = (u64, Vec<Seed>);
 
 /// The refined (virtual fine) axis for one coarse axis: every coarse
 /// point plus up to `2^depth - 1` integer midpoints per adjacent pair,
@@ -1645,20 +1577,6 @@ impl Cells {
         self.flat.extend_from_slice(hi);
         self.window.push(window);
     }
-
-    /// Cell `c`'s corner capacity vectors, in lexicographic order — the
-    /// improving-mode seed sources of the points it generated.
-    fn corner_caps(&self, c: usize, lat: &Lattice<'_>) -> Vec<Vec<u64>> {
-        let (lo, hi) = self.cell(c);
-        let values: Vec<Vec<usize>> = lo
-            .iter()
-            .zip(hi)
-            .map(|(&l, &h)| if l == h { vec![l] } else { vec![l, h] })
-            .collect();
-        let mut corners = Vec::new();
-        lat.for_each_key(&values, &mut |key| corners.push(lat.caps(key)));
-        corners
-    }
 }
 
 /// The score-perturbation budget the growth from capacity `from` to
@@ -1793,9 +1711,10 @@ struct Refinement<'a> {
 }
 
 /// Where a refinement batch's improving-mode seeds come from: the
-/// committed grid neighbors (phase 0 — the coarse lattice behaves like
-/// the improving grid sweep) or the corner assignments of the cell of
-/// `cells` that generated the point (refined corners).
+/// committed neighbours one coarse step down each axis (phase 0 — the
+/// coarse lattice seeds like the improving pruned sweep) or the corner
+/// assignments of the cell of `cells` that generated the point (refined
+/// corners).
 enum RefineSeeds<'m> {
     Grid,
     Corners(&'m Cells),
@@ -1808,10 +1727,9 @@ enum RefineSeeds<'m> {
 struct RefineState {
     /// Committed results of a resumed prior run, replayed for free.
     replay: HashMap<u64, Searched>,
-    /// Improving-mode committed assignments.
-    seeds: SeedCache,
-    /// Improving-mode lex-predecessor pointer (phase 0 only).
-    last_committed: Option<Vec<u64>>,
+    /// Improving-mode committed assignments, the seed store (empty in
+    /// cold mode).
+    improved: HashMap<u64, Assignment>,
     /// Saturation-certificate boxes of the committed cold-kept tracked
     /// runs.
     masks: MaskBoxes,
@@ -1861,8 +1779,7 @@ impl RefineState {
         }
         Ok(RefineState {
             replay,
-            seeds: SeedCache::new(),
-            last_committed: None,
+            improved: HashMap::new(),
             masks: MaskBoxes::new(lat),
             points: Vec::new(),
             run_stats: Vec::new(),
@@ -1897,8 +1814,7 @@ impl RefineState {
                 .insert(&rf.lattice, &q, &run, self.run_stats.len());
         }
         if rf.improving {
-            self.seeds.commit(&caps, result.assignment.clone());
-            self.last_committed = Some(caps.clone());
+            self.improved.insert(key, result.assignment.clone());
         }
         self.decided.insert(key);
         self.run_stats.push(run);
@@ -1926,6 +1842,62 @@ impl RefineState {
                 lat.window_of(idx),
                 rf.energy_weight,
             )
+    }
+
+    /// The seeds the search of the point `key` (fine indices `idx`,
+    /// generated by cell `parent`) carries: in phase 0 the committed
+    /// neighbours one coarse step down each axis, in axis order; in a
+    /// wave the generating cell's committed corners at or below the
+    /// point, in lexicographic order. Every seed sits componentwise below
+    /// the point, so it fits, and it was committed in an earlier rank
+    /// level or batch. Empty in cold mode, which commits no seeds.
+    /// Duplicate assignments cost no search leg: the portfolio skips them.
+    fn seeds(
+        &self,
+        rf: &Refinement<'_>,
+        key: u64,
+        idx: &[usize],
+        parent: usize,
+        from: &RefineSeeds<'_>,
+    ) -> Vec<Seed> {
+        let lat = &rf.lattice;
+        let mut seeds = Vec::new();
+        if self.improved.is_empty() {
+            return seeds;
+        }
+        match from {
+            RefineSeeds::Grid => {
+                for (a, (&i, coarse)) in idx.iter().zip(&lat.coarse).enumerate() {
+                    let k = coarse.partition_point(|&c| c < i);
+                    debug_assert_eq!(coarse.get(k), Some(&i), "phase-0 points are coarse");
+                    if k == 0 {
+                        continue;
+                    }
+                    let neighbour = key - (i - coarse[k - 1]) as u64 * lat.strides[a];
+                    if let Some(seed) = self.improved.get(&neighbour) {
+                        seeds.push((Some(SeedOrigin::Axis(a)), seed.clone()));
+                    }
+                }
+            }
+            RefineSeeds::Corners(cells) => {
+                let (lo, hi) = cells.cell(parent);
+                let corners: Vec<Vec<usize>> = lo
+                    .iter()
+                    .zip(hi)
+                    .zip(idx)
+                    .map(|((&l, &h), &i)| {
+                        let ends: &[usize] = if l == h { &[l] } else { &[l, h] };
+                        ends.iter().copied().filter(|&c| c <= i).collect()
+                    })
+                    .collect();
+                lat.for_each_key(&corners, &mut |corner| {
+                    if let Some(seed) = self.improved.get(&corner) {
+                        seeds.push((None, seed.clone()));
+                    }
+                });
+            }
+        }
+        seeds
     }
 }
 
@@ -2191,18 +2163,17 @@ impl<'e> SweepEngine<'e> {
     ///    resumed prior run is committed for free; otherwise a point the
     ///    committed state certifies ([`RefineState::point_certified`]) is
     ///    decided without a search; otherwise it is queued;
-    /// 2. search the queued points — cold on the caller and `pool`'s
-    ///    helpers, or seeded on the caller in improving mode;
+    /// 2. search the queued points on the caller and `pool`'s helpers,
+    ///    each job carrying its seeds ([`RefineState::seeds`]);
     /// 3. commit the results in key order.
     ///
     /// A certificate only reads committed points componentwise below the
-    /// point, and points of equal fine-index sum (one *rank level*) are
-    /// mutually incomparable, so any order that decides a point after its
-    /// whole down-set decides it identically. A cold run therefore takes
-    /// one rank level per step — levels ascending, keys ascending inside a
-    /// level — and its searches run concurrently. An improving run takes
-    /// one point per step in key order: its search reads the seeds
-    /// committed before it.
+    /// point, and so does a seed; points of equal fine-index sum (one
+    /// *rank level*) are mutually incomparable, so none certifies or
+    /// seeds another, and any order that decides a point after its whole
+    /// down-set decides it identically. Every run therefore takes one rank
+    /// level per step — levels ascending, keys ascending inside a level —
+    /// and searches the level's points concurrently, whatever its mode.
     ///
     /// The budget, which counts fresh searches only, is checked for each
     /// point as it is queued. When it stops, the queued points are still
@@ -2221,7 +2192,7 @@ impl<'e> SweepEngine<'e> {
         seeds_from: &RefineSeeds<'_>,
         budget: &ExploreBudget,
         st: &mut RefineState,
-        pool: &mut Helpers<'_, '_, u64, (MhlaResult, RunStats)>,
+        pool: &mut Helpers<'_, '_, Job, (u64, Searched)>,
     ) -> Result<Option<StopCause>, MhlaError> {
         let lat = &rf.lattice;
         let n = lat.fine.len();
@@ -2230,11 +2201,7 @@ impl<'e> SweepEngine<'e> {
         for (&(key, _), at) in batch.iter().zip(idx.chunks_exact_mut(n)) {
             lat.unpack(key, at);
         }
-        let by_level = !rf.improving;
-        let rank: Vec<usize> = idx
-            .chunks_exact(n)
-            .map(|at| if by_level { at.iter().sum() } else { 0 })
-            .collect();
+        let rank: Vec<usize> = idx.chunks_exact(n).map(|at| at.iter().sum()).collect();
         // Batch positions by rank, keys ascending inside a level: a
         // counting sort.
         let mut next = vec![0; rank.iter().max().map_or(1, |&r| r + 2)];
@@ -2249,43 +2216,32 @@ impl<'e> SweepEngine<'e> {
             order[next[r]] = p;
             next[r] += 1;
         }
-        let mut queued: Vec<(u64, usize)> = Vec::new();
         let mut stop = None;
-        for step in order.chunk_by(|&a, &b| by_level && rank[a] == rank[b]) {
-            queued.clear();
+        for step in order.chunk_by(|&a, &b| rank[a] == rank[b]) {
+            let mut jobs: Vec<Job> = Vec::new();
             for &p in step {
                 let (key, parent) = batch[p];
+                let at = &idx[p * n..(p + 1) * n];
                 debug_assert!(!st.decided.contains(&key), "batch points are undecided");
                 if let Some(replayed) = st.replay.remove(&key) {
-                    if st.fresh > 0 || !queued.is_empty() {
+                    if st.fresh > 0 || !jobs.is_empty() {
                         return Err(late_prior_point());
                     }
                     st.commit(rf, key, lat.caps(key), replayed, false);
                     continue;
                 }
-                if st.point_certified(rf, &idx[p * n..(p + 1) * n]) {
+                if st.point_certified(rf, at) {
                     st.decided.insert(key);
                     st.corners_certified += 1;
                     continue;
                 }
-                stop = budget.stop(st.fresh + queued.len());
+                stop = budget.stop(st.fresh + jobs.len());
                 if stop.is_some() {
                     break;
                 }
-                queued.push((key, parent));
+                jobs.push((key, st.seeds(rf, key, at, parent, seeds_from)));
             }
-            let outcomes: Vec<Searched> = if rf.improving {
-                queued
-                    .iter()
-                    .map(|&(key, parent)| self.search_improving(rf, key, parent, seeds_from, st))
-                    .collect()
-            } else {
-                pool.run(queued.iter().map(|&(key, _)| key).collect())
-                    .into_iter()
-                    .map(|(result, run)| (result, run, None))
-                    .collect()
-            };
-            for (&(key, _), searched) in queued.iter().zip(outcomes) {
+            for (key, searched) in pool.run(jobs) {
                 st.commit(rf, key, lat.caps(key), searched, true);
             }
             if stop.is_some() {
@@ -2293,31 +2249,6 @@ impl<'e> SweepEngine<'e> {
             }
         }
         Ok(stop)
-    }
-
-    /// One improving-mode search of the point `key`, generated by cell
-    /// `parent`: seeded from the committed grid neighbors in phase 0, from
-    /// the generating cell's committed corners in a refinement wave.
-    fn search_improving(
-        &self,
-        rf: &Refinement<'_>,
-        key: u64,
-        parent: usize,
-        seeds_from: &RefineSeeds<'_>,
-        st: &RefineState,
-    ) -> Searched {
-        let caps = rf.lattice.caps(key);
-        match seeds_from {
-            RefineSeeds::Grid => {
-                self.evaluate_improving(&caps, &st.seeds, st.last_committed.as_deref())
-            }
-            RefineSeeds::Corners(cells) => {
-                let corners = cells.corner_caps(parent, &rf.lattice);
-                let refs = st.seeds.corner_seeds(&corners, &caps);
-                let (result, run) = self.evaluate_with_seed_refs(&caps, &refs);
-                (result, run, None)
-            }
-        }
     }
 
     /// The adaptive refinement scheduler (the body of
@@ -2328,10 +2259,11 @@ impl<'e> SweepEngine<'e> {
     /// committed *before* the wave — saturation certificate first, split
     /// second — and decide the new child corners as one ascending batch.
     ///
-    /// The engine's `axis_caps` are the *fine* axes (improving-mode
-    /// neighbor seeds resolve on them); `coarse_axes` are the caller's
-    /// cleaned coarse axes. The fine lattice is never materialized; points
-    /// are packed lattice keys until they are searched or committed.
+    /// The engine's `axis_caps` are the *fine* axes; `coarse_axes` are
+    /// the caller's cleaned coarse axes, on which phase 0's improving-mode
+    /// neighbour seeds resolve. The fine lattice is never materialized;
+    /// points are packed lattice keys until they are searched or
+    /// committed.
     ///
     /// With a `prior` run, its committed points replay for free at the
     /// positions the uninterrupted schedule evaluated them, so the
@@ -2340,9 +2272,9 @@ impl<'e> SweepEngine<'e> {
     /// are not exactly those the schedule decides before its first fresh
     /// search is refused with [`MhlaError::InvalidOptions`].
     ///
-    /// The exploration's cold searches run on the caller and on helper
-    /// threads ([`Helpers`]) that live as long as this call. Returns the
-    /// run and, aligned with its points, each point's winning grid seed.
+    /// The exploration's searches run on the caller and on helper threads
+    /// ([`Helpers`]) that live as long as this call. Returns the run and,
+    /// aligned with its points, each point's winning grid seed.
     fn run_refined(
         &self,
         coarse_axes: &[Vec<u64>],
@@ -2357,7 +2289,7 @@ impl<'e> SweepEngine<'e> {
             saturation_armed: certify && config.strategy == SearchStrategy::Greedy,
             energy_weight: config.objective.energy_weight(),
         };
-        let search = |key: u64| self.evaluate(&rf.lattice.caps(key));
+        let search = |(key, seeds): Job| (key, self.evaluate(&rf.lattice.caps(key), &seeds));
         with_helpers(None, &search, |pool| {
             self.refine_waves(&rf, opts, prior, pool)
         })
@@ -2369,7 +2301,7 @@ impl<'e> SweepEngine<'e> {
         rf: &Refinement<'_>,
         opts: &RefineOptions,
         prior: Option<Replay<'_>>,
-        pool: &mut Helpers<'_, '_, u64, (MhlaResult, RunStats)>,
+        pool: &mut Helpers<'_, '_, Job, (u64, Searched)>,
     ) -> Result<(RefinedGridSweep, Vec<Option<SeedOrigin>>), MhlaError> {
         let lat = &rf.lattice;
         let n = lat.fine.len();
@@ -2557,9 +2489,8 @@ impl<'e> SweepEngine<'e> {
 /// decided against everything committed before it — certified when a
 /// committed run's box contains it, searched and committed otherwise — so
 /// no search lands on a point the committed state already certifies. A
-/// cold batch is decided one rank level at a time, with the level's
-/// searches running concurrently; an improving run steps through it one
-/// point at a time in ascending key order (see
+/// batch is decided one rank level at a time, in either mode, with the
+/// level's searches running concurrently (see
 /// [`try_sweep_grid_pruned_with`]'s *One certified loop*, which is this
 /// scheduler at depth 0, where the lattice is the grid itself).
 ///
@@ -2935,8 +2866,8 @@ mod tests {
             GridAxis::new(LayerId(2), vec![64u64, 256, 512]),
         ];
         let config = MhlaConfig::default();
-        // Improving runs take one point per step with or without a
-        // budget; a budget that is never reached must not change the run.
+        // Improving runs take rank levels with or without a budget; a
+        // budget that is never reached must not change the run.
         let improving = |budget| SweepOptions {
             mode: SearchMode::Improving,
             budget,
@@ -2948,6 +2879,50 @@ mod tests {
         let other = try_sweep_grid_run(&p, &pf, &axes, &config, &stepped).unwrap();
         assert!(reference.status.is_complete());
         assert_eq!(reference, other);
+    }
+
+    #[test]
+    fn phase_0_seeds_are_the_committed_axis_neighbours() {
+        let axes = vec![vec![128u64, 256, 512], vec![64u64, 128]];
+        let layers = [LayerId(1), LayerId(2)];
+        let a = Assignment::baseline(1, Default::default());
+        let mut b = Assignment::baseline(1, Default::default());
+        b.set_home(mhla_ir::ArrayId::from_index(0), LayerId(1));
+        for depth in [0, 1] {
+            let fine = fine_axes(&axes, depth).unwrap();
+            let rf = Refinement {
+                lattice: Lattice::new(&fine, &layers, &axes),
+                improving: true,
+                saturation_armed: false,
+                energy_weight: 0.0,
+            };
+            let lat = &rf.lattice;
+            let key = |caps: &[u64]| lat.key_of(caps).unwrap();
+            let mut st = RefineState::new(&rf, None).unwrap();
+            st.improved.insert(key(&[128, 128]), a.clone());
+            st.improved.insert(key(&[256, 64]), b.clone());
+            let seeds = |caps: &[u64]| {
+                let mut idx = [0; 2];
+                lat.unpack(key(caps), &mut idx);
+                st.seeds(&rf, key(caps), &idx, 0, &RefineSeeds::Grid)
+            };
+            // [256, 128]'s neighbors: axis 0 back to [128, 128] (committed
+            // as `a`), axis 1 back to [256, 64] (committed as `b`) — one
+            // coarse step down, whatever the refinement depth.
+            assert_eq!(
+                seeds(&[256, 128]),
+                vec![
+                    (Some(SeedOrigin::Axis(0)), a.clone()),
+                    (Some(SeedOrigin::Axis(1)), b.clone()),
+                ],
+                "depth {depth}"
+            );
+            // The grid minimum has no neighbors at all; neighbors that
+            // were never committed are simply absent.
+            assert!(seeds(&[128, 64]).is_empty(), "depth {depth}");
+            assert!(seeds(&[512, 128]).is_empty(), "depth {depth}");
+            assert_eq!(st.improved.get(&key(&[128, 128])), Some(&a));
+        }
     }
 
     #[test]

@@ -97,7 +97,7 @@ mod driver;
 mod types;
 
 pub use classify::{classify_arrays, ArrayClass};
-pub use context::{ExplorationContext, ProgramFacts, SeedCache};
+pub use context::{ExplorationContext, ProgramFacts};
 pub use cost::{ArrayContribution, CostBreakdown, CostModel, IncPool, IncrementalCost, LayerUsage};
 pub use driver::{Mhla, MhlaResult, RunStats};
 pub use error::{

@@ -259,8 +259,9 @@ fn improving_pruned_frontier_dominates_the_cold_exhaustive_one() {
             "{}: improving pruned frontier trails",
             app.name()
         );
-        // Improving pruned sweeps are sequential by construction: the
-        // depth-0 refinement runs one wave and discards no search.
+        // Improving pruned sweeps decide every point against its whole
+        // committed down-set: the depth-0 refinement runs one wave and
+        // discards no search.
         assert_eq!(pruned.speculative_evals, 0, "{}", app.name());
         assert_eq!(pruned.waves, 1, "{}", app.name());
     }

@@ -9,14 +9,14 @@
 //!
 //! 2. **Certified partial frontiers under budgets.** An interrupted sweep
 //!    (`ExploreBudget::max_evals`, a preset cancel flag, or an expired
-//!    deadline) stops on a decided down-set of the grid — on these 3×2
-//!    grids, rank-level order and lexicographic order agree, so it is a
-//!    lexicographic prefix: its points are bit-identical to the
-//!    unbudgeted run's prefix, its Pareto accessors select exactly the
-//!    frontier of that prefix, and resuming from the partial result
-//!    reproduces the full, unbudgeted sweep. A prior that is not a stopped
-//!    run of the grid it is resumed on is refused with `InvalidOptions`,
-//!    never a panic.
+//!    deadline), cold or improving, stops on a decided down-set of the
+//!    grid — on these 3×2 grids, rank-level order and lexicographic order
+//!    agree, so it is a lexicographic prefix: its points are
+//!    bit-identical to the unbudgeted run's prefix, its Pareto accessors
+//!    select exactly the frontier of that prefix, and resuming from the
+//!    partial result reproduces the full, unbudgeted sweep. A prior that
+//!    is not a stopped run of the grid it is resumed on is refused with
+//!    `InvalidOptions`, never a panic.
 //!
 //! 3. **No panic on malformed serialized programs.** The `serdes` ingress
 //!    (`program_from_json`) must reject malformed, truncated and
@@ -303,9 +303,9 @@ proptest! {
         prop_assert_eq!(&resumed, &full, "cold resume must be bit-identical");
     }
 
-    /// Contract 2, improving mode (strictly sequential): the budgeted
-    /// prefix and the resume are bit-identical to the full run including
-    /// the leg/winner bookkeeping.
+    /// Contract 2, improving mode (rank levels on the helper pool, like
+    /// cold mode): the budgeted prefix and the resume are bit-identical
+    /// to the full run including the leg/winner bookkeeping.
     #[test]
     fn improving_budget_resume_is_bit_identical(
         spec in program_specs(),

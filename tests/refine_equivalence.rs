@@ -19,12 +19,14 @@
 //!   exactly one search leg per committed point (no search is wasted on a
 //!   point the committed state already certifies).
 
+use std::collections::HashMap;
+
 use mhla::core::explore::{
-    default_axes, refine_axis, try_sweep_grid_refined_resume, try_sweep_grid_refined_with,
-    try_sweep_grid_run, ExploreBudget, GridAxis, GridSweep, RefineOptions, RefineStats,
-    RefinedGridSweep, SearchMode, SweepOptions,
+    default_axes, refine_axis, try_sweep_grid_pruned_with, try_sweep_grid_refined_resume,
+    try_sweep_grid_refined_with, try_sweep_grid_run, ExploreBudget, GridAxis, GridPoint, GridSweep,
+    PruneOptions, RefineOptions, RefineStats, RefinedGridSweep, SearchMode, SweepOptions,
 };
-use mhla::core::{MhlaConfig, Objective};
+use mhla::core::{pareto, report, MhlaConfig, Objective};
 use mhla::hierarchy::{LayerId, Platform};
 use mhla::ir::Program;
 use mhla_bench::grid_frontier_points;
@@ -221,8 +223,9 @@ fn refined_budget_interrupt_and_resume_is_bit_identical() {
 /// cells_leaf, corners_certified, search_legs, seed_wins]`. Every row
 /// also has 3 waves, 90 coarse and 3,213 virtual points, and every cold
 /// row has `search_legs == evaluated`. Energy rows exercise the
-/// certificate's energy-margin branch, improving rows the parent-corner
-/// seeds.
+/// certificate's energy-margin branch, improving rows the coarse-neighbour
+/// and parent-corner seeds; each improving row's objective frontier
+/// dominates-or-equals its app's cold cycles row's.
 #[rustfmt::skip]
 const LEDGER: [(&str, &str, [usize; 7]); 27] = [
     ("full_search_me",  "cycles",    [ 153,  346,  334, 2128, 3018,  153,    0]),
@@ -243,15 +246,15 @@ const LEDGER: [(&str, &str, [usize; 7]); 27] = [
     ("sobel_edge",      "energy",    [  58,  286,  693, 1349, 2670,   58,    0]),
     ("fir_bank",        "energy",    [  70,  303,  936, 1225, 2915,   70,    0]),
     ("lpc_voice",       "energy",    [ 113,  297,  607, 1512, 2848,  113,    0]),
-    ("full_search_me",  "improving", [ 197,  346,  334, 2128, 2974,  303,   46]),
-    ("hierarchical_me", "improving", [ 514,  349,  351, 2132, 2643, 1006,  273]),
-    ("video_encoder",   "improving", [  76,  273,  658, 1293, 2600,  121,   26]),
-    ("jpeg_enc",        "improving", [  48,  221,  721,  866, 2288,   52,    0]),
-    ("cavity_detect",   "improving", [  37,  264,  864, 1024, 2744,   50,    0]),
-    ("wavelet",         "improving", [ 262,  328,  604, 1732, 2751,  515,   84]),
-    ("sobel_edge",      "improving", [  14,  156,  588,  544, 1765,   15,    0]),
-    ("fir_bank",        "improving", [  20,  159,  588,  565, 1786,   22,    0]),
-    ("lpc_voice",       "improving", [  18,  159,  588,  565, 1788,   20,    0]),
+    ("full_search_me",  "improving", [ 197,  346,  334, 2128, 2974,  333,   46]),
+    ("hierarchical_me", "improving", [ 795,  349,  351, 2132, 2362, 1656,  574]),
+    ("video_encoder",   "improving", [ 167,  273,  658, 1293, 2509,  313,  120]),
+    ("jpeg_enc",        "improving", [  48,  221,  721,  866, 2288,   53,    0]),
+    ("cavity_detect",   "improving", [  37,  264,  864, 1024, 2744,   53,    0]),
+    ("wavelet",         "improving", [ 262,  328,  604, 1732, 2751,  555,   84]),
+    ("sobel_edge",      "improving", [  14,  156,  588,  544, 1765,   14,    0]),
+    ("fir_bank",        "improving", [  20,  159,  588,  565, 1786,   20,    0]),
+    ("lpc_voice",       "improving", [  18,  159,  588,  565, 1788,   18,    0]),
 ];
 
 #[test]
@@ -259,6 +262,9 @@ fn refined_certificate_ledger_is_pinned_at_depth_2_on_all_nine_apps() {
     let platform = Platform::four_level_default();
     let axes = default_axes(&platform);
     let apps = mhla_apps::all_apps();
+    // The cold cycles rows come first: the improving rows compare their
+    // frontiers against them.
+    let mut cold_cycles: HashMap<&str, RefinedGridSweep> = HashMap::new();
     for (name, mode, [evaluated, opened, mask, leaf, certified, legs, wins]) in LEDGER {
         let app = apps
             .iter()
@@ -297,11 +303,91 @@ fn refined_certificate_ledger_is_pinned_at_depth_2_on_all_nine_apps() {
             (3, legs, wins),
             "{name} {mode}: waves, search legs, seed wins"
         );
-        if search == SearchMode::Cold {
-            assert_eq!(
-                refined.search_legs, refined.stats.evaluated,
-                "{name} {mode}: a search was wasted"
+        match mode {
+            "improving" => {
+                let cold = &cold_cycles[name];
+                let surface = |run: &RefinedGridSweep| {
+                    let front = run.sweep.pareto_objective(&config.objective);
+                    report::objective_coords(&run.sweep, &front, &config.objective)
+                };
+                assert!(
+                    pareto::front_dominates(&surface(&refined), &surface(cold)),
+                    "{name}: the improving frontier trails the cold one"
+                );
+            }
+            _ => {
+                assert_eq!(
+                    refined.search_legs, refined.stats.evaluated,
+                    "{name} {mode}: a search was wasted"
+                );
+                if mode == "cycles" {
+                    cold_cycles.insert(name, refined);
+                }
+            }
+        }
+    }
+}
+
+/// Refined improving phase 0 seeds like the improving pruned sweep — each
+/// coarse point from its committed neighbours one coarse step down each
+/// axis — so at depth 2 on the default four-level grid the refined run's
+/// points on the coarse grid are exactly the pruned sweep's points, with
+/// bit-identical results.
+#[test]
+fn refined_improving_phase_0_equals_the_pruned_improving_sweep() {
+    let platform = Platform::four_level_default();
+    let axes = default_axes(&platform);
+    let on_coarse_grid = |caps: &[u64]| {
+        caps.iter()
+            .zip(&axes)
+            .all(|(c, axis)| axis.capacities.contains(c))
+    };
+    for app in mhla_apps::all_apps() {
+        for (label, objective) in [("cycles", Objective::Cycles), ("energy", Objective::Energy)] {
+            let config = MhlaConfig {
+                objective,
+                ..MhlaConfig::default()
+            };
+            let pruned = try_sweep_grid_pruned_with(
+                &app.program,
+                &platform,
+                &axes,
+                &config,
+                &PruneOptions {
+                    mode: SearchMode::Improving,
+                    ..PruneOptions::default()
+                },
+            )
+            .expect("valid grid");
+            let refined = run_refined(
+                &app.program,
+                &platform,
+                &axes,
+                &config,
+                RefineOptions {
+                    mode: SearchMode::Improving,
+                    ..RefineOptions::default().depth(2)
+                },
             );
+            let phase_0: Vec<&GridPoint> = refined
+                .sweep
+                .points
+                .iter()
+                .filter(|p| on_coarse_grid(&p.capacities))
+                .collect();
+            let caps = |points: &[&GridPoint]| -> Vec<Vec<u64>> {
+                points.iter().map(|p| p.capacities.clone()).collect()
+            };
+            let pruned: Vec<&GridPoint> = pruned.sweep.points.iter().collect();
+            let name = format!("{} {label}", app.name());
+            assert_eq!(
+                caps(&phase_0),
+                caps(&pruned),
+                "{name}: decided coarse points"
+            );
+            for (r, p) in phase_0.iter().zip(&pruned) {
+                assert_eq!(r.result, p.result, "{name} at {:?}", r.capacities);
+            }
         }
     }
 }
