@@ -909,7 +909,11 @@ pub fn grid4_perf_json(
 
 /// The checkout and machine a `BENCH_*.json` document was measured on:
 /// `{"commit": "<git describe --always --dirty>", "nproc": <threads>}`,
-/// with `"unknown"` outside a git checkout.
+/// with `"unknown"` outside a git checkout. The commit is that of the
+/// tree that was timed. A document regenerated as part of a change is
+/// written before the change is committed, so it reads `<parent>-dirty`:
+/// its times then belong to the commit that next changes the document,
+/// which `git log -1 --format=%h -- <document>` names.
 fn machine_json() -> String {
     let commit = std::process::Command::new("git")
         .args(["describe", "--always", "--dirty"])

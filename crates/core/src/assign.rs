@@ -333,7 +333,7 @@ pub struct SearchStats {
 /// a capacity sweep enumerates it once (usually inside an
 /// [`ExplorationContext`](crate::ExplorationContext)) and shares it across
 /// every point.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct MoveSet {
     moves: Vec<Move>,
 }
@@ -850,30 +850,21 @@ pub fn baseline(model: &CostModel<'_>, policy: TransferPolicy) -> SearchOutcome 
 /// and capacity is checked by *sum* of sizes — out-of-the-box code does
 /// not share storage between lifetimes.
 pub fn direct_placement(model: &CostModel<'_>, policy: TransferPolicy) -> SearchOutcome {
-    direct_placement_stats(model, policy).0
+    direct_placement_stats_in(model, policy, &mut EvalWorkspace::default()).0
 }
 
-/// [`direct_placement`], additionally reporting (as a bitmask by layer
-/// index) the layers whose remaining capacity *rejected* an eligible
-/// array during placement, plus the per-layer *rejection floors*: the
-/// smallest total requirement (bytes already placed + rejected array) of
-/// any rejection at each layer, `u64::MAX` where none occurred. A layer
-/// whose bit is clear never turned an array away: growing only such
-/// layers reproduces the identical placement — one leg of the pruned grid
-/// sweep's saturation argument; a constrained layer grown to a capacity
-/// still below its floor rejects the same arrays, so the placement also
+/// [`direct_placement`], priced through the workspace's pooled scratch
+/// and additionally reporting (as a bitmask by layer index) the layers
+/// whose remaining capacity *rejected* an eligible array during
+/// placement, plus the per-layer *rejection floors*: the smallest total
+/// requirement (bytes already placed + rejected array) of any rejection
+/// at each layer, `u64::MAX` where none occurred. A layer whose bit is
+/// clear never turned an array away: growing only such layers reproduces
+/// the identical placement — one leg of the pruned grid sweep's
+/// saturation argument; a constrained layer grown to a capacity still
+/// below its floor rejects the same arrays, so the placement also
 /// replays (the used bytes at each rejection replay by induction).
 /// Arrays that fit nowhere mark every on-chip layer.
-pub fn direct_placement_stats(
-    model: &CostModel<'_>,
-    policy: TransferPolicy,
-) -> (SearchOutcome, u64, Vec<u64>) {
-    direct_placement_stats_in(model, policy, &mut EvalWorkspace::default())
-}
-
-/// [`direct_placement_stats`] pricing the placement through the
-/// workspace's pooled scratch (bit-identical; the placement logic itself
-/// is untouched).
 pub(crate) fn direct_placement_stats_in(
     model: &CostModel<'_>,
     policy: TransferPolicy,
@@ -940,19 +931,17 @@ pub(crate) fn direct_placement_stats_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::classify_arrays;
+    use crate::ExplorationContext;
     use mhla_hierarchy::Platform;
     use mhla_ir::{ElemType, Program, ProgramBuilder};
-    use mhla_reuse::ReuseAnalysis;
 
     fn run(
         p: &Program,
         pf: &Platform,
         config: &MhlaConfig,
     ) -> (SearchOutcome, SearchOutcome, CostBreakdown) {
-        let reuse = ReuseAnalysis::analyze(p);
-        let classes = classify_arrays(p, &config.class_overrides);
-        let model = CostModel::new(p, pf, &reuse, classes);
+        let ctx = ExplorationContext::new(p, pf, config.clone());
+        let model = ctx.cost_model(pf);
         let g = greedy(&model, config);
         let e = exhaustive(&model, config, 1_000_000);
         let b = model.evaluate(&Assignment::baseline(p.array_count(), config.policy));

@@ -12,8 +12,11 @@
 //! [`Mhla`](crate::Mhla) / [`CostModel`] / [`te::plan`](crate::te::plan)
 //! cheap per-platform views: a sweep point borrows the context instead of
 //! re-deriving the facts, so the per-point cost collapses to the search
-//! itself. Every grid sweep in [`explore`](crate::explore), the one-axis
-//! capacity sweep included, is built on it.
+//! itself. It is the only place program facts are built: every run is a
+//! platform view of one context — [`Mhla::new`](crate::Mhla::new) builds
+//! and owns one, [`Mhla::with_context`](crate::Mhla::with_context) borrows
+//! one, and every grid sweep in [`explore`](crate::explore), the one-axis
+//! capacity sweep included, borrows one across all its points.
 
 use mhla_hierarchy::Platform;
 use mhla_ir::{AccessKind, LoopId, Program, ProgramInfo, StmtId, Timeline};
@@ -28,9 +31,8 @@ use crate::types::MhlaConfig;
 /// analysis and array classification): everything a [`CostModel`] needs
 /// that does not depend on layer capacities.
 ///
-/// Built by [`CostModel::new`] (owned, per model — the pre-context
-/// behavior) or once by [`ExplorationContext`] and then *borrowed* by every
-/// per-platform cost model of a sweep.
+/// Built once by [`ExplorationContext`] and then *borrowed* by every
+/// per-platform cost model of that context.
 #[derive(Clone, Debug)]
 pub struct ProgramFacts<'p> {
     /// Structural program facts (parents, depths, execution counts).
@@ -57,9 +59,8 @@ pub struct ProgramFacts<'p> {
     /// [`IncrementalCost`](crate::IncrementalCost).
     pub(crate) occupancy_times: Vec<u64>,
     /// Time-Extension caches (candidate transfer geometry + freedom
-    /// loops); populated by [`ExplorationContext`] only, `None` on the
-    /// standalone [`CostModel::new`] path.
-    pub(crate) te: Option<TeCache>,
+    /// loops).
+    pub(crate) te: TeCache,
 }
 
 /// Per-candidate Time-Extension caches: the capacity-independent parts of
@@ -74,9 +75,10 @@ pub(crate) struct TeCache {
 }
 
 impl<'p> ProgramFacts<'p> {
-    /// Derives the facts from a program, its reuse analysis and a
-    /// classification. `O(program size + candidates)`.
-    pub fn new(program: &'p Program, reuse: &ReuseAnalysis, classes: Vec<ArrayClass>) -> Self {
+    /// Derives the facts, Time-Extension caches included, from a program,
+    /// its reuse analysis and a classification. `O(program size +
+    /// candidates)`.
+    fn new(program: &'p Program, reuse: &ReuseAnalysis, classes: Vec<ArrayClass>) -> Self {
         let info = program.info();
         let timeline = program.timeline();
         let stmt_execs: Vec<u64> = program
@@ -95,23 +97,6 @@ impl<'p> ProgramFacts<'p> {
             }
         }
         let occupancy_times = occupancy_times(program, reuse, &timeline);
-        ProgramFacts {
-            info,
-            timeline,
-            classes,
-            stmt_execs,
-            array_accesses,
-            total_compute,
-            occupancy_times,
-            te: None,
-        }
-    }
-
-    /// Populates the Time-Extension caches (candidate stream geometry and
-    /// freedom loops). Called by [`ExplorationContext`]; the standalone
-    /// [`CostModel::new`] path leaves them empty and derives both on the
-    /// fly, so single runs pay exactly the pre-context cost.
-    pub(crate) fn populate_te_cache(&mut self, program: &Program, reuse: &ReuseAnalysis) {
         let mut geometry = Vec::with_capacity(program.array_count());
         let mut freedom = Vec::with_capacity(program.array_count());
         for (aid, decl) in program.arrays() {
@@ -120,17 +105,26 @@ impl<'p> ProgramFacts<'p> {
             geometry.push(
                 cands
                     .iter()
-                    .map(|cc| stream_template(&self.info, cc, elem))
+                    .map(|cc| stream_template(&info, cc, elem))
                     .collect(),
             );
             freedom.push(
                 cands
                     .iter()
-                    .map(|cc| crate::te::candidate_freedom(program, &self.info, aid, cc.at_loop))
+                    .map(|cc| crate::te::candidate_freedom(program, &info, aid, cc.at_loop))
                     .collect(),
             );
         }
-        self.te = Some(TeCache { geometry, freedom });
+        ProgramFacts {
+            info,
+            timeline,
+            classes,
+            stmt_execs,
+            array_accesses,
+            total_compute,
+            occupancy_times,
+            te: TeCache { geometry, freedom },
+        }
     }
 }
 
@@ -166,10 +160,10 @@ fn occupancy_times(program: &Program, reuse: &ReuseAnalysis, timeline: &Timeline
 /// facts, computed once and borrowed by every sweep point.
 ///
 /// Owns the reuse analysis, the array classification, the
-/// [`ProgramFacts`] (with the TE caches populated) and the enumerated
-/// candidate-move space. The move space depends on the platform's *shape*
-/// (which layers are on-chip) but not on layer capacities, so one context
-/// serves every capacity variant of the platform it was built against.
+/// [`ProgramFacts`] (with the TE caches) and the enumerated candidate-move
+/// space. The move space depends on the platform's *shape* (which layers
+/// are on-chip) but not on layer capacities, so one context serves every
+/// capacity variant of the platform it was built against.
 ///
 /// ```
 /// use mhla_core::{EvalWorkspace, ExplorationContext, Mhla, MhlaConfig};
@@ -192,11 +186,11 @@ fn occupancy_times(program: &Program, reuse: &ReuseAnalysis, timeline: &Timeline
 /// for capacity in [256u64, 512, 1024] {
 ///     let pf = base.with_layer_capacity(LayerId(1), capacity);
 ///     let (result, _) =
-///         Mhla::with_context(&ctx, &pf).run_with_stats_in(None, Some(ctx.moves()), &mut ws);
+///         Mhla::with_context(&ctx, &pf).run_with_stats_in(None, None, &mut ws);
 ///     assert!(result.mhla_cycles() <= result.baseline_cycles());
 /// }
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ExplorationContext<'p> {
     program: &'p Program,
     config: MhlaConfig,
@@ -222,8 +216,7 @@ impl<'p> ExplorationContext<'p> {
         reuse: ReuseAnalysis,
     ) -> Self {
         let classes = classify_arrays(program, &config.class_overrides);
-        let mut facts = ProgramFacts::new(program, &reuse, classes);
-        facts.populate_te_cache(program, &reuse);
+        let facts = ProgramFacts::new(program, &reuse, classes);
         let moves = {
             let model = CostModel::with_facts(program, platform, &reuse, &facts);
             assign::enumerate_moves(&model, &config)
@@ -252,7 +245,7 @@ impl<'p> ExplorationContext<'p> {
         &self.reuse
     }
 
-    /// The shared program facts (TE caches populated).
+    /// The shared program facts (TE caches included).
     pub fn facts(&self) -> &ProgramFacts<'p> {
         &self.facts
     }
@@ -263,7 +256,9 @@ impl<'p> ExplorationContext<'p> {
     }
 
     /// A cost model for one platform variant, borrowing the shared facts
-    /// (no re-derivation).
+    /// (no re-derivation). The platform must have the layer-stack shape
+    /// the context was built against; its capacities are free. This is
+    /// the public way to build a [`CostModel`].
     pub fn cost_model<'s>(&'s self, platform: &'s Platform) -> CostModel<'s> {
         CostModel::with_facts(self.program, platform, &self.reuse, &self.facts)
     }
@@ -306,13 +301,16 @@ mod tests {
         }
     }
 
+    /// One context reused for another capacity variant of its platform
+    /// prices like a context built for that variant.
     #[test]
     fn context_cost_model_evaluates_like_a_fresh_one() {
         let p = scan();
         let pf = Platform::embedded_default(512);
-        let ctx = ExplorationContext::new(&p, &pf, MhlaConfig::default());
-        let fresh_reuse = ReuseAnalysis::analyze(&p);
-        let fresh = CostModel::new(&p, &pf, &fresh_reuse, classify_arrays(&p, &[]));
+        let ctx =
+            ExplorationContext::new(&p, &Platform::embedded_default(1024), MhlaConfig::default());
+        let fresh_ctx = ExplorationContext::new(&p, &pf, MhlaConfig::default());
+        let fresh = fresh_ctx.cost_model(&pf);
         let shared = ctx.cost_model(&pf);
         let a = Assignment::baseline(p.array_count(), Default::default());
         assert_eq!(fresh.evaluate(&a), shared.evaluate(&a));
@@ -324,11 +322,7 @@ mod tests {
         let p = scan();
         let pf = Platform::embedded_default(1024);
         let ctx = ExplorationContext::new(&p, &pf, MhlaConfig::default());
-        let te = ctx
-            .facts()
-            .te
-            .as_ref()
-            .expect("context populates TE caches");
+        let te = &ctx.facts().te;
         for (aid, _) in p.arrays() {
             let n = ctx.reuse().array(aid).candidates().len();
             assert_eq!(te.geometry[aid.index()].len(), n);

@@ -12,7 +12,6 @@
 //!   cycles block transfer time" line in Figure 2). The TE step and the
 //!   simulator land in between.
 
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -198,8 +197,8 @@ impl CostBreakdown {
 /// active refresh policy.
 ///
 /// Derived by [`stream_template`]; the [`ExplorationContext`]
-/// (`crate::ExplorationContext`) caches one per candidate so sweeps do not
-/// re-derive them per point.
+/// (`crate::ExplorationContext`) caches one per candidate, so no run
+/// re-derives them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct StreamTemplate {
     /// Total BT instances per program run.
@@ -225,9 +224,7 @@ impl StreamTemplate {
 }
 
 /// Derives one candidate's [`StreamTemplate`] (`elem` is the array's
-/// element size in bytes). The single source of the transfer geometry:
-/// both the inline per-assignment derivation and the context cache call
-/// this, so cached and uncached paths are identical by construction.
+/// element size in bytes) — the transfer geometry the context caches.
 pub(crate) fn stream_template(
     info: &ProgramInfo<'_>,
     cc: &CopyCandidate,
@@ -255,42 +252,26 @@ pub(crate) fn stream_template(
 
 /// Static estimator for a fixed (program, platform) pair.
 ///
-/// Construction caches the derived program facts ([`ProgramFacts`]:
-/// `ProgramInfo`, timeline, per-array access lists);
-/// [`evaluate`](CostModel::evaluate) then prices any assignment in
-/// `O(accesses + copies)` with no re-analysis. Sweeps build the facts once
-/// per program through an [`ExplorationContext`](crate::ExplorationContext)
-/// and *borrow* them here ([`with_facts`](CostModel::with_facts)), so a
-/// per-platform model costs nothing to construct.
+/// A per-platform view of one program's derived facts ([`ProgramFacts`]:
+/// `ProgramInfo`, timeline, per-array access lists, TE caches), which an
+/// [`ExplorationContext`](crate::ExplorationContext) builds once and lends
+/// out: [`ExplorationContext::cost_model`](crate::ExplorationContext::cost_model)
+/// is the public constructor, and a model costs nothing to construct.
+/// [`evaluate`](CostModel::evaluate) prices any assignment in
+/// `O(accesses + copies)` with no re-analysis.
 #[derive(Debug)]
 pub struct CostModel<'a> {
     program: &'a Program,
     platform: &'a Platform,
     reuse: &'a ReuseAnalysis,
-    facts: Cow<'a, ProgramFacts<'a>>,
+    facts: &'a ProgramFacts<'a>,
 }
 
 impl<'a> CostModel<'a> {
-    /// Builds a cost model, deriving the program facts from scratch.
-    pub fn new(
-        program: &'a Program,
-        platform: &'a Platform,
-        reuse: &'a ReuseAnalysis,
-        classes: Vec<ArrayClass>,
-    ) -> Self {
-        CostModel {
-            program,
-            platform,
-            reuse,
-            facts: Cow::Owned(ProgramFacts::new(program, reuse, classes)),
-        }
-    }
-
-    /// Builds a cost model over shared, pre-derived program facts — the
-    /// fast path of the capacity/grid sweeps. The facts must describe
-    /// `program` (the [`ExplorationContext`](crate::ExplorationContext)
-    /// guarantees this).
-    pub fn with_facts(
+    /// Builds a cost model over a context's program facts. The facts must
+    /// describe `program` and `reuse` (the
+    /// [`ExplorationContext`](crate::ExplorationContext) guarantees this).
+    pub(crate) fn with_facts(
         program: &'a Program,
         platform: &'a Platform,
         reuse: &'a ReuseAnalysis,
@@ -300,7 +281,7 @@ impl<'a> CostModel<'a> {
             program,
             platform,
             reuse,
-            facts: Cow::Borrowed(facts),
+            facts,
         }
     }
 
@@ -336,28 +317,13 @@ impl<'a> CostModel<'a> {
 
     /// The full shared fact bundle this model prices against.
     pub fn facts(&self) -> &ProgramFacts<'a> {
-        &self.facts
-    }
-
-    /// The cached freedom loops of a candidate, when an
-    /// [`ExplorationContext`](crate::ExplorationContext) populated the TE
-    /// cache; `None` on the standalone path (the TE planner then derives
-    /// them on the fly).
-    pub(crate) fn cached_freedom(&self, id: CandidateId) -> Option<&[LoopId]> {
         self.facts
-            .te
-            .as_ref()
-            .map(|te| te.freedom[id.array.index()][id.index].as_slice())
     }
 
-    /// One candidate's transfer geometry: from the context cache when
-    /// present, derived on the fly otherwise (identical by construction —
-    /// both go through [`stream_template`]).
-    fn template(&self, id: CandidateId, cc: &CopyCandidate, elem: u64) -> StreamTemplate {
-        match &self.facts.te {
-            Some(te) => te.geometry[id.array.index()][id.index],
-            None => stream_template(&self.facts.info, cc, elem),
-        }
+    /// A candidate's freedom loops (the TE planner's hoistable levels),
+    /// from the context's cache.
+    pub(crate) fn freedom_loops(&self, id: CandidateId) -> &[LoopId] {
+        &self.facts.te.freedom[id.array.index()][id.index]
     }
 
     /// The layer serving a given access of a statement: the innermost
@@ -383,17 +349,15 @@ impl<'a> CostModel<'a> {
     /// (`chain` outermost first, as [`Assignment::copies_of`] returns it).
     fn chain_streams(
         &self,
-        array: ArrayId,
         home: LayerId,
         chain: &[SelectedCopy],
         policy: TransferPolicy,
         out: &mut Vec<TransferStream>,
     ) {
-        let elem = self.program.array(array).elem.bytes();
         let mut src = home;
         for &copy in chain {
             let cc = self.reuse.candidate(copy.candidate);
-            let t = self.template(copy.candidate, cc, elem);
+            let t = self.facts.te.geometry[copy.candidate.array.index()][copy.candidate.index];
             out.push(TransferStream {
                 copy,
                 src,
@@ -418,7 +382,6 @@ impl<'a> CostModel<'a> {
             let array = ArrayId::from_index(aid);
             let chain = assignment.copies_of(array);
             self.chain_streams(
-                array,
                 assignment.home(array),
                 &chain,
                 assignment.policy(),
@@ -537,7 +500,7 @@ impl<'a> CostModel<'a> {
             };
         }
         streams.clear();
-        self.chain_streams(array, home, chain, policy, streams);
+        self.chain_streams(home, chain, policy, streams);
         let has_dma = self.platform.dma().is_some();
         for stream in streams.iter() {
             let (cycles, energy, count) = self.price_stream(stream);
@@ -1360,7 +1323,8 @@ impl<'m, 'a> IncrementalCost<'m, 'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::classify_arrays;
+    use crate::types::MhlaConfig;
+    use crate::ExplorationContext;
     use mhla_ir::{ElemType, ProgramBuilder};
 
     /// `for rep in 0..64 { for i in 0..256 { read tab[i] } }`
@@ -1376,16 +1340,17 @@ mod tests {
         (b.finish(), tab, lr)
     }
 
-    fn model<'a>(p: &'a Program, pf: &'a Platform, reuse: &'a ReuseAnalysis) -> CostModel<'a> {
-        CostModel::new(p, pf, reuse, classify_arrays(p, &[]))
+    /// The default-config context of `p`, built against `pf`'s shape.
+    fn context<'a>(p: &'a Program, pf: &Platform) -> ExplorationContext<'a> {
+        ExplorationContext::new(p, pf, MhlaConfig::default())
     }
 
     #[test]
     fn baseline_puts_all_accesses_off_chip() {
         let (p, _, _) = scan();
         let pf = Platform::embedded_default(1024);
-        let reuse = ReuseAnalysis::analyze(&p);
-        let m = model(&p, &pf, &reuse);
+        let ctx = context(&p, &pf);
+        let m = ctx.cost_model(&pf);
         let base = Assignment::baseline(1, TransferPolicy::default());
         let cost = m.evaluate(&base);
         let accesses = 64 * 256;
@@ -1404,8 +1369,8 @@ mod tests {
     fn staging_the_table_moves_accesses_on_chip() {
         let (p, tab, _) = scan();
         let pf = Platform::embedded_default(1024);
-        let reuse = ReuseAnalysis::analyze(&p);
-        let m = model(&p, &pf, &reuse);
+        let ctx = context(&p, &pf);
+        let m = ctx.cost_model(&pf);
 
         let mut a = Assignment::baseline(1, TransferPolicy::default());
         // Whole-array candidate is index 0.
@@ -1440,9 +1405,10 @@ mod tests {
     fn copy_at_rep_loop_refreshes_every_iteration() {
         let (p, tab, lr) = scan();
         let pf = Platform::embedded_default(1024);
-        let reuse = ReuseAnalysis::analyze(&p);
-        let m = model(&p, &pf, &reuse);
-        let idx = reuse
+        let ctx = context(&p, &pf);
+        let m = ctx.cost_model(&pf);
+        let idx = ctx
+            .reuse()
             .array(tab)
             .candidates()
             .iter()
@@ -1479,8 +1445,8 @@ mod tests {
     fn capacity_checking_uses_inplace_peak() {
         let (p, tab, _) = scan();
         let pf = Platform::embedded_default(128); // too small for 256 B
-        let reuse = ReuseAnalysis::analyze(&p);
-        let m = model(&p, &pf, &reuse);
+        let ctx = context(&p, &pf);
+        let m = ctx.cost_model(&pf);
         let mut a = Assignment::baseline(1, TransferPolicy::default());
         a.add_copy(SelectedCopy {
             candidate: CandidateId {
@@ -1493,7 +1459,7 @@ mod tests {
         assert!(matches!(err, AssignmentError::CapacityExceeded { .. }));
         // Double-buffering request doubles the requirement.
         let pf_big = Platform::embedded_default(384);
-        let m2 = model(&p, &pf_big, &reuse);
+        let m2 = ctx.cost_model(&pf_big);
         assert!(m2.check_capacity(&a, &HashMap::new()).is_ok());
         let mut buffers = HashMap::new();
         buffers.insert(
@@ -1510,8 +1476,8 @@ mod tests {
     fn without_dma_copies_run_on_the_cpu() {
         let (p, tab, _) = scan();
         let pf = Platform::without_dma(1024);
-        let reuse = ReuseAnalysis::analyze(&p);
-        let m = model(&p, &pf, &reuse);
+        let ctx = context(&p, &pf);
+        let m = ctx.cost_model(&pf);
         let mut a = Assignment::baseline(1, TransferPolicy::default());
         a.add_copy(SelectedCopy {
             candidate: CandidateId {
@@ -1544,8 +1510,8 @@ mod tests {
         });
         let p = b.finish();
         let pf = Platform::embedded_default(1024);
-        let reuse = ReuseAnalysis::analyze(&p);
-        let m = model(&p, &pf, &reuse);
+        let ctx = context(&p, &pf);
+        let m = ctx.cost_model(&pf);
         let mut a = Assignment::baseline(1, TransferPolicy::default());
         a.set_home(tmp, LayerId(1));
         let cost = m.evaluate(&a);
@@ -1627,8 +1593,8 @@ mod tests {
         ) {
             let p = spec.build();
             let pf = Platform::three_level(l2.max(l1 + 1), l1);
-            let reuse = ReuseAnalysis::analyze(&p);
-            let m = model(&p, &pf, &reuse);
+            let ctx = context(&p, &pf);
+            let (m, reuse) = (ctx.cost_model(&pf), ctx.reuse());
             let objectives = [
                 Objective::Cycles,
                 Objective::Energy,
@@ -1644,7 +1610,7 @@ mod tests {
             let mut events = Vec::new();
             let pick = |array: prop::sample::Index, state: prop::sample::Index| {
                 let array = ArrayId::from_index(array.index(p.array_count()));
-                let states = array_states(&reuse, array);
+                let states = array_states(reuse, array);
                 let (home, chain) = states[state.index(states.len())].clone();
                 (array, home, chain)
             };

@@ -7,8 +7,7 @@ use std::borrow::Cow;
 use mhla_reuse::ReuseAnalysis;
 
 use crate::assign;
-use crate::classify::classify_arrays;
-use crate::context::{ExplorationContext, ProgramFacts};
+use crate::context::ExplorationContext;
 use crate::cost::{CostBreakdown, CostModel};
 use crate::error::MhlaError;
 use crate::te::{self, TeSchedule};
@@ -269,29 +268,26 @@ impl RunStats {
 
 /// Runs MHLA (assignment + time extensions) on a program/platform pair.
 ///
-/// Borrows the program and platform for the duration of the run; the
-/// returned [`MhlaResult`] is owned.
+/// A run is a platform view of one [`ExplorationContext`]: the reuse
+/// analysis, array classification, program facts, TE caches and move
+/// space all come from the context, and only the search is per run.
+/// [`new`](Mhla::new) builds the run's own context;
+/// [`with_context`](Mhla::with_context) borrows a shared one. Borrows the
+/// program and platform for the duration of the run; the returned
+/// [`MhlaResult`] is owned.
 #[derive(Debug)]
 pub struct Mhla<'a> {
-    program: &'a Program,
+    ctx: Cow<'a, ExplorationContext<'a>>,
     platform: &'a Platform,
-    config: MhlaConfig,
-    reuse: Cow<'a, ReuseAnalysis>,
-    /// Shared program facts when running inside an
-    /// [`ExplorationContext`]; `None` on the standalone path (facts are
-    /// then derived per run).
-    facts: Option<&'a ProgramFacts<'a>>,
 }
 
 impl<'a> Mhla<'a> {
-    /// Prepares a run (performs the reuse analysis).
+    /// Prepares a run: builds its [`ExplorationContext`] (reuse analysis,
+    /// program facts, TE caches, move space) against `platform`.
     pub fn new(program: &'a Program, platform: &'a Platform, config: MhlaConfig) -> Self {
         Mhla {
-            program,
+            ctx: Cow::Owned(ExplorationContext::new(program, platform, config)),
             platform,
-            config,
-            reuse: Cow::Owned(ReuseAnalysis::analyze(program)),
-            facts: None,
         }
     }
 
@@ -315,42 +311,33 @@ impl<'a> Mhla<'a> {
         Ok(Mhla::new(program, platform, config))
     }
 
-    /// Prepares a run over a shared [`ExplorationContext`]: the reuse
-    /// analysis, array classification, program facts and TE caches all
-    /// come from the context instead of being re-derived, so constructing
-    /// the run (and its cost model) is free. The configuration is the
-    /// context's. This is how the capacity/grid sweeps evaluate thousands
+    /// Prepares a run over a shared [`ExplorationContext`]: nothing is
+    /// derived, so constructing the run (and its cost model) is free. The
+    /// configuration is the context's, and `platform` must have the
+    /// layer-stack shape the context was built against (its capacities
+    /// are free). This is how the capacity/grid sweeps evaluate thousands
     /// of platform variants of one program.
     pub fn with_context(ctx: &'a ExplorationContext<'a>, platform: &'a Platform) -> Self {
         Mhla {
-            program: ctx.program(),
+            ctx: Cow::Borrowed(ctx),
             platform,
-            config: ctx.config().clone(),
-            reuse: Cow::Borrowed(ctx.reuse()),
-            facts: Some(ctx.facts()),
         }
     }
 
     /// The reuse analysis (shared with callers that need candidate data).
     pub fn reuse(&self) -> &ReuseAnalysis {
-        &self.reuse
+        self.ctx.reuse()
     }
 
     /// The run configuration.
     pub fn config(&self) -> &MhlaConfig {
-        &self.config
+        self.ctx.config()
     }
 
-    /// Builds the cost model for this run: borrowing the context's shared
-    /// facts when one is attached, deriving them otherwise.
+    /// The cost model of this run: the context's facts on this run's
+    /// platform.
     pub fn cost_model(&self) -> CostModel<'_> {
-        match self.facts {
-            Some(facts) => CostModel::with_facts(self.program, self.platform, &self.reuse, facts),
-            None => {
-                let classes = classify_arrays(self.program, &self.config.class_overrides);
-                CostModel::new(self.program, self.platform, &self.reuse, classes)
-            }
-        }
+        self.ctx.cost_model(self.platform)
     }
 
     /// Executes both steps and returns the result.
@@ -360,56 +347,31 @@ impl<'a> Mhla<'a> {
     /// prefetching, but data sections linked on-chip where they fit — what
     /// a 2005 toolchain produced without the MHLA tool.
     pub fn run(&self) -> MhlaResult {
-        self.run_with_seeds_in(&[], None, &mut EvalWorkspace::default())
-            .0
+        self.run_with_seeds_in(&[], &mut EvalWorkspace::default()).0
     }
 
-    /// Fallible [`run`](Mhla::run): re-validates the run's ingress (the
-    /// checks are cheap relative to the search) so a run prepared through
-    /// the infallible constructors still gets the typed boundary.
+    /// Fallible [`run`](Mhla::run): validates the run's ingress before the
+    /// search. A run from [`new`](Mhla::new) has already analysed its
+    /// program, so untrusted input goes through [`try_new`](Mhla::try_new);
+    /// what this check still guards is the platform of a
+    /// [`with_context`](Mhla::with_context) run.
     ///
     /// # Errors
     ///
     /// As [`try_new`](Mhla::try_new).
     pub fn try_run(&self) -> Result<MhlaResult, MhlaError> {
-        self.try_run_with_seeds(&[], None).map(|(r, _)| r)
-    }
-
-    /// Fallible [`run_with_seeds_in`](Mhla::run_with_seeds_in) for
-    /// caller-supplied seeds: validated ingress plus a shape check of
-    /// every seed assignment (layer ids in range, copies consistent with
-    /// the reuse analysis), then the seeded portfolio over a fresh
-    /// workspace.
-    ///
-    /// # Errors
-    ///
-    /// As [`try_new`](Mhla::try_new), plus
-    /// [`MhlaError::InvalidOptions`] for a seed assignment that does not
-    /// fit this program/platform.
-    pub fn try_run_with_seeds(
-        &self,
-        seeds: &[&Assignment],
-        moves: Option<&assign::MoveSet>,
-    ) -> Result<(MhlaResult, RunStats), MhlaError> {
-        crate::error::validate_run_ingress(self.program, self.platform, &self.config)?;
-        for (i, seed) in seeds.iter().enumerate() {
-            seed.validate(&self.reuse, self.platform.layer_count())
-                .map_err(|e| MhlaError::InvalidOptions {
-                    what: format!("seed assignment {i}: {e}"),
-                })?;
-        }
-        Ok(self.run_with_seeds_in(seeds, moves, &mut EvalWorkspace::default()))
+        crate::error::validate_run_ingress(self.ctx.program(), self.platform, self.config())?;
+        Ok(self.run())
     }
 
     /// [`run`](Mhla::run), optionally warm-starting the greedy search from
     /// a known-feasible assignment (for example a smaller capacity's
-    /// solution), over an optional pre-enumerated move space, with
-    /// every evaluation scratch buffer drawn from `ws` — the per-thread
-    /// workspace the sweep engines and the serve worker pool reuse across
-    /// points/requests. Additionally reports how the layer capacities
-    /// bound the run ([`RunStats`]; a pure side channel — only the greedy
-    /// strategy tracks constraints, other strategies report the
-    /// conservative "unknown", never-saturated stats).
+    /// solution), with every evaluation scratch buffer drawn from `ws` —
+    /// the per-thread workspace the sweep engines and the serve worker
+    /// pool reuse across points/requests. Additionally reports how the
+    /// layer capacities bound the run ([`RunStats`]; a pure side channel —
+    /// only the greedy strategy tracks constraints, other strategies
+    /// report the conservative "unknown", never-saturated stats).
     ///
     /// The warm start is a *portfolio* entry, not a replacement: the
     /// cold (baseline-started) search always runs too, and the
@@ -423,18 +385,19 @@ impl<'a> Mhla<'a> {
     /// no warm start. Warm starts apply only to the greedy strategy;
     /// exhaustive search ignores them.
     ///
-    /// The move space is capacity-independent, so a capacity sweep
-    /// enumerates it once ([`assign::enumerate_moves`]) and shares it
-    /// across every point; `None` enumerates it per call.
+    /// `_moves` is unused: no code reads it, and its value changes
+    /// nothing — every run searches its context's move space
+    /// ([`ExplorationContext::moves`]). It remains only so that callers
+    /// which still pass it compile.
     pub fn run_with_stats_in(
         &self,
         warm: Option<&Assignment>,
-        moves: Option<&assign::MoveSet>,
+        _moves: Option<&assign::MoveSet>,
         ws: &mut EvalWorkspace,
     ) -> (MhlaResult, RunStats) {
         match warm {
-            Some(w) => self.run_with_seeds_in(&[w], moves, ws),
-            None => self.run_with_seeds_in(&[], moves, ws),
+            Some(w) => self.run_with_seeds_in(&[w], ws),
+            None => self.run_with_seeds_in(&[], ws),
         }
     }
 
@@ -456,22 +419,17 @@ impl<'a> Mhla<'a> {
     pub fn run_with_seeds_in(
         &self,
         seeds: &[&Assignment],
-        moves: Option<&assign::MoveSet>,
         ws: &mut EvalWorkspace,
     ) -> (MhlaResult, RunStats) {
         let model = self.cost_model();
-        let (outcome, stats) = match (self.config.strategy, moves) {
-            (crate::types::SearchStrategy::Greedy, Some(m)) => {
-                let (o, s) = assign::greedy_portfolio_seeded_in(&model, &self.config, seeds, m, ws);
-                (o, Some(s))
-            }
-            (crate::types::SearchStrategy::Greedy, None) => {
-                let m = assign::enumerate_moves(&model, &self.config);
+        let config = self.config();
+        let (outcome, stats) = match config.strategy {
+            crate::types::SearchStrategy::Greedy => {
                 let (o, s) =
-                    assign::greedy_portfolio_seeded_in(&model, &self.config, seeds, &m, ws);
+                    assign::greedy_portfolio_seeded_in(&model, config, seeds, self.ctx.moves(), ws);
                 (o, Some(s))
             }
-            _ => (assign::search(&model, &self.config), None),
+            _ => (assign::search(&model, config), None),
         };
         self.finish(&model, outcome, stats, ws)
     }
@@ -485,9 +443,10 @@ impl<'a> Mhla<'a> {
     /// `tests/sweep_equivalence.rs`).
     pub fn run_reference(&self) -> MhlaResult {
         let model = self.cost_model();
-        let outcome = match self.config.strategy {
-            crate::types::SearchStrategy::Greedy => assign::greedy_oracle(&model, &self.config),
-            _ => assign::search(&model, &self.config),
+        let config = self.config();
+        let outcome = match config.strategy {
+            crate::types::SearchStrategy::Greedy => assign::greedy_oracle(&model, config),
+            _ => assign::search(&model, config),
         };
         self.finish(&model, outcome, None, &mut EvalWorkspace::default())
             .0
@@ -506,8 +465,9 @@ impl<'a> Mhla<'a> {
         search_stats: Option<assign::SearchStats>,
         ws: &mut EvalWorkspace,
     ) -> (MhlaResult, RunStats) {
+        let config = self.config();
         let (baseline, placement_constrained, placement_floors) =
-            assign::direct_placement_stats_in(model, self.config.policy, ws);
+            assign::direct_placement_stats_in(model, config.policy, ws);
         // The search is a heuristic and can, on rare corner cases, end in
         // a local optimum worse than the out-of-the-box placement. A real
         // tool never returns an assignment worse than its input: fall back
@@ -524,7 +484,7 @@ impl<'a> Mhla<'a> {
         // Only computed when a search trace exists — no tracked margin
         // means no consumer.
         let fallback_gap: Option<f64> = if search_stats.is_none()
-            || self.config.objective.energy_weight() <= 0.0
+            || config.objective.energy_weight() <= 0.0
             || outcome.assignment == baseline.assignment
         {
             None
@@ -542,19 +502,18 @@ impl<'a> Mhla<'a> {
                 &mut ws.pool,
                 &mut ws.sens_b,
             );
-            let base_score = self.config.objective.score(&baseline.cost);
-            let out_score = self.config.objective.score(&outcome.cost);
+            let base_score = config.objective.score(&baseline.cost);
+            let out_score = config.objective.score(&outcome.cost);
             // Margins within f64 rounding distance of the score scale are
             // ties (mirrors `SearchTrace::fold`'s tie floor).
             let tie_floor = base_score.abs().max(out_score.abs()).max(1.0) * 1e-9;
             let gap = (base_score - out_score).abs();
             Some(if gap <= tie_floor { 0.0 } else { gap })
         };
-        if self.config.objective.score(&baseline.cost) < self.config.objective.score(&outcome.cost)
-        {
+        if config.objective.score(&baseline.cost) < config.objective.score(&outcome.cost) {
             outcome = baseline.clone();
         }
-        let (te, te_constrained, te_floors) = if self.config.disable_te {
+        let (te, te_constrained, te_floors) = if config.disable_te {
             (
                 TeSchedule {
                     applicable: self.platform.dma().is_some(),

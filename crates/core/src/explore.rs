@@ -594,7 +594,7 @@ pub struct GridSweepRun {
 /// [`MhlaError::InfeasiblePoint`] on an impossible axis (the off-chip
 /// layer, a layer out of range, a zero capacity), and
 /// [`MhlaError::InvalidOptions`] when two axes name the same layer or the
-/// grid has more points than a `u64` holds. Budget exhaustion is *not* an
+/// grid has more than 2²⁰ (1,048,576) points. Budget exhaustion is *not* an
 /// error — the run comes back `Ok` with [`SweepStatus::Stopped`] and a
 /// certified partial frontier (see [`GridSweepRun::status`]), which
 /// [`try_sweep_grid_resume`] continues.
@@ -840,11 +840,7 @@ impl SweepEngine<'_> {
             let scratch = &mut *cell.borrow_mut();
             let (pf, ws) = scratch.point(self, caps);
             let refs: Vec<&Assignment> = seeds.iter().map(|(_, a)| a).collect();
-            let (result, stats) = Mhla::with_context(self.ctx, pf).run_with_seeds_in(
-                &refs,
-                Some(self.ctx.moves()),
-                ws,
-            );
+            let (result, stats) = Mhla::with_context(self.ctx, pf).run_with_seeds_in(&refs, ws);
             let winner = stats.winning_seed.and_then(|k| seeds[k].0);
             (result, stats, winner)
         })
@@ -1082,10 +1078,9 @@ impl PruneOptions {
 ///
 /// # Errors
 ///
-/// As [`try_sweep_grid_run`], plus [`MhlaError::InvalidOptions`] for a
-/// grid with more points than a `u64` holds. Budget exhaustion is *not*
-/// an error — the run comes back `Ok` with [`SweepStatus::Stopped`] and a
-/// certified partial frontier (see [`PrunedGridSweep::status`]).
+/// As [`try_sweep_grid_run`]. Budget exhaustion is *not* an error — the
+/// run comes back `Ok` with [`SweepStatus::Stopped`] and a certified
+/// partial frontier (see [`PrunedGridSweep::status`]).
 pub fn try_sweep_grid_pruned_with(
     program: &Program,
     platform: &Platform,
@@ -1379,11 +1374,24 @@ fn lattice_points(coarse: &[Vec<u64>], depth: usize) -> Option<u64> {
     })
 }
 
+/// The most points a grid's cleaned axes may span. The certified loop
+/// lists every coarse point, with per-point bookkeeping, before its first
+/// search and before it reads any budget, so a larger grid is refused up
+/// front instead of allocated: at this bound that bookkeeping stays near
+/// 85 MB, and searching every point takes minutes.
+const MAX_GRID_POINTS: u64 = 1 << 20;
+
 /// The refined axes of a refinement over the cleaned `coarse` axes, or
-/// [`MhlaError::InvalidOptions`] when their lattice has more points than
-/// a `u64` holds (the scheduler packs lattice points into `u64` keys) —
-/// checked before anything is built.
+/// [`MhlaError::InvalidOptions`] when the coarse grid has more than
+/// [`MAX_GRID_POINTS`] points or the refinement lattice more than a `u64`
+/// holds (the scheduler packs lattice points into `u64` keys) — checked
+/// before anything is built.
 fn fine_axes(coarse: &[Vec<u64>], depth: usize) -> Result<Vec<Vec<u64>>, MhlaError> {
+    if lattice_points(coarse, 0).is_none_or(|points| points > MAX_GRID_POINTS) {
+        return Err(MhlaError::InvalidOptions {
+            what: format!("the grid has more than {MAX_GRID_POINTS} points"),
+        });
+    }
     if lattice_points(coarse, depth).is_none() {
         return Err(MhlaError::InvalidOptions {
             what: format!("the depth-{depth} refinement lattice has more than u64::MAX points"),

@@ -26,11 +26,11 @@
 //! There is one public entry per job, each validating its ingress and
 //! returning a typed [`MhlaError`] instead of panicking:
 //!
-//! * one run: [`Mhla::try_new`] + [`Mhla::try_run`] (or
-//!   [`Mhla::try_run_with_seeds`] for caller-supplied warm seeds);
-//!   [`Mhla::with_context`] + [`Mhla::run_with_stats_in`] /
-//!   [`Mhla::run_with_seeds_in`] is the allocation-free per-point form the
-//!   sweeps use;
+//! * one run: [`Mhla::try_new`] + [`Mhla::try_run`]. Every run is a
+//!   platform view of one [`ExplorationContext`]: `try_new` builds the
+//!   run's own, and [`Mhla::with_context`] + [`Mhla::run_with_stats_in`] /
+//!   [`Mhla::run_with_seeds_in`] is the allocation-free per-point form
+//!   the sweeps use on a shared one;
 //! * exploration ([`explore`]), which sweeps on-chip capacities and
 //!   produces the Pareto trade-off points the paper's Figures 2 and 3 are
 //!   drawn from: [`explore::try_sweep_grid_run`] /
@@ -45,8 +45,9 @@
 //!   scratchpad among several tasks, each running the full flow in its
 //!   partition.
 //!
-//! [`CostModel`] provides the static cycle/energy estimates (the
-//! cycle-accurate counterpart lives in `mhla-sim`).
+//! [`CostModel`] provides the static cycle/energy estimates
+//! ([`ExplorationContext::cost_model`] builds one; the cycle-accurate
+//! counterpart lives in `mhla-sim`).
 //!
 //! # Example
 //!

@@ -10,16 +10,18 @@
 //!
 //! The partitioning itself is solved exactly by dynamic programming over a
 //! budget grid: every task is evaluated at each candidate partition size
-//! (a per-task capacity sweep — the machinery of [`explore`](crate::explore))
-//! and the allocation minimizing the summed objective is selected. This is
-//! the multi-task analogue of the paper's "thorough trade-off exploration
-//! for different memory layer sizes".
+//! (a per-task capacity sweep — one cold one-axis grid of
+//! [`explore`](crate::explore), so the task is analysed once) and the
+//! allocation minimizing the summed objective is selected. This is the
+//! multi-task analogue of the paper's "thorough trade-off exploration for
+//! different memory layer sizes".
 
 use mhla_hierarchy::Platform;
 use mhla_ir::Program;
 
-use crate::driver::{Mhla, MhlaResult};
+use crate::driver::MhlaResult;
 use crate::error::{self, MhlaError};
+use crate::explore::{try_sweep_grid_run, GridAxis, SweepOptions};
 use crate::types::{MhlaConfig, Objective};
 
 /// Result of a multi-task partitioning run.
@@ -62,7 +64,8 @@ impl MultiTaskResult {
 ///
 /// [`MhlaError::InvalidProgram`] for a structurally broken task,
 /// [`MhlaError::InvalidOptions`] for an empty task set, a zero or
-/// oversized granularity, an unbounded scratchpad layer or a bad
+/// oversized granularity, more partition sizes than a grid may list (see
+/// [`try_sweep_grid_run`]), an unbounded scratchpad layer or a bad
 /// configuration, [`MhlaError::InvalidObjective`] for degenerate
 /// weights.
 pub fn try_partition_scratchpad(
@@ -101,7 +104,9 @@ pub fn try_partition_scratchpad(
 
     // Evaluate each task at every candidate partition size. Index 0 means
     // "no on-chip partition" (modelled as a 1-byte scratchpad, which fits
-    // nothing useful).
+    // nothing useful). Each task's sizes are one cold, unbudgeted grid on
+    // `layer`, whose points equal standalone runs; at granularity 1, slots
+    // 0 and 1 share the 1-byte point.
     let score = |r: &MhlaResult| match config.objective {
         Objective::Energy => r.mhla_energy_pj(),
         Objective::Cycles => r.mhla_te_cycles() as f64,
@@ -110,15 +115,24 @@ pub fn try_partition_scratchpad(
             cycle_weight,
         } => energy_weight * r.mhla_energy_pj() + cycle_weight * r.mhla_te_cycles() as f64,
     };
+    let sizes: Vec<u64> = (0..=slots)
+        .map(|slot| (slot as u64 * granularity).max(1))
+        .collect();
+    let axis = [GridAxis::new(layer, sizes)];
     let mut evaluated: Vec<Vec<(f64, MhlaResult)>> = Vec::with_capacity(tasks.len());
     for task in tasks {
-        let mut per_size = Vec::with_capacity(slots + 1);
-        for slot in 0..=slots {
-            let bytes = (slot as u64 * granularity).max(1);
-            let pf = platform.with_layer_capacity(layer, bytes);
-            let result = Mhla::new(task, &pf, config.clone()).run();
-            per_size.push((score(&result), result));
-        }
+        let points = try_sweep_grid_run(task, platform, &axis, config, &SweepOptions::default())?
+            .sweep
+            .points;
+        let per_size = axis[0]
+            .capacities
+            .iter()
+            .map(|&bytes| {
+                let at = points.partition_point(|p| p.capacities[0] < bytes);
+                let result = points[at].result.clone();
+                (score(&result), result)
+            })
+            .collect();
         evaluated.push(per_size);
     }
 
@@ -168,6 +182,7 @@ pub fn try_partition_scratchpad(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::Mhla;
     use mhla_ir::{ElemType, ProgramBuilder};
 
     /// A table-scan task whose working set is `bytes` large.
@@ -228,6 +243,25 @@ mod tests {
         );
         // And the whole thing still beats running both out of the box.
         assert!(optimal.total_cycles() < optimal.baseline_cycles());
+    }
+
+    /// At granularity 1 slots 0 and 1 share the grid's 1-byte point;
+    /// every result equals a standalone run at its partition size (the
+    /// 1-byte platform for a zero partition).
+    #[test]
+    fn partition_results_equal_standalone_runs_at_granularity_1() {
+        let hot = scan_task("hot", 64, 64);
+        let cold = scan_task("cold", 64, 1);
+        let platform = Platform::embedded_default(64);
+        let config = MhlaConfig::default();
+        let tasks = [&cold, &hot];
+        let r = try_partition_scratchpad(&tasks, &platform, &config, 1).unwrap();
+        assert_eq!(r.partitions, vec![0, 64], "the cold task runs off-chip");
+        for ((task, &bytes), result) in tasks.iter().zip(&r.partitions).zip(&r.results) {
+            let pf = platform.with_layer_capacity(platform.closest(), bytes.max(1));
+            let standalone = Mhla::new(task, &pf, config.clone()).run();
+            assert_eq!(*result, standalone, "partition of {bytes} B");
+        }
     }
 
     #[test]

@@ -168,7 +168,7 @@ pub fn plan_with_stats(
         let bt_time = dma.transfer_cycles(steady_bytes, src, dst);
         let bt_time_full = dma.transfer_cycles(stream.full_bytes, src, dst);
         let size = stream.buffer_bytes.max(1);
-        let freedom = freedom_loops(model, &stream);
+        let freedom = model.freedom_loops(stream.copy.candidate).to_vec();
         bts.push(BlockTransfer {
             sort_factor: bt_time as f64 / size as f64,
             bt_time,
@@ -273,25 +273,10 @@ fn no_te(model: &CostModel<'_>, stream: TransferStream) -> BlockTransfer {
 }
 
 /// Dependency analysis (`dep_analysis` + `loops_between` in Figure 1): the
-/// loop levels across which a BT's initiation may be hoisted.
-///
-/// Consults the [`ExplorationContext`](crate::ExplorationContext) cache
-/// when the model carries one (the sweep fast path — the freedom loops are
-/// capacity-independent, so one derivation serves every sweep point) and
-/// falls back to [`candidate_freedom`] otherwise.
-fn freedom_loops(model: &CostModel<'_>, stream: &TransferStream) -> Vec<LoopId> {
-    if let Some(cached) = model.cached_freedom(stream.copy.candidate) {
-        return cached.to_vec();
-    }
-    candidate_freedom(
-        model.program(),
-        model.info(),
-        stream.copy.candidate.array,
-        stream.owner,
-    )
-}
-
-/// The freedom loops of one copy candidate, derived from scratch.
+/// loop levels across which one copy candidate's BT initiation may be
+/// hoisted. Capacity-independent, so the
+/// [`ExplorationContext`](crate::ExplorationContext) derives it once per
+/// candidate and the planner reads it from there.
 ///
 /// Walking outward from the owning loop, a level can be crossed only if no
 /// statement inside it writes the source array — otherwise the data for
@@ -333,9 +318,8 @@ pub(crate) fn candidate_freedom(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::classify_arrays;
-    use crate::cost::CostModel;
-    use crate::types::{SelectedCopy, TransferPolicy};
+    use crate::types::{MhlaConfig, SelectedCopy, TransferPolicy};
+    use crate::ExplorationContext;
     use mhla_hierarchy::{LayerId, Platform};
     use mhla_ir::{ElemType, Program, ProgramBuilder};
     use mhla_reuse::ReuseAnalysis;
@@ -382,9 +366,9 @@ mod tests {
     fn te_hides_the_tile_fetch_with_double_buffering() {
         let (p, data, lb) = blocked(4);
         let pf = Platform::embedded_default(1024);
-        let reuse = ReuseAnalysis::analyze(&p);
-        let model = CostModel::new(&p, &pf, &reuse, classify_arrays(&p, &[]));
-        let a = staged_assignment(&p, &reuse, data, lb);
+        let ctx = ExplorationContext::new(&p, &pf, MhlaConfig::default());
+        let (model, reuse) = (ctx.cost_model(&pf), ctx.reuse());
+        let a = staged_assignment(&p, reuse, data, lb);
 
         let te = plan(&model, &a);
         assert!(te.applicable);
@@ -406,9 +390,9 @@ mod tests {
         // Tiny compute: one blk iteration hides only part of the BT.
         let (p, data, lb) = blocked(0);
         let pf = Platform::embedded_default(4096);
-        let reuse = ReuseAnalysis::analyze(&p);
-        let model = CostModel::new(&p, &pf, &reuse, classify_arrays(&p, &[]));
-        let a = staged_assignment(&p, &reuse, data, lb);
+        let ctx = ExplorationContext::new(&p, &pf, MhlaConfig::default());
+        let (model, reuse) = (ctx.cost_model(&pf), ctx.reuse());
+        let a = staged_assignment(&p, reuse, data, lb);
         let te = plan(&model, &a);
         let bt = &te.transfers[0];
         // One blk iteration = 64 SPM accesses = 64 cycles < 286-cycle BT →
@@ -422,9 +406,9 @@ mod tests {
         let (p, data, lb) = blocked(4);
         // Exactly one 64-B buffer fits: the double buffer does not.
         let pf = Platform::embedded_default(64);
-        let reuse = ReuseAnalysis::analyze(&p);
-        let model = CostModel::new(&p, &pf, &reuse, classify_arrays(&p, &[]));
-        let a = staged_assignment(&p, &reuse, data, lb);
+        let ctx = ExplorationContext::new(&p, &pf, MhlaConfig::default());
+        let (model, reuse) = (ctx.cost_model(&pf), ctx.reuse());
+        let a = staged_assignment(&p, reuse, data, lb);
         let te = plan(&model, &a);
         let bt = &te.transfers[0];
         assert_eq!(bt.hoist_depth, 0, "no room for a second buffer");
@@ -454,9 +438,9 @@ mod tests {
         b.end_loop();
         let p = b.finish();
         let pf = Platform::embedded_default(1024);
-        let reuse = ReuseAnalysis::analyze(&p);
-        let model = CostModel::new(&p, &pf, &reuse, classify_arrays(&p, &[]));
-        let a = staged_assignment(&p, &reuse, data, lb);
+        let ctx = ExplorationContext::new(&p, &pf, MhlaConfig::default());
+        let (model, reuse) = (ctx.cost_model(&pf), ctx.reuse());
+        let a = staged_assignment(&p, reuse, data, lb);
         let te = plan(&model, &a);
         let bt = &te.transfers[0];
         assert!(bt.freedom.is_empty(), "writes inside block all hoisting");
@@ -467,9 +451,9 @@ mod tests {
     fn no_dma_means_not_applicable() {
         let (p, data, lb) = blocked(4);
         let pf = Platform::without_dma(1024);
-        let reuse = ReuseAnalysis::analyze(&p);
-        let model = CostModel::new(&p, &pf, &reuse, classify_arrays(&p, &[]));
-        let a = staged_assignment(&p, &reuse, data, lb);
+        let ctx = ExplorationContext::new(&p, &pf, MhlaConfig::default());
+        let (model, reuse) = (ctx.cost_model(&pf), ctx.reuse());
+        let a = staged_assignment(&p, reuse, data, lb);
         let te = plan(&model, &a);
         assert!(!te.applicable);
         assert!(te.transfers.iter().all(|t| t.hoist_depth == 0));
@@ -499,8 +483,8 @@ mod tests {
         b.end_loop();
         let p = b.finish();
         let pf = Platform::embedded_default(2048);
-        let reuse = ReuseAnalysis::analyze(&p);
-        let model = CostModel::new(&p, &pf, &reuse, classify_arrays(&p, &[]));
+        let ctx = ExplorationContext::new(&p, &pf, MhlaConfig::default());
+        let (model, reuse) = (ctx.cost_model(&pf), ctx.reuse());
 
         let mut a = Assignment::baseline(p.array_count(), TransferPolicy::FullRefresh);
         for (arr, at) in [(fat, lb), (thin, lb)] {

@@ -1,18 +1,20 @@
-//! Equivalence proptests for the shared [`ExplorationContext`] against the
-//! from-scratch derivation path on random programs:
+//! Equivalence proptests for the shared [`ExplorationContext`] on random
+//! programs: one context reused across platform variants must equal a
+//! context built per variant.
 //!
-//! * a context-backed [`CostModel`] must price any assignment
-//!   **bit-for-bit** like a freshly built one (including the
-//!   floating-point energy fields), and derive identical transfer
-//!   streams — the context's cached TE geometry must be invisible;
-//! * a context-backed [`Mhla`] run must equal a standalone run on the
-//!   same platform — covering the cached freedom loops through
-//!   `te::plan` — at the context's base capacity *and* at resized
-//!   capacities, on both two- and three-level platforms.
+//! * a reused context's cost model must price any assignment
+//!   **bit-for-bit** like the model of a context built for that variant
+//!   (including the floating-point energy fields), and derive identical
+//!   transfer streams and layer usage;
+//! * a [`Mhla::with_context`] run on the reused context must equal a
+//!   standalone [`Mhla::new`] run, which builds its own context for its
+//!   platform — covering the cached freedom loops through `te::plan` — at
+//!   the context's base capacity *and* at resized capacities, on both
+//!   two- and three-level platforms.
 
 use mhla_core::{
-    classify_arrays, Assignment, CostModel, EvalWorkspace, ExplorationContext, Mhla, MhlaConfig,
-    Objective, SelectedCopy, TransferPolicy,
+    Assignment, EvalWorkspace, ExplorationContext, Mhla, MhlaConfig, Objective, SelectedCopy,
+    TransferPolicy,
 };
 use mhla_hierarchy::{LayerId, Platform};
 use mhla_ir::{AffineExpr, ArrayId, ElemType, Program, ProgramBuilder};
@@ -96,8 +98,9 @@ fn random_state(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Context-backed pricing equals fresh pricing bit-for-bit, on the
-    /// base platform and on resized variants, for random assignments.
+    /// Pricing on one reused context equals pricing on a context built
+    /// per platform variant, bit-for-bit, on the base platform and on
+    /// resized variants, for random assignments.
     #[test]
     fn context_cost_model_matches_fresh_model(
         spec in specs(),
@@ -127,13 +130,8 @@ proptest! {
         }
 
         for pf in [base.clone(), base.with_layer_capacity(LayerId(1), resized)] {
-            let fresh_reuse = ReuseAnalysis::analyze(&program);
-            let fresh = CostModel::new(
-                &program,
-                &pf,
-                &fresh_reuse,
-                classify_arrays(&program, &[]),
-            );
+            let fresh_ctx = ExplorationContext::new(&program, &pf, config.clone());
+            let fresh = fresh_ctx.cost_model(&pf);
             let shared = ctx.cost_model(&pf);
             prop_assert_eq!(fresh.evaluate(&a), shared.evaluate(&a));
             prop_assert_eq!(fresh.transfer_streams(&a), shared.transfer_streams(&a));

@@ -14,8 +14,8 @@
 //!   and a weighted objective.
 
 use mhla_core::{
-    assign, classify_arrays, Assignment, CostModel, EvalWorkspace, IncrementalCost, MhlaConfig,
-    Objective, SelectedCopy, TransferPolicy,
+    assign, Assignment, EvalWorkspace, ExplorationContext, IncrementalCost, MhlaConfig, Objective,
+    SelectedCopy, TransferPolicy,
 };
 use mhla_hierarchy::{LayerId, Platform};
 use mhla_ir::{AffineExpr, ArrayId, ElemType, Program, ProgramBuilder};
@@ -117,13 +117,8 @@ proptest! {
     ) {
         let program = build(&spec);
         let platform = Platform::embedded_default(spm);
-        let reuse = ReuseAnalysis::analyze(&program);
-        let model = CostModel::new(
-            &program,
-            &platform,
-            &reuse,
-            classify_arrays(&program, &[]),
-        );
+        let ctx = ExplorationContext::new(&program, &platform, MhlaConfig::default());
+        let (model, reuse) = (ctx.cost_model(&platform), ctx.reuse());
         let start = Assignment::baseline(program.array_count(), TransferPolicy::default());
         let mut inc = IncrementalCost::new(&model, start.clone());
 
@@ -136,7 +131,7 @@ proptest! {
             } else {
                 ArrayId::from_index(1)
             };
-            let states = random_states(&reuse, array, std::slice::from_ref(pick));
+            let states = random_states(reuse, array, std::slice::from_ref(pick));
             let (home, chain) = states[0].clone();
 
             // Trial evaluation matches evaluating the applied trial.
@@ -182,13 +177,8 @@ proptest! {
     fn greedy_matches_greedy_oracle(spec in specs(), spm in 64u64..4096) {
         let program = build(&spec);
         let platform = Platform::embedded_default(spm);
-        let reuse = ReuseAnalysis::analyze(&program);
-        let model = CostModel::new(
-            &program,
-            &platform,
-            &reuse,
-            classify_arrays(&program, &[]),
-        );
+        let ctx = ExplorationContext::new(&program, &platform, MhlaConfig::default());
+        let model = ctx.cost_model(&platform);
         for objective in [
             Objective::Cycles,
             Objective::Energy,
@@ -214,13 +204,8 @@ proptest! {
     fn greedy_from_baseline_is_greedy(spec in specs(), spm in 64u64..2048) {
         let program = build(&spec);
         let platform = Platform::embedded_default(spm);
-        let reuse = ReuseAnalysis::analyze(&program);
-        let model = CostModel::new(
-            &program,
-            &platform,
-            &reuse,
-            classify_arrays(&program, &[]),
-        );
+        let ctx = ExplorationContext::new(&program, &platform, MhlaConfig::default());
+        let model = ctx.cost_model(&platform);
         let config = MhlaConfig::default();
         let a = assign::greedy(&model, &config);
         let b = assign::greedy_from(
@@ -237,27 +222,17 @@ proptest! {
     #[test]
     fn portfolio_never_loses_to_cold(spec in specs(), spm in 64u64..2048, warm_spm in 64u64..2048) {
         let program = build(&spec);
-        let reuse = ReuseAnalysis::analyze(&program);
+        let platform = Platform::embedded_default(spm);
         let config = MhlaConfig::default();
+        let ctx = ExplorationContext::new(&program, &platform, config.clone());
 
         // Warm start: the greedy solution at a (generally different)
         // capacity — exactly what the capacity sweep passes along.
         let warm_pf = Platform::embedded_default(warm_spm.min(spm));
-        let warm_model = CostModel::new(
-            &program,
-            &warm_pf,
-            &reuse,
-            classify_arrays(&program, &[]),
-        );
+        let warm_model = ctx.cost_model(&warm_pf);
         let warm = assign::greedy(&warm_model, &config).assignment;
 
-        let platform = Platform::embedded_default(spm);
-        let model = CostModel::new(
-            &program,
-            &platform,
-            &reuse,
-            classify_arrays(&program, &[]),
-        );
+        let model = ctx.cost_model(&platform);
         let cold = assign::greedy(&model, &config);
         let moves = assign::enumerate_moves(&model, &config);
         let run_portfolio = |seeds: &[&Assignment]| {

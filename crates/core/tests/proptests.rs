@@ -3,10 +3,9 @@
 //! loses to the trivial baseline, exhaustive never loses to greedy, and
 //! the TE step never violates the size constraint it is given.
 
-use mhla_core::{assign, classify_arrays, te, Assignment, CostModel, MhlaConfig, Objective};
+use mhla_core::{assign, te, Assignment, ExplorationContext, MhlaConfig, Objective};
 use mhla_hierarchy::Platform;
 use mhla_ir::{AffineExpr, ElemType, Program, ProgramBuilder};
-use mhla_reuse::ReuseAnalysis;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -67,14 +66,17 @@ fn flow(
     program: &Program,
     spm: u64,
     objective: Objective,
-) -> (ReuseAnalysis, Platform, MhlaConfig) {
-    let _ = program;
+) -> (ExplorationContext<'_>, Platform, MhlaConfig) {
     let platform = Platform::embedded_default(spm);
     let config = MhlaConfig {
         objective,
         ..MhlaConfig::default()
     };
-    (ReuseAnalysis::analyze(program), platform, config)
+    (
+        ExplorationContext::new(program, &platform, config.clone()),
+        platform,
+        config,
+    )
 }
 
 proptest! {
@@ -86,13 +88,12 @@ proptest! {
     fn greedy_is_valid_feasible_and_no_worse(spec in specs(), spm in 64u64..2048) {
         let program = build(&spec);
         for objective in [Objective::Cycles, Objective::Energy] {
-            let (reuse, platform, config) = flow(&program, spm, objective);
-            let model = CostModel::new(&program, &platform, &reuse,
-                classify_arrays(&program, &[]));
+            let (ctx, platform, config) = flow(&program, spm, objective);
+            let (model, reuse) = (ctx.cost_model(&platform), ctx.reuse());
             let outcome = assign::greedy(&model, &config);
             prop_assert!(outcome
                 .assignment
-                .validate(&reuse, platform.layer_count())
+                .validate(reuse, platform.layer_count())
                 .is_ok());
             prop_assert!(model
                 .check_capacity(&outcome.assignment, &HashMap::new())
@@ -112,9 +113,8 @@ proptest! {
     #[test]
     fn exhaustive_dominates_greedy(spec in specs(), spm in 64u64..1024) {
         let program = build(&spec);
-        let (reuse, platform, config) = flow(&program, spm, Objective::Cycles);
-        let model = CostModel::new(&program, &platform, &reuse,
-            classify_arrays(&program, &[]));
+        let (ctx, platform, config) = flow(&program, spm, Objective::Cycles);
+        let model = ctx.cost_model(&platform);
         let g = assign::greedy(&model, &config);
         let e = assign::exhaustive(&model, &config, 200_000);
         prop_assert!(
@@ -131,9 +131,8 @@ proptest! {
     #[test]
     fn te_respects_its_own_size_constraint(spec in specs(), spm in 64u64..2048) {
         let program = build(&spec);
-        let (reuse, platform, config) = flow(&program, spm, Objective::Cycles);
-        let model = CostModel::new(&program, &platform, &reuse,
-            classify_arrays(&program, &[]));
+        let (ctx, platform, config) = flow(&program, spm, Objective::Cycles);
+        let model = ctx.cost_model(&platform);
         let outcome = assign::greedy(&model, &config);
         let schedule = te::plan(&model, &outcome.assignment);
         prop_assert!(model
@@ -156,13 +155,12 @@ proptest! {
     #[test]
     fn direct_placement_is_sane(spec in specs(), spm in 64u64..4096) {
         let program = build(&spec);
-        let (reuse, platform, config) = flow(&program, spm, Objective::Cycles);
-        let model = CostModel::new(&program, &platform, &reuse,
-            classify_arrays(&program, &[]));
+        let (ctx, platform, config) = flow(&program, spm, Objective::Cycles);
+        let (model, reuse) = (ctx.cost_model(&platform), ctx.reuse());
         let direct = assign::direct_placement(&model, config.policy);
         prop_assert!(direct
             .assignment
-            .validate(&reuse, platform.layer_count())
+            .validate(reuse, platform.layer_count())
             .is_ok());
         let raw = model.evaluate(&Assignment::baseline(
             program.array_count(),
@@ -177,9 +175,8 @@ proptest! {
     #[test]
     fn cost_model_access_accounting_is_conserved(spec in specs(), spm in 64u64..2048) {
         let program = build(&spec);
-        let (reuse, platform, config) = flow(&program, spm, Objective::Cycles);
-        let model = CostModel::new(&program, &platform, &reuse,
-            classify_arrays(&program, &[]));
+        let (ctx, platform, config) = flow(&program, spm, Objective::Cycles);
+        let model = ctx.cost_model(&platform);
         let info = program.info();
         let total: u64 = program
             .arrays()

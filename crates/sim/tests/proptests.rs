@@ -3,10 +3,9 @@
 //! and the serial static estimates, energy matches the static model, and
 //! access accounting is conserved.
 
-use mhla_core::{assign, classify_arrays, te, CostModel, MhlaConfig};
+use mhla_core::{assign, te, ExplorationContext, MhlaConfig};
 use mhla_hierarchy::Platform;
 use mhla_ir::{ElemType, Program, ProgramBuilder};
-use mhla_reuse::ReuseAnalysis;
 use mhla_sim::Simulator;
 use proptest::prelude::*;
 
@@ -71,9 +70,8 @@ proptest! {
     fn simulation_is_always_sandwiched(spec in specs(), spm in 16u64..4096) {
         let program = build(&spec);
         let platform = Platform::embedded_default(spm);
-        let reuse = ReuseAnalysis::analyze(&program);
-        let model = CostModel::new(&program, &platform, &reuse,
-            classify_arrays(&program, &[]));
+        let ctx = ExplorationContext::new(&program, &platform, MhlaConfig::default());
+        let model = ctx.cost_model(&platform);
         let config = MhlaConfig::default();
         let outcome = assign::greedy(&model, &config);
         let schedule = te::plan(&model, &outcome.assignment);
@@ -98,9 +96,8 @@ proptest! {
     fn energy_and_access_accounting_match_static(spec in specs(), spm in 16u64..4096) {
         let program = build(&spec);
         let platform = Platform::embedded_default(spm);
-        let reuse = ReuseAnalysis::analyze(&program);
-        let model = CostModel::new(&program, &platform, &reuse,
-            classify_arrays(&program, &[]));
+        let ctx = ExplorationContext::new(&program, &platform, MhlaConfig::default());
+        let model = ctx.cost_model(&platform);
         let outcome = assign::greedy(&model, &MhlaConfig::default());
         let schedule = te::plan(&model, &outcome.assignment);
         let sim = Simulator::new(&model, &outcome.assignment, &schedule).run();
@@ -117,9 +114,8 @@ proptest! {
     fn te_never_hurts_in_simulation(spec in specs(), spm in 16u64..4096) {
         let program = build(&spec);
         let platform = Platform::embedded_default(spm);
-        let reuse = ReuseAnalysis::analyze(&program);
-        let model = CostModel::new(&program, &platform, &reuse,
-            classify_arrays(&program, &[]));
+        let ctx = ExplorationContext::new(&program, &platform, MhlaConfig::default());
+        let model = ctx.cost_model(&platform);
         let outcome = assign::greedy(&model, &MhlaConfig::default());
         let schedule = te::plan(&model, &outcome.assignment);
         let with_te = Simulator::new(&model, &outcome.assignment, &schedule).run();

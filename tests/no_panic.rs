@@ -30,9 +30,9 @@
 //!    the parser's 128-level cap, `1e999`/`NaN`/`Infinity` number text,
 //!    documents over the request-size cap, corrupted embedded programs
 //!    and degenerate axes (zero-length, zero-capacity, off-chip,
-//!    out-of-range, two axes on one layer) all produce one typed response
-//!    line — the same error classes the CLI's ingress reports — never a
-//!    panic.
+//!    out-of-range, two axes on one layer, an oversized grid) all produce
+//!    one typed response line — the same error classes the CLI's ingress
+//!    reports — never a panic.
 //!
 //! CI runs this suite in release mode (the `no_panic` leg); locally the
 //! deterministic per-test-name seed applies.
@@ -820,6 +820,22 @@ fn degenerate_axes_get_the_library_error_classes() {
         served_error_class(&response).as_deref(),
         Some("invalid_options"),
         "duplicate axis layers: got {response}"
+    );
+
+    // An oversized grid: 1,025 × 1,025 points is past the engine's grid
+    // bound, so it is refused before the loop lists its points, however
+    // small the budget.
+    let caps: Vec<u64> = (1..=1025).map(|i| i * 64).collect();
+    let huge = Json::Arr(vec![axis_json(1, &caps), axis_json(2, &caps)]);
+    let response = serve_one(&serve_request(&[
+        ("axes", huge),
+        ("max_evals", Json::from_u64(1)),
+    ]));
+    assert_eq!(
+        served_error_class(&response).as_deref(),
+        Some("invalid_options"),
+        "oversized grid: got {}",
+        &response[..response.len().min(200)]
     );
 }
 

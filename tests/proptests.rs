@@ -345,16 +345,9 @@ proptest! {
                     "cold run diverges at {} B under {:?}", capacity, objective
                 );
                 let refs: Vec<&Assignment> = seeds.iter().collect();
-                let fresh_seeded = Mhla::with_context(&ctx, &pf).run_with_seeds_in(
-                    &refs,
-                    Some(ctx.moves()),
-                    &mut EvalWorkspace::default(),
-                );
-                let reused_seeded = Mhla::with_context(&ctx, &pf).run_with_seeds_in(
-                    &refs,
-                    Some(ctx.moves()),
-                    &mut ws,
-                );
+                let fresh_seeded = Mhla::with_context(&ctx, &pf)
+                    .run_with_seeds_in(&refs, &mut EvalWorkspace::default());
+                let reused_seeded = Mhla::with_context(&ctx, &pf).run_with_seeds_in(&refs, &mut ws);
                 prop_assert_eq!(
                     &fresh_seeded, &reused_seeded,
                     "seeded run diverges at {} B under {:?}", capacity, objective
