@@ -22,8 +22,9 @@ use mhla_ir::ArrayId;
 
 use crate::classify::ArrayClass;
 use crate::cost::{CostBreakdown, CostModel, IncrementalCost};
-use crate::types::{mark_layer, Assignment, MhlaConfig, Objective, SelectedCopy, TransferPolicy};
+use crate::types::{reject, Assignment, MhlaConfig, Objective, SelectedCopy, TransferPolicy};
 use crate::workspace::EvalWorkspace;
+use crate::RunStats;
 
 impl Objective {
     /// Scalar score of a cost breakdown (lower is better).
@@ -189,22 +190,11 @@ pub fn greedy(model: &CostModel<'_>, config: &MhlaConfig) -> SearchOutcome {
     greedy_portfolio_seeded_in(model, config, &[], &moves, &mut EvalWorkspace::default()).0
 }
 
-/// [`greedy`] from an arbitrary feasible starting assignment.
-pub fn greedy_from(model: &CostModel<'_>, config: &MhlaConfig, start: Assignment) -> SearchOutcome {
-    let options = enumerate_options(model, config);
-    let mut ws = EvalWorkspace::default();
-    ws.prepare_cache(options.len());
-    let mut trace = SearchTrace::new(model.platform().layer_count(), false);
-    greedy_search(model, config, start, &options, &mut ws, &mut trace)
-}
-
-/// Decision-stability record of one greedy run: which layer capacities
-/// rejected probes, and how far every decision sits from flipping when the
-/// platform's per-access energies are perturbed.
+/// Decision-stability record of one greedy run: the smallest requirement
+/// each layer's capacity rejected, and how far every decision sits from
+/// flipping when the platform's per-access energies are perturbed.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SearchTrace {
-    /// First-overflow layers of failed capacity probes (bitmask).
-    pub(crate) constrained_layers: u64,
     /// Per layer: the run's *margin rate* — the largest write-energy
     /// delta `δw_l` (pJ) the layer alone could absorb without flipping
     /// any decision, were it the only layer growing. Growing scratchpad
@@ -232,8 +222,8 @@ pub(crate) struct SearchTrace {
     pub(crate) reject_floors: Vec<u64>,
     /// Whether the margin bookkeeping runs at all. The rates are only
     /// consulted under a positive energy weight, so the cycles objective
-    /// and throwaway traces (warm portfolio leg, [`greedy_from`]) skip
-    /// the per-move sensitivity work on the hot path entirely (the
+    /// and the throwaway traces of the warm portfolio legs skip the
+    /// per-move sensitivity work on the hot path entirely (the
     /// conservative rates are then all `0.0` — admit nothing beyond
     /// zero-perturbation growth).
     pub(crate) track_margins: bool,
@@ -242,7 +232,6 @@ pub(crate) struct SearchTrace {
 impl SearchTrace {
     pub(crate) fn new(layer_count: usize, track_margins: bool) -> Self {
         SearchTrace {
-            constrained_layers: 0,
             margin_rates: if track_margins {
                 vec![f64::INFINITY; layer_count]
             } else {
@@ -256,21 +245,11 @@ impl SearchTrace {
     /// Resets the trace for reuse as a throwaway (untracked) warm-leg
     /// trace, keeping its buffers. Equivalent to `new(layer_count, false)`.
     pub(crate) fn reset_untracked(&mut self, layer_count: usize) {
-        self.constrained_layers = 0;
         self.track_margins = false;
         self.margin_rates.clear();
         self.margin_rates.resize(layer_count, 0.0);
         self.reject_floors.clear();
         self.reject_floors.resize(layer_count, u64::MAX);
-    }
-
-    /// Records one failed capacity probe: its first-overflow layer and the
-    /// bytes the trial state needed there.
-    pub(crate) fn reject(&mut self, layer: LayerId, required: u64) {
-        mark_layer(&mut self.constrained_layers, layer);
-        if let Some(f) = self.reject_floors.get_mut(layer.index()) {
-            *f = (*f).min(required);
-        }
     }
 
     /// Folds one decision into the per-layer rates: `margin ≥ 0` in score
@@ -291,39 +270,6 @@ impl SearchTrace {
             }
         }
     }
-}
-
-/// How the capacity constraints interacted with one greedy portfolio run —
-/// the facts the pruned grid sweep needs to recognize *capacity-saturated*
-/// points (see [`explore`](crate::explore)).
-#[derive(Clone, PartialEq, Debug)]
-pub struct SearchStats {
-    /// Bitmask (by layer index) of the layers at which a capacity probe of
-    /// the cold (baseline-started) search first overflowed. A layer whose
-    /// bit is clear never rejected a move: growing only such layers cannot
-    /// change the search's trajectory.
-    pub cold_constrained_layers: u64,
-    /// Per-layer decision-margin rates of the cold search — the
-    /// capacity-monotone *gain bounds* that let the pruned sweep's
-    /// saturation rule arm under the energy and weighted objectives (see
-    /// [`RunStats`](crate::RunStats) for the admission rule).
-    pub cold_margin_rates: Vec<f64>,
-    /// Per layer: the smallest byte requirement among the cold search's
-    /// failed capacity probes that first overflowed there (`u64::MAX`
-    /// where none did). A constrained layer grown to a capacity still
-    /// *below* its floor rejects the same probes, so the cold trajectory
-    /// replays — see [`RunStats::allows_growth_to`](crate::RunStats::allows_growth_to).
-    pub cold_reject_floors: Vec<u64>,
-    /// Which external warm seed's leg won the portfolio: `Some(k)` when
-    /// the leg started from `seeds[k]` strictly beat the cold result and
-    /// replaced it (can happen on deep hierarchies; the pruned grid sweep
-    /// runs cold precisely so its results stay standalone-identical),
-    /// `None` when the cold (baseline-started) leg was kept.
-    pub winning_seed: Option<usize>,
-    /// Greedy searches executed: the cold leg plus one per *distinct*
-    /// warm seed (seeds equal to the cold fixed point or to an earlier
-    /// seed provably return an already-known result and are skipped).
-    pub legs: usize,
 }
 
 /// The enumerated candidate-move space of one (program, reuse, config).
@@ -372,9 +318,11 @@ pub fn enumerate_moves(model: &CostModel<'_>, config: &MhlaConfig) -> MoveSet {
 /// result is deterministic and *provably scores no worse than the cold
 /// search* — the dominance guarantee the improving sweeps build on
 /// ([`SearchMode::Improving`](crate::explore::SearchMode)).
-/// [`SearchStats`] reports how the capacity constraints bound the cold
-/// leg and which seed (if any) won. With an empty or all-duplicate seed
-/// list this is exactly the cold search ([`greedy`], one leg).
+/// The [`RunStats`] carry the cold leg's trace (its rejection floors and
+/// decision margins, to which a [`Mhla`](crate::Mhla) run then adds
+/// direct placement and TE), which seed (if any) won, and the legs run.
+/// With an empty or all-duplicate seed list this is exactly the cold
+/// search ([`greedy`], one leg).
 ///
 /// A fresh workspace reproduces the allocating path exactly; a warm
 /// (reused) workspace is bit-identical because every buffer is fully
@@ -387,24 +335,24 @@ pub fn greedy_portfolio_seeded_in(
     seeds: &[&Assignment],
     moves: &MoveSet,
     ws: &mut EvalWorkspace,
-) -> (SearchOutcome, SearchStats) {
+) -> (SearchOutcome, RunStats) {
     let options = &moves.moves;
     let layer_count = model.platform().layer_count();
     ws.prepare_cache(options.len());
     // Margin rates are only consulted under a positive energy weight —
     // skip the sensitivity bookkeeping otherwise (the cycles objective,
     // and the common sweep paths that never read the margins). The cold
-    // trace is built fresh: its vectors escape into `SearchStats`.
+    // trace is built fresh: its vectors escape into the `RunStats`.
     let mut trace = SearchTrace::new(layer_count, config.objective.energy_weight() > 0.0);
     let baseline = ws.start_baseline(model.program().array_count(), config.policy);
     let cold = greedy_search(model, config, baseline, options, ws, &mut trace);
     let cold_score = config.objective.score(&cold.cost);
-    let mut stats = SearchStats {
-        cold_constrained_layers: trace.constrained_layers,
-        cold_margin_rates: trace.margin_rates,
-        cold_reject_floors: trace.reject_floors,
+    let mut stats = RunStats {
+        gain_margin_rates: trace.margin_rates,
         winning_seed: None,
-        legs: 1,
+        search_legs: 1,
+        layer_reject_floors: trace.reject_floors,
+        tracked: true,
     };
     // A greedy result is a fixed point: searching from it goes nowhere.
     // Seeds coinciding with the cold solution (the common case in a
@@ -426,7 +374,7 @@ pub fn greedy_portfolio_seeded_in(
         warm_trace.reset_untracked(layer_count);
         let warmed = greedy_search(model, config, start, options, ws, &mut warm_trace);
         ws.warm_trace = warm_trace;
-        stats.legs += 1;
+        stats.search_legs += 1;
         let score = config.objective.score(&warmed.cost);
         // Strict `<` on both contests: ties keep the cold result (the
         // bit-identical-to-standalone guarantee of the cold sweeps) and,
@@ -478,9 +426,10 @@ const FREE_WIN_SCALE: f64 = 1e12;
 ///
 /// `trace` accumulates the run's [`SearchTrace`]:
 ///
-/// * the first-overflow layer of every failed capacity probe (bitmask) —
-///   the signal the pruned grid sweep uses to recognize which layers
-///   actually bound the search; and
+/// * the byte requirement of every failed capacity probe, folded into its
+///   first-overflow layer's rejection floor — the signal the pruned grid
+///   sweep uses to recognize how far each layer can grow before it binds
+///   the search; and
 /// * the per-layer *decision-margin rates*. Every decision of the loop is
 ///   a comparison of f64 scores: a rejected move's gain staying `<= 0`,
 ///   the chosen move's gain staying `> 0`, and the chosen move's ratio
@@ -570,7 +519,7 @@ fn greedy_search(
             let size = match inc.probe_events(array, &entry.events) {
                 Ok(size) => size,
                 Err((layer, required)) => {
-                    trace.reject(layer, required);
+                    reject(&mut trace.reject_floors, layer, required);
                     continue; // some on-chip layer overflows
                 }
             };
@@ -850,26 +799,27 @@ pub fn baseline(model: &CostModel<'_>, policy: TransferPolicy) -> SearchOutcome 
 /// and capacity is checked by *sum* of sizes — out-of-the-box code does
 /// not share storage between lifetimes.
 pub fn direct_placement(model: &CostModel<'_>, policy: TransferPolicy) -> SearchOutcome {
-    direct_placement_stats_in(model, policy, &mut EvalWorkspace::default()).0
+    direct_placement_stats_in(model, policy, &mut [], &mut EvalWorkspace::default())
 }
 
 /// [`direct_placement`], priced through the workspace's pooled scratch
-/// and additionally reporting (as a bitmask by layer index) the layers
-/// whose remaining capacity *rejected* an eligible array during
-/// placement, plus the per-layer *rejection floors*: the smallest total
+/// and additionally recording every layer whose remaining capacity
+/// *rejected* an eligible array into that layer's entry of `floors` (the
+/// run's per-layer *rejection floors*, [`reject`]): the smallest total
 /// requirement (bytes already placed + rejected array) of any rejection
-/// at each layer, `u64::MAX` where none occurred. A layer whose bit is
-/// clear never turned an array away: growing only such layers reproduces
-/// the identical placement — one leg of the pruned grid sweep's
-/// saturation argument; a constrained layer grown to a capacity still
-/// below its floor rejects the same arrays, so the placement also
-/// replays (the used bytes at each rejection replay by induction).
-/// Arrays that fit nowhere mark every on-chip layer.
+/// there. A layer that never turned an array away keeps its floor, and
+/// growing it reproduces the identical placement — one leg of the pruned
+/// grid sweep's saturation argument; a constrained layer grown to a
+/// capacity still below its floor rejects the same arrays, so the
+/// placement also replays (the used bytes at each rejection replay by
+/// induction). Arrays that fit nowhere are recorded at every on-chip
+/// layer.
 pub(crate) fn direct_placement_stats_in(
     model: &CostModel<'_>,
     policy: TransferPolicy,
+    floors: &mut [u64],
     ws: &mut EvalWorkspace,
-) -> (SearchOutcome, u64, Vec<u64>) {
+) -> SearchOutcome {
     let program = model.program();
     let info = program.info();
     let mut a = Assignment::baseline(program.array_count(), policy);
@@ -900,8 +850,6 @@ pub(crate) fn direct_placement_stats_in(
         .map(|(l, layer)| (l, layer.capacity.unwrap_or(u64::MAX), 0u64))
         .collect();
     remaining.reverse(); // closest first
-    let mut constrained_layers = 0u64;
-    let mut reject_floors = vec![u64::MAX; model.platform().layer_count()];
     for (aid, bytes, _) in eligible {
         for slot in remaining.iter_mut() {
             if bytes <= slot.1 {
@@ -910,22 +858,15 @@ pub(crate) fn direct_placement_stats_in(
                 slot.2 += bytes;
                 break;
             }
-            mark_layer(&mut constrained_layers, slot.0);
-            if let Some(f) = reject_floors.get_mut(slot.0.index()) {
-                *f = (*f).min(slot.2.saturating_add(bytes));
-            }
+            reject(floors, slot.0, slot.2.saturating_add(bytes));
         }
     }
     let cost = model.evaluate_in(&a, &mut ws.pool);
-    (
-        SearchOutcome {
-            assignment: a,
-            cost,
-            steps: 0,
-        },
-        constrained_layers,
-        reject_floors,
-    )
+    SearchOutcome {
+        assignment: a,
+        cost,
+        steps: 0,
+    }
 }
 
 #[cfg(test)]

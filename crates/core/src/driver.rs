@@ -72,14 +72,6 @@ impl MhlaResult {
 /// stay byte-for-byte comparable across all run paths.
 #[derive(Clone, PartialEq, Debug)]
 pub struct RunStats {
-    /// Bitmask (by layer index) of the layers whose capacity actively
-    /// bound the run: a cold greedy probe first overflowed there, TE
-    /// rejected an extension there, or direct placement turned an array
-    /// away there. Layers with a clear bit never rejected anything —
-    /// growing only those layers reproduces the identical run (same
-    /// assignment, same TE schedule, equal cycles under a
-    /// capacity-independent cycle landscape, and monotonically ≥ energy).
-    pub constrained_layers: u64,
     /// Per layer: the run's *gain-bound margin rate* — the largest
     /// write-energy delta `δw_l` (pJ, at energy weight 1) the layer alone
     /// could absorb without flipping any decision of the run. This is the
@@ -105,9 +97,6 @@ pub struct RunStats {
     /// objective, or growth inside the sub-reference energy-clamp region
     /// — replays then). Empty for untracked runs.
     pub gain_margin_rates: Vec<f64>,
-    /// The portfolio kept the cold result (the warm leg never overrode).
-    /// Trivially true for cold runs (`warm = None`).
-    pub cold_result_kept: bool,
     /// Which external warm seed's leg won the portfolio (index into the
     /// seed list handed to [`Mhla::run_with_seeds_in`]); `None` when the
     /// cold leg was kept (always `None` for untracked runs). The improving
@@ -120,12 +109,9 @@ pub struct RunStats {
     pub search_legs: usize,
     /// Per layer: the smallest byte requirement of any capacity rejection
     /// at that layer across the run's three rejection sites (cold greedy
-    /// probes, direct placement, TE buffer checks); `u64::MAX` where the
-    /// layer never rejected anything. Every requirement is
-    /// capacity-independent, so a constrained layer grown to a capacity
-    /// still *below* its floor rejects the exact same probes and the run
-    /// replays verbatim — the bounded-growth extension of
-    /// [`allows_growth_of`](Self::allows_growth_of), consulted through
+    /// probes at their first-overflow layer, direct placement, TE buffer
+    /// checks); `u64::MAX` where the layer never rejected anything. The
+    /// one record of how the capacities bound the run, consulted through
     /// [`allows_growth_to`](Self::allows_growth_to). Empty for untracked
     /// runs.
     pub layer_reject_floors: Vec<u64>,
@@ -135,34 +121,32 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Whether the run provably reproduces itself when only the given
-    /// layer grows — the per-layer saturation leg of the pruned grid
-    /// sweep's losslessness argument.
-    pub fn allows_growth_of(&self, layer: mhla_hierarchy::LayerId) -> bool {
-        self.tracked
-            && self.cold_result_kept
-            && crate::types::layer_mask_bit(layer)
-                .is_some_and(|bit| self.constrained_layers & bit == 0)
+    /// Whether the run provably reproduces itself when the given layer
+    /// grows *to* `to_capacity` (bytes) — the per-layer saturation leg of
+    /// the pruned and refined sweeps' losslessness argument. Only a
+    /// tracked run whose cold leg won replays; then either the layer
+    /// never rejected anything (floor `u64::MAX`: every stop there was
+    /// capacity-independent, so any growth replays the same assignment,
+    /// the same TE schedule, equal cycles under a capacity-independent
+    /// cycle landscape, and monotonically ≥ energy), or the grown
+    /// capacity still sits strictly below the layer's rejection floor —
+    /// every one of the run's failed capacity checks there needed more
+    /// bytes than `to_capacity` offers, and the requirements are
+    /// capacity-independent, so the same checks fail in the same order and
+    /// the run replays verbatim. A layer past the recorded floors admits
+    /// nothing.
+    pub fn allows_growth_to(&self, layer: mhla_hierarchy::LayerId, to_capacity: u64) -> bool {
+        self.cold_kept()
+            && self
+                .layer_reject_floors
+                .get(layer.index())
+                .is_some_and(|&floor| floor == u64::MAX || to_capacity < floor)
     }
 
-    /// Whether the run provably reproduces itself when the given layer
-    /// grows *to* `to_capacity` (bytes): either the layer never rejected
-    /// anything ([`allows_growth_of`](Self::allows_growth_of)), or the
-    /// grown capacity still sits strictly below the layer's rejection
-    /// floor — every one of the run's failed capacity checks there needed
-    /// more bytes than `to_capacity` offers, and the requirements are
-    /// capacity-independent, so the same checks fail in the same order and
-    /// the run replays verbatim. The adaptive refinement scheduler uses
-    /// this to close cells whose corners are saturated only *up to* the
-    /// cell's far corner, not unboundedly.
-    pub fn allows_growth_to(&self, layer: mhla_hierarchy::LayerId, to_capacity: u64) -> bool {
-        self.allows_growth_of(layer)
-            || (self.tracked
-                && self.cold_result_kept
-                && self
-                    .layer_reject_floors
-                    .get(layer.index())
-                    .is_some_and(|&floor| to_capacity < floor))
+    /// A tracked run whose cold (baseline-started) leg won the portfolio —
+    /// the only runs whose certificates the sweeps keep.
+    pub(crate) fn cold_kept(&self) -> bool {
+        self.tracked && self.winning_seed.is_none()
     }
 
     /// Whether the run's decisions provably survive the given per-layer
@@ -203,61 +187,12 @@ impl RunStats {
         budget < 1.0 - 1e-9
     }
 
-    /// The largest capacity the given scratchpad layer (currently
-    /// `capacity_bytes`) could grow to *alone* without flipping any
-    /// decision of this run under the given energy weight — the
-    /// per-layer growth ceiling implied by
-    /// [`gain_margin_rates`](Self::gain_margin_rates), conservatively
-    /// rounded down so growth *to the ceiling itself* is admitted by
-    /// [`allows_energy_growth`](Self::allows_energy_growth) (diagnostics;
-    /// the pruned sweep checks joint growth against the summed budget
-    /// directly). Saturating: `u64::MAX` means unbounded. Latency-class
-    /// limits are *not* folded in.
-    pub fn energy_growth_ceiling(
-        &self,
-        layer: mhla_hierarchy::LayerId,
-        capacity_bytes: u64,
-        energy_weight: f64,
-    ) -> u64 {
-        use mhla_hierarchy::energy::{sram_write_pj, SRAM_ENERGY_EXPONENT, SRAM_REF_BYTES};
-        let ew = energy_weight.abs();
-        let rate = self
-            .gain_margin_rates
-            .get(layer.index())
-            .copied()
-            .unwrap_or(0.0);
-        if ew == 0.0 || rate == f64::INFINITY {
-            return u64::MAX;
-        }
-        if rate == 0.0 {
-            return capacity_bytes;
-        }
-        // Invert the clamped scaling law: the write (= burst) energy is the
-        // steepest of the three per-layer energies and the unit the rates
-        // are expressed in. E_w(c) = E_w(ref) · (c/ref)^α for c ≥ ref. The
-        // rate is shaved slightly so the ceiling itself sits strictly
-        // inside `allows_energy_growth`'s budget (its safety factor would
-        // otherwise refuse a capacity landing within rounding of the
-        // exact inversion).
-        let allowed = sram_write_pj(capacity_bytes) + (rate / ew) * (1.0 - 1e-6);
-        let ref_write = sram_write_pj(SRAM_REF_BYTES);
-        let ratio = (allowed / ref_write).powf(1.0 / SRAM_ENERGY_EXPONENT);
-        let ceiling = (SRAM_REF_BYTES as f64 * ratio).floor();
-        if ceiling >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            (ceiling as u64).max(capacity_bytes)
-        }
-    }
-
     /// The conservative default for paths that do not track constraints
     /// (exhaustive search, the frozen reference flow, replayed points of
     /// an exhaustive grid run): never saturated.
     pub(crate) fn unknown() -> Self {
         RunStats {
-            constrained_layers: u64::MAX,
             gain_margin_rates: Vec::new(),
-            cold_result_kept: false,
             winning_seed: None,
             search_legs: 0,
             layer_reject_floors: Vec::new(),
@@ -425,11 +360,9 @@ impl<'a> Mhla<'a> {
         let config = self.config();
         let (outcome, stats) = match config.strategy {
             crate::types::SearchStrategy::Greedy => {
-                let (o, s) =
-                    assign::greedy_portfolio_seeded_in(&model, config, seeds, self.ctx.moves(), ws);
-                (o, Some(s))
+                assign::greedy_portfolio_seeded_in(&model, config, seeds, self.ctx.moves(), ws)
             }
-            _ => (assign::search(&model, config), None),
+            _ => (assign::search(&model, config), RunStats::unknown()),
         };
         self.finish(&model, outcome, stats, ws)
     }
@@ -448,26 +381,37 @@ impl<'a> Mhla<'a> {
             crate::types::SearchStrategy::Greedy => assign::greedy_oracle(&model, config),
             _ => assign::search(&model, config),
         };
-        self.finish(&model, outcome, None, &mut EvalWorkspace::default())
-            .0
+        self.finish(
+            &model,
+            outcome,
+            RunStats::unknown(),
+            &mut EvalWorkspace::default(),
+        )
+        .0
     }
 
     /// The shared tail of every flow: baseline fallback, Time Extensions,
     /// result assembly. One implementation so the reference and production
     /// paths can only differ in the search itself — which is exactly what
-    /// the cold/fast equivalence tests compare. `search_stats` is the
-    /// greedy portfolio's constraint report when the caller tracked one;
-    /// `None` yields the conservative "unknown" [`RunStats`].
+    /// the cold/fast equivalence tests compare. `stats` is the greedy
+    /// portfolio's record when the caller tracked one, or the conservative
+    /// [`RunStats::unknown`]; direct placement and TE record their
+    /// capacity rejections into its floors (a no-op when untracked), so
+    /// each floor is the minimum over the run's three rejection sites.
     fn finish(
         &self,
         model: &CostModel<'_>,
         mut outcome: assign::SearchOutcome,
-        search_stats: Option<assign::SearchStats>,
+        mut stats: RunStats,
         ws: &mut EvalWorkspace,
     ) -> (MhlaResult, RunStats) {
         let config = self.config();
-        let (baseline, placement_constrained, placement_floors) =
-            assign::direct_placement_stats_in(model, config.policy, ws);
+        let baseline = assign::direct_placement_stats_in(
+            model,
+            config.policy,
+            &mut stats.layer_reject_floors,
+            ws,
+        );
         // The search is a heuristic and can, on rare corner cases, end in
         // a local optimum worse than the out-of-the-box placement. A real
         // tool never returns an assignment worse than its input: fall back
@@ -483,7 +427,7 @@ impl<'a> Mhla<'a> {
         // perturb identically, as are layers with equal sensitivity).
         // Only computed when a search trace exists — no tracked margin
         // means no consumer.
-        let fallback_gap: Option<f64> = if search_stats.is_none()
+        let fallback_gap: Option<f64> = if !stats.tracked
             || config.objective.energy_weight() <= 0.0
             || outcome.assignment == baseline.assignment
         {
@@ -513,58 +457,28 @@ impl<'a> Mhla<'a> {
         if config.objective.score(&baseline.cost) < config.objective.score(&outcome.cost) {
             outcome = baseline.clone();
         }
-        let (te, te_constrained, te_floors) = if config.disable_te {
-            (
-                TeSchedule {
-                    applicable: self.platform.dma().is_some(),
-                    transfers: Vec::new(),
-                },
-                0,
-                vec![u64::MAX; self.platform.layer_count()],
-            )
-        } else {
-            te::plan_with_stats(model, &outcome.assignment)
-        };
-        let stats = match search_stats {
-            Some(mut s) => {
-                if let Some(gap) = fallback_gap {
-                    for (rate, (o, b)) in s
-                        .cold_margin_rates
-                        .iter_mut()
-                        .zip(ws.sens_a.iter().zip(&ws.sens_b))
-                    {
-                        let risk = (o - b).abs();
-                        let f = if risk > 0.0 {
-                            gap / risk
-                        } else {
-                            f64::INFINITY
-                        };
-                        *rate = rate.min(f);
-                    }
-                }
-                // Elementwise min over the three rejection sites: a grown
-                // capacity below every site's floor rejects every probe of
-                // the whole run.
-                let mut floors = s.cold_reject_floors;
-                for (f, other) in floors.iter_mut().zip(&placement_floors) {
-                    *f = (*f).min(*other);
-                }
-                for (f, other) in floors.iter_mut().zip(&te_floors) {
-                    *f = (*f).min(*other);
-                }
-                RunStats {
-                    constrained_layers: s.cold_constrained_layers
-                        | te_constrained
-                        | placement_constrained,
-                    gain_margin_rates: s.cold_margin_rates,
-                    cold_result_kept: s.winning_seed.is_none(),
-                    winning_seed: s.winning_seed,
-                    search_legs: s.legs,
-                    layer_reject_floors: floors,
-                    tracked: true,
-                }
+        if let Some(gap) = fallback_gap {
+            for (rate, (o, b)) in stats
+                .gain_margin_rates
+                .iter_mut()
+                .zip(ws.sens_a.iter().zip(&ws.sens_b))
+            {
+                let risk = (o - b).abs();
+                let f = if risk > 0.0 {
+                    gap / risk
+                } else {
+                    f64::INFINITY
+                };
+                *rate = rate.min(f);
             }
-            None => RunStats::unknown(),
+        }
+        let te = if config.disable_te {
+            TeSchedule {
+                applicable: self.platform.dma().is_some(),
+                transfers: Vec::new(),
+            }
+        } else {
+            te::plan_with_stats(model, &outcome.assignment, &mut stats.layer_reject_floors)
         };
         let result = MhlaResult {
             assignment: outcome.assignment,
@@ -641,6 +555,31 @@ mod tests {
         let gain = 1.0 - result.mhla_cycles() as f64 / result.baseline_cycles() as f64;
         assert!(gain > 0.30, "step-1 gain {gain:.2} too small");
         assert!(gain < 0.95, "step-1 gain {gain:.2} implausibly large");
+    }
+
+    #[test]
+    fn growth_admission_stops_at_the_rejection_floor() {
+        use mhla_hierarchy::LayerId;
+        let cold = RunStats {
+            gain_margin_rates: vec![f64::INFINITY; 3],
+            winning_seed: None,
+            search_legs: 1,
+            layer_reject_floors: vec![u64::MAX, u64::MAX, 100],
+            tracked: true,
+        };
+        assert!(cold.allows_growth_to(LayerId(2), 99));
+        assert!(!cold.allows_growth_to(LayerId(2), 100));
+        assert!(cold.allows_growth_to(LayerId(1), u64::MAX));
+        assert!(!cold.allows_growth_to(LayerId(3), 0));
+        let seeded = RunStats {
+            winning_seed: Some(0),
+            ..cold.clone()
+        };
+        for run in [seeded, RunStats::unknown()] {
+            for layer in 0..4 {
+                assert!(!run.allows_growth_to(LayerId(layer), 0), "{run:?}");
+            }
+        }
     }
 
     use mhla_ir::Program;

@@ -97,7 +97,7 @@ use crate::context::ExplorationContext;
 use crate::driver::{Mhla, MhlaResult, RunStats};
 use crate::error::{self, MhlaError};
 use crate::pareto;
-use crate::types::{Assignment, MhlaConfig, Objective, SearchStrategy};
+use crate::types::{Assignment, MhlaConfig, Objective};
 use crate::workspace::EvalWorkspace;
 
 /// Why a budgeted sweep stopped early (see [`SweepStatus::Stopped`]).
@@ -984,13 +984,13 @@ impl PruneOptions {
 /// three ways: *feasibility* (monotone — anything that fits keeps fitting
 /// as layers grow), *per-access cycles* (constant inside one scratchpad
 /// latency class), and *per-access energies* (the clamped √-capacity
-/// scaling law). Each evaluated run records which layers actually *bound*
-/// it ([`RunStats`]): the first-overflow layer of every failed greedy
-/// probe, every layer at which TE rejected an extension, every layer that
-/// turned an array away during direct placement — together with the
-/// smallest byte requirement any of those rejections needed per layer
-/// (its *rejection floor*, [`RunStats::allows_growth_to`]) and the run's
-/// minimum *decision margin* per energy-sensitive operation
+/// scaling law). Each evaluated run records how its layers actually
+/// *bound* it ([`RunStats`]): per layer, the smallest byte requirement of
+/// any capacity rejection there — a failed greedy probe that first
+/// overflowed there, a TE extension refused there, an array direct
+/// placement turned away there — as the layer's *rejection floor*
+/// ([`RunStats::allows_growth_to`]), and the run's minimum *decision
+/// margin* per energy-sensitive operation
 /// ([`RunStats::gain_margin_rates`](crate::RunStats::gain_margin_rates)),
 /// an instrumented gain bound derived from the cost model's cached access
 /// and transfer-volume totals. If point `p` differs from an evaluated
@@ -1071,8 +1071,8 @@ impl PruneOptions {
 /// its cold counterpart under the configured objective, and the
 /// *objective* Pareto frontier ([`GridSweep::pareto_objective`])
 /// dominates-or-equals the cold exhaustive one. The saturation rule stays
-/// sound because it only ever replays *cold-kept* runs (a seed win clears
-/// [`RunStats::cold_result_kept`], so such points certify nothing) — a
+/// sound because it only ever replays *cold-kept* runs (a seed win sets
+/// [`RunStats::winning_seed`], so such points certify nothing) — a
 /// skipped point's cold counterpart is then dominated on the objective
 /// surface by its dominator exactly as in cold mode.
 ///
@@ -1232,18 +1232,16 @@ pub struct RefineStats {
     /// Cells subdivided into children.
     pub cells_opened: usize,
     /// Cells closed by the saturation certificate: a committed run's
-    /// constraint masks and rejection floors prove every interior point
-    /// replays it.
+    /// rejection floors prove every interior point replays it.
     pub cells_closed_mask: usize,
     /// Cells at maximal depth (or with no splittable axis): their box
     /// contains only corners, all evaluated or certified.
     pub cells_leaf: usize,
     /// Points certified dominated when their turn came — a run committed
-    /// before them covers them with its saturation certificate (constraint
-    /// masks with rejection floors, within the energy gain margins) — and
-    /// therefore never searched: the per-point complement of the cell-level
-    /// certificate. At depth 0 these are the pruned sweep's skipped
-    /// points.
+    /// before them covers them with its saturation certificate (rejection
+    /// floors, within the energy gain margins) — and therefore never
+    /// searched: the per-point complement of the cell-level certificate.
+    /// At depth 0 these are the pruned sweep's skipped points.
     pub corners_certified: usize,
 }
 
@@ -1286,8 +1284,8 @@ pub struct RefinedGridSweep {
 }
 
 /// What a stopped refinement carries to resume exactly: each committed
-/// point's [`RunStats`] (the saturation certificates need the constraint
-/// masks and rejection floors; everything else is rebuilt by re-running
+/// point's [`RunStats`] (the saturation certificates need the rejection
+/// floors and gain margins; everything else is rebuilt by re-running
 /// the deterministic scheduler with the committed points replayed).
 #[derive(Clone, PartialEq, Debug, Default)]
 struct RefineCheckpoint {
@@ -1601,17 +1599,16 @@ fn scratchpad_energy_delta_pj(from: u64, to: u64) -> f64 {
 /// The saturation certificates as boxes. A committed tracked, cold-kept
 /// run at fine point `q` replays at every lattice point `p` with
 /// `q ≤ p ≤ reach` — each grown axis growable
-/// ([`RunStats::allows_growth_to`], which extends the constraint masks
-/// with the recorded per-layer rejection floors) and inside `q`'s
-/// scratchpad latency class — as far as the run's energy gain margins
-/// allow. Per axis, both conditions are downward-closed in the target
-/// capacity above `q` (`allows_growth_to` compares against a floor and
-/// [`sram_access_cycles`] is monotone), so `reach` is exact and found by
-/// binary search; the margin test is joint over the axes and monotone in
-/// the target, so it runs per query, at the box's far corner. Records are
-/// bucketed by every depth-0 window their box meets: a cell never leaves
-/// its window, and a box containing a point meets every window
-/// containing it, so a query scans one bucket.
+/// ([`RunStats::allows_growth_to`], against the recorded per-layer
+/// rejection floors) and inside `q`'s scratchpad latency class — as far
+/// as the run's energy gain margins allow. Per axis, both conditions are
+/// downward-closed in the target capacity above `q` (`allows_growth_to`
+/// compares against a floor and [`sram_access_cycles`] is monotone), so
+/// `reach` is exact and found by binary search; the margin test is joint
+/// over the axes and monotone in the target, so it runs per query, at the
+/// box's far corner. Records are bucketed by every depth-0 window their
+/// box meets: a cell never leaves its window, and a box containing a
+/// point meets every window containing it, so a query scans one bucket.
 struct MaskBoxes {
     /// Per record: `q`, then `reach`.
     flat: Vec<usize>,
@@ -1713,7 +1710,10 @@ impl MaskBoxes {
 struct Refinement<'a> {
     lattice: Lattice<'a>,
     improving: bool,
-    /// The saturation certificates need the instrumented greedy search.
+    /// Whether committed runs' saturation certificates decide points (off
+    /// for the exhaustive engine). Only tracked runs — the instrumented
+    /// greedy search — carry a certificate, so a run under any other
+    /// strategy certifies nothing either way.
     saturation_armed: bool,
     energy_weight: f64,
 }
@@ -1815,7 +1815,7 @@ impl RefineState {
             self.search_legs += run.search_legs;
             self.seed_wins += usize::from(run.winning_seed.is_some());
         }
-        if rf.saturation_armed && run.tracked && run.cold_result_kept {
+        if rf.saturation_armed && run.cold_kept() {
             let mut q = vec![0; caps.len()];
             rf.lattice.unpack(key, &mut q);
             self.masks
@@ -2294,7 +2294,7 @@ impl<'e> SweepEngine<'e> {
         let rf = Refinement {
             lattice: Lattice::new(self.axis_caps, self.layers, coarse_axes),
             improving: opts.mode == SearchMode::Improving,
-            saturation_armed: certify && config.strategy == SearchStrategy::Greedy,
+            saturation_armed: certify,
             energy_weight: config.objective.energy_weight(),
         };
         let search = |(key, seeds): Job| (key, self.evaluate(&rf.lattice.caps(key), &seeds));
@@ -2484,9 +2484,9 @@ impl<'e> SweepEngine<'e> {
 /// is reached or closed. A cell is closed without subdivision only under
 /// the **saturation certificate** — [`try_sweep_grid_pruned_with`]'s
 /// prune rule lifted from points to boxes: a committed cold-kept run at
-/// `q ≤ cell.lo` whose constraint masks and per-layer rejection floors
-/// ([`RunStats::allows_growth_to`]) prove growth to `cell.hi` replays it
-/// — every changed axis growable, inside one scratchpad latency class,
+/// `q ≤ cell.lo` whose per-layer rejection floors
+/// ([`RunStats::allows_growth_to`]) prove growth to `cell.hi` replays
+/// it — every changed axis growable, inside one scratchpad latency class,
 /// within the energy gain margins. Monotonicity extends the proof to
 /// every interior point of the box. Each committed run's certificate is
 /// kept as the box of lattice points it reaches, so the test is a

@@ -115,28 +115,27 @@ impl TeSchedule {
 
 /// Runs the TE step (Figure 1) on a fixed assignment.
 pub fn plan(model: &CostModel<'_>, assignment: &Assignment) -> TeSchedule {
-    plan_with_stats(model, assignment).0
+    plan_with_stats(model, assignment, &mut [])
 }
 
-/// [`plan`], additionally reporting (as a bitmask by layer index) the
-/// layers at which the `fits_size` buffer check first overflowed and
-/// rejected an extension, plus the per-layer *rejection floors*: the
-/// smallest byte requirement of any rejected buffer check at each layer
-/// (`u64::MAX` where none occurred). A layer whose bit is clear never
-/// blocked an extension: every stop there was "fully time extended" or
-/// exhausted freedom — capacity-independent conditions — so the same
+/// [`plan`], additionally recording every layer at which the `fits_size`
+/// buffer check overflowed and rejected an extension into that layer's
+/// entry of `floors` (the run's per-layer *rejection floors*,
+/// [`reject`](crate::types::reject)): the smallest byte requirement of
+/// any rejected buffer check there. A layer that never blocked an
+/// extension keeps its floor: every stop there was "fully time extended"
+/// or exhausted freedom — capacity-independent conditions — so the same
 /// schedule reproduces verbatim when only such layers grow (one leg of
 /// the pruned grid sweep's saturation argument); a constrained layer
 /// grown to a capacity still below its floor rejects the same buffer
 /// checks, extending the replay to bounded growth (the trial buffer
 /// sizes are capacity-independent). The schedule is byte-for-byte the
 /// one [`plan`] returns.
-pub fn plan_with_stats(
+pub(crate) fn plan_with_stats(
     model: &CostModel<'_>,
     assignment: &Assignment,
-) -> (TeSchedule, u64, Vec<u64>) {
-    let mut constrained_layers = 0u64;
-    let mut reject_floors = vec![u64::MAX; model.platform().layer_count()];
+    floors: &mut [u64],
+) -> TeSchedule {
     let streams = model.transfer_streams(assignment);
     let Some(dma) = model.platform().dma() else {
         // No memory transfer engine: TE not applicable (paper, §1).
@@ -144,14 +143,10 @@ pub fn plan_with_stats(
             .into_iter()
             .map(|stream| no_te(model, stream))
             .collect();
-        return (
-            TeSchedule {
-                applicable: false,
-                transfers,
-            },
-            constrained_layers,
-            reject_floors,
-        );
+        return TeSchedule {
+            applicable: false,
+            transfers,
+        };
     };
 
     // --- Figure 1, first loop: build the BT list with times, sort factors
@@ -205,10 +200,7 @@ pub fn plan_with_stats(
                     layer, required, ..
                 } = e
                 {
-                    crate::types::mark_layer(&mut constrained_layers, layer);
-                    if let Some(f) = reject_floors.get_mut(layer.index()) {
-                        *f = (*f).min(required);
-                    }
+                    crate::types::reject(floors, layer, required);
                 }
                 break;
             }
@@ -235,14 +227,10 @@ pub fn plan_with_stats(
         bt.priority = i as u32;
     }
 
-    (
-        TeSchedule {
-            applicable: true,
-            transfers: bts,
-        },
-        constrained_layers,
-        reject_floors,
-    )
+    TeSchedule {
+        applicable: true,
+        transfers: bts,
+    }
 }
 
 fn no_te(model: &CostModel<'_>, stream: TransferStream) -> BlockTransfer {

@@ -72,18 +72,14 @@ pub struct MhlaConfig {
     pub disable_te: bool,
 }
 
-/// Bit of `layer` in a constrained-layer bitmask; `None` beyond 64 layers
-/// (readers treat such layers as permanently constrained). The single
-/// definition of the mask encoding shared by the greedy search, the TE
-/// planner, direct placement and [`RunStats`](crate::RunStats).
-pub(crate) fn layer_mask_bit(layer: LayerId) -> Option<u64> {
-    (layer.index() < u64::BITS as usize).then(|| 1u64 << layer.index())
-}
-
-/// Sets `layer`'s bit in a constrained-layer bitmask.
-pub(crate) fn mark_layer(mask: &mut u64, layer: LayerId) {
-    if let Some(bit) = layer_mask_bit(layer) {
-        *mask |= bit;
+/// Records one capacity rejection at `layer` that needed `required` bytes
+/// there: lowers the layer's rejection floor
+/// ([`RunStats::layer_reject_floors`](crate::RunStats::layer_reject_floors)).
+/// The one writer shared by the greedy search, the TE planner and direct
+/// placement; an empty `floors` (an untracked run) records nothing.
+pub(crate) fn reject(floors: &mut [u64], layer: LayerId, required: u64) {
+    if let Some(f) = floors.get_mut(layer.index()) {
+        *f = (*f).min(required);
     }
 }
 

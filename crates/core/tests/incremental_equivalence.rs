@@ -199,24 +199,6 @@ proptest! {
         }
     }
 
-    /// `greedy_from` started at the baseline is exactly `greedy`.
-    #[test]
-    fn greedy_from_baseline_is_greedy(spec in specs(), spm in 64u64..2048) {
-        let program = build(&spec);
-        let platform = Platform::embedded_default(spm);
-        let ctx = ExplorationContext::new(&program, &platform, MhlaConfig::default());
-        let model = ctx.cost_model(&platform);
-        let config = MhlaConfig::default();
-        let a = assign::greedy(&model, &config);
-        let b = assign::greedy_from(
-            &model,
-            &config,
-            Assignment::baseline(program.array_count(), config.policy),
-        );
-        prop_assert_eq!(a.assignment, b.assignment);
-        prop_assert_eq!(a.cost, b.cost);
-    }
-
     /// The warm-started portfolio never scores worse than the cold search,
     /// and with no warm start it IS the cold search.
     #[test]

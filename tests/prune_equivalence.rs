@@ -483,9 +483,9 @@ fn energy_saturation_arms_inside_the_clamp_region() {
 
 #[test]
 fn non_instrumented_strategies_disarm_saturation_but_stay_lossless() {
-    // The exhaustive strategy records no constraint masks or margins, so
-    // the saturation rule must disarm: the sweep evaluates every point
-    // and reproduces the exhaustive frontier.
+    // The exhaustive strategy's runs are untracked — no rejection floors
+    // or margins — so the saturation rule must disarm: the sweep
+    // evaluates every point and reproduces the exhaustive frontier.
     let app = mhla_apps::fir_bank::app();
     let config = MhlaConfig {
         strategy: SearchStrategy::Exhaustive { node_limit: 20_000 },
